@@ -1,8 +1,10 @@
 // Command ezcampaign runs a declarative experiment campaign: the
-// cartesian product of swept parameters (topology, mode, rate, hops,
-// CW cap) with independently seeded replications per grid point, fanned
-// out across a worker pool, then aggregated into mean / std / 95% CI per
-// point and emitted through the chosen sinks.
+// cartesian product of swept parameters (every axis of campaign.AxisNames:
+// topology, mode, controller, routing, hops, rate, cap, nodes, flap,
+// churn, mobility, speed, pause, clients) with independently seeded
+// replications per grid point, fanned out across a worker pool, then
+// aggregated into mean / std / 95% CI per point and emitted through the
+// chosen sinks. `ezcampaign -h` lists the axes with their values.
 //
 // Usage:
 //
@@ -37,10 +39,12 @@
 // of each run, with BFS route repair; runs with faults additionally
 // report recovery time and post-fault tail queue statistics.
 //
-// -scenario runs every grid point from a declarative JSON scenario file
-// (topology, flows, and dynamics timeline; see internal/scenario). Only
-// mode, rate, cap, flap, and churn may then be swept — the file fixes the
-// topology — and the file's duration_sec wins over -duration when set.
+// Every run is built from a scenario.Spec: built-in points synthesize one
+// from their topology, hops and nodes values, and -scenario runs every
+// grid point from a declarative JSON scenario file (topology, flows, and
+// dynamics timeline; see internal/scenario). With a file, every axis but
+// topology, hops and nodes may be swept — the file fixes the topology —
+// and the file's duration_sec wins over -duration when set.
 //
 // Results are deterministic: the same spec and seed produce byte-identical
 // JSON/CSV regardless of -parallel.
@@ -84,7 +88,6 @@ import (
 	"os/signal"
 	"strings"
 
-	"ezflow"
 	"ezflow/internal/buildinfo"
 	"ezflow/internal/campaign"
 	"ezflow/internal/fabric"
@@ -114,7 +117,7 @@ func (s *sweepFlags) Set(v string) error {
 
 func main() {
 	var sweeps sweepFlags
-	flag.Var(&sweeps, "sweep", "swept axis as axis=v1,v2,... (repeatable; integer ranges like 2..8 expand); axes: topology (chain|testbed|scenario1|scenario2|tree|grid|random) | mode | controller ("+strings.Join(ezflow.Controllers(), "|")+"|802.11; head-to-head over the controller registry) | routing ("+strings.Join(ezflow.Routings(), "|")+"; head-to-head over the routing registry) | hops (chain length / grid side) | rate | cap | nodes (random-disk size) | flap (0|1 mid-run link failure) | churn (0|1 mid-run relay outage)")
+	flag.Var(&sweeps, "sweep", "swept axis as axis=v1,v2,... (repeatable; integer ranges like 2..8 expand); axes: "+campaign.SweepUsage())
 	var (
 		name     = flag.String("name", "campaign", "campaign name for the report")
 		scenFile = flag.String("scenario", "", "JSON scenario file replacing the built-in topologies (fixes topology; its duration wins)")

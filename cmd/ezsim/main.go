@@ -55,20 +55,24 @@
 // exports the final metrics snapshot as JSON; -cpuprofile and
 // -memprofile write Go profiles. None of these change a run's results.
 //
-// -scenario runs a declarative JSON scenario file instead — topology,
-// flows, and a dynamics timeline of timed perturbations (link flaps, node
-// churn, channel degradation, traffic steps); see internal/scenario for
-// the format. The file governs the run, but -mode, -seed, -duration and
-// -cap still override it when set explicitly. Runs with faults print
-// recovery metrics and the applied-event log.
+// Every run is built from one scenario.Spec (see internal/scenario):
+// -scenario loads a declarative JSON file — topology, flows, and a
+// dynamics timeline of timed perturbations (link flaps, node churn,
+// channel degradation, traffic steps) — and without it the topology and
+// run flags describe the spec, defaults included. Either way, every
+// run-shaping flag passed explicitly then overrides the matching spec
+// field: the topology flags, -mode, -controller, -routing, -mobility,
+// -speed, -pause, -clients, -seed, -duration, -cap and -rate (which sets
+// every declared flow's rate). -q always sets the penalty factor. Runs
+// with faults print recovery metrics and the applied-event log.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"ezflow"
 	"ezflow/internal/buildinfo"
@@ -81,292 +85,160 @@ import (
 	"ezflow/internal/trace"
 )
 
-func main() {
+// invocation is one ezsim command line resolved into a run.
+type invocation struct {
+	spec     *scenario.Spec
+	penaltyQ float64
+	traceDir string
+	plot     bool
+	version  bool
+	obs      obsOpts
+}
+
+// parseArgs resolves a command line into a validated scenario spec: the
+// -scenario file, or a spec built from the topology and run flags, with
+// every run-shaping flag passed explicitly applied on top.
+func parseArgs(args []string) (*invocation, error) {
+	fs := flag.NewFlagSet("ezsim", flag.ContinueOnError)
+	var inv invocation
 	var (
-		topology = flag.String("topology", "chain", "chain|testbed|scenario1|scenario2|tree|grid|random")
-		scenFile = flag.String("scenario", "", "JSON scenario file (topology+flows+dynamics; overrides topology flags)")
-		hops     = flag.Int("hops", 4, "number of hops for the chain topology")
-		gridW    = flag.Int("grid-w", 4, "grid width for -topology grid")
-		gridH    = flag.Int("grid-h", 4, "grid height for -topology grid")
-		nodes    = flag.Int("nodes", 12, "node count for -topology random")
-		radius   = flag.Float64("radius", 0, "disk radius in metres for -topology random (0 = auto)")
-		edgeLoss = flag.Float64("edge-loss", 0, "edge-of-range loss ceiling in [0,1) for -topology random (0 = loss-free links)")
-		mode     = flag.String("mode", "ezflow", "802.11|ezflow|penalty|diffq")
-		ctlName  = flag.String("controller", "", "congestion controller from the registry, overriding -mode: "+strings.Join(ezflow.Controllers(), "|")+" (or 802.11 for none); registered controllers:\n"+ezflow.ControllerUsage())
-		routName = flag.String("routing", "", "routing strategy from the registry: "+strings.Join(ezflow.Routings(), "|")+" (empty = bfs, the builder's minimum-hop routes); registered strategies:\n"+ezflow.RoutingUsage())
-		mobName  = flag.String("mobility", "", "mobility model from the registry: "+strings.Join(ezflow.Mobilities(), "|")+" (or off to pin a scenario file's mobile nodes); registered models:\n"+ezflow.MobilityUsage())
-		speed    = flag.Float64("speed", 0, "mobile node speed in m/s (needs -mobility or a scenario mobility block)")
-		pause    = flag.Float64("pause", 0, "waypoint dwell seconds at each destination (needs -mobility or a scenario mobility block)")
-		clients  = flag.Int("clients", 0, "gateway client population size (synthesizes a downlink workload, or resizes a scenario file's)")
-		duration = flag.Float64("duration", 600, "simulated seconds")
-		seed     = flag.Int64("seed", 1, "random seed")
-		rate     = flag.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
-		cap      = flag.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
-		penaltyQ = flag.Float64("q", 1.0/128, "penalty factor for -mode penalty")
-		traceDir = flag.String("trace-dir", "", "write CSV traces into this directory")
-		doPlot   = flag.Bool("plot", false, "render ASCII charts of queues, throughput and cw")
-		version  = flag.Bool("version", false, "print version and exit")
+		topology = fs.String("topology", "chain", scenario.Topologies.NamesList()+"; built-in topologies:\n"+scenario.Topologies.Usage())
+		scenFile = fs.String("scenario", "", "JSON scenario file (topology+flows+dynamics); flags passed explicitly override its fields")
+		hops     = fs.Int("hops", 4, "number of hops for the chain topology")
+		gridW    = fs.Int("grid-w", 4, "grid width for -topology grid")
+		gridH    = fs.Int("grid-h", 4, "grid height for -topology grid")
+		nodes    = fs.Int("nodes", 12, "node count for -topology random")
+		radius   = fs.Float64("radius", 0, "disk radius in metres for -topology random (0 = auto)")
+		edgeLoss = fs.Float64("edge-loss", 0, "edge-of-range loss ceiling in [0,1) for -topology random (0 = loss-free links)")
+		mode     = fs.String("mode", "ezflow", "802.11|ezflow|penalty|diffq")
+		ctlName  = fs.String("controller", "", "congestion controller from the registry, overriding -mode: "+ctl.Controllers.NamesList()+" (or 802.11 for none); registered controllers:\n"+ctl.Controllers.Usage())
+		routName = fs.String("routing", "", "routing strategy from the registry: "+routing.Strategies.NamesList()+" (empty = bfs, the builder's minimum-hop routes); registered strategies:\n"+routing.Strategies.Usage())
+		mobName  = fs.String("mobility", "", "mobility model from the registry: "+mobility.Models.NamesList()+" (off pins a scenario file's mobile nodes); registered models:\n"+mobility.Models.Usage())
+		speed    = fs.Float64("speed", 0, "mobile node speed in m/s (needs -mobility or a scenario mobility block)")
+		pause    = fs.Float64("pause", 0, "waypoint dwell seconds at each destination (needs -mobility or a scenario mobility block)")
+		clients  = fs.Int("clients", 0, "gateway client population size (synthesizes a downlink workload, or resizes a scenario file's)")
+		duration = fs.Float64("duration", 600, "simulated seconds")
+		seed     = fs.Int64("seed", 1, "random seed")
+		rate     = fs.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
+		cwCap    = fs.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
 	)
-	var o obsOpts
-	o.registerFlags()
-	flag.Parse()
-	if *version {
-		fmt.Println("ezsim " + buildinfo.String())
-		return
+	fs.Float64Var(&inv.penaltyQ, "q", 1.0/128, "penalty factor for -mode penalty")
+	fs.StringVar(&inv.traceDir, "trace-dir", "", "write CSV traces into this directory")
+	fs.BoolVar(&inv.plot, "plot", false, "render ASCII charts of queues, throughput and cw")
+	fs.BoolVar(&inv.version, "version", false, "print version and exit")
+	inv.obs.registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if inv.version {
+		return &inv, nil
 	}
 
-	if err := validateController(*ctlName); err != nil {
-		fatalf("%v", err)
-	}
-	if err := validateRouting(*routName); err != nil {
-		fatalf("%v", err)
-	}
-	if err := validateMobility(*mobName); err != nil {
-		fatalf("%v", err)
-	}
-
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	spec := &scenario.Spec{}
 	if *scenFile != "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runScenarioFile(*scenFile, set, overrides{
-			mode: *mode, ctlName: *ctlName, routName: *routName,
-			mobName: *mobName, speed: *speed, pause: *pause, clients: *clients,
-			seed: *seed, durationSec: *duration, cwCap: *cap,
-		}, *traceDir, *doPlot, &o)
-		return
-	}
-
-	cfg := ezflow.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Duration = ezflow.Time(*duration * float64(ezflow.Second))
-	cfg.MAC.HardwareCWCap = *cap
-	cfg.PenaltyQ = *penaltyQ
-	switch *mode {
-	case "802.11":
-		cfg.Mode = ezflow.Mode80211
-	case "ezflow":
-		cfg.Mode = ezflow.ModeEZFlow
-	case "penalty":
-		cfg.Mode = ezflow.ModePenalty
-	case "diffq":
-		cfg.Mode = ezflow.ModeDiffQ
-	default:
-		fatalf("unknown mode %q", *mode)
-	}
-	if *ctlName != "" {
-		if ctl.IsNone(*ctlName) {
-			cfg.Mode = ezflow.Mode80211
-		} else {
-			cfg.Controller = *ctlName
+		var err error
+		if spec, err = scenario.Load(*scenFile); err != nil {
+			return nil, err
+		}
+	} else {
+		// Without a file, the topology and run flags describe the whole
+		// spec, defaults included.
+		for _, name := range []string{"topology", "hops", "grid-w", "grid-h", "nodes", "radius", "edge-loss", "mode", "seed", "duration", "cap", "rate"} {
+			set[name] = true
 		}
 	}
-	cfg.Routing = *routName
-	if *mobName != "" && !mobility.IsOff(*mobName) {
-		cfg.Mobility = &mobility.Config{
-			Model: *mobName,
-			Opts:  mobility.Options{SpeedMps: *speed, PauseSec: *pause},
+	t := &spec.Topology
+	for name, apply := range map[string]func(){
+		"topology":  func() { t.Kind = *topology },
+		"hops":      func() { t.Hops = *hops },
+		"grid-w":    func() { t.Width = *gridW },
+		"grid-h":    func() { t.Height = *gridH },
+		"nodes":     func() { t.Nodes = *nodes },
+		"radius":    func() { t.Radius = *radius },
+		"edge-loss": func() { t.EdgeLoss = *edgeLoss },
+		"routing":   func() { spec.Routing = *routName },
+		"seed":      func() { spec.Seed = *seed },
+		"duration":  func() { spec.DurationSec = *duration },
+		"cap":       func() { spec.CWCap = *cwCap },
+	} {
+		if set[name] {
+			apply()
 		}
-	} else if *speed > 0 || *pause > 0 {
-		fatalf("-speed/-pause need -mobility (or a -scenario file with a mobility block)")
-	}
-	if *clients > 0 {
-		cfg.Workload = &ezflow.WorkloadSpec{Clients: *clients}
-	}
-
-	var sc *ezflow.Scenario
-	switch *topology {
-	case "chain":
-		sc = ezflow.NewChain(*hops, cfg, ezflow.FlowSpec{Flow: 1, RateBps: *rate})
-	case "testbed":
-		sc = ezflow.NewTestbed(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-	case "scenario1":
-		sc = ezflow.NewScenario1(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-	case "scenario2":
-		sc = ezflow.NewScenario2(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 3, RateBps: *rate})
-	case "tree":
-		sc = ezflow.NewTree(3, 2, cfg)
-	case "grid":
-		if *gridW < 1 || *gridH < 1 || *gridW**gridH < 2 {
-			fatalf("grid needs -grid-w/-grid-h >= 1 with at least 2 nodes (got %dx%d)", *gridW, *gridH)
-		}
-		specs := []ezflow.FlowSpec{{Flow: 1, RateBps: *rate}}
-		if *gridW > 1 && *gridH > 1 {
-			specs = append(specs, ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-		}
-		sc = ezflow.NewGrid(*gridW, *gridH, cfg, specs...)
-	case "random":
-		if *nodes < 2 {
-			fatalf("random needs -nodes >= 2 (got %d)", *nodes)
-		}
-		if *edgeLoss < 0 || *edgeLoss >= 1 {
-			fatalf("-edge-loss %g out of [0,1)", *edgeLoss)
-		}
-		// RandomDisk panics when no connected placement exists (radius too
-		// large for the transmission range); surface that as a clean CLI
-		// error rather than a stack trace.
-		sc = buildOrFail(func() *ezflow.Scenario {
-			return ezflow.NewRandomLossy(*nodes, *radius, *edgeLoss, cfg,
-				ezflow.FlowSpec{Flow: 1, RateBps: *rate})
-		})
-	default:
-		fatalf("unknown topology %q", *topology)
-	}
-
-	res := o.run(sc)
-	printSummary(res)
-	if *doPlot {
-		printPlots(res)
-	}
-	if *traceDir != "" {
-		if err := writeTraces(res, *traceDir); err != nil {
-			fatalf("writing traces: %v", err)
-		}
-		fmt.Printf("traces written to %s\n", *traceDir)
-	}
-}
-
-// validateController rejects controller names absent from the registry
-// (the 802.11/off spellings, ctl.IsNone, select no controller at all).
-func validateController(name string) error {
-	if ctl.IsNone(name) {
-		return nil
-	}
-	if _, ok := ctl.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown controller %q (registered: %s)", name, strings.Join(ezflow.Controllers(), ", "))
-}
-
-// validateRouting rejects routing-strategy names absent from the registry
-// (empty selects the default minimum-hop routes).
-func validateRouting(name string) error {
-	if name == "" {
-		return nil
-	}
-	if _, ok := routing.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown routing strategy %q (registered: %s)", name, strings.Join(ezflow.Routings(), ", "))
-}
-
-// validateMobility rejects mobility-model names absent from the registry
-// (the off/static spellings, mobility.IsOff, select no mobility).
-func validateMobility(name string) error {
-	if mobility.IsOff(name) {
-		return nil
-	}
-	if _, ok := mobility.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown mobility model %q (registered: %s, or off for static)", name, strings.Join(ezflow.Mobilities(), ", "))
-}
-
-// overrides carries the flag values that may override a scenario file;
-// each applies only when its flag was passed explicitly.
-type overrides struct {
-	mode, ctlName, routName string
-	mobName                 string
-	speed, pause            float64
-	clients                 int
-	seed                    int64
-	durationSec             float64
-	cwCap                   int
-}
-
-// runScenarioFile executes a declarative scenario file, letting -mode,
-// -controller, -routing, -mobility, -speed, -pause, -clients, -seed,
-// -duration and -cap override the file when passed explicitly (set holds
-// the names of flags present on the command line).
-func runScenarioFile(path string, set map[string]bool, ov overrides,
-	traceDir string, doPlot bool, o *obsOpts) {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		fatalf("%v", err)
 	}
 	if set["mode"] {
-		spec.Mode = ov.mode
-		spec.Controller = ""
+		spec.Mode, spec.Controller = *mode, ""
 	}
 	if set["controller"] {
-		spec.Mode = ""
-		spec.Controller = ov.ctlName
-		if ctl.IsNone(ov.ctlName) {
+		spec.Mode, spec.Controller = "", *ctlName
+		if ctl.IsNone(*ctlName) {
 			spec.Controller = "" // plain 802.11: no controller at all
 		}
 	}
-	if set["routing"] {
-		spec.Routing = ov.routName
-	}
 	if set["mobility"] {
-		switch {
-		case mobility.IsOff(ov.mobName):
-			// Static control run: drop the file's block entirely.
-			spec.Mobility = nil
-		case spec.Mobility != nil:
-			// A swept model inherits the file's tuned speed/pause/tick,
-			// mirroring the campaign mobility axis. A trace file bound to
-			// the old model would fail validation under the new one.
-			spec.Mobility.Model = ov.mobName
-			if ov.mobName != "trace" {
-				spec.Mobility.TraceFile = ""
-			}
-		default:
-			spec.Mobility = &scenario.Mobility{Model: ov.mobName}
-		}
+		spec.SetMobility(*mobName)
 	}
 	if set["speed"] || set["pause"] {
 		if spec.Mobility == nil {
-			fatalf("-speed/-pause need a mobility model (-mobility, or a mobility block in %s)", path)
+			return nil, errors.New("-speed/-pause need a mobility model (-mobility, or a -scenario file with a mobility block)")
 		}
 		if set["speed"] {
-			spec.Mobility.SpeedMps = ov.speed
+			spec.Mobility.SpeedMps = *speed
 		}
 		if set["pause"] {
-			spec.Mobility.PauseSec = ov.pause
+			spec.Mobility.PauseSec = *pause
 		}
 	}
 	if set["clients"] {
-		if spec.Workload == nil {
-			spec.Workload = &scenario.Workload{}
-		}
-		spec.Workload.Clients = ov.clients
+		spec.SetClients(*clients)
 	}
-	if set["seed"] {
-		spec.Seed = ov.seed
-	}
-	if set["duration"] {
-		spec.DurationSec = ov.durationSec
-	}
-	if set["cap"] {
-		spec.CWCap = ov.cwCap
+	if set["rate"] {
+		spec.SetRate(*rate)
 	}
 	if err := spec.Validate(); err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
-	sc, err := spec.Build()
+	inv.spec = spec
+	return &inv, nil
+}
+
+// build wires the resolved spec into a runnable scenario.
+func (inv *invocation) build() (*ezflow.Scenario, error) {
+	cfg := inv.spec.Config()
+	cfg.PenaltyQ = inv.penaltyQ
+	return inv.spec.BuildWith(cfg, inv.spec.FlowSpecs())
+}
+
+func main() {
+	inv, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if spec.Name != "" {
-		fmt.Printf("scenario %q\n", spec.Name)
+	if inv.version {
+		fmt.Println("ezsim " + buildinfo.String())
+		return
 	}
-	res := o.run(sc)
+	sc, err := inv.build()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if inv.spec.Name != "" {
+		fmt.Printf("scenario %q\n", inv.spec.Name)
+	}
+	res := inv.obs.run(sc)
 	printSummary(res)
-	if doPlot {
+	if inv.plot {
 		printPlots(res)
 	}
-	if traceDir != "" {
-		if err := writeTraces(res, traceDir); err != nil {
+	if inv.traceDir != "" {
+		if err := writeTraces(res, inv.traceDir); err != nil {
 			fatalf("writing traces: %v", err)
 		}
-		fmt.Printf("traces written to %s\n", traceDir)
+		fmt.Printf("traces written to %s\n", inv.traceDir)
 	}
 }
 
@@ -518,17 +390,6 @@ func writeTraces(res *ezflow.Result, dir string) error {
 	}
 	_, err := b.WriteDir(dir)
 	return err
-}
-
-// buildOrFail converts topology-construction panics into the CLI's
-// one-line error exit.
-func buildOrFail(build func() *ezflow.Scenario) *ezflow.Scenario {
-	defer func() {
-		if r := recover(); r != nil {
-			fatalf("%v", r)
-		}
-	}()
-	return build()
 }
 
 func fatalf(format string, args ...any) {

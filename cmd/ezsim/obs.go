@@ -31,18 +31,18 @@ type obsOpts struct {
 	memProfile string
 }
 
-// registerFlags declares the observability flags on the default FlagSet.
-func (o *obsOpts) registerFlags() {
-	flag.StringVar(&o.flightPath, "flightrec", "", "dump the packet flight record (JSONL) to this file (\"-\" = stdout)")
-	flag.IntVar(&o.flightSize, "flightrec-size", obs.DefaultFlightRecorderSize, "flight-recorder ring capacity in events (keeps the last N)")
-	flag.IntVar(&o.flightFlow, "flightrec-flow", 0, "restrict the flight dump to this flow id (0 = all flows)")
-	flag.StringVar(&o.flightNode, "flightrec-node", "", "restrict the flight dump to events touching this node, e.g. N3 (\"\" = all nodes)")
-	flag.StringVar(&o.addr, "obs", "", "serve live metrics, progress and pprof at this address, e.g. 127.0.0.1:8080")
-	flag.Float64Var(&o.holdSec, "obs-hold", 0, "keep the -obs endpoint up this many wall-clock seconds after the run")
-	flag.Float64Var(&o.periodSec, "obs-period", 1, "publish a fresh snapshot to -obs every this many simulated seconds")
-	flag.StringVar(&o.metrics, "metrics", "", "write the final metrics snapshot (JSON) to this file (\"-\" = stdout)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a post-run heap profile to this file")
+// registerFlags declares the observability flags on fs.
+func (o *obsOpts) registerFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.flightPath, "flightrec", "", "dump the packet flight record (JSONL) to this file (\"-\" = stdout)")
+	fs.IntVar(&o.flightSize, "flightrec-size", obs.DefaultFlightRecorderSize, "flight-recorder ring capacity in events (keeps the last N)")
+	fs.IntVar(&o.flightFlow, "flightrec-flow", 0, "restrict the flight dump to this flow id (0 = all flows)")
+	fs.StringVar(&o.flightNode, "flightrec-node", "", "restrict the flight dump to events touching this node, e.g. N3 (\"\" = all nodes)")
+	fs.StringVar(&o.addr, "obs", "", "serve live metrics, progress and pprof at this address, e.g. 127.0.0.1:8080")
+	fs.Float64Var(&o.holdSec, "obs-hold", 0, "keep the -obs endpoint up this many wall-clock seconds after the run")
+	fs.Float64Var(&o.periodSec, "obs-period", 1, "publish a fresh snapshot to -obs every this many simulated seconds")
+	fs.StringVar(&o.metrics, "metrics", "", "write the final metrics snapshot (JSON) to this file (\"-\" = stdout)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a post-run heap profile to this file")
 }
 
 // active reports whether any flag asked for observability.

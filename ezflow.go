@@ -34,7 +34,6 @@ package ezflow
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"ezflow/internal/baseline"
 	"ezflow/internal/ctl"
@@ -126,31 +125,16 @@ func (m Mode) ControllerName() string {
 // controller, sorted — the values Config.Controller, scenario files, the
 // campaign "controller" axis and the ezsim -controller flag accept. CLI
 // usage strings enumerate this instead of hand-maintained lists.
-func Controllers() []string { return ctl.Names() }
-
-// ControllerUsage renders one "name — summary" line per registered
-// controller for CLI help text.
-func ControllerUsage() string { return ctl.Usage() }
+func Controllers() []string { return ctl.Controllers.Names() }
 
 // Routings returns the names of every registered routing strategy, sorted
 // — the values Config.Routing, scenario files, the campaign "routing"
 // axis and the ezsim -routing flag accept (see internal/routing).
-func Routings() []string { return routing.Names() }
+func Routings() []string { return routing.Strategies.Names() }
 
 // RoutingUsage renders one "name — summary" line per registered routing
 // strategy for CLI help text.
-func RoutingUsage() string { return routing.Usage() }
-
-// Mobilities returns the names of every registered mobility model,
-// sorted — the values Config.Mobility selects by name, scenario files,
-// the campaign "mobility" axis and the ezsim -mobility flag accept (see
-// internal/mobility). The off spellings ("", "off", "static") are
-// accepted everywhere in addition to these.
-func Mobilities() []string { return mobility.Names() }
-
-// MobilityUsage renders one "name — summary" line per mobility model
-// (including the off default) for CLI help text.
-func MobilityUsage() string { return mobility.Usage() }
+func RoutingUsage() string { return routing.Strategies.Usage() }
 
 // Config parameterises a scenario run.
 type Config struct {
@@ -473,10 +457,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// any other strategy recomputes every route now, against the
 	// calibrated link losses, so it shapes the run from t=0.
 	if name := cfg.Routing; name != "" {
-		info, ok := routing.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("ezflow: unknown routing strategy %q (registered: %s)",
-				name, strings.Join(routing.Names(), ", ")))
+		info, err := routing.Strategies.Lookup(name)
+		if err != nil {
+			panic("ezflow: " + err.Error())
 		}
 		m.SetStrategy(info.New(routing.DefaultOptions()))
 		if !routing.IsDefault(name) {
@@ -547,10 +530,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// Controller deployment, resolved through the internal/ctl registry:
 	// Config.Controller wins, the legacy Mode otherwise.
 	if name := cfg.controllerName(); name != "" {
-		info, ok := ctl.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("ezflow: unknown controller %q (registered: %s)",
-				name, strings.Join(ctl.Names(), ", ")))
+		info, err := ctl.Controllers.Lookup(name)
+		if err != nil {
+			panic("ezflow: " + err.Error())
 		}
 		sc.Ctl = info.Deploy(m, cfg.ctlOptions())
 		if e, ok := sc.Ctl.(ctl.EZInstance); ok {

@@ -8,9 +8,11 @@
 // slice of independent jobs on up to GOMAXPROCS goroutines and returns
 // results in submission order; internal/exp routes every figure/table
 // experiment through it. The declarative layer — Spec, Engine, Sink —
-// describes a parameter sweep (topology × mode × rate × hops × CW cap)
-// with per-point seed replications, runs the whole grid, and emits the
-// outcome through pluggable sinks (human-readable report, JSON, CSV).
+// describes a parameter sweep over the axes of AxisNames with per-point
+// seed replications, runs the whole grid, and emits the outcome through
+// pluggable sinks (human-readable report, JSON, CSV). Every run is built
+// by scenario.Spec.BuildWith, from the campaign's scenario file or from a
+// spec synthesized for a built-in topology point.
 // The controller axis additionally sweeps the congestion-controller
 // registry (internal/ctl), so head-to-head controller comparisons are one
 // sweep away; the routing axis does the same for the routing-strategy
@@ -65,10 +67,10 @@ type Spec struct {
 	RateBps float64 `json:"rate_bps"`
 	// Scenario, when non-nil, is a declarative scenario file that
 	// replaces the built-in topology/flow grid: every run builds from it
-	// (its dynamics timeline included), and only the mode, rate, cap,
-	// flap, and churn axes may be swept — topology-shaped axes conflict
-	// and are rejected. The file's duration wins over DurationSec unless
-	// the file leaves it unset.
+	// (its dynamics timeline included), and every axis but the
+	// topology-shaped ones (topology, hops, nodes) may be swept — those
+	// conflict and are rejected. The file's duration wins over
+	// DurationSec unless the file leaves it unset.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// Obs attaches the observability layer (metrics + flight recorder;
 	// see internal/obs) to every run. It is excluded from serialization
@@ -88,25 +90,17 @@ func (s Spec) sweeps(name string) bool {
 	return false
 }
 
-// Axis is one swept parameter. Known names: "topology"
-// (chain|testbed|scenario1|scenario2|tree|grid|random), "mode"
-// (802.11|ezflow|penalty|diffq), "controller" (any registered congestion
-// controller — see ctl.Names() — plus 802.11|off|none for the raw
-// baseline; mutually exclusive with the mode axis), "routing" (any
-// registered routing strategy — see routing.Names()), "hops" (chain
-// length; also the side of a grid topology, clamped to >= 2), "rate"
-// (bit/s), "cap" (hardware CWmin cap, 0 = none), "nodes" (node count of
-// the random topology, whose placement is seeded per replication), the
-// fault-injection axes "flap" and "churn" (0|1): flap=1 severs the first
-// flow's middle link for a tenth of the run starting at 40%, churn=1
-// halts its middle relay over the same window, both with BFS route
-// repair — and the mobility/workload axes: "mobility" (off or any
-// registered model — see mobility.Names()), "speed" and "pause"
-// (waypoint m/s and dwell seconds; they override the mobility axis or
-// the scenario file's mobility block, one of which must be present),
-// and "clients" (gateway-workload population size, overriding the
-// scenario file's workload block or synthesizing an always-on downlink
-// population when the campaign has none).
+// Axis is one swept parameter, named by a row of the axis table (see
+// AxisNames and SweepUsage). Semantics beyond the usage text: the
+// controller axis accepts 802.11|off|none for the raw baseline and is
+// mutually exclusive with the mode axis; hops doubles as the side of a
+// grid, clamped to >= 2; random placements are seeded per replication;
+// flap=1 severs the first flow's middle link for a tenth of the run
+// starting at 40% and churn=1 halts its middle relay over the same
+// window, both with BFS route repair; speed and pause override the
+// mobility axis or the scenario file's mobility block, one of which must
+// be present; clients overrides the scenario file's workload population
+// or synthesizes an always-on downlink one when the campaign has none.
 type Axis struct {
 	Name   string   `json:"name"`
 	Values []string `json:"values"`
@@ -120,11 +114,8 @@ func ParseSweep(s string) (Axis, error) {
 		return Axis{}, fmt.Errorf("campaign: sweep %q is not axis=v1,v2,...", s)
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
-	switch name {
-	case "topology", "mode", "controller", "routing", "hops", "rate", "cap", "nodes", "flap", "churn",
-		"mobility", "speed", "pause", "clients":
-	default:
-		return Axis{}, fmt.Errorf("campaign: unknown sweep axis %q (want topology|mode|controller|routing|hops|rate|cap|nodes|flap|churn|mobility|speed|pause|clients)", name)
+	if axisByName(name) == nil {
+		return Axis{}, fmt.Errorf("campaign: unknown sweep axis %q (want %s)", name, strings.Join(AxisNames(), "|"))
 	}
 	var out []string
 	for _, v := range strings.Split(vals, ",") {
@@ -148,13 +139,6 @@ func ParseSweep(s string) (Axis, error) {
 		return Axis{}, fmt.Errorf("campaign: sweep %q has no values", s)
 	}
 	return Axis{Name: name, Values: out}, nil
-}
-
-// ParseMode maps the CLI spellings of the four control modes. It shares
-// scenario.ParseMode's spelling table so campaigns and scenario files
-// can never disagree.
-func ParseMode(s string) (ezflow.Mode, error) {
-	return scenario.ParseMode(s)
 }
 
 // Point is one fully resolved grid point of a campaign.
@@ -193,126 +177,177 @@ type Point struct {
 	Scenario string `json:"scenario,omitempty"`
 }
 
-func (p *Point) set(axis, value string) error {
-	switch axis {
-	case "topology":
-		switch value {
-		case "chain", "testbed", "scenario1", "scenario2", "tree", "grid", "random":
-			p.Topology = value
-		default:
-			return fmt.Errorf("campaign: unknown topology %q", value)
+// axisDef is one row of the sweep-axis table.
+type axisDef struct {
+	name string
+	// doc is the axis's one-line description in the -sweep usage text.
+	doc string
+	// set parses one value onto a grid point.
+	set func(p *Point, v string) error
+}
+
+// axisTable lists every sweepable axis in usage order. ParseSweep accepts
+// exactly these names, SweepUsage documents them, and Point.set applies a
+// value through the row, so the three cannot drift apart.
+var axisTable = []axisDef{
+	{"topology", "built-in topology: " + scenario.Topologies.NamesList(), func(p *Point, v string) error {
+		if _, err := scenario.Topologies.Lookup(v); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
-	case "mode":
-		m, err := ParseMode(value)
+		p.Topology = v
+		return nil
+	}},
+	{"mode", "control mode: 802.11|ezflow|penalty|diffq", func(p *Point, v string) error {
+		m, err := scenario.ParseMode(v)
 		if err != nil {
 			return err
 		}
 		p.Mode = m
-	case "controller":
-		v := strings.ToLower(value)
+		return nil
+	}},
+	{"controller", "registered controller, head to head: " + ctl.Controllers.NamesList() + "|802.11", func(p *Point, v string) error {
+		v = strings.ToLower(v)
 		if ctl.IsNone(v) {
 			p.Controller = "802.11"
-		} else {
-			if _, ok := ctl.ByName(v); !ok {
-				return fmt.Errorf("campaign: unknown controller %q (registered: %s, or 802.11 for none)", value, ctl.NamesList())
-			}
-			p.Controller = v
+			return nil
 		}
-	case "routing":
-		v := strings.ToLower(value)
-		if _, ok := routing.ByName(v); !ok {
-			return fmt.Errorf("campaign: unknown routing strategy %q (registered: %s)", value, routing.NamesList())
+		if _, err := ctl.Controllers.Lookup(v); err != nil {
+			return fmt.Errorf("campaign: %w (or 802.11 for none)", err)
+		}
+		p.Controller = v
+		return nil
+	}},
+	{"routing", "registered routing strategy: " + routing.Strategies.NamesList(), func(p *Point, v string) error {
+		v = strings.ToLower(v)
+		if _, err := routing.Strategies.Lookup(v); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 		p.Routing = v
-	case "hops":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("campaign: bad hop count %q", value)
-		}
-		p.Hops = n
-	case "rate":
-		r, err := strconv.ParseFloat(value, 64)
+		return nil
+	}},
+	{"hops", "chain length / grid side", func(p *Point, v string) error {
+		return parseInt(&p.Hops, v, 1, "hop count")
+	}},
+	{"rate", "per-flow rate in bit/s", func(p *Point, v string) error {
+		r, err := strconv.ParseFloat(v, 64)
 		if err != nil || r <= 0 {
-			return fmt.Errorf("campaign: bad rate %q", value)
+			return fmt.Errorf("campaign: bad rate %q", v)
 		}
 		p.RateBps = r
-	case "cap":
-		c, err := strconv.Atoi(value)
-		if err != nil || c < 0 {
-			return fmt.Errorf("campaign: bad cw cap %q", value)
-		}
-		p.CWCap = c
-	case "nodes":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 2 {
-			return fmt.Errorf("campaign: bad node count %q", value)
-		}
-		p.Nodes = n
-	case "mobility":
-		v := strings.ToLower(value)
+		return nil
+	}},
+	{"cap", "hardware CWmin cap, 0 = none", func(p *Point, v string) error {
+		return parseInt(&p.CWCap, v, 0, "cw cap")
+	}},
+	{"nodes", "random-disk size", func(p *Point, v string) error {
+		return parseInt(&p.Nodes, v, 2, "node count")
+	}},
+	{"flap", "0|1 mid-run link failure", func(p *Point, v string) error {
+		return parseBool01(&p.Flap, v, "flap")
+	}},
+	{"churn", "0|1 mid-run relay outage", func(p *Point, v string) error {
+		return parseBool01(&p.Churn, v, "churn")
+	}},
+	{"mobility", "mobility model: " + mobility.Models.NamesList(), func(p *Point, v string) error {
+		v = strings.ToLower(v)
 		if mobility.IsOff(v) {
 			p.Mobility = "off"
-		} else {
-			if _, ok := mobility.ByName(v); !ok {
-				return fmt.Errorf("campaign: unknown mobility model %q (registered: %s, or off for static)", value, mobility.NamesList())
-			}
-			p.Mobility = v
+			return nil
 		}
-	case "speed":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("campaign: bad speed %q (want m/s > 0)", value)
+		if _, err := mobility.Models.Lookup(v); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
-		p.SpeedMps = v
-	case "pause":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("campaign: bad pause %q (want seconds > 0)", value)
+		p.Mobility = v
+		return nil
+	}},
+	{"speed", "waypoint speed in m/s", func(p *Point, v string) error {
+		return parsePositive(&p.SpeedMps, v, "speed", "m/s")
+	}},
+	{"pause", "waypoint dwell in seconds", func(p *Point, v string) error {
+		return parsePositive(&p.PauseSec, v, "pause", "seconds")
+	}},
+	{"clients", "gateway client population", func(p *Point, v string) error {
+		return parseInt(&p.Clients, v, 1, "client count")
+	}},
+}
+
+// axisByName returns the named row of the axis table, nil when none.
+func axisByName(name string) *axisDef {
+	for i := range axisTable {
+		if axisTable[i].name == name {
+			return &axisTable[i]
 		}
-		p.PauseSec = v
-	case "clients":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("campaign: bad client count %q", value)
-		}
-		p.Clients = n
-	case "flap":
-		b, err := parseBool01(value)
-		if err != nil {
-			return fmt.Errorf("campaign: bad flap value %q (want 0|1)", value)
-		}
-		p.Flap = b
-	case "churn":
-		b, err := parseBool01(value)
-		if err != nil {
-			return fmt.Errorf("campaign: bad churn value %q (want 0|1)", value)
-		}
-		p.Churn = b
-	default:
-		return fmt.Errorf("campaign: unknown axis %q", axis)
 	}
 	return nil
 }
 
-// parseBool01 parses the 0|1 (or false|true) axis values.
-func parseBool01(v string) (bool, error) {
-	switch strings.ToLower(v) {
-	case "0", "false", "off":
-		return false, nil
-	case "1", "true", "on":
-		return true, nil
+// AxisNames lists every sweepable axis name in usage order.
+func AxisNames() []string {
+	out := make([]string, len(axisTable))
+	for i, ax := range axisTable {
+		out[i] = ax.name
 	}
-	return false, fmt.Errorf("not a boolean")
+	return out
 }
 
-// gridSide maps the hops axis to the side of a grid topology, clamped to
-// 2 (a 1×1 "grid" has no route to install). Label and scenario builder
-// share this so the report can never disagree with the run.
-func (p Point) gridSide() int {
-	if p.Hops < 2 {
-		return 2
+// SweepUsage renders the axis table as "name (doc) | ..." for the -sweep
+// flag's help text.
+func SweepUsage() string {
+	parts := make([]string, len(axisTable))
+	for i, ax := range axisTable {
+		parts[i] = ax.name + " (" + ax.doc + ")"
 	}
-	return p.Hops
+	return strings.Join(parts, " | ")
+}
+
+func (p *Point) set(axis, value string) error {
+	ax := axisByName(axis)
+	if ax == nil {
+		return fmt.Errorf("campaign: unknown axis %q", axis)
+	}
+	return ax.set(p, value)
+}
+
+// parseInt parses an integer axis value of at least lo into *dst.
+func parseInt(dst *int, v string, lo int, what string) error {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < lo {
+		return fmt.Errorf("campaign: bad %s %q", what, v)
+	}
+	*dst = n
+	return nil
+}
+
+// parsePositive parses a positive float axis value into *dst.
+func parsePositive(dst *float64, v, what, unit string) error {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || f <= 0 {
+		return fmt.Errorf("campaign: bad %s %q (want %s > 0)", what, v, unit)
+	}
+	*dst = f
+	return nil
+}
+
+// parseBool01 parses a 0|1 (or false|true) axis value into *dst.
+func parseBool01(dst *bool, v, what string) error {
+	switch strings.ToLower(v) {
+	case "0", "false", "off":
+		*dst = false
+	case "1", "true", "on":
+		*dst = true
+	default:
+		return fmt.Errorf("campaign: bad %s value %q (want 0|1)", what, v)
+	}
+	return nil
+}
+
+// topology synthesizes a built-in point's scenario topology. The hops
+// axis doubles as the side of a grid, clamped to 2 (a 1×1 "grid" has no
+// route to install). Label and scenario builder share this so the report
+// can never disagree with the run.
+func (p Point) topology() scenario.Topology {
+	side := max(p.Hops, 2)
+	return scenario.Topology{Kind: p.Topology, Hops: p.Hops, Width: side, Height: side, Nodes: p.Nodes}
 }
 
 func (p Point) makeLabel() string {
@@ -330,13 +365,8 @@ func (p Point) makeLabel() string {
 		if p.Controller != "" {
 			b = fmt.Sprintf("topology=%s ctl=%s", p.Topology, p.Controller)
 		}
-		switch p.Topology {
-		case "chain":
-			b += fmt.Sprintf(" hops=%d", p.Hops)
-		case "grid":
-			b += fmt.Sprintf(" side=%d", p.gridSide())
-		case "random":
-			b += fmt.Sprintf(" nodes=%d", p.Nodes)
+		if shape := p.topology().Shape(); shape != "" {
+			b += " " + shape
 		}
 		b += fmt.Sprintf(" rate=%g", p.RateBps)
 	}
@@ -433,7 +463,7 @@ func (s Spec) Enumerate() ([]Point, error) {
 		if name == "" {
 			name = s.Scenario.Topology.Kind
 		}
-		mode, err := ParseMode(s.Scenario.Mode)
+		mode, err := scenario.ParseMode(s.Scenario.Mode)
 		if err != nil {
 			return nil, err
 		}
@@ -769,8 +799,6 @@ func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 	if p.Routing != "" {
 		cfg.Routing = p.Routing
 	}
-	applyMobilityWorkload(spec, p, &cfg)
-
 	sc := buildScenario(spec, p, cfg)
 	applyAxisFaults(sc, p)
 	if spec.Obs {
@@ -820,117 +848,61 @@ func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 	return rr
 }
 
-func buildScenario(spec Spec, p Point, cfg ezflow.Config) *ezflow.Scenario {
+// runSpec returns the scenario spec one grid point runs: a copy of the
+// campaign's scenario file, or one synthesized for a built-in point, with
+// the point's rate and mobility/workload axes applied. Built-in points
+// always carry a rate; file points only when the rate axis is swept, and
+// points that set no mobility/workload field leave the file's blocks
+// exactly as written.
+func runSpec(spec Spec, p Point) *scenario.Spec {
+	s := scenario.Spec{Topology: p.topology()}
 	if spec.Scenario != nil {
-		s := spec.Scenario
-		// The scenario file is the experiment definition: its duration
-		// wins over the campaign-level default when it sets one.
-		if s.DurationSec > 0 {
-			cfg.Duration = ezflow.Time(s.DurationSec * float64(ezflow.Second))
-		}
-		cfg.WarmupSkip = ezflow.Time(s.WarmupSec * float64(ezflow.Second))
-		cfg.RecoveryTolerance = s.RecoveryTolerance
-		// cfg.MAC.HardwareCWCap already carries the file's cap: Enumerate
-		// seeded the base point from s.CWCap, and the cap axis overrides it.
-		flows := s.FlowSpecs()
-		if spec.sweeps("rate") {
-			for i := range flows {
-				flows[i].RateBps = p.RateBps
-			}
-		}
-		sc, err := s.BuildWith(cfg, flows)
-		if err != nil {
-			panic(err)
-		}
-		return sc
+		s = *spec.Scenario
 	}
-	rate := p.RateBps
-	switch p.Topology {
-	case "testbed":
-		return ezflow.NewTestbed(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "scenario1":
-		return ezflow.NewScenario1(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "scenario2":
-		return ezflow.NewScenario2(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate},
-			ezflow.FlowSpec{Flow: 3, RateBps: rate})
-	case "tree":
-		return ezflow.NewTree(3, 2, cfg)
-	case "grid":
-		side := p.gridSide()
-		return ezflow.NewGrid(side, side, cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "random":
-		// Placement is seeded by the replication's run seed (already in
-		// cfg.Seed), so each replication samples a fresh connected
-		// deployment while staying fully reproducible.
-		return ezflow.NewRandom(p.Nodes, 0, cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate})
-	default:
-		return ezflow.NewChain(p.Hops, cfg, ezflow.FlowSpec{Flow: 1, RateBps: rate})
+	if p.RateBps > 0 {
+		s.SetRate(p.RateBps)
 	}
-}
-
-// applyMobilityWorkload resolves the mobility/workload axes into the
-// run config. A point's model wins over the scenario file's mobility
-// block ("off" suppresses it outright); speed/pause overrides apply to
-// whichever base is active; a clients override rewrites the file's
-// workload population, or synthesizes an always-on downlink one for
-// campaigns without a file. Points setting none of the fields leave the
-// config untouched — the file's blocks flow through BuildWith exactly
-// as before the axes existed.
-func applyMobilityWorkload(spec Spec, p Point, cfg *ezflow.Config) {
-	// fileBase resolves the scenario file's mobility block once: a swept
-	// model inherits the file's tuned options (speed, pause, tick, pins)
-	// rather than resetting them to model defaults. Enumerate vetted the
-	// block, so an error here cannot happen outside a hand-built Spec;
-	// the run isolation layer turns the panic into a failed run.
-	fileBase := func() *mobility.Config {
-		if spec.Scenario == nil {
-			return nil
-		}
-		mc, err := spec.Scenario.MobilityConfig()
-		if err != nil {
-			panic(err)
-		}
-		return mc
+	if p.Mobility != "" {
+		s.SetMobility(p.Mobility)
 	}
-	var base *mobility.Config
-	switch {
-	case p.Mobility == "off":
-		cfg.Mobility = &mobility.Config{Model: "off"}
-	case p.Mobility != "":
-		base = fileBase()
-		if base == nil {
-			base = &mobility.Config{}
-		}
-		base.Model = p.Mobility
-	case p.SpeedMps > 0 || p.PauseSec > 0:
-		base = fileBase()
-	}
-	if base != nil {
+	// Speed and pause patch whichever block is active: the swept model or
+	// the file's (Enumerate demands one of them).
+	if m := s.Mobility; m != nil && (p.SpeedMps > 0 || p.PauseSec > 0) {
+		c := *m
 		if p.SpeedMps > 0 {
-			base.Opts.SpeedMps = p.SpeedMps
+			c.SpeedMps = p.SpeedMps
 		}
 		if p.PauseSec > 0 {
-			base.Opts.PauseSec = p.PauseSec
+			c.PauseSec = p.PauseSec
 		}
-		cfg.Mobility = base
+		s.Mobility = &c
 	}
 	if p.Clients > 0 {
-		w := &ezflow.WorkloadSpec{Clients: p.Clients}
-		if spec.Scenario != nil && spec.Scenario.Workload != nil {
-			w = spec.Scenario.WorkloadSpec()
-			w.Clients = p.Clients
-		}
-		cfg.Workload = w
+		s.SetClients(p.Clients)
 	}
+	return &s
+}
+
+// buildScenario builds one run through scenario.Spec.BuildWith. Random
+// placements are seeded by the replication's run seed (already in
+// cfg.Seed), so each replication samples a fresh connected deployment
+// while staying fully reproducible.
+func buildScenario(spec Spec, p Point, cfg ezflow.Config) *ezflow.Scenario {
+	s := runSpec(spec, p)
+	// The scenario file is the experiment definition: its duration wins
+	// over the campaign-level default when it sets one.
+	if s.DurationSec > 0 {
+		cfg.Duration = ezflow.Time(s.DurationSec * float64(ezflow.Second))
+	}
+	cfg.WarmupSkip = ezflow.Time(s.WarmupSec * float64(ezflow.Second))
+	cfg.RecoveryTolerance = s.RecoveryTolerance
+	// cfg.MAC.HardwareCWCap already carries the file's cap: Enumerate
+	// seeded the base point from s.CWCap, and the cap axis overrides it.
+	sc, err := s.BuildWith(cfg, s.FlowSpecs())
+	if err != nil {
+		panic(err)
+	}
+	return sc
 }
 
 // applyAxisFaults layers the flap/churn axes' perturbations onto a built

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -58,6 +60,42 @@ func TestParseSweep(t *testing.T) {
 		if _, err := ParseSweep(bad); err == nil {
 			t.Errorf("ParseSweep(%q) did not fail", bad)
 		}
+	}
+}
+
+// TestAxisTable pins that ParseSweep, its error message, the -sweep
+// usage text and Point.set all read the same axis list, and that every
+// listed axis applies a valid value.
+func TestAxisTable(t *testing.T) {
+	valid := map[string]string{
+		"topology": "grid", "mode": "ezflow", "controller": "feedback", "routing": "etx",
+		"hops": "3", "rate": "1e5", "cap": "64", "nodes": "9", "flap": "1", "churn": "1",
+		"mobility": "waypoint", "speed": "2", "pause": "1", "clients": "4",
+	}
+	_, err := ParseSweep("bogus=1")
+	if err == nil {
+		t.Fatal("unknown axis parsed")
+	}
+	usage := SweepUsage()
+	for _, name := range AxisNames() {
+		v, ok := valid[name]
+		if !ok {
+			t.Errorf("axis %q has no test value", name)
+			continue
+		}
+		if _, err := ParseSweep(name + "=" + v); err != nil {
+			t.Errorf("ParseSweep(%s=%s): %v", name, v, err)
+		}
+		var p Point
+		if err := p.set(name, v); err != nil || reflect.DeepEqual(p, Point{}) {
+			t.Errorf("set(%s, %s) = %v, point %+v", name, v, err, p)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(usage, name+" (") {
+			t.Errorf("axis %q missing from the ParseSweep error or the usage text", name)
+		}
+	}
+	if len(valid) != len(AxisNames()) {
+		t.Errorf("axis list %v, test values for %d axes", AxisNames(), len(valid))
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,58 +104,57 @@ func TestEnumerateSpeedNeedsMobility(t *testing.T) {
 }
 
 // TestApplyMobilityWorkload exercises the axis-resolution semantics
-// directly: off suppresses the file block, a swept model inherits the
-// file's tuned options, speed/pause patch whichever base is active, and
-// a clients override rewrites the file workload (or synthesizes one).
+// of runSpec directly: off suppresses the file block, a swept model
+// inherits the file's tuned options, speed/pause patch whichever base is
+// active, and a clients override rewrites the file workload (or
+// synthesizes one). The shared file spec is never mutated.
 func TestApplyMobilityWorkload(t *testing.T) {
 	file := parseMobileAxisScenario(t)
+	pristine := parseMobileAxisScenario(t)
+	defer func() {
+		if !reflect.DeepEqual(file, pristine) {
+			t.Error("runSpec mutated the campaign's shared scenario file")
+		}
+	}()
 
 	t.Run("untouched", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{}, &cfg)
-		if cfg.Mobility != nil || cfg.Workload != nil {
-			t.Error("axis-free point touched the config; the file block must flow through BuildWith")
+		if s := runSpec(Spec{Scenario: file}, Point{}); !reflect.DeepEqual(s, file) {
+			t.Errorf("axis-free point changed the file spec: %+v", s)
 		}
 	})
 	t.Run("off-suppresses-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Mobility: "off"}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Model != "off" {
-			t.Errorf("off point got %+v", cfg.Mobility)
+		if s := runSpec(Spec{Scenario: file}, Point{Mobility: "off"}); s.Mobility != nil {
+			t.Errorf("off point got %+v", s.Mobility)
 		}
 	})
 	t.Run("model-inherits-file-opts", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Mobility: "waypoint"}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Opts.SpeedMps != 9 || cfg.Mobility.Opts.PauseSec != 3 {
-			t.Errorf("swept model lost the file's tuned opts: %+v", cfg.Mobility)
+		m := runSpec(Spec{Scenario: file}, Point{Mobility: "waypoint"}).Mobility
+		if m == nil || m.SpeedMps != 9 || m.PauseSec != 3 || m.TickSec != 0.25 {
+			t.Errorf("swept model lost the file's tuned opts: %+v", m)
 		}
 	})
 	t.Run("speed-overrides-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{SpeedMps: 2, PauseSec: 0.5}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Opts.SpeedMps != 2 || cfg.Mobility.Opts.PauseSec != 0.5 {
-			t.Errorf("speed/pause override: %+v", cfg.Mobility)
+		m := runSpec(Spec{Scenario: file}, Point{SpeedMps: 2, PauseSec: 0.5}).Mobility
+		if m == nil || m.SpeedMps != 2 || m.PauseSec != 0.5 {
+			t.Fatalf("speed/pause override: %+v", m)
 		}
-		if cfg.Mobility.Model != "waypoint" {
-			t.Errorf("override changed the file's model: %q", cfg.Mobility.Model)
+		if m.Model != "waypoint" || m.TickSec != 0.25 {
+			t.Errorf("override changed the file's model or tick: %+v", m)
 		}
 	})
 	t.Run("clients-rewrites-file-workload", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Clients: 7}, &cfg)
-		if cfg.Workload == nil || cfg.Workload.Clients != 7 {
-			t.Fatalf("clients override: %+v", cfg.Workload)
+		w := runSpec(Spec{Scenario: file}, Point{Clients: 7}).WorkloadSpec()
+		if w == nil || w.Clients != 7 {
+			t.Fatalf("clients override: %+v", w)
 		}
-		if cfg.Workload.Kind != ezflow.WorkloadUplink || cfg.Workload.OnMeanSec != 2 {
-			t.Errorf("clients override dropped the file's workload shape: %+v", cfg.Workload)
+		if w.Kind != ezflow.WorkloadUplink || w.OnMeanSec != 2 {
+			t.Errorf("clients override dropped the file's workload shape: %+v", w)
 		}
 	})
 	t.Run("clients-synthesizes-without-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{}, Point{Clients: 5}, &cfg)
-		if cfg.Workload == nil || cfg.Workload.Clients != 5 || cfg.Workload.Kind != "" {
-			t.Errorf("synthesized workload: %+v", cfg.Workload)
+		w := runSpec(Spec{}, Point{Topology: "grid", Hops: 3, RateBps: 2e6, Clients: 5}).WorkloadSpec()
+		if w == nil || w.Clients != 5 || w.Kind != "" {
+			t.Errorf("synthesized workload: %+v", w)
 		}
 	})
 }

@@ -15,19 +15,19 @@ import (
 // TestRegistry checks that every shipped controller is registered, that
 // Names is sorted, and that lookups behave.
 func TestRegistry(t *testing.T) {
-	names := ctl.Names()
+	names := ctl.Controllers.Names()
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("Names() not sorted: %v", names)
 	}
 	for _, want := range []string{"backpressure", "diffq", "ezflow", "feedback", "penalty", "staticcap"} {
-		if _, ok := ctl.ByName(want); !ok {
+		if _, ok := ctl.Controllers.ByName(want); !ok {
 			t.Errorf("controller %q not registered (have %v)", want, names)
 		}
 	}
-	if _, ok := ctl.ByName("no-such-controller"); ok {
+	if _, ok := ctl.Controllers.ByName("no-such-controller"); ok {
 		t.Error("ByName accepted an unknown name")
 	}
-	if u := ctl.Usage(); !strings.Contains(u, "backpressure") || !strings.Contains(u, "ezflow") {
+	if u := ctl.Controllers.Usage(); !strings.Contains(u, "backpressure") || !strings.Contains(u, "ezflow") {
 		t.Errorf("Usage() missing controllers:\n%s", u)
 	}
 }
@@ -96,7 +96,7 @@ func summarize(res *ezflow.Result) string {
 // TestControllerDeterminism pins every registry controller to identical
 // output across repeated runs with the same seed.
 func TestControllerDeterminism(t *testing.T) {
-	for _, name := range ctl.Names() {
+	for _, name := range ctl.Controllers.Names() {
 		a := summarize(chainResult(t, name, 7))
 		b := summarize(chainResult(t, name, 7))
 		if a != b {

@@ -1,12 +1,11 @@
 package ctl
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	ez "ezflow/internal/ezflow"
 	"ezflow/internal/mesh"
+	"ezflow/internal/registry"
 )
 
 // Options carries every controller family's tunables. Zero values select
@@ -90,43 +89,17 @@ type Info struct {
 	Deploy func(m *mesh.Mesh, opts Options) Instance
 }
 
-var registry = map[string]Info{}
+// Controllers is the controller registry, keyed by Info.Name.
+var Controllers = registry.New[Info]("controller", "", "")
 
 // Register adds a controller to the registry. It panics on an empty name,
 // a duplicate, or a nil Deploy — registration bugs must fail at init.
 func Register(info Info) {
-	if info.Name == "" {
-		panic("ctl: Register with empty name")
-	}
 	if info.Deploy == nil {
 		panic("ctl: Register " + info.Name + " with nil Deploy")
 	}
-	if _, dup := registry[info.Name]; dup {
-		panic("ctl: duplicate controller " + info.Name)
-	}
-	registry[info.Name] = info
+	Controllers.Add(info.Name, info.Summary, info)
 }
-
-// ByName looks a controller up by its registry name.
-func ByName(name string) (Info, bool) {
-	info, ok := registry[name]
-	return info, ok
-}
-
-// Names returns every registered controller name, sorted, so CLI usage
-// strings and validation errors enumerate the registry instead of
-// hand-maintained lists.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NamesList renders the registry names as "a|b|c" for flag usage strings.
-func NamesList() string { return strings.Join(Names(), "|") }
 
 // IsNone reports whether name is one of the spellings that select no
 // controller at all — the raw 802.11 baseline: "", "802.11", "80211",
@@ -138,17 +111,4 @@ func IsNone(name string) bool {
 		return true
 	}
 	return false
-}
-
-// Usage renders one "name — summary" line per registered controller, for
-// CLI help text.
-func Usage() string {
-	var b strings.Builder
-	for i, n := range Names() {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "  %-12s %s", n, registry[n].Summary)
-	}
-	return b.String()
 }

@@ -15,7 +15,7 @@ import (
 // strategyOf pulls a default-configured strategy out of the registry.
 func strategyOf(t *testing.T, name string) routing.Strategy {
 	t.Helper()
-	info, ok := routing.ByName(name)
+	info, ok := routing.Strategies.ByName(name)
 	if !ok {
 		t.Fatalf("strategy %q not registered", name)
 	}
@@ -43,7 +43,7 @@ func TestStrategyLazyDefault(t *testing.T) {
 // the same severed-link repair lands on the strategy's choice, for every
 // registered strategy, and BFS reproduces the legacy [3 1 0] repair.
 func TestRerouteFlowDelegates(t *testing.T) {
-	for _, name := range routing.Names() {
+	for _, name := range routing.Strategies.Names() {
 		eng := sim.NewEngine(1)
 		m := Grid(eng, 2, 2, phy.DefaultConfig(), mac.DefaultConfig())
 		m.SetStrategy(strategyOf(t, name))

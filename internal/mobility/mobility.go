@@ -23,11 +23,11 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ezflow/internal/phy"
 	"ezflow/internal/pkt"
+	"ezflow/internal/registry"
 	"ezflow/internal/sim"
 )
 
@@ -107,44 +107,18 @@ type Info struct {
 	New func(opts Options) (Model, error)
 }
 
-var registry = map[string]Info{}
+// Models is the mobility-model registry, keyed by Info.Name. Its name
+// lists lead with "off" because static is the default.
+var Models = registry.New[Info]("mobility model", "off", "static topology (default; schedules nothing)")
 
 // Register adds a model to the registry. It panics on an empty name, a
 // nil constructor, or a duplicate registration.
 func Register(info Info) {
-	if info.Name == "" {
-		panic("mobility: Register with empty name")
-	}
 	if info.New == nil {
 		panic("mobility: Register " + info.Name + " with nil New")
 	}
-	if _, dup := registry[info.Name]; dup {
-		panic("mobility: duplicate Register of " + info.Name)
-	}
-	registry[info.Name] = info
+	Models.Add(info.Name, info.Summary, info)
 }
-
-// ByName looks a model up by its registry name.
-func ByName(name string) (Info, bool) {
-	info, ok := registry[name]
-	return info, ok
-}
-
-// Names returns every registered model name, sorted, so CLI usage
-// strings and validation errors enumerate the registry instead of
-// hand-maintained lists.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NamesList renders the registry names as "off|a|b" for flag usage
-// strings; "off" leads because static is the default.
-func NamesList() string { return "off|" + strings.Join(Names(), "|") }
 
 // IsOff reports whether name selects no mobility at all — the empty
 // string, "off", or "static". A run with mobility off schedules no tick
@@ -161,21 +135,9 @@ func IsOff(name string) bool {
 
 // New builds a model by registry name, validating the options.
 func New(name string, opts Options) (Model, error) {
-	info, ok := ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("mobility: unknown model %q (have %s)", name, strings.Join(Names(), ", "))
+	info, err := Models.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("mobility: %w", err)
 	}
 	return info.New(opts)
-}
-
-// Usage renders one "name — summary" line per registered model, for CLI
-// help text.
-func Usage() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %-12s %s", "off", "static topology (default; schedules nothing)")
-	for _, n := range Names() {
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "  %-12s %s", n, registry[n].Summary)
-	}
-	return b.String()
 }

@@ -13,13 +13,13 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := Models.Names()
 	for _, want := range []string{"waypoint", "trace"} {
 		if !slices.Contains(names, want) {
 			t.Fatalf("registry %v missing %q", names, want)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
+	if _, ok := Models.ByName("nope"); ok {
 		t.Fatal("ByName should miss unknown models")
 	}
 	if _, err := New("nope", Options{}); err == nil {
@@ -33,7 +33,7 @@ func TestRegistry(t *testing.T) {
 	if IsOff("waypoint") {
 		t.Fatal("IsOff(waypoint) = true")
 	}
-	if Usage() == "" || NamesList() == "" {
+	if Models.Usage() == "" || Models.NamesList() == "" {
 		t.Fatal("Usage/NamesList must render")
 	}
 }

@@ -29,11 +29,10 @@
 package routing
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"ezflow/internal/pkt"
+	"ezflow/internal/registry"
 )
 
 // Graph is the read-only topology view a Strategy computes over. The mesh
@@ -116,43 +115,17 @@ type Info struct {
 	New func(opts Options) Strategy
 }
 
-var registry = map[string]Info{}
+// Strategies is the routing-strategy registry, keyed by Info.Name.
+var Strategies = registry.New[Info]("routing strategy", "", "")
 
 // Register adds a strategy to the registry. It panics on an empty name, a
 // duplicate, or a nil constructor — registration bugs must fail at init.
 func Register(info Info) {
-	if info.Name == "" {
-		panic("routing: Register with empty name")
-	}
 	if info.New == nil {
 		panic("routing: Register " + info.Name + " with nil New")
 	}
-	if _, dup := registry[info.Name]; dup {
-		panic("routing: duplicate strategy " + info.Name)
-	}
-	registry[info.Name] = info
+	Strategies.Add(info.Name, info.Summary, info)
 }
-
-// ByName looks a strategy up by its registry name.
-func ByName(name string) (Info, bool) {
-	info, ok := registry[name]
-	return info, ok
-}
-
-// Names returns every registered strategy name, sorted, so CLI usage
-// strings and validation errors enumerate the registry instead of
-// hand-maintained lists.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NamesList renders the registry names as "a|b|c" for flag usage strings.
-func NamesList() string { return strings.Join(Names(), "|") }
 
 // IsDefault reports whether name selects the default minimum-hop BFS
 // behaviour — the empty string or "bfs". The default keeps every
@@ -174,22 +147,9 @@ const DefaultName = "bfs"
 // Default returns a default-configured instance of the default strategy
 // (minimum-hop BFS) — what a mesh routes with when nothing was selected.
 func Default() Strategy {
-	info, ok := ByName(DefaultName)
+	info, ok := Strategies.ByName(DefaultName)
 	if !ok {
 		panic("routing: default strategy " + DefaultName + " is not registered")
 	}
 	return info.New(DefaultOptions())
-}
-
-// Usage renders one "name — summary" line per registered strategy, for
-// CLI help text.
-func Usage() string {
-	var b strings.Builder
-	for i, n := range Names() {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "  %-12s %s", n, registry[n].Summary)
-	}
-	return b.String()
 }

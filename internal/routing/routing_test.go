@@ -39,7 +39,7 @@ func testGraph(n int, edges [][2]pkt.NodeID, loss map[[2]pkt.NodeID]float64) *Gr
 // spelling rules every CLI flag and scenario field share.
 func TestRegistryContents(t *testing.T) {
 	for _, name := range []string{"bfs", "etx", "kshortest"} {
-		info, ok := ByName(name)
+		info, ok := Strategies.ByName(name)
 		if !ok {
 			t.Fatalf("strategy %q not registered", name)
 		}
@@ -48,14 +48,14 @@ func TestRegistryContents(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", name, s.Name())
 		}
 	}
-	names := Names()
+	names := Strategies.Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
+			t.Errorf("Strategies.Names() not sorted: %v", names)
 		}
 	}
-	if !strings.Contains(NamesList(), "bfs|") {
-		t.Errorf("NamesList() = %q", NamesList())
+	if !strings.Contains(Strategies.NamesList(), "bfs|") {
+		t.Errorf("Strategies.NamesList() = %q", Strategies.NamesList())
 	}
 	if Default().Name() != DefaultName {
 		t.Errorf("Default().Name() = %q, want %q", Default().Name(), DefaultName)
@@ -65,8 +65,8 @@ func TestRegistryContents(t *testing.T) {
 			t.Errorf("IsDefault(%q) = %v, want %v", name, !want, want)
 		}
 	}
-	if !strings.Contains(Usage(), "etx") {
-		t.Errorf("Usage() misses etx:\n%s", Usage())
+	if !strings.Contains(Strategies.Usage(), "etx") {
+		t.Errorf("Strategies.Usage() misses etx:\n%s", Strategies.Usage())
 	}
 }
 

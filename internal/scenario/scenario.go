@@ -21,6 +21,11 @@
 //
 // Build wires the spec into a runnable ezflow.Scenario. Runs are
 // deterministic: the same spec and seed produce byte-identical results.
+//
+// Spec is the one description of a run: ezsim builds its flags into one,
+// and campaigns synthesize one per built-in topology point. The
+// Topologies table is the only code that knows how a topology kind
+// becomes a mesh plus its default flows.
 package scenario
 
 import (
@@ -28,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 
 	"ezflow"
@@ -36,6 +42,7 @@ import (
 	"ezflow/internal/mobility"
 	"ezflow/internal/phy"
 	"ezflow/internal/pkt"
+	"ezflow/internal/registry"
 	"ezflow/internal/routing"
 	"ezflow/internal/sim"
 )
@@ -51,12 +58,12 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Controller selects a congestion controller from the internal/ctl
 	// registry by name (ezflow | backpressure | feedback | staticcap |
-	// penalty | diffq — see ctl.Names()). It is mutually exclusive with
+	// penalty | diffq — see ctl.Controllers). It is mutually exclusive with
 	// Mode: a spec sets one or the other, so a file can never claim two
 	// control planes at once.
 	Controller string `json:"controller,omitempty"`
 	// Routing selects a routing strategy from the internal/routing
-	// registry by name (bfs | etx | kshortest — see routing.Names()).
+	// registry by name (bfs | etx | kshortest — see routing.Strategies).
 	// Empty or "bfs" keeps the default minimum-hop routes exactly as the
 	// topology builder installed them; any other strategy recomputes every
 	// route at wiring (see ezflow.Config.Routing).
@@ -72,8 +79,8 @@ type Spec struct {
 	// RecoveryTolerance is the stability metric's threshold fraction
 	// (default 0.2).
 	RecoveryTolerance float64 `json:"recovery_tolerance,omitempty"`
-	// Flows lists the traffic sources; empty selects each topology's
-	// default flows at 2 Mb/s.
+	// Flows lists the traffic sources; empty selects the topology kind's
+	// default flows at 2 Mb/s (see Topologies).
 	Flows []Flow `json:"flows,omitempty"`
 	// Mobility selects node movement from the internal/mobility registry;
 	// absent (or an off model) keeps the topology static, byte-identical
@@ -132,17 +139,19 @@ type Workload struct {
 
 // Topology selects one of the repository's network builders.
 type Topology struct {
-	// Kind: chain | testbed | scenario1 | scenario2 | tree | grid | random.
+	// Kind names a row of the Topologies table: chain | testbed |
+	// scenario1 | scenario2 | tree | grid | random.
 	Kind string `json:"kind"`
 	// Hops is the chain length (default 4).
 	Hops int `json:"hops,omitempty"`
 	// Branching and Depth shape the tree topology (defaults 3 and 2).
 	Branching int `json:"branching,omitempty"`
 	Depth     int `json:"depth,omitempty"`
-	// Width and Height shape the grid topology (defaults 4 and 4).
+	// Width and Height shape the grid topology (defaults 4 and 4; at
+	// least 2 nodes).
 	Width  int `json:"width,omitempty"`
 	Height int `json:"height,omitempty"`
-	// Nodes is the random-disk node count (default 12).
+	// Nodes is the random-disk node count (default 12, at least 2).
 	Nodes int `json:"nodes,omitempty"`
 	// Radius is the random-disk radius in metres (0 = auto).
 	Radius float64 `json:"radius,omitempty"`
@@ -213,9 +222,9 @@ var eventKinds = map[string]dynamics.Kind{
 
 // ParseMode maps the scenario-file and CLI spellings of the four control
 // modes; the empty string selects plain 802.11 (the default). It is the
-// single spelling table — campaign.ParseMode delegates here, so a
-// scenario file can never parse under one CLI and be rejected by the
-// other.
+// single spelling table — ezsim and the campaign mode axis parse through
+// it, so a scenario file can never parse under one CLI and be rejected by
+// the other.
 func ParseMode(s string) (ezflow.Mode, error) {
 	switch strings.ToLower(s) {
 	case "", "802.11", "80211", "plain":
@@ -228,6 +237,143 @@ func ParseMode(s string) (ezflow.Mode, error) {
 		return ezflow.ModeDiffQ, nil
 	}
 	return 0, fmt.Errorf("scenario: unknown mode %q (want 802.11|ezflow|penalty|diffq)", s)
+}
+
+// TopologyKind is one row of the Topologies table: how a topology kind
+// becomes a mesh, and which flows it carries when a spec declares none.
+type TopologyKind struct {
+	// flows lists the ids of the kind's default flows; nil leaves the
+	// flows to the builder (the tree's per-leaf share of 2 Mb/s).
+	flows func(t Topology) []int
+	// check vets the kind's shape parameters; nil accepts any.
+	check func(t Topology) error
+	// shape renders the parameters that tell two topologies of the kind
+	// apart, for campaign labels; nil for a fixed topology.
+	shape func(t Topology) string
+	// build wires the mesh with every shape parameter defaulted.
+	build func(t Topology, cfg ezflow.Config, flows []ezflow.FlowSpec) *ezflow.Scenario
+}
+
+// Topologies is the table of built-in topology kinds. It is the only
+// code that knows how a kind becomes a mesh plus its default flows:
+// Validate, BuildWith, the campaign topology axis and the CLI usage
+// strings all read it.
+var Topologies = registry.New[TopologyKind]("topology kind", "", "")
+
+func init() {
+	ids := func(v ...int) func(Topology) []int { return func(Topology) []int { return v } }
+	// fixed adapts the builder of a topology without shape parameters.
+	fixed := func(build func(ezflow.Config, ...ezflow.FlowSpec) *ezflow.Scenario) func(Topology, ezflow.Config, []ezflow.FlowSpec) *ezflow.Scenario {
+		return func(_ Topology, cfg ezflow.Config, fs []ezflow.FlowSpec) *ezflow.Scenario { return build(cfg, fs...) }
+	}
+	Topologies.Add("chain", "K-hop chain, flow 1 end to end (Fig. 1); hops, default 4", TopologyKind{
+		flows: ids(1),
+		shape: func(t Topology) string { return fmt.Sprintf("hops=%d", t.Hops) },
+		build: func(t Topology, cfg ezflow.Config, fs []ezflow.FlowSpec) *ezflow.Scenario {
+			return ezflow.NewChain(t.Hops, cfg, fs...)
+		},
+	})
+	Topologies.Add("testbed", "the 9-router testbed with Table 1 link losses, flows 1-2 (Fig. 3)", TopologyKind{
+		flows: ids(1, 2),
+		build: fixed(ezflow.NewTestbed),
+	})
+	Topologies.Add("scenario1", "two flows merging onto one path (Scenario 1, Fig. 5)", TopologyKind{
+		flows: ids(1, 2),
+		build: fixed(ezflow.NewScenario1),
+	})
+	Topologies.Add("scenario2", "three interfering flows (Scenario 2, Fig. 9)", TopologyKind{
+		flows: ids(1, 2, 3),
+		build: fixed(ezflow.NewScenario2),
+	})
+	Topologies.Add("tree", "downlink tree, one flow per leaf sharing 2 Mb/s; branching 3, depth 2", TopologyKind{
+		flows: ids(),
+		build: func(t Topology, cfg ezflow.Config, fs []ezflow.FlowSpec) *ezflow.Scenario {
+			return ezflow.NewTree(t.Branching, t.Depth, cfg, fs...)
+		},
+	})
+	Topologies.Add("grid", "width x height lattice, flows 1-2 to the corner gateway; default 4x4", TopologyKind{
+		flows: func(t Topology) []int {
+			if t.Width > 1 && t.Height > 1 {
+				return []int{1, 2}
+			}
+			return []int{1} // a 1-D grid installs only flow 1
+		},
+		check: func(t Topology) error {
+			if t.Width*t.Height < 2 {
+				return fmt.Errorf("scenario: grid needs width and height >= 1 with at least 2 nodes (got %dx%d)", t.Width, t.Height)
+			}
+			return nil
+		},
+		shape: func(t Topology) string {
+			if t.Width == t.Height {
+				return fmt.Sprintf("side=%d", t.Width)
+			}
+			return fmt.Sprintf("size=%dx%d", t.Width, t.Height)
+		},
+		build: func(t Topology, cfg ezflow.Config, fs []ezflow.FlowSpec) *ezflow.Scenario {
+			return ezflow.NewGrid(t.Width, t.Height, cfg, fs...)
+		},
+	})
+	Topologies.Add("random", "seeded random disk, flow 1 from the farthest node; nodes, default 12", TopologyKind{
+		flows: ids(1),
+		check: func(t Topology) error {
+			if t.Nodes < 2 {
+				return fmt.Errorf("scenario: random topology needs nodes >= 2 (got %d)", t.Nodes)
+			}
+			if t.EdgeLoss < 0 || t.EdgeLoss >= 1 {
+				return fmt.Errorf("scenario: edge_loss %g out of [0,1)", t.EdgeLoss)
+			}
+			return nil
+		},
+		shape: func(t Topology) string { return fmt.Sprintf("nodes=%d", t.Nodes) },
+		build: func(t Topology, cfg ezflow.Config, fs []ezflow.FlowSpec) *ezflow.Scenario {
+			return ezflow.NewRandomLossy(t.Nodes, t.Radius, t.EdgeLoss, cfg, fs...)
+		},
+	})
+}
+
+// withDefaults fills every unset shape parameter with its documented
+// default.
+func (t Topology) withDefaults() Topology {
+	for _, f := range []struct {
+		v   *int
+		def int
+	}{{&t.Hops, 4}, {&t.Branching, 3}, {&t.Depth, 2}, {&t.Width, 4}, {&t.Height, 4}, {&t.Nodes, 12}} {
+		if *f.v <= 0 {
+			*f.v = f.def
+		}
+	}
+	return t
+}
+
+// Shape renders the defaulted shape parameters that tell two topologies
+// of the same kind apart ("hops=4", "side=3", "nodes=12"); empty for a
+// fixed topology or an unknown kind. Campaign labels embed it.
+func (t Topology) Shape() string {
+	kind, ok := Topologies.ByName(t.Kind)
+	if !ok || kind.shape == nil {
+		return ""
+	}
+	return kind.shape(t.withDefaults())
+}
+
+// validate checks the kind against the table and the defaulted shape
+// parameters against the kind's row.
+func (t Topology) validate() error {
+	if t.Kind == "" {
+		return fmt.Errorf("scenario: topology.kind is required")
+	}
+	kind, err := Topologies.Lookup(t.Kind)
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	if t.EdgeLoss != 0 && t.Kind != "random" {
+		return fmt.Errorf("scenario: edge_loss only applies to the random topology (kind %q)", t.Kind)
+	}
+	if kind.check != nil {
+		return kind.check(t.withDefaults())
+	}
+	return nil
 }
 
 // Load reads and parses a scenario file.
@@ -258,12 +404,8 @@ func Parse(data []byte) (*Spec, error) {
 // mesh (node-id existence is validated at Build time by the dynamics
 // engine, which knows the topology).
 func (s *Spec) Validate() error {
-	switch s.Topology.Kind {
-	case "chain", "testbed", "scenario1", "scenario2", "tree", "grid", "random":
-	case "":
-		return fmt.Errorf("scenario: topology.kind is required")
-	default:
-		return fmt.Errorf("scenario: unknown topology kind %q", s.Topology.Kind)
+	if err := s.Topology.validate(); err != nil {
+		return err
 	}
 	if _, err := ParseMode(s.Mode); err != nil {
 		return err
@@ -272,21 +414,13 @@ func (s *Spec) Validate() error {
 		if s.Mode != "" {
 			return fmt.Errorf("scenario: mode %q and controller %q are mutually exclusive (set one)", s.Mode, s.Controller)
 		}
-		if _, ok := ctl.ByName(s.Controller); !ok {
-			return fmt.Errorf("scenario: unknown controller %q (registered: %s)", s.Controller, ctl.NamesList())
+		if _, err := ctl.Controllers.Lookup(s.Controller); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if s.Routing != "" {
-		if _, ok := routing.ByName(s.Routing); !ok {
-			return fmt.Errorf("scenario: unknown routing strategy %q (registered: %s)", s.Routing, routing.NamesList())
-		}
-	}
-	if s.Topology.EdgeLoss != 0 {
-		if s.Topology.Kind != "random" {
-			return fmt.Errorf("scenario: edge_loss only applies to the random topology (kind %q)", s.Topology.Kind)
-		}
-		if s.Topology.EdgeLoss < 0 || s.Topology.EdgeLoss >= 1 {
-			return fmt.Errorf("scenario: edge_loss %g out of [0,1)", s.Topology.EdgeLoss)
+		if _, err := routing.Strategies.Lookup(s.Routing); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if s.DurationSec < 0 {
@@ -306,8 +440,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if m := s.Mobility; m != nil && !mobility.IsOff(m.Model) {
-		if _, ok := mobility.ByName(m.Model); !ok {
-			return fmt.Errorf("scenario: unknown mobility model %q (registered: %s)", m.Model, mobility.NamesList())
+		if _, err := mobility.Models.Lookup(m.Model); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 		if m.SpeedMps < 0 || m.SpeedMinMps < 0 || m.PauseSec < 0 || m.TickSec < 0 {
 			return fmt.Errorf("scenario: mobility speeds, pause and tick must be >= 0")
@@ -323,7 +457,7 @@ func (s *Spec) Validate() error {
 		if (m.Model == "trace") != (m.TraceFile != "") {
 			return fmt.Errorf("scenario: trace_file is required by the trace model and meaningless elsewhere")
 		}
-	} else if m != nil && (m.TraceFile != "" || m.SpeedMps != 0) {
+	} else if m != nil && !reflect.DeepEqual(*m, Mobility{Model: m.Model}) {
 		return fmt.Errorf("scenario: mobility model %q is off but sets model parameters", m.Model)
 	}
 	if w := s.Workload; w != nil {
@@ -479,6 +613,57 @@ func (s *Spec) FlowSpecs() []ezflow.FlowSpec {
 	return out
 }
 
+// SetRate puts rateBps on every declared flow, first declaring the
+// topology's default flows when the spec has none (the tree declares
+// none and keeps its per-leaf share of 2 Mb/s). It writes a fresh Flows
+// slice, so a shallow copy of a shared spec may call it.
+func (s *Spec) SetRate(rateBps float64) {
+	flows := append([]Flow(nil), s.Flows...)
+	if kind, ok := Topologies.ByName(s.Topology.Kind); ok && len(flows) == 0 {
+		for _, id := range kind.flows(s.Topology.withDefaults()) {
+			flows = append(flows, Flow{ID: id})
+		}
+	}
+	for i := range flows {
+		flows[i].RateBps = rateBps
+	}
+	s.Flows = flows
+}
+
+// SetMobility selects a mobility model the way ezsim's -mobility flag and
+// the campaign mobility axis do: an off spelling drops the block (a
+// static control run), and a model swapped into an existing block
+// inherits its tuned speed, pause, tick and pins; the trace file stays
+// only with the trace model. The block is copied, never mutated, so a
+// shallow copy of a shared spec may call it.
+func (s *Spec) SetMobility(model string) {
+	if mobility.IsOff(model) {
+		s.Mobility = nil
+		return
+	}
+	var m Mobility
+	if s.Mobility != nil {
+		m = *s.Mobility
+	}
+	m.Model = model
+	if model != "trace" {
+		m.TraceFile = ""
+	}
+	s.Mobility = &m
+}
+
+// SetClients resizes the workload population, keeping the block's shape,
+// or synthesizes an always-on downlink population when the spec has no
+// workload block. Like SetMobility it copies the block.
+func (s *Spec) SetClients(n int) {
+	var w Workload
+	if s.Workload != nil {
+		w = *s.Workload
+	}
+	w.Clients = n
+	s.Workload = &w
+}
+
 // Build wires the spec into a runnable scenario. Topology construction
 // panics (disconnected placements, routes through unknown nodes, dynamics
 // events naming absent nodes) are converted into errors.
@@ -487,10 +672,11 @@ func (s *Spec) Build() (*ezflow.Scenario, error) {
 }
 
 // BuildWith wires the spec's topology around a caller-resolved config and
-// flow list — the campaign layer uses it to sweep mode/rate/cap/seed axes
-// over one scenario file. The spec's own mode/seed/duration fields are
-// ignored in favour of cfg; its dynamics timeline still applies whenever
-// the caller left cfg.Dynamics nil.
+// flow list — the campaign layer uses it to sweep its axes over one
+// scenario file or a built-in topology. The spec's own
+// mode/seed/duration fields are ignored in favour of cfg; its dynamics
+// timeline still applies whenever the caller left cfg.Dynamics nil. An
+// empty flow list selects the kind's default flows at 2 Mb/s.
 func (s *Spec) BuildWith(cfg ezflow.Config, flows []ezflow.FlowSpec) (sc *ezflow.Scenario, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -510,58 +696,15 @@ func (s *Spec) BuildWith(cfg ezflow.Config, flows []ezflow.FlowSpec) (sc *ezflow
 	if cfg.Workload == nil {
 		cfg.Workload = s.WorkloadSpec()
 	}
-	t := s.Topology
-	switch t.Kind {
-	case "chain":
-		hops := t.Hops
-		if hops <= 0 {
-			hops = 4
-		}
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}}
-		}
-		sc = ezflow.NewChain(hops, cfg, flows...)
-	case "testbed":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}}
-		}
-		sc = ezflow.NewTestbed(cfg, flows...)
-	case "scenario1":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}}
-		}
-		sc = ezflow.NewScenario1(cfg, flows...)
-	case "scenario2":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}, {Flow: 3, RateBps: 2e6}}
-		}
-		sc = ezflow.NewScenario2(cfg, flows...)
-	case "tree":
-		b, d := t.Branching, t.Depth
-		if b <= 0 {
-			b = 3
-		}
-		if d <= 0 {
-			d = 2
-		}
-		sc = ezflow.NewTree(b, d, cfg, flows...)
-	case "grid":
-		w, h := t.Width, t.Height
-		if w <= 0 {
-			w = 4
-		}
-		if h <= 0 {
-			h = 4
-		}
-		sc = ezflow.NewGrid(w, h, cfg, flows...)
-	case "random":
-		n := t.Nodes
-		if n <= 0 {
-			n = 12
-		}
-		sc = ezflow.NewRandomLossy(n, t.Radius, t.EdgeLoss, cfg, flows...)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
+	kind, err := Topologies.Lookup(s.Topology.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return sc, nil
+	t := s.Topology.withDefaults()
+	if len(flows) == 0 {
+		for _, id := range kind.flows(t) {
+			flows = append(flows, ezflow.FlowSpec{Flow: ezflow.FlowID(id), RateBps: 2e6})
+		}
+	}
+	return kind.build(t, cfg, flows), nil
 }

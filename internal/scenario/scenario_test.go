@@ -84,7 +84,11 @@ func TestScenarioRunDeterminism(t *testing.T) {
 }
 
 func TestBuildAllTopologyKinds(t *testing.T) {
-	for _, kind := range []string{"chain", "testbed", "scenario1", "scenario2", "tree", "grid", "random"} {
+	kinds := scenario.Topologies.Names()
+	if want := []string{"chain", "grid", "random", "scenario1", "scenario2", "testbed", "tree"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("topology kinds %v, want %v", kinds, want)
+	}
+	for _, kind := range kinds {
 		spec := &scenario.Spec{Topology: scenario.Topology{Kind: kind}, DurationSec: 1}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -109,6 +113,10 @@ func TestParseErrors(t *testing.T) {
 		"zero flow id":  `{"topology": {"kind": "chain"}, "flows": [{"id": 0}]}`,
 		"bad event":     `{"topology": {"kind": "chain"}, "dynamics": [{"at_sec": 1, "kind": "meteor"}]}`,
 		"late event":    `{"topology": {"kind": "chain"}, "duration_sec": 10, "dynamics": [{"at_sec": 20, "kind": "link-up"}]}`,
+		"one-node disk": `{"topology": {"kind": "random", "nodes": 1}}`,
+		"one-node grid": `{"topology": {"kind": "grid", "width": 1, "height": 1}}`,
+		"edge loss 1":   `{"topology": {"kind": "random", "edge_loss": 1}}`,
+		"chain loss":    `{"topology": {"kind": "chain", "edge_loss": 0.2}}`,
 	}
 	for name, src := range cases {
 		if _, err := scenario.Parse([]byte(src)); err == nil {
@@ -223,6 +231,13 @@ func TestParseErrorsMobility(t *testing.T) {
 		"trace without file":     `{"topology": {"kind": "grid"}, "mobility": {"model": "trace"}}`,
 		"file without trace":     `{"topology": {"kind": "grid"}, "mobility": {"model": "waypoint", "trace_file": "x.json"}}`,
 		"off with params":        `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "speed_mps": 3}}`,
+		"off with min speed":     `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "speed_min_mps": 1}}`,
+		"off with pause":         `{"topology": {"kind": "grid"}, "mobility": {"model": "static", "pause_sec": 2}}`,
+		"off with tick":          `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "tick_sec": 0.5}}`,
+		"off with fixed":         `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "fixed": [1]}}`,
+		"off with empty fixed":   `{"topology": {"kind": "grid"}, "mobility": {"model": "", "fixed": []}}`,
+		"off with seed":          `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "seed": 4}}`,
+		"off with trace file":    `{"topology": {"kind": "grid"}, "mobility": {"model": "off", "trace_file": "x.json"}}`,
 		"negative fixed id":      `{"topology": {"kind": "grid"}, "mobility": {"model": "waypoint", "fixed": [-1]}}`,
 		"zero clients":           `{"topology": {"kind": "grid"}, "workload": {"clients": 0}}`,
 		"bad workload kind":      `{"topology": {"kind": "grid"}, "workload": {"clients": 3, "kind": "sideways"}}`,
@@ -234,5 +249,109 @@ func TestParseErrorsMobility(t *testing.T) {
 		if _, err := scenario.Parse([]byte(src)); err == nil {
 			t.Errorf("%s: accepted %s", name, src)
 		}
+	}
+}
+
+// TestSetRate pins how a rate reaches a spec: onto every declared flow,
+// or onto the topology's default flow ids when none are declared, with
+// the tree keeping its builder-chosen per-leaf flows.
+func TestSetRate(t *testing.T) {
+	for _, c := range []struct {
+		topo scenario.Topology
+		ids  []int
+	}{
+		{scenario.Topology{Kind: "chain"}, []int{1}},
+		{scenario.Topology{Kind: "testbed"}, []int{1, 2}},
+		{scenario.Topology{Kind: "scenario1"}, []int{1, 2}},
+		{scenario.Topology{Kind: "scenario2"}, []int{1, 2, 3}},
+		{scenario.Topology{Kind: "tree"}, nil},
+		{scenario.Topology{Kind: "grid"}, []int{1, 2}},
+		{scenario.Topology{Kind: "grid", Width: 5, Height: 1}, []int{1}},
+		{scenario.Topology{Kind: "random"}, []int{1}},
+	} {
+		s := &scenario.Spec{Topology: c.topo}
+		s.SetRate(3e5)
+		var ids []int
+		for _, f := range s.Flows {
+			ids = append(ids, f.ID)
+			if f.RateBps != 3e5 {
+				t.Errorf("%+v: flow %d rate %g", c.topo, f.ID, f.RateBps)
+			}
+		}
+		if !reflect.DeepEqual(ids, c.ids) {
+			t.Errorf("%+v: default flow ids %v, want %v", c.topo, ids, c.ids)
+		}
+	}
+	// Declared flows keep their ids and other fields; the shared slice of
+	// the original spec is left alone.
+	orig := &scenario.Spec{Topology: scenario.Topology{Kind: "chain"}, Flows: []scenario.Flow{{ID: 4, RateBps: 1e5, StartSec: 2}}}
+	cp := *orig
+	cp.SetRate(9e5)
+	if orig.Flows[0].RateBps != 1e5 || cp.Flows[0] != (scenario.Flow{ID: 4, RateBps: 9e5, StartSec: 2}) {
+		t.Errorf("SetRate on a copy: original %+v, copy %+v", orig.Flows, cp.Flows)
+	}
+}
+
+// TestShape pins the campaign-label fragments of the topology table.
+func TestShape(t *testing.T) {
+	for topo, want := range map[scenario.Topology]string{
+		{Kind: "chain", Hops: 6}:            "hops=6",
+		{Kind: "chain"}:                     "hops=4",
+		{Kind: "grid", Width: 3, Height: 3}: "side=3",
+		{Kind: "grid", Width: 5, Height: 2}: "size=5x2",
+		{Kind: "random", Nodes: 16}:         "nodes=16",
+		{Kind: "testbed"}:                   "",
+		{Kind: "tree"}:                      "",
+		{Kind: "torus"}:                     "",
+	} {
+		if got := topo.Shape(); got != want {
+			t.Errorf("%+v.Shape() = %q, want %q", topo, got, want)
+		}
+	}
+}
+
+// TestSetMobilityAndClients pins the override semantics ezsim flags and
+// campaign axes share, and that both setters copy rather than mutate the
+// blocks of a shared spec.
+func TestSetMobilityAndClients(t *testing.T) {
+	orig, err := scenario.Parse([]byte(mobileSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine, _ := scenario.Parse([]byte(mobileSpec))
+
+	s := *orig
+	s.SetMobility("off")
+	if s.Mobility != nil {
+		t.Errorf("off kept the block: %+v", s.Mobility)
+	}
+	s = *orig
+	s.SetMobility("trace")
+	if s.Mobility.Model != "trace" || s.Mobility.SpeedMps != 12 || s.Mobility.TickSec != 0.25 {
+		t.Errorf("swapped model lost the tuned options: %+v", s.Mobility)
+	}
+	s = scenario.Spec{Mobility: &scenario.Mobility{Model: "trace", TraceFile: "walk.json"}}
+	s.SetMobility("waypoint")
+	if s.Mobility.TraceFile != "" {
+		t.Errorf("trace file survived a swap to waypoint: %+v", s.Mobility)
+	}
+	s = scenario.Spec{}
+	s.SetMobility("waypoint")
+	if !reflect.DeepEqual(s.Mobility, &scenario.Mobility{Model: "waypoint"}) {
+		t.Errorf("new block: %+v", s.Mobility)
+	}
+
+	s = *orig
+	s.SetClients(9)
+	if w := s.Workload; w.Clients != 9 || w.OnMeanSec != 3 || w.RateBps != 1e5 {
+		t.Errorf("resized workload lost its shape: %+v", w)
+	}
+	s = scenario.Spec{}
+	s.SetClients(2)
+	if !reflect.DeepEqual(s.Workload, &scenario.Workload{Clients: 2}) {
+		t.Errorf("synthesized workload: %+v", s.Workload)
+	}
+	if !reflect.DeepEqual(orig, pristine) {
+		t.Error("setters mutated the blocks of the spec they copied from")
 	}
 }

@@ -128,7 +128,7 @@ func BenchmarkDiskScaling(b *testing.B) {
 // the route-computation microbenchmarks.
 func routingStrategy(b *testing.B, name string) routing.Strategy {
 	b.Helper()
-	info, ok := routing.ByName(name)
+	info, ok := routing.Strategies.ByName(name)
 	if !ok {
 		b.Fatalf("strategy %q not registered", name)
 	}
