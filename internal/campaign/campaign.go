@@ -783,23 +783,21 @@ func assemble(spec Spec, points []Point, reps int, runs []RunResult) *Result {
 
 func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 	seed := DeriveSeed(spec.BaseSeed, p.Label, rep)
-	cfg := ezflow.DefaultConfig()
+	s := runSpec(spec, p)
+	cfg := s.Config()
+	// Random placements are seeded by the replication's run seed, so each
+	// replication samples a fresh connected deployment while staying fully
+	// reproducible.
 	cfg.Seed = seed
-	cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
-	cfg.Mode = p.Mode
-	cfg.MAC.HardwareCWCap = p.CWCap
-	switch p.Controller {
-	case "":
-		// Mode drives the control plane (the legacy wrappers).
-	case "802.11":
-		cfg.Mode = ezflow.Mode80211 // the raw baseline, pinned explicitly
-	default:
-		cfg.Controller = p.Controller
+	// The scenario file is the experiment definition: its duration wins
+	// over the campaign-level default when it sets one.
+	if s.DurationSec <= 0 {
+		cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
 	}
-	if p.Routing != "" {
-		cfg.Routing = p.Routing
+	sc, err := s.BuildWith(cfg, s.FlowSpecs())
+	if err != nil {
+		panic(err)
 	}
-	sc := buildScenario(spec, p, cfg)
 	applyAxisFaults(sc, p)
 	if spec.Obs {
 		sc.EnableObs(obs.Config{Metrics: true, FlightRecorder: 4096})
@@ -850,15 +848,24 @@ func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 
 // runSpec returns the scenario spec one grid point runs: a copy of the
 // campaign's scenario file, or one synthesized for a built-in point, with
-// the point's rate and mobility/workload axes applied. Built-in points
-// always carry a rate; file points only when the rate axis is swept, and
-// points that set no mobility/workload field leave the file's blocks
-// exactly as written.
+// the point's axes applied. Enumerate seeded file points' control plane,
+// routing and cap from the file. Built-in points always carry a rate;
+// file points only when the rate axis is swept, and points that set no
+// mobility/workload field leave the file's blocks exactly as written.
 func runSpec(spec Spec, p Point) *scenario.Spec {
 	s := scenario.Spec{Topology: p.topology()}
 	if spec.Scenario != nil {
 		s = *spec.Scenario
 	}
+	// A controller point pins its controller (802.11: none at all); other
+	// points deploy their mode's wrapper controller.
+	s.Mode, s.Controller = "", p.Controller
+	if p.Controller == "" {
+		s.Mode = p.Mode.ControllerName()
+	} else if ctl.IsNone(p.Controller) {
+		s.Controller = ""
+	}
+	s.Routing, s.CWCap = p.Routing, p.CWCap
 	if p.RateBps > 0 {
 		s.SetRate(p.RateBps)
 	}
@@ -881,28 +888,6 @@ func runSpec(spec Spec, p Point) *scenario.Spec {
 		s.SetClients(p.Clients)
 	}
 	return &s
-}
-
-// buildScenario builds one run through scenario.Spec.BuildWith. Random
-// placements are seeded by the replication's run seed (already in
-// cfg.Seed), so each replication samples a fresh connected deployment
-// while staying fully reproducible.
-func buildScenario(spec Spec, p Point, cfg ezflow.Config) *ezflow.Scenario {
-	s := runSpec(spec, p)
-	// The scenario file is the experiment definition: its duration wins
-	// over the campaign-level default when it sets one.
-	if s.DurationSec > 0 {
-		cfg.Duration = ezflow.Time(s.DurationSec * float64(ezflow.Second))
-	}
-	cfg.WarmupSkip = ezflow.Time(s.WarmupSec * float64(ezflow.Second))
-	cfg.RecoveryTolerance = s.RecoveryTolerance
-	// cfg.MAC.HardwareCWCap already carries the file's cap: Enumerate
-	// seeded the base point from s.CWCap, and the cap axis overrides it.
-	sc, err := s.BuildWith(cfg, s.FlowSpecs())
-	if err != nil {
-		panic(err)
-	}
-	return sc
 }
 
 // applyAxisFaults layers the flap/churn axes' perturbations onto a built
