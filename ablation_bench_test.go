@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	root "ezflow"
-	ezctl "ezflow/internal/ezflow"
 )
 
 // ablationRun executes a 5-hop saturated chain and returns headline
@@ -77,7 +76,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 				cfg := root.DefaultConfig()
 				cfg.Seed = int64(i + 1)
 				cfg.Mode = root.ModeEZFlow
-				cfg.EZ.CAA.Window = window
+				cfg.Ctl.EZ.CAA.Window = window
 				kbps, delay, _, _ = ablationRun(cfg)
 			}
 			b.ReportMetric(kbps, "kbps")
@@ -96,7 +95,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 				cfg := root.DefaultConfig()
 				cfg.Seed = int64(i + 1)
 				cfg.Mode = root.ModeEZFlow
-				cfg.EZ.CAA.BMax = bmax
+				cfg.Ctl.EZ.CAA.BMax = bmax
 				kbps, _, q1, _ = ablationRun(cfg)
 			}
 			b.ReportMetric(kbps, "kbps")
@@ -115,7 +114,7 @@ func BenchmarkAblationSniffLoss(b *testing.B) {
 				cfg := root.DefaultConfig()
 				cfg.Seed = int64(i + 1)
 				cfg.Mode = root.ModeEZFlow
-				cfg.EZ = ezctl.Options{CAA: ezctl.DefaultCAAConfig(), SniffLoss: loss}
+				cfg.Ctl.EZ.SniffLoss = loss
 				kbps, _, q1, _ = ablationRun(cfg)
 			}
 			b.ReportMetric(kbps, "kbps")

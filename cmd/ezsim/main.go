@@ -63,8 +63,9 @@
 // run-shaping flag passed explicitly then overrides the matching spec
 // field: the topology flags, -mode, -controller, -routing, -mobility,
 // -speed, -pause, -clients, -seed, -duration, -cap and -rate (which sets
-// every declared flow's rate). -q always sets the penalty factor. Runs
-// with faults print recovery metrics and the applied-event log.
+// every declared flow's rate). -q always sets the penalty factor
+// (Config.Ctl.Penalty.Q, in (0,1]). Runs with faults print recovery
+// metrics and the applied-event log.
 package main
 
 import (
@@ -122,7 +123,7 @@ func parseArgs(args []string) (*invocation, error) {
 		rate     = fs.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
 		cwCap    = fs.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
 	)
-	fs.Float64Var(&inv.penaltyQ, "q", 1.0/128, "penalty factor for -mode penalty")
+	fs.Float64Var(&inv.penaltyQ, "q", 1.0/128, "penalty factor in (0,1] for -mode penalty")
 	fs.StringVar(&inv.traceDir, "trace-dir", "", "write CSV traces into this directory")
 	fs.BoolVar(&inv.plot, "plot", false, "render ASCII charts of queues, throughput and cw")
 	fs.BoolVar(&inv.version, "version", false, "print version and exit")
@@ -199,6 +200,9 @@ func parseArgs(args []string) (*invocation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if inv.penaltyQ <= 0 || inv.penaltyQ > 1 {
+		return nil, fmt.Errorf("-q %g out of (0,1]", inv.penaltyQ)
+	}
 	inv.spec = spec
 	return &inv, nil
 }
@@ -206,7 +210,7 @@ func parseArgs(args []string) (*invocation, error) {
 // build wires the resolved spec into a runnable scenario.
 func (inv *invocation) build() (*ezflow.Scenario, error) {
 	cfg := inv.spec.Config()
-	cfg.PenaltyQ = inv.penaltyQ
+	cfg.Ctl.Penalty.Q = inv.penaltyQ
 	return inv.spec.BuildWith(cfg, inv.spec.FlowSpecs())
 }
 

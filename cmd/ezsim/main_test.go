@@ -150,6 +150,8 @@ func TestHostileFlags(t *testing.T) {
 		{[]string{"-mode", "tcp"}, `unknown mode "tcp"`},
 		{[]string{"-speed", "3"}, "-speed/-pause need a mobility model"},
 		{[]string{"-scenario", "/nonexistent/spec.json"}, "no such file"},
+		{[]string{"-mode", "penalty", "-q", "0"}, "-q 0 out of (0,1]"},
+		{[]string{"-mode", "penalty", "-q", "1.5"}, "-q 1.5 out of (0,1]"},
 	} {
 		_, err := parseArgs(c.args)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -163,5 +165,24 @@ func TestHostileFlags(t *testing.T) {
 	}
 	if _, err := inv.build(); err == nil || !strings.Contains(err.Error(), "no connected") {
 		t.Errorf("impossible placement: error %v, want a build error", err)
+	}
+}
+
+// TestPenaltyFactorFlag pins that -q reaches the penalty controller
+// through Config.Ctl: the source window is the relay window over q.
+func TestPenaltyFactorFlag(t *testing.T) {
+	inv, err := parseArgs([]string{"-mode", "penalty", "-q", "0.03125", "-duration", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := inv.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := sc.Cfg.Ctl.Penalty.Q; q != 0.03125 {
+		t.Errorf("Config.Ctl.Penalty.Q = %v, want 0.03125", q)
+	}
+	if cw := sc.Mesh.Node(0).SourceQueue(1).CWmin(); cw != 16*32 {
+		t.Errorf("source window = %d, want %d", cw, 16*32)
 	}
 }

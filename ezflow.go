@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ezflow/internal/baseline"
 	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 	ez "ezflow/internal/ezflow"
@@ -81,7 +80,8 @@ const (
 	Mode80211 Mode = iota
 	// ModeEZFlow deploys the paper's BOE+CAA controller at every relay.
 	ModeEZFlow
-	// ModePenalty applies the static penalty scheme of [9] with factor Q.
+	// ModePenalty applies the static penalty scheme of [9] with factor
+	// Config.Ctl.Penalty.Q.
 	ModePenalty
 	// ModeDiffQ deploys the DiffQ-style differential-backlog controller,
 	// which piggybacks queue sizes on data frames (message passing).
@@ -149,10 +149,10 @@ type Config struct {
 	// panic at scenario wiring — the CLI and scenario layers validate
 	// before building.
 	Controller string
-	// Ctl tunes the registry controllers (backpressure/feedback/staticcap
-	// parameters). Zero values select each family's defaults; the EZ and
-	// penalty fields are overridden by the top-level EZ/PenaltyQ/
-	// PenaltyRelayCW settings below, which remain the source of truth.
+	// Ctl is the one place a run tunes its controller: EZ-Flow's CAA
+	// thresholds and sniff loss, the penalty factor and relay window, and
+	// the staticcap/backpressure/feedback parameters. Zero values select
+	// each family's defaults (ctl.FillDefaults).
 	Ctl ctl.Options
 
 	// Routing selects a routing strategy from the internal/routing
@@ -170,13 +170,6 @@ type Config struct {
 	// (802.11b at 1 Mb/s, 250/550 m ranges, CWmin 32, 50-packet queues).
 	PHY phy.Config
 	MAC mac.Config
-
-	// EZ holds EZ-Flow options (thresholds, window, sniff loss).
-	EZ ez.Options
-	// PenaltyQ is the throttling factor of ModePenalty (0 < q <= 1).
-	PenaltyQ float64
-	// PenaltyRelayCW is the relay contention window of ModePenalty.
-	PenaltyRelayCW int
 
 	// Dynamics, when non-nil, is a timed perturbation script (link flaps,
 	// node churn, channel degradation, traffic steps) injected into the
@@ -231,8 +224,7 @@ func DefaultConfig() Config {
 		Mode:        Mode80211,
 		PHY:         phy.DefaultConfig(),
 		MAC:         mac.DefaultConfig(),
-		EZ:          ez.DefaultOptions(),
-		PenaltyQ:    1.0 / 128,
+		Ctl:         ctl.DefaultOptions(),
 		PacketBytes: pkt.DefaultPayloadBytes,
 		Bin:         10 * Second,
 		QueueSample: 1 * Second,
@@ -267,8 +259,6 @@ type Scenario struct {
 	// Deployment is non-nil when the ezflow controller is deployed
 	// (ModeEZFlow or Controller "ezflow").
 	Deployment *ez.Deployment
-	// DiffQ is non-nil when the diffq controller is deployed.
-	DiffQ *baseline.DiffQDeployment
 	// Dyn is the perturbation engine, non-nil once a dynamics script is
 	// attached (Config.Dynamics or AddDynamics).
 	Dyn *dynamics.Engine
@@ -305,9 +295,7 @@ func fillDefaults(cfg *Config) {
 		def.UseRTSCTS = cfg.MAC.UseRTSCTS
 		cfg.MAC = def
 	}
-	if cfg.EZ.CAA.Window == 0 {
-		cfg.EZ.CAA = ez.DefaultCAAConfig()
-	}
+	ctl.FillDefaults(&cfg.Ctl)
 	if cfg.PacketBytes <= 0 {
 		cfg.PacketBytes = pkt.DefaultPayloadBytes
 	}
@@ -316,12 +304,6 @@ func fillDefaults(cfg *Config) {
 	}
 	if cfg.QueueSample <= 0 {
 		cfg.QueueSample = 1 * Second
-	}
-	if cfg.PenaltyQ <= 0 || cfg.PenaltyQ > 1 {
-		cfg.PenaltyQ = 1.0 / 128
-	}
-	if cfg.PenaltyRelayCW <= 0 {
-		cfg.PenaltyRelayCW = 16
 	}
 	if cfg.RecoveryTolerance <= 0 || cfg.RecoveryTolerance >= 1 {
 		cfg.RecoveryTolerance = 0.2
@@ -335,17 +317,6 @@ func (c *Config) controllerName() string {
 		return c.Controller
 	}
 	return c.Mode.ControllerName()
-}
-
-// ctlOptions assembles the registry options, keeping the top-level EZ and
-// penalty fields authoritative over Config.Ctl's copies.
-func (c *Config) ctlOptions() ctl.Options {
-	opts := c.Ctl
-	opts.EZ = c.EZ
-	opts.Penalty.Q = c.PenaltyQ
-	opts.Penalty.RelayCW = c.PenaltyRelayCW
-	ctl.FillDefaults(&opts)
-	return opts
 }
 
 // NewChain builds a linear K-hop scenario (flow 1 runs end to end).
@@ -534,12 +505,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		if err != nil {
 			panic("ezflow: " + err.Error())
 		}
-		sc.Ctl = info.Deploy(m, cfg.ctlOptions())
-		if e, ok := sc.Ctl.(ctl.EZInstance); ok {
+		sc.Ctl = info.Deploy(m, cfg.Ctl)
+		if e, ok := sc.Ctl.(*ctl.EZFlow); ok {
 			sc.Deployment = e.EZ()
-		}
-		if d, ok := sc.Ctl.(ctl.DiffQInstance); ok {
-			sc.DiffQ = d.DiffQ()
 		}
 	}
 

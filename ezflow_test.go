@@ -92,8 +92,8 @@ func TestEZFlowStabilizesChain(t *testing.T) {
 
 func TestPenaltyMode(t *testing.T) {
 	cfg := quickCfg(ModePenalty, 300*Second)
-	cfg.PenaltyQ = 1.0 / 64
-	cfg.PenaltyRelayCW = 16
+	cfg.Ctl.Penalty.Q = 1.0 / 64
+	cfg.Ctl.Penalty.RelayCW = 16
 	res := NewChain(4, cfg, FlowSpec{Flow: 1, RateBps: 2e6}).Run()
 	plain := NewChain(4, quickCfg(Mode80211, 300*Second),
 		FlowSpec{Flow: 1, RateBps: 2e6}).Run()
@@ -203,7 +203,7 @@ func TestDefaultConfigSane(t *testing.T) {
 	if cfg.MAC.QueueCap != 50 {
 		t.Error("mac queue default")
 	}
-	if cfg.EZ.CAA.BMin != 0.05 || cfg.EZ.CAA.BMax != 20 {
+	if cfg.Ctl.EZ.CAA.BMin != 0.05 || cfg.Ctl.EZ.CAA.BMax != 20 {
 		t.Error("CAA thresholds")
 	}
 }

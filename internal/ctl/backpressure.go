@@ -135,10 +135,8 @@ func init() {
 		Name:    "backpressure",
 		Summary: "queue-differential scheduling; piggybacks backlogs on data frames",
 		Deploy: func(m *mesh.Mesh, opts Options) Instance {
-			cfg := opts.Backpressure
-			cfg.fillDefaults()
 			b := &BPInstance{
-				Deployment: Deploy(m, &backpressure{cfg: cfg}, 0, opts),
+				Deployment: Deploy(m, &backpressure{cfg: opts.Backpressure}, 0),
 				stamped:    make(map[pkt.NodeID]bool),
 			}
 			b.Extend(m)

@@ -1,8 +1,9 @@
-package baseline
+package ctl_test
 
 import (
 	"testing"
 
+	"ezflow/internal/ctl"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -11,23 +12,32 @@ import (
 	"ezflow/internal/traffic"
 )
 
-func newChain(t *testing.T, hops int) (*sim.Engine, *mesh.Mesh) {
+// deployOnChain builds a bare hops-hop chain and deploys the named
+// controller on it through the registry, as a scenario does.
+func deployOnChain(t *testing.T, hops int, name string, opts ctl.Options) (*sim.Engine, *mesh.Mesh, ctl.Instance) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	m := mesh.Chain(eng, hops, phy.DefaultConfig(), mac.DefaultConfig())
-	return eng, m
+	info, ok := ctl.Controllers.ByName(name)
+	if !ok {
+		t.Fatalf("controller %q not registered", name)
+	}
+	return eng, m, info.Deploy(m, opts)
+}
+
+// penaltyOpts tunes only the penalty controller.
+func penaltyOpts(q float64, relayCW int) ctl.Options {
+	return ctl.Options{Penalty: ctl.PenaltyConfig{Q: q, RelayCW: relayCW}}
 }
 
 func TestPenaltySetsWindows(t *testing.T) {
-	_, m := newChain(t, 4)
-	ApplyPenalty(m, 1.0/8, 16)
+	_, m, _ := deployOnChain(t, 4, "penalty", penaltyOpts(1.0/8, 16))
 	// Source queue cw = 16/(1/8) = 128; relays = 16.
 	if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 128 {
 		t.Fatalf("source cw = %d, want 128", cw)
 	}
 	for i := 1; i <= 3; i++ {
-		n := m.Node(pkt.NodeID(i))
-		for _, q := range n.Queues() {
+		for _, q := range m.Node(pkt.NodeID(i)).Queues() {
 			if q.CWmin() != 16 {
 				t.Fatalf("relay N%d cw = %d, want 16", i, q.CWmin())
 			}
@@ -36,34 +46,28 @@ func TestPenaltySetsWindows(t *testing.T) {
 }
 
 func TestPenaltyDegeneratesToPlain(t *testing.T) {
-	_, m := newChain(t, 3)
-	ApplyPenalty(m, 1, 32)
+	_, m, _ := deployOnChain(t, 3, "penalty", penaltyOpts(1, 32))
 	if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 32 {
 		t.Fatalf("q=1 source cw = %d, want 32", cw)
 	}
 }
 
+// TestPenaltyRejectsBadQ checks that a factor outside (0,1] is never
+// applied: the controller falls back to the default 1/128.
 func TestPenaltyRejectsBadQ(t *testing.T) {
-	_, m := newChain(t, 3)
 	for _, q := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ApplyPenalty(%v) did not panic", q)
-				}
-			}()
-			ApplyPenalty(m, q, 16)
-		}()
+		_, m, _ := deployOnChain(t, 3, "penalty", penaltyOpts(q, 16))
+		if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 16*128 {
+			t.Errorf("q=%v: source cw = %d, want the default factor's %d", q, cw, 16*128)
+		}
 	}
 }
 
 func TestPenaltyStabilizesChain(t *testing.T) {
 	// The scheme of [9] with a strong penalty must keep the first relay's
 	// queue from saturating on a 4-hop chain.
-	eng, m := newChain(t, 4)
-	ApplyPenalty(m, 1.0/32, 16)
-	src := traffic.NewCBR(m, 1, 2e6, 1028)
-	src.Start()
+	eng, m, _ := deployOnChain(t, 4, "penalty", penaltyOpts(1.0/32, 16))
+	traffic.NewCBR(m, 1, 2e6, 1028).Start()
 	eng.Run(600 * sim.Second)
 	if d := m.Node(1).RelayDepth(); d > 40 {
 		t.Fatalf("penalty scheme left N1 with %d queued", d)
@@ -71,16 +75,14 @@ func TestPenaltyStabilizesChain(t *testing.T) {
 }
 
 func TestDiffQPiggybacksAndAdapts(t *testing.T) {
-	eng, m := newChain(t, 4)
-	dep := DeployDiffQ(m)
-	src := traffic.NewCBR(m, 1, 2e6, 1028)
-	src.Start()
+	eng, m, inst := deployOnChain(t, 4, "diffq", ctl.Options{})
+	dep := inst.(*ctl.DiffQ)
+	traffic.NewCBR(m, 1, 2e6, 1028).Start()
 	eng.Run(120 * sim.Second)
-	if dep.OverheadBytes == 0 {
+	if dep.OverheadBytes() == 0 {
 		t.Fatal("DiffQ sent no piggybacked bytes (message passing absent)")
 	}
-	n1 := dep.Nodes[1]
-	if n1.Updates == 0 {
+	if dep.Nodes[1].Updates == 0 {
 		t.Fatal("DiffQ node never learned a neighbour backlog")
 	}
 	// At least one queue should have left the default CWmin class.
@@ -99,12 +101,10 @@ func TestDiffQPiggybacksAndAdapts(t *testing.T) {
 
 func TestDiffQOverheadGrowsWithTraffic(t *testing.T) {
 	run := func(dur sim.Time) uint64 {
-		eng, m := newChain(t, 3)
-		dep := DeployDiffQ(m)
-		src := traffic.NewCBR(m, 1, 2e6, 1028)
-		src.Start()
+		eng, m, inst := deployOnChain(t, 3, "diffq", ctl.Options{})
+		traffic.NewCBR(m, 1, 2e6, 1028).Start()
 		eng.Run(dur)
-		return dep.OverheadBytes
+		return inst.OverheadBytes()
 	}
 	short, long := run(30*sim.Second), run(120*sim.Second)
 	if long <= short {

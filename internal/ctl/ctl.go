@@ -11,19 +11,24 @@
 // — selects them from the registry, so adding a controller is one file
 // plus an init function.
 //
-// Four families ship with the repository, completing the evaluation
-// matrix the paper argues against (hop-by-hop schemes that rely on
-// explicit signalling, vs EZ-Flow's passive estimation):
+// This package is the whole control plane: six families ship with it,
+// completing the evaluation matrix the paper argues against (hop-by-hop
+// schemes that rely on explicit signalling or offline tuning, vs
+// EZ-Flow's passive estimation):
 //
 //   - ezflow: the paper's BOE+CAA pair, message-free (internal/ezflow);
+//   - penalty: the static source throttling of [9], tuned offline;
+//   - diffq: DiffQ-style differential backlog, piggybacking node backlogs
+//     on data frames (4 bytes each);
 //   - backpressure: queue-differential scheduling that piggybacks real
 //     queue lengths on data frames (a 2-byte header charged on the air);
 //   - feedback: explicit per-hop rate-feedback control frames, injected
 //     into the MAC and consuming airtime like any data frame;
-//   - staticcap: a fixed per-hop admission window, the degenerate control;
+//   - staticcap: a fixed per-hop admission window, the degenerate control.
 //
-// plus the legacy baselines (penalty, diffq) re-homed onto the registry so
-// the historical ezflow.Mode values are thin wrappers over it.
+// Plain 802.11 deploys no controller at all (IsNone). The legacy
+// ezflow.Mode values are thin wrappers naming ezflow, penalty or diffq,
+// and ezflow.Config.Ctl (Options) is the only place a run tunes them.
 //
 // Determinism contract: controllers run inside one scenario's
 // single-threaded event loop. They must derive randomness only from the

@@ -251,7 +251,7 @@ func TestDeploymentHooks(t *testing.T) {
 	cfg.Duration = 10 * ezflow.Second
 	sc := ezflow.NewChain(4, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})
 	rec := &recordingCtl{}
-	dep := ctl.Deploy(sc.Mesh, rec, 1*ezflow.Second, ctl.DefaultOptions())
+	dep := ctl.Deploy(sc.Mesh, rec, 1*ezflow.Second)
 	// A 4-hop chain (N0..N4) controls the queues whose next hop is a
 	// relay: N0's source queue toward N1, and the forwarding queues
 	// N1->N2 and N2->N3. N3 drains into the destination, so its queue

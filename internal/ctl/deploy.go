@@ -18,7 +18,6 @@ type Deployment struct {
 	// creation) order.
 	Relays []*Relay
 
-	opts     Options
 	tick     sim.Time
 	attached map[*mac.Queue]bool
 	// own marks queues created by the controller itself (ControlQueue);
@@ -36,10 +35,9 @@ type ctlQKey struct {
 
 // Deploy installs ctrl over the mesh with a per-relay tick period (0 = no
 // ticks) and returns the deployment handle.
-func Deploy(m *mesh.Mesh, ctrl Controller, tick sim.Time, opts Options) *Deployment {
+func Deploy(m *mesh.Mesh, ctrl Controller, tick sim.Time) *Deployment {
 	d := &Deployment{
 		Ctrl:     ctrl,
-		opts:     opts,
 		tick:     tick,
 		attached: make(map[*mac.Queue]bool),
 		own:      make(map[*mac.Queue]bool),

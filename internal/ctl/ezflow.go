@@ -20,8 +20,8 @@ func (e *EZFlow) Extend(m *mesh.Mesh) { e.dep.Extend(m) }
 // OverheadBytes implements Instance: EZ-Flow is message-free.
 func (e *EZFlow) OverheadBytes() uint64 { return 0 }
 
-// EZ implements EZInstance, exposing the deployment for contention-window
-// traces.
+// EZ exposes the deployment, so the scenario layer can report
+// contention-window traces.
 func (e *EZFlow) EZ() *ez.Deployment { return e.dep }
 
 func init() {

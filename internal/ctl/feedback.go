@@ -191,10 +191,8 @@ func init() {
 		Name:    "feedback",
 		Summary: "explicit per-hop rate feedback via injected control frames",
 		Deploy: func(m *mesh.Mesh, opts Options) Instance {
-			cfg := opts.Feedback
-			cfg.fillDefaults()
-			fb := &feedback{cfg: cfg}
-			return &FBInstance{Deployment: Deploy(m, fb, cfg.Period, opts), fb: fb}
+			fb := &feedback{cfg: opts.Feedback}
+			return &FBInstance{Deployment: Deploy(m, fb, fb.cfg.Period), fb: fb}
 		},
 	})
 }

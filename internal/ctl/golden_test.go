@@ -41,19 +41,19 @@ func goldenCases() []goldenCase {
 	return append(cases,
 		goldenCase{name: "penalty q=1/32 relay=32", set: func(cfg *ezflow.Config) {
 			cfg.Mode = ezflow.ModePenalty
-			cfg.PenaltyQ, cfg.PenaltyRelayCW = 1.0/32, 32
+			cfg.Ctl.Penalty.Q, cfg.Ctl.Penalty.RelayCW = 1.0/32, 32
 		}},
 		goldenCase{name: "penalty q=1.5 (default)", set: func(cfg *ezflow.Config) {
 			cfg.Controller = "penalty"
-			cfg.PenaltyQ = 1.5
+			cfg.Ctl.Penalty.Q = 1.5
 		}},
 		goldenCase{name: "ezflow window=25 bmax=10", set: func(cfg *ezflow.Config) {
 			cfg.Mode = ezflow.ModeEZFlow
-			cfg.EZ.CAA.Window, cfg.EZ.CAA.BMax = 25, 10
+			cfg.Ctl.EZ.CAA.Window, cfg.Ctl.EZ.CAA.BMax = 25, 10
 		}},
 		goldenCase{name: "ezflow sniff-loss=0.5", set: func(cfg *ezflow.Config) {
 			cfg.Controller = "ezflow"
-			cfg.EZ.SniffLoss = 0.5
+			cfg.Ctl.EZ.SniffLoss = 0.5
 		}},
 		goldenCase{name: "staticcap window=64", set: func(cfg *ezflow.Config) {
 			cfg.Controller = "staticcap"

@@ -8,10 +8,11 @@ import (
 	"ezflow/internal/registry"
 )
 
-// Options carries every controller family's tunables. Zero values select
-// the documented defaults (FillDefaults); a scenario passes one Options to
-// whichever controller it deploys, so sweeping controllers never changes
-// anything but the controller.
+// Options carries every controller family's tunables; ezflow.Config.Ctl
+// is the one place a run sets them. Zero values select the documented
+// defaults (FillDefaults); a scenario passes one Options to whichever
+// controller it deploys, so sweeping controllers never changes anything
+// but the controller.
 type Options struct {
 	// EZ configures the ezflow controller (CAA thresholds, sniff loss).
 	EZ ez.Options
@@ -25,15 +26,6 @@ type Options struct {
 	Feedback FeedbackConfig
 }
 
-// PenaltyConfig parameterises the penalty controller: sources are
-// throttled to cwRelay/Q while relays use RelayCW.
-type PenaltyConfig struct {
-	// Q is the topology-dependent throttling factor in (0, 1].
-	Q float64
-	// RelayCW is the relay contention window.
-	RelayCW int
-}
-
 // DefaultOptions returns every family's defaults.
 func DefaultOptions() Options {
 	var o Options
@@ -41,18 +33,13 @@ func DefaultOptions() Options {
 	return o
 }
 
-// FillDefaults replaces zero values with each family's defaults, leaving
-// caller-set fields alone.
+// FillDefaults replaces zero (or out-of-range) values with each family's
+// defaults, leaving valid caller-set fields alone.
 func FillDefaults(o *Options) {
 	if o.EZ.CAA.Window == 0 {
 		o.EZ.CAA = ez.DefaultCAAConfig()
 	}
-	if o.Penalty.Q <= 0 || o.Penalty.Q > 1 {
-		o.Penalty.Q = 1.0 / 128
-	}
-	if o.Penalty.RelayCW <= 0 {
-		o.Penalty.RelayCW = 16
-	}
+	o.Penalty.fillDefaults()
 	o.Static.fillDefaults()
 	o.Backpressure.fillDefaults()
 	o.Feedback.fillDefaults()
@@ -71,21 +58,15 @@ type Instance interface {
 	OverheadBytes() uint64
 }
 
-// EZInstance is implemented by the ezflow instance so the scenario layer
-// can keep exporting contention-window traces.
-type EZInstance interface {
-	// EZ returns the underlying BOE/CAA deployment.
-	EZ() *ez.Deployment
-}
-
 // Info describes one registered controller.
 type Info struct {
 	// Name is the registry key ("ezflow", "backpressure", ...).
 	Name string
 	// Summary is the one-line description CLI usage strings embed.
 	Summary string
-	// Deploy installs the controller over a mesh. Implementations fill
-	// their own Options defaults, so callers may pass a zero Options.
+	// Deploy installs the controller over a mesh. Register wraps it so
+	// it always receives defaulted Options (FillDefaults): callers may
+	// pass a zero Options.
 	Deploy func(m *mesh.Mesh, opts Options) Instance
 }
 
@@ -95,8 +76,13 @@ var Controllers = registry.New[Info]("controller", "", "")
 // Register adds a controller to the registry. It panics on an empty name,
 // a duplicate, or a nil Deploy — registration bugs must fail at init.
 func Register(info Info) {
-	if info.Deploy == nil {
+	deploy := info.Deploy
+	if deploy == nil {
 		panic("ctl: Register " + info.Name + " with nil Deploy")
+	}
+	info.Deploy = func(m *mesh.Mesh, opts Options) Instance {
+		FillDefaults(&opts)
+		return deploy(m, opts)
 	}
 	Controllers.Add(info.Name, info.Summary, info)
 }

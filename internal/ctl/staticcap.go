@@ -41,9 +41,7 @@ func init() {
 		Name:    "staticcap",
 		Summary: "fixed per-hop admission window, no adaptation (degenerate control)",
 		Deploy: func(m *mesh.Mesh, opts Options) Instance {
-			cfg := opts.Static
-			cfg.fillDefaults()
-			return Deploy(m, &staticCap{cfg: cfg}, 0, opts)
+			return Deploy(m, &staticCap{cfg: opts.Static}, 0)
 		},
 	})
 }

@@ -3,7 +3,29 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"ezflow"
 )
+
+// TestParseModeSpellings pins the mode spelling table against the
+// controller layer: every plain-802.11 spelling ctl.IsNone accepts is the
+// 802.11 mode, and every other mode parses from the name of the
+// controller it deploys.
+func TestParseModeSpellings(t *testing.T) {
+	for _, s := range []string{"", "802.11", "80211", "off", "none", "Plain"} {
+		if m, err := ParseMode(s); err != nil || m != ezflow.Mode80211 {
+			t.Errorf("ParseMode(%q) = %v, %v; want 802.11", s, m, err)
+		}
+	}
+	for _, m := range []ezflow.Mode{ezflow.ModeEZFlow, ezflow.ModePenalty, ezflow.ModeDiffQ} {
+		if got, err := ParseMode(m.ControllerName()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.ControllerName(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("backpressure"); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf("ParseMode(backpressure): error %v, want unknown mode", err)
+	}
+}
 
 // TestControllerField covers the spec's controller selection: valid names
 // reach the config, unknown names and mode+controller combinations are

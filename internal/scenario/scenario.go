@@ -221,14 +221,16 @@ var eventKinds = map[string]dynamics.Kind{
 }
 
 // ParseMode maps the scenario-file and CLI spellings of the four control
-// modes; the empty string selects plain 802.11 (the default). It is the
-// single spelling table — ezsim and the campaign mode axis parse through
-// it, so a scenario file can never parse under one CLI and be rejected by
-// the other.
+// modes; plain 802.11 (the default) takes ctl.IsNone's spellings, the
+// empty string included, like the controller fields. It is the single
+// spelling table — ezsim and the campaign mode axis parse through it, so
+// a scenario file can never parse under one CLI and be rejected by the
+// other.
 func ParseMode(s string) (ezflow.Mode, error) {
-	switch strings.ToLower(s) {
-	case "", "802.11", "80211", "plain":
+	if ctl.IsNone(s) {
 		return ezflow.Mode80211, nil
+	}
+	switch strings.ToLower(s) {
 	case "ezflow", "ez-flow":
 		return ezflow.ModeEZFlow, nil
 	case "penalty":
