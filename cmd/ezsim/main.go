@@ -173,9 +173,6 @@ func parseArgs(args []string) (*invocation, error) {
 	}
 	if set["controller"] {
 		spec.Mode, spec.Controller = "", *ctlName
-		if ctl.IsNone(*ctlName) {
-			spec.Controller = "" // plain 802.11: no controller at all
-		}
 	}
 	if set["mobility"] {
 		spec.SetMobility(*mobName)

@@ -110,7 +110,7 @@ func TestScenarioFlagOverrides(t *testing.T) {
 		{[]string{"-cap", "0", "-routing", "bfs"}, func(s *scenario.Spec) { s.CWCap, s.Routing = 0, "bfs" }},
 		{[]string{"-mode", "802.11"}, func(s *scenario.Spec) { s.Mode = "802.11" }},
 		{[]string{"-controller", "backpressure"}, func(s *scenario.Spec) { s.Mode, s.Controller = "", "backpressure" }},
-		{[]string{"-controller", "off"}, func(s *scenario.Spec) { s.Mode = "" }},
+		{[]string{"-controller", "off"}, func(s *scenario.Spec) { s.Mode, s.Controller = "", "off" }},
 		{[]string{"-mobility", "off"}, func(s *scenario.Spec) { s.Mobility = nil }},
 		{[]string{"-speed", "4", "-pause", "1"}, func(s *scenario.Spec) { s.Mobility.SpeedMps, s.Mobility.PauseSec = 4, 1 }},
 		{[]string{"-clients", "7"}, func(s *scenario.Spec) { s.Workload.Clients = 7 }},

@@ -144,10 +144,11 @@ type Config struct {
 
 	// Controller selects a congestion controller from the internal/ctl
 	// registry by name (see Controllers()), overriding Mode's controller
-	// when non-empty. Empty derives the controller from Mode, so existing
-	// Mode-based configurations behave exactly as before. Unknown names
-	// panic at scenario wiring — the CLI and scenario layers validate
-	// before building.
+	// when non-empty; a ctl.IsNone spelling ("802.11", "off", ...) deploys
+	// none. Empty derives the controller from Mode, so existing Mode-based
+	// configurations behave exactly as before. Unknown names panic at
+	// scenario wiring — the CLI and scenario layers validate before
+	// building.
 	Controller string
 	// Ctl is the one place a run tunes its controller: EZ-Flow's CAA
 	// thresholds and sniff loss, the penalty factor and relay window, and
@@ -310,13 +311,17 @@ func fillDefaults(cfg *Config) {
 	}
 }
 
-// controllerName resolves which registry controller the config deploys:
-// the explicit Controller field, or the legacy Mode's wrapper name.
+// controllerName resolves which registry controller the config deploys,
+// empty for none: the explicit Controller field, or the legacy Mode's
+// wrapper name.
 func (c *Config) controllerName() string {
-	if c.Controller != "" {
-		return c.Controller
+	switch {
+	case c.Controller == "":
+		return c.Mode.ControllerName()
+	case ctl.IsNone(c.Controller):
+		return ""
 	}
-	return c.Mode.ControllerName()
+	return c.Controller
 }
 
 // NewChain builds a linear K-hop scenario (flow 1 runs end to end).

@@ -862,8 +862,6 @@ func runSpec(spec Spec, p Point) *scenario.Spec {
 	s.Mode, s.Controller = "", p.Controller
 	if p.Controller == "" {
 		s.Mode = p.Mode.ControllerName()
-	} else if ctl.IsNone(p.Controller) {
-		s.Controller = ""
 	}
 	s.Routing, s.CWCap = p.Routing, p.CWCap
 	if p.RateBps > 0 {

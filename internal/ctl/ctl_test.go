@@ -229,6 +229,27 @@ func TestModeWrappers(t *testing.T) {
 	}
 }
 
+// TestNoneSpellingsDeployNothing pins that every ctl.IsNone spelling of
+// Config.Controller is plain 802.11 — even over a Mode that names a
+// controller — at every layer that hands the name down unchanged.
+func TestNoneSpellingsDeployNothing(t *testing.T) {
+	plain := summarize(chainResult(t, "", 7))
+	for _, name := range []string{"802.11", "80211", "off", "none", "Plain"} {
+		cfg := ezflow.DefaultConfig()
+		cfg.Seed = 7
+		cfg.Duration = 30 * ezflow.Second
+		cfg.Mode = ezflow.ModeEZFlow
+		cfg.Controller = name
+		sc := ezflow.NewChain(4, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})
+		if sc.Ctl != nil {
+			t.Errorf("%q deployed %T", name, sc.Ctl)
+		}
+		if got := summarize(sc.Run()); got != plain {
+			t.Errorf("%q: run differs from plain 802.11:\n%s\nvs\n%s", name, got, plain)
+		}
+	}
+}
+
 // recordingCtl counts hook invocations, validating the deployment plumbing
 // end to end through a real scenario.
 type recordingCtl struct {

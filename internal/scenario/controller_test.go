@@ -51,6 +51,18 @@ func TestControllerField(t *testing.T) {
 		t.Error("built scenario deployed no controller")
 	}
 
+	none, err := Parse([]byte(`{
+		"topology": {"kind": "chain"},
+		"controller": "802.11",
+		"duration_sec": 1
+	}`))
+	if err != nil {
+		t.Fatalf("controller 802.11 (none): %v", err)
+	}
+	if sc, err := none.Build(); err != nil || sc.Ctl != nil {
+		t.Errorf("controller 802.11 built %v, %v; want no controller", sc, err)
+	}
+
 	if _, err := Parse([]byte(`{
 		"topology": {"kind": "chain"},
 		"controller": "warp-drive"

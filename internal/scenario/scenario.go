@@ -58,9 +58,10 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Controller selects a congestion controller from the internal/ctl
 	// registry by name (ezflow | backpressure | feedback | staticcap |
-	// penalty | diffq — see ctl.Controllers). It is mutually exclusive with
-	// Mode: a spec sets one or the other, so a file can never claim two
-	// control planes at once.
+	// penalty | diffq — see ctl.Controllers), or none with 802.11 (any
+	// ctl.IsNone spelling). It is mutually exclusive with Mode: a spec sets
+	// one or the other, so a file can never claim two control planes at
+	// once.
 	Controller string `json:"controller,omitempty"`
 	// Routing selects a routing strategy from the internal/routing
 	// registry by name (bfs | etx | kshortest — see routing.Strategies).
@@ -416,7 +417,7 @@ func (s *Spec) Validate() error {
 		if s.Mode != "" {
 			return fmt.Errorf("scenario: mode %q and controller %q are mutually exclusive (set one)", s.Mode, s.Controller)
 		}
-		if _, err := ctl.Controllers.Lookup(s.Controller); err != nil {
+		if _, err := ctl.Controllers.Lookup(s.Controller); err != nil && !ctl.IsNone(s.Controller) {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
