@@ -9,9 +9,9 @@ import (
 // DiffQ's four 802.11e queues with decreasing aggressiveness.
 var diffqCW = [4]int{16, 32, 128, 512}
 
-// DiffQPiggybackBytes is the header overhead DiffQ adds to every data
+// diffqPiggybackBytes is the header overhead DiffQ adds to every data
 // frame: the advertised backlog, its packet-structure modification.
-const DiffQPiggybackBytes = 4
+const diffqPiggybackBytes = 4
 
 // DiffQNode is the per-node DiffQ state.
 type DiffQNode struct {
@@ -51,7 +51,7 @@ func (d *DiffQ) Extend(m *mesh.Mesh) {
 		mc := n.MAC
 		mc.AddTxNotify(func(f *pkt.Frame) {
 			f.QueueTag = mc.TotalQueued()
-			d.overhead += DiffQPiggybackBytes
+			d.overhead += diffqPiggybackBytes
 		})
 		mc.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
 			if f.Type != pkt.FrameData {
