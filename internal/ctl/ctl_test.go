@@ -230,8 +230,8 @@ func TestModeWrappers(t *testing.T) {
 }
 
 // TestNoneSpellingsDeployNothing pins that every ctl.IsNone spelling of
-// Config.Controller is plain 802.11 — even over a Mode that names a
-// controller — at every layer that hands the name down unchanged.
+// Config.Controller runs plain 802.11, even over a Mode that names a
+// controller.
 func TestNoneSpellingsDeployNothing(t *testing.T) {
 	plain := summarize(chainResult(t, "", 7))
 	for _, name := range []string{"802.11", "80211", "off", "none", "Plain"} {

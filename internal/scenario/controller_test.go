@@ -59,8 +59,11 @@ func TestControllerField(t *testing.T) {
 	if err != nil {
 		t.Fatalf("controller 802.11 (none): %v", err)
 	}
-	if sc, err := none.Build(); err != nil || sc.Ctl != nil {
-		t.Errorf("controller 802.11 built %v, %v; want no controller", sc, err)
+	if sc, err = none.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Ctl != nil {
+		t.Errorf("controller 802.11 deployed %T, want none", sc.Ctl)
 	}
 
 	if _, err := Parse([]byte(`{
