@@ -54,9 +54,11 @@ staticcheck:
 # routing strategies (pure route-computation cost per registry entry
 # plus the lossy-disk rerun per strategy), the fabric cache
 # (key derivation and a store Put+Get round trip — the fixed overhead
-# a cache hit pays to skip a simulation), and the mobility path (a
+# a cache hit pays to skip a simulation), the mobility path (a
 # single incremental phy.MoveNode re-index, pinned at zero steady-state
-# allocs, plus a full 200-node waypoint disk run) — gates them against
+# allocs, plus a full 200-node waypoint disk run), and large-disk set-up
+# (mesh.RandomDisk at 200 and 400 nodes with its connectivity
+# resampling, and one full PHY neighbor-index build) — gates them against
 # the committed baseline (BENCH_PR8.json; >25% allocs/op regression
 # fails, zero-alloc pins fail on any alloc, ns/op gets a wider 2x band
 # because the archived baseline was recorded on a different host),
@@ -68,8 +70,10 @@ bench:
 	    -benchmem -run='^$$' -benchtime=20x . | tee /tmp/bench.out
 	$(GO) test -bench='^BenchmarkEngine' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/sim | tee -a /tmp/bench.out
-	$(GO) test -bench='^BenchmarkChannelTransmit|^BenchmarkMoveNode$$' -benchmem -run='^$$' -benchtime=1s \
+	$(GO) test -bench='^BenchmarkChannelTransmit|^BenchmarkMoveNode$$|^BenchmarkBuildIndex$$' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/phy | tee -a /tmp/bench.out
+	$(GO) test -bench='^BenchmarkRandomDiskBuild$$' -benchmem -run='^$$' -benchtime=20x \
+	    ./internal/mesh | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkCtl' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/ctl | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkObs' -benchmem -run='^$$' -benchtime=1s \

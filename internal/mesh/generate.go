@@ -106,19 +106,28 @@ func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLos
 		radius = DefaultDiskRadius(n)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var pos []phy.Position
-	var far int
+	pos := make([]phy.Position, n)
 	var parent []int
-	found := false
-	for try := 0; try < randomDiskAttempts; try++ {
-		pos = samplePositions(rng, n, radius)
-		parent = routing.GatewayTree(pos, phyCfg.TxRange)
-		if routing.Connected(parent) {
-			found = true
-			break
+	var check *placementCheck
+	for try := 0; try < randomDiskAttempts && parent == nil; try++ {
+		samplePositions(rng, pos, radius)
+		// A small disk usually connects on the first draw, so that draw's
+		// gateway tree doubles as its connectivity check. Once a draw has
+		// failed, later ones are screened by the cheaper placementCheck,
+		// and only the accepted one pays for a tree.
+		if try > 0 {
+			if check == nil {
+				check = newPlacementCheck(n, radius, phyCfg.TxRange)
+			}
+			if !check.connected(pos) {
+				continue
+			}
+		}
+		if parent = routing.GatewayTree(pos, phyCfg.TxRange); !routing.Connected(parent) {
+			parent = nil
 		}
 	}
-	if !found {
+	if parent == nil {
 		panic(fmt.Sprintf("mesh: no connected %d-node placement within radius %.0f m after %d attempts (radius too large for the %g m range?)",
 			n, radius, randomDiskAttempts, phyCfg.TxRange))
 	}
@@ -133,7 +142,7 @@ func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLos
 
 	// Flow 1: farthest node (lowest id on ties) back to the gateway along
 	// the BFS tree.
-	far = 0
+	far := 0
 	for i := 1; i < n; i++ {
 		di, df := pos[i].Dist(pos[0]), pos[far].Dist(pos[0])
 		if di > df {
@@ -152,16 +161,167 @@ func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLos
 	return m
 }
 
-// samplePositions draws the gateway at the origin plus n-1 points uniform
-// over the disk (r = R·√u gives an area-uniform radius).
-func samplePositions(rng *rand.Rand, n int, radius float64) []phy.Position {
-	pos := make([]phy.Position, n)
-	for i := 1; i < n; i++ {
+// samplePositions fills pos with the gateway at the origin plus len(pos)-1
+// points uniform over the disk (r = R·√u gives an area-uniform radius).
+func samplePositions(rng *rand.Rand, pos []phy.Position, radius float64) {
+	pos[0] = phy.Position{}
+	for i := 1; i < len(pos); i++ {
 		r := radius * math.Sqrt(rng.Float64())
 		theta := 2 * math.Pi * rng.Float64()
 		pos[i] = phy.Position{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
 	}
-	return pos
+}
+
+// placementCheck decides whether a sampled placement's transmission-range
+// graph is connected: the answer routing.Connected(routing.GatewayTree)
+// gives, at a cost the resampling loop can afford on the many placements
+// it rejects. One check serves every attempt of a RandomDisk call:
+//   - its cell grid covers the whole disk, so only the bucketing changes
+//     between attempts, and no buffer is allocated after the first;
+//   - the search visits nodes in whatever order the cells yield them,
+//     builds no tree and sorts nothing;
+//   - a reached node is swapped out of its cell, so later scans only see
+//     unreached candidates;
+//   - it stops as soon as the last node is reached.
+type placementCheck struct {
+	txRange, lo, hi float64 // the range and its rangeBounds
+	radius, cell    float64 // the disk's radius and the cell side (>= txRange)
+	side            int     // cells per axis over the disk's bounding square
+	// Cell c's unreached nodes are items[start[c]:end[c]]; node i sits in
+	// cell cellOf[i] at items[at[i]].
+	start, end    []int32
+	items, at     []int32
+	cellOf, queue []int32
+}
+
+// newPlacementCheck sizes a check for n-node placements over a disk of
+// the given radius centred at the origin. Cells are txRange wide unless
+// that would give more than about 4n of them, in which case they are
+// coarsened: any side of at least txRange keeps every in-range pair in
+// adjacent cells. A degenerate radius or range gets one cell.
+func newPlacementCheck(n int, radius, txRange float64) *placementCheck {
+	pc := &placementCheck{txRange: txRange, radius: radius, cell: 1, side: 1}
+	pc.lo, pc.hi = rangeBounds(txRange)
+	span := 2 * radius
+	if txRange > 0 && span > 0 && !math.IsInf(span, 1) && !math.IsInf(txRange, 1) {
+		pc.side = min(int(span/txRange)+1, 2*int(math.Sqrt(float64(n)))+1)
+		pc.cell = math.Max(txRange, span/float64(pc.side))
+	}
+	cells := pc.side * pc.side
+	pc.start, pc.end = make([]int32, cells), make([]int32, cells)
+	pc.items, pc.at = make([]int32, n), make([]int32, n)
+	pc.cellOf, pc.queue = make([]int32, n), make([]int32, 0, n)
+	return pc
+}
+
+// axis maps a coordinate to its cell column or row, clamped onto the grid.
+func (pc *placementCheck) axis(v float64) int {
+	c := int((v + pc.radius) / pc.cell)
+	return max(0, min(c, pc.side-1))
+}
+
+// connected reports whether every node of pos is reachable from node 0
+// over links with pos[u].Dist(pos[v]) <= txRange.
+func (pc *placementCheck) connected(pos []phy.Position) bool {
+	// Bucket the nodes: count per cell, then place them.
+	clear(pc.end)
+	for i, p := range pos {
+		c := int32(pc.axis(p.Y)*pc.side + pc.axis(p.X))
+		pc.cellOf[i] = c
+		pc.end[c]++
+	}
+	var sum int32
+	for c, k := range pc.end {
+		pc.start[c], pc.end[c] = sum, sum
+		sum += k
+	}
+	for i, c := range pc.cellOf {
+		pc.items[pc.end[c]], pc.at[i] = int32(i), pc.end[c]
+		pc.end[c]++
+	}
+
+	// Near the connectivity threshold almost every disconnected placement
+	// has an isolated node, and spotting one is far cheaper than a search.
+	for i, u := range pos {
+		if !pc.hasNeighbor(int32(i), u, pos) {
+			return false
+		}
+	}
+
+	queue := append(pc.queue[:0], 0)
+	pc.take(0)
+	n := len(pos)
+	for head := 0; head < len(queue) && len(queue) < n; head++ {
+		u := pos[queue[head]]
+		cx, cy := pc.axis(u.X), pc.axis(u.Y)
+		for y := max(cy-1, 0); y <= min(cy+1, pc.side-1); y++ {
+			for x := max(cx-1, 0); x <= min(cx+1, pc.side-1); x++ {
+				c := y*pc.side + x
+				for k := pc.start[c]; k < pc.end[c]; {
+					v := pc.items[k]
+					if !inRange(u, pos[v], pc.txRange, pc.lo, pc.hi) {
+						k++
+						continue
+					}
+					pc.take(v) // moves another unreached node into slot k
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	pc.queue = queue
+	return len(queue) == n
+}
+
+// hasNeighbor reports whether node i at u has any other node in range.
+func (pc *placementCheck) hasNeighbor(i int32, u phy.Position, pos []phy.Position) bool {
+	cx, cy := pc.axis(u.X), pc.axis(u.Y)
+	for y := max(cy-1, 0); y <= min(cy+1, pc.side-1); y++ {
+		for x := max(cx-1, 0); x <= min(cx+1, pc.side-1); x++ {
+			c := y*pc.side + x
+			for _, v := range pc.items[pc.start[c]:pc.end[c]] {
+				if v != i && inRange(u, pos[v], pc.txRange, pc.lo, pc.hi) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// take removes node v from its cell's unreached nodes.
+func (pc *placementCheck) take(v int32) {
+	c := pc.cellOf[v]
+	last := pc.end[c] - 1
+	w := pc.items[last]
+	pc.items[pc.at[v]], pc.at[w] = w, pc.at[v]
+	pc.end[c] = last
+}
+
+// rangeBounds returns the squared-distance thresholds below and above
+// which inRange may settle a pair without math.Hypot: a relative margin
+// of 1e-9, millions of times the rounding error of either computation.
+// Outside the range of radii whose square is a comfortably normal float
+// the prefilter is disabled and every pair takes the exact path.
+func rangeBounds(r float64) (lo, hi float64) {
+	if r < 1e-100 || r > 1e100 || math.IsNaN(r) {
+		return -1, math.Inf(1)
+	}
+	return r * r * (1 - 1e-9), r * r * (1 + 1e-9)
+}
+
+// inRange reports p.Dist(q) <= r exactly. The squared distance settles
+// the pairs clearly inside or outside the range; only pairs within the
+// rangeBounds margin of the boundary pay for math.Hypot.
+func inRange(p, q phy.Position, r, lo, hi float64) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	switch d2 := dx*dx + dy*dy; {
+	case d2 <= lo:
+		return true
+	case d2 > hi:
+		return false
+	}
+	return p.Dist(q) <= r
 }
 
 // ApplyEdgeLoss calibrates a deterministic edge-of-range loss model over
@@ -170,8 +330,9 @@ func samplePositions(rng *rand.Rand, n int, radius float64) []phy.Position {
 // range R, and 0 below it. Short links stay clean, marginal links near
 // the range limit approach maxLoss — the SNR-driven quality gradient real
 // deployments measure (the paper's Table 1 testbed losses range 0–43%).
-// Node pairs are visited in ascending id order, so the resulting loss
-// table is a pure function of the placement.
+// Candidate pairs come from a spatial grid with cells of side R, so the
+// pass is O(N·degree); each link's loss depends only on its own length,
+// so the resulting loss table is a pure function of the placement.
 func (m *Mesh) ApplyEdgeLoss(maxLoss float64) {
 	if maxLoss <= 0 {
 		return
@@ -179,18 +340,24 @@ func (m *Mesh) ApplyEdgeLoss(maxLoss float64) {
 	ids := m.Ch.NodeIDs()
 	r := m.Ch.Config().TxRange
 	half := r / 2
-	for _, a := range ids {
-		pa := m.Ch.Position(a)
-		for _, b := range ids {
-			if a == b {
+	pos := make([]phy.Position, len(ids))
+	for i, id := range ids {
+		pos[i] = m.Ch.Position(id)
+	}
+	g := phy.NewSpatialGrid(pos, r)
+	var cand []int32
+	for i, a := range ids {
+		cand = g.Near(pos[i], cand[:0])
+		for _, j := range cand {
+			if int(j) == i {
 				continue
 			}
-			d := pa.Dist(m.Ch.Position(b))
+			d := pos[i].Dist(pos[j])
 			if d > r || d <= half {
 				continue
 			}
 			frac := (d - half) / half
-			m.Ch.SetLinkLoss(a, b, maxLoss*frac*frac)
+			m.Ch.SetLinkLoss(a, ids[j], maxLoss*frac*frac)
 		}
 	}
 }

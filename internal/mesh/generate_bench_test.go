@@ -1,0 +1,24 @@
+package mesh
+
+import (
+	"fmt"
+	"testing"
+
+	"ezflow/internal/mac"
+	"ezflow/internal/phy"
+	"ezflow/internal/sim"
+)
+
+// BenchmarkRandomDiskBuild times RandomDisk at the DiskScaling sizes on a
+// fixed rotation of placement seeds: connectivity resampling, the
+// accepted placement's gateway tree, node registration and route install.
+func BenchmarkRandomDiskBuild(b *testing.B) {
+	for _, n := range []int{200, 400} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RandomDisk(sim.NewEngine(1), n, 0, int64(i%16), phy.DefaultConfig(), mac.DefaultConfig())
+			}
+		})
+	}
+}

@@ -2,11 +2,14 @@ package mesh
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"ezflow/internal/mac"
 	"ezflow/internal/phy"
 	"ezflow/internal/pkt"
+	"ezflow/internal/routing"
 	"ezflow/internal/sim"
 )
 
@@ -108,4 +111,70 @@ func TestValidateRoutesPanics(t *testing.T) {
 		}
 	}()
 	m.ValidateRoutes()
+}
+
+// TestPlacementCheckMatchesGatewayTree pins the resampling loop's cheap
+// connectivity check to its oracle, routing.Connected over the
+// deterministic gateway tree, on about a thousand placements drawn near
+// the connectivity threshold (a mix of connected and disconnected ones),
+// with one check reused across all placements of a size as the loop
+// reuses it across attempts.
+func TestPlacementCheckMatchesGatewayTree(t *testing.T) {
+	r := phy.DefaultConfig().TxRange
+	rng := rand.New(rand.NewSource(1))
+	var connected, disconnected int
+	for _, tc := range []struct {
+		n     int
+		scale float64 // of DefaultDiskRadius
+		draws int
+	}{
+		{12, 1.2, 250}, {50, 1.2, 250}, {200, 0.9, 250}, {400, 0.8, 250},
+	} {
+		radius := tc.scale * DefaultDiskRadius(tc.n)
+		check := newPlacementCheck(tc.n, radius, r)
+		pos := make([]phy.Position, tc.n)
+		for i := 0; i < tc.draws; i++ {
+			samplePositions(rng, pos, radius)
+			want := routing.Connected(routing.GatewayTree(pos, r))
+			if got := check.connected(pos); got != want {
+				t.Fatalf("n=%d draw %d: check says connected=%v, gateway tree says %v", tc.n, i, got, want)
+			}
+			if want {
+				connected++
+			} else {
+				disconnected++
+			}
+		}
+	}
+	t.Logf("%d connected, %d disconnected", connected, disconnected)
+	if connected < 100 || disconnected < 100 {
+		t.Errorf("draws not near the threshold: %d connected, %d disconnected", connected, disconnected)
+	}
+}
+
+// TestPlacementCheckRangeBoundary pins the check's range predicate at the
+// float boundary: a pair exactly TxRange apart is linked, a pair one ulp
+// beyond it is not, whichever way the pair is oriented.
+func TestPlacementCheckRangeBoundary(t *testing.T) {
+	r := phy.DefaultConfig().TxRange
+	beyond := math.Nextafter(r, math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		pos  []phy.Position
+		want bool
+	}{
+		{"exactly at range", []phy.Position{{}, {X: r}}, true},
+		{"exactly at range, diagonal", []phy.Position{{}, {X: 0.6 * r, Y: 0.8 * r}}, true},
+		{"one ulp beyond", []phy.Position{{}, {X: -beyond}}, false},
+		{"one ulp inside", []phy.Position{{}, {Y: math.Nextafter(r, 0)}}, true},
+		{"chain with a gap one ulp too wide", []phy.Position{{}, {X: -r}, {Y: beyond}}, false},
+		{"chain exactly at range", []phy.Position{{}, {X: -r}, {X: -r, Y: r}}, true},
+	} {
+		if oracle := routing.Connected(routing.GatewayTree(tc.pos, r)); oracle != tc.want {
+			t.Fatalf("%s: gateway tree says connected=%v, want %v", tc.name, oracle, tc.want)
+		}
+		if got := newPlacementCheck(len(tc.pos), 2*r, r).connected(tc.pos); got != tc.want {
+			t.Errorf("%s: check says connected=%v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

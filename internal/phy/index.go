@@ -79,6 +79,15 @@ func (c Config) interferenceRange() float64 {
 // with mutations applied before the freeze. Dense per-slot event state
 // (sensed counts, busy flags, locked receptions) is migrated from the
 // previous slot assignment, so a rebuild between flights is transparent.
+//
+// The lists are built in two passes and never sorted. Pass 1 finds every
+// in-range pair once, from its lower slot, with its distance; counting
+// each pair at both ends gives every list's exact length, so the arenas
+// are sized once. Pass 2 visits the stations y in ascending slot order and
+// appends y to the list of each of its neighbors, which leaves every list
+// ascending by slot. Distance is symmetric to the bit, so the received
+// power is computed once per pair and both directed records carry the
+// values a per-direction computation would give.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
 	r := c.cfg.interferenceRange()
@@ -100,56 +109,98 @@ func (c *Channel) buildIndex() {
 	g := NewSpatialGrid(pos, r)
 	c.grid = g
 	cand := c.scratch
-	// All per-station lists are appended into three shared arenas and
-	// sub-sliced afterwards (the arenas may reallocate while growing):
-	// one allocation each instead of three per station, contiguous
-	// neighbor records, and — links being pointer-free — nothing for the
-	// garbage collector to scan or write-barrier.
-	links := c.linkArena[:0]
-	keys := c.slotArena[:0]
-	cs := c.csArena[:0]
-	bounds := make([][3]int32, n+1)
-	for i, st := range c.order {
-		bounds[i] = [3]int32{int32(len(links)), int32(len(keys)), int32(len(cs))}
+
+	// Pass 1: the in-range pairs (i, j > i), grouped by i, with their
+	// distances; count[i] and csCount[i] count i's neighbors and in-CS
+	// neighbors.
+	var upper []int32
+	var dist []float64
+	upperEnd := make([]int32, n)
+	count := make([]int32, n)
+	csCount := make([]int32, n)
+	for i := range pos {
 		cand = g.Near(pos[i], cand[:0])
-		// Neighbor lists are walked in place of the old all-stations
-		// id-ordered loop, so they must be ascending by slot (== id).
-		slices.Sort(cand)
-		start := len(links)
 		for _, j := range cand {
-			if int(j) == i {
+			if int(j) <= i {
 				continue
 			}
-			d := st.pos.Dist(c.order[j].pos)
+			d := pos[i].Dist(pos[j])
 			if d > r {
 				continue
 			}
-			key := linkKey{st.id, c.order[j].id}
-			inCS := d <= c.cfg.CSRange
-			if inCS {
-				cs = append(cs, int32(len(links)-start))
+			upper = append(upper, j)
+			dist = append(dist, d)
+			count[i]++
+			count[j]++
+			if d <= c.cfg.CSRange {
+				csCount[i]++
+				csCount[j]++
 			}
-			links = append(links, link{
-				slot:  j,
-				inCS:  inCS,
-				inTx:  d <= c.cfg.TxRange,
-				down:  c.down[key],
-				power: c.cfg.power(d),
-				loss:  c.loss[key],
-			})
-			keys = append(keys, j)
 		}
-	}
-	bounds[n] = [3]int32{int32(len(links)), int32(len(keys)), int32(len(cs))}
-	c.linkArena, c.slotArena, c.csArena = links, keys, cs
-	for i, st := range c.order {
-		lo, hi := bounds[i], bounds[i+1]
-		st.nbrs = links[lo[0]:hi[0]:hi[0]]
-		st.nbrSlots = keys[lo[1]:hi[1]:hi[1]]
-		st.csNbrs = cs[lo[2]:hi[2]:hi[2]]
-		st.owned = false
+		upperEnd[i] = int32(len(upper))
 	}
 	c.scratch = cand
+
+	// All per-station lists live in three shared arenas, sized exactly
+	// and sub-sliced per station: one allocation each instead of three
+	// per station, contiguous neighbor records, and — links being
+	// pointer-free — nothing for the garbage collector to scan or
+	// write-barrier.
+	var total, csTotal int
+	for i := range n {
+		total += int(count[i])
+		csTotal += int(csCount[i])
+	}
+	c.linkArena = slices.Grow(c.linkArena[:0], total)[:total]
+	c.slotArena = slices.Grow(c.slotArena[:0], total)[:total]
+	c.csArena = slices.Grow(c.csArena[:0], csTotal)[:csTotal]
+	links, keys, cs := c.linkArena, c.slotArena, c.csArena
+	for i, st := range c.order {
+		k, ck := count[i], csCount[i]
+		st.nbrs, links = links[:k:k], links[k:]
+		st.nbrSlots, keys = keys[:k:k], keys[k:]
+		st.csNbrs, cs = cs[:ck:ck], cs[ck:]
+		st.owned = false
+	}
+
+	// Pass 2: count[x] and csCount[x] now count the records written to
+	// x's lists. At y's turn, y's own list holds exactly its lower
+	// neighbors (each appended y to it at its own turn), and its upper
+	// neighbors are its pass-1 pairs.
+	clear(count)
+	clear(csCount)
+	mutated := len(c.loss) > 0 || len(c.down) > 0
+	add := func(x, y int32, l link) {
+		st := c.order[x]
+		k := count[x]
+		count[x]++
+		if l.inCS {
+			st.csNbrs[csCount[x]] = k
+			csCount[x]++
+		}
+		l.slot, l.down, l.loss = y, false, 0
+		if mutated {
+			key := linkKey{st.id, c.order[y].id}
+			l.down, l.loss = c.down[key], c.loss[key]
+		}
+		st.nbrs[k], st.nbrSlots[k] = l, y
+	}
+	var lo int32
+	for y, st := range c.order {
+		y := int32(y)
+		for _, l := range st.nbrs[:count[y]] {
+			add(l.slot, y, l)
+		}
+		for k := lo; k < upperEnd[y]; k++ {
+			d := dist[k]
+			add(upper[k], y, link{
+				inCS:  d <= c.cfg.CSRange,
+				inTx:  d <= c.cfg.TxRange,
+				power: c.cfg.power(d),
+			})
+		}
+		lo = upperEnd[y]
+	}
 	c.indexed = true
 }
 

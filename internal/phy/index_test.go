@@ -21,15 +21,14 @@ func newIndexedChannel(t *testing.T, pos []Position) *Channel {
 	return ch
 }
 
-// TestNeighborIndexMatchesBruteForce checks every cached record of a
-// random-disk layout against a direct O(N²) recomputation: membership
-// (exactly the pairs within interference range), order (ascending slot),
-// and the cached power and range predicates, which must be bit-identical
-// to the closed-form model — the hot path substitutes these values for
-// live math.Hypot/math.Pow calls.
-func TestNeighborIndexMatchesBruteForce(t *testing.T) {
-	pos := diskPositions(120, 7)
-	ch := newIndexedChannel(t, pos)
+// checkIndexBruteForce checks every cached record of ch against a direct
+// O(N²) recomputation: membership (exactly the pairs within interference
+// range), order (ascending slot), the cached power and range predicates,
+// which must be bit-identical to the closed-form model — the hot path
+// substitutes these values for live math.Hypot/math.Pow calls — and the
+// directed loss and severed state of the owner->neighbor link.
+func checkIndexBruteForce(t *testing.T, ch *Channel) {
+	t.Helper()
 	r := ch.cfg.interferenceRange()
 	for i, st := range ch.order {
 		if st.slot != int32(i) {
@@ -37,47 +36,161 @@ func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 		}
 		want := 0
 		prev := int32(-1)
-		for j := range ch.order {
-			d := pos[i].Dist(pos[j])
+		for j, o := range ch.order {
+			d := st.pos.Dist(o.pos)
 			if j == i || d > r {
 				if lk := st.neighbor(int32(j)); lk != nil && j != i {
-					t.Errorf("N%d lists N%d (d=%.1f) beyond interference range %.1f", i, j, d, r)
+					t.Errorf("%v lists %v (d=%.1f) beyond interference range %.1f", st.id, o.id, d, r)
 				}
 				continue
 			}
 			want++
 			lk := st.neighbor(int32(j))
 			if lk == nil {
-				t.Fatalf("N%d missing neighbor N%d at d=%.1f (range %.1f)", i, j, d, r)
+				t.Fatalf("%v missing neighbor %v at d=%.1f (range %.1f)", st.id, o.id, d, r)
 			}
 			if lk.power != ch.cfg.power(d) {
-				t.Errorf("N%d->N%d cached power %v != %v", i, j, lk.power, ch.cfg.power(d))
+				t.Errorf("%v->%v cached power %v != %v", st.id, o.id, lk.power, ch.cfg.power(d))
 			}
 			if lk.inCS != (d <= ch.cfg.CSRange) || lk.inTx != (d <= ch.cfg.TxRange) {
-				t.Errorf("N%d->N%d range flags inCS=%v inTx=%v at d=%.1f", i, j, lk.inCS, lk.inTx, d)
+				t.Errorf("%v->%v range flags inCS=%v inTx=%v at d=%.1f", st.id, o.id, lk.inCS, lk.inTx, d)
+			}
+			if lk.loss != ch.LinkLoss(st.id, o.id) || lk.down != ch.down[linkKey{st.id, o.id}] {
+				t.Errorf("%v->%v cached loss=%v down=%v, want loss=%v down=%v", st.id, o.id,
+					lk.loss, lk.down, ch.LinkLoss(st.id, o.id), ch.down[linkKey{st.id, o.id}])
 			}
 			if lk.slot <= prev {
-				t.Errorf("N%d neighbor list not ascending at slot %d", i, lk.slot)
+				t.Errorf("%v neighbor list not ascending at slot %d", st.id, lk.slot)
 			}
 			prev = lk.slot
 		}
 		if len(st.nbrs) != want {
-			t.Errorf("N%d has %d neighbors, want %d", i, len(st.nbrs), want)
+			t.Errorf("%v has %d neighbors, want %d", st.id, len(st.nbrs), want)
 		}
 		// csNbrs must index exactly the in-CS subsequence.
 		cs := 0
 		for k := range st.nbrs {
 			if st.nbrs[k].inCS {
 				if cs >= len(st.csNbrs) || st.csNbrs[cs] != int32(k) {
-					t.Fatalf("N%d csNbrs misses entry %d", i, k)
+					t.Fatalf("%v csNbrs misses entry %d", st.id, k)
 				}
 				cs++
 			}
 		}
 		if cs != len(st.csNbrs) {
-			t.Errorf("N%d csNbrs has %d extra entries", i, len(st.csNbrs)-cs)
+			t.Errorf("%v csNbrs has %d extra entries", st.id, len(st.csNbrs)-cs)
 		}
 	}
+	if err := ch.VerifyIndex(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNeighborIndexMatchesBruteForce checks the built index against the
+// O(N²) recomputation on a 120-node and a 400-node default-density disk,
+// with asymmetric link state applied before the freeze, and after a
+// rebuild forced mid-flight by a new station.
+func TestNeighborIndexMatchesBruteForce(t *testing.T) {
+	t.Run("disk120", func(t *testing.T) {
+		checkIndexBruteForce(t, newIndexedChannel(t, diskPositions(120, 7)))
+	})
+	t.Run("disk400", func(t *testing.T) {
+		checkIndexBruteForce(t, newIndexedChannel(t, diskPositions(400, 11)))
+	})
+
+	// Losses and severed flags are directed; setting one direction of a
+	// pair, from either end, catches a transposed key in the fill pass.
+	t.Run("asymmetric-links", func(t *testing.T) {
+		pos := diskPositions(120, 5)
+		ch := NewChannel(sim.NewEngine(1), DefaultConfig())
+		for i, p := range pos {
+			ch.AddNode(pkt.NodeID(i), p, nil)
+		}
+		r := ch.cfg.interferenceRange()
+		set := 0
+		for a := range pos {
+			for b := a + 1; b < len(pos); b++ {
+				if pos[a].Dist(pos[b]) > r || (a+b)%3 == 0 {
+					continue
+				}
+				from, to := pkt.NodeID(a), pkt.NodeID(b)
+				if (a*7+b)%2 == 0 {
+					from, to = to, from
+				}
+				ch.SetLinkLoss(from, to, float64(a*len(pos)+b)/float64(len(pos)*len(pos)))
+				if (a+b)%5 == 0 {
+					ch.SetLinkDown(to, from, true)
+				}
+				set++
+			}
+		}
+		if set == 0 {
+			t.Fatal("no in-range pair to mutate")
+		}
+		ch.buildIndex()
+		checkIndexBruteForce(t, ch)
+	})
+
+	// A station registered mid-flight renumbers every slot; the rebuild
+	// must carry each station's sensed count, busy flag and locked
+	// reception over to its new slot.
+	t.Run("rebuild-after-AddNode", func(t *testing.T) {
+		pos := diskPositions(120, 9)
+		eng := sim.NewEngine(1)
+		ch := NewChannel(eng, DefaultConfig())
+		for i, p := range pos {
+			ch.AddNode(pkt.NodeID(i+10), p, nil)
+		}
+		for _, src := range []pkt.NodeID{10, 40, 75, 110} {
+			f := ch.Pool().Frame()
+			f.Type, f.TxSrc, f.TxDst = pkt.FrameData, src, src+1
+			ch.Transmit(src, f)
+		}
+		type state struct {
+			sensed int32
+			busy   bool
+			rx     reception
+		}
+		snapshot := func() map[pkt.NodeID]state {
+			m := map[pkt.NodeID]state{}
+			for _, st := range ch.order {
+				m[st.id] = state{ch.sensed[st.slot], ch.busyTx[st.slot], ch.rx[st.slot]}
+			}
+			return m
+		}
+		before := snapshot()
+		busy, locked := 0, 0
+		for _, s := range before {
+			if s.sensed > 0 {
+				busy++
+			}
+			if s.rx.tx != nil {
+				locked++
+			}
+		}
+		if busy == 0 || locked == 0 {
+			t.Fatalf("flights left %d stations sensing and %d locked; want some of each", busy, locked)
+		}
+		ch.AddNode(pkt.NodeID(1), Position{X: -1e5}, nil)
+		ch.buildIndex()
+		after := snapshot()
+		for id, s := range before {
+			if after[id] != s {
+				t.Errorf("%v: state %+v before the rebuild, %+v after", id, s, after[id])
+			}
+		}
+		if s := after[1]; s != (state{}) {
+			t.Errorf("new station starts with state %+v", s)
+		}
+		checkIndexBruteForce(t, ch)
+		for eng.RunStep() {
+		}
+		for id, s := range snapshot() {
+			if s.sensed != 0 || s.busy || s.rx.tx != nil {
+				t.Errorf("%v: state %+v after every flight ended", id, s)
+			}
+		}
+	})
 }
 
 // TestInterferenceRangeCoversCorruption verifies the index radius bound:

@@ -80,3 +80,22 @@ func BenchmarkChannelTransmit200(b *testing.B) {
 func BenchmarkChannelTransmitChain5(b *testing.B) {
 	benchTransmit(b, chainPositions(5))
 }
+
+// BenchmarkBuildIndex times one full neighbor-index build on a fresh
+// channel over a 400-node default-density disk: the set-up cost the first
+// transmission of a DiskScaling run pays.
+func BenchmarkBuildIndex(b *testing.B) {
+	b.Run("n=400", func(b *testing.B) {
+		pos := diskPositions(400, 1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ch := NewChannel(sim.NewEngine(1), DefaultConfig())
+			for j, p := range pos {
+				ch.AddNode(pkt.NodeID(j), p, nil)
+			}
+			b.StartTimer()
+			ch.buildIndex()
+		}
+	})
+}

@@ -67,14 +67,18 @@ func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, boo
 // graph rooted at node 0 (the gateway), visiting neighbours in ascending
 // id order so the resulting shortest-path tree is deterministic.
 // parent[i] is i's predecessor toward the gateway, or -1 if unreachable.
-// Topology builders use it both as a connectivity check and to draw
-// initial gateway-bound routes (following the parent chain from a node
-// yields its minimum-hop path to the gateway).
+// Topology builders use it to draw initial gateway-bound routes
+// (following the parent chain from a node yields its minimum-hop path to
+// the gateway); with Connected it is also the reference connectivity
+// test. mesh.RandomDisk screens its many rejected placements with a
+// cheaper unordered check and builds this tree only for the placement
+// it accepts.
 //
 // Candidates come from the same spatial hash the PHY neighbor index is
-// built with, so a connectivity pass is O(N·degree) instead of O(N²);
-// sorting each cell-neighborhood batch keeps the visit order — and with
-// it the resulting tree — identical to the all-pairs scan.
+// built with, so a pass is O(N·degree) instead of O(N²). The nodes a
+// dequeued node discovers are enqueued in ascending id order, which
+// keeps the visit order — and with it the resulting tree — identical to
+// the all-pairs scan.
 func GatewayTree(pos []phy.Position, txRange float64) []int {
 	n := len(pos)
 	parent := make([]int, n)
@@ -90,7 +94,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 		u := queue[0]
 		queue = queue[1:]
 		cand = g.Near(pos[u], cand[:0])
-		slices.Sort(cand)
+		found := len(queue)
 		for _, v32 := range cand {
 			v := int(v32)
 			if parent[v] < 0 && pos[u].Dist(pos[v]) <= txRange {
@@ -98,6 +102,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 				queue = append(queue, v)
 			}
 		}
+		slices.Sort(queue[found:])
 	}
 	return parent
 }
