@@ -178,15 +178,16 @@ func samplePositions(rng *rand.Rand, pos []phy.Position, radius float64) {
 // it rejects. One check serves every attempt of a RandomDisk call:
 //   - its cell grid covers the whole disk, so only the bucketing changes
 //     between attempts, and no buffer is allocated after the first;
-//   - the search visits nodes in whatever order the cells yield them,
-//     builds no tree and sorts nothing;
-//   - a reached node is swapped out of its cell, so later scans only see
-//     unreached candidates;
-//   - it stops as soon as the last node is reached.
+//   - it first looks for an isolated node, which near the connectivity
+//     threshold almost every disconnected placement has;
+//   - its search visits nodes in whatever order the cells yield them,
+//     builds no tree and sorts nothing, swaps each reached node out of
+//     its cell so later scans see only unreached candidates, and stops
+//     as soon as the last node is reached.
 type placementCheck struct {
-	txRange, lo, hi float64 // the range and its rangeBounds
-	radius, cell    float64 // the disk's radius and the cell side (>= txRange)
-	side            int     // cells per axis over the disk's bounding square
+	txRange      float64
+	radius, cell float64 // the disk's radius and the cell side (> txRange)
+	side         int     // cells per axis over the disk's bounding square
 	// Cell c's unreached nodes are items[start[c]:end[c]]; node i sits in
 	// cell cellOf[i] at items[at[i]].
 	start, end    []int32
@@ -195,17 +196,17 @@ type placementCheck struct {
 }
 
 // newPlacementCheck sizes a check for n-node placements over a disk of
-// the given radius centred at the origin. Cells are txRange wide unless
-// that would give more than about 4n of them, in which case they are
-// coarsened: any side of at least txRange keeps every in-range pair in
-// adjacent cells. A degenerate radius or range gets one cell.
+// the given radius centred at the origin. Cells are a hair wider than
+// txRange, so every in-range pair lies in adjacent cells even after the
+// cell arithmetic rounds, and are coarsened where txRange-wide cells
+// would number more than about 4n. A degenerate radius or range gets one
+// cell.
 func newPlacementCheck(n int, radius, txRange float64) *placementCheck {
 	pc := &placementCheck{txRange: txRange, radius: radius, cell: 1, side: 1}
-	pc.lo, pc.hi = rangeBounds(txRange)
 	span := 2 * radius
 	if txRange > 0 && span > 0 && !math.IsInf(span, 1) && !math.IsInf(txRange, 1) {
 		pc.side = min(int(span/txRange)+1, 2*int(math.Sqrt(float64(n)))+1)
-		pc.cell = math.Max(txRange, span/float64(pc.side))
+		pc.cell = math.Max(txRange, span/float64(pc.side)) * (1 + 1e-9)
 	}
 	cells := pc.side * pc.side
 	pc.start, pc.end = make([]int32, cells), make([]int32, cells)
@@ -218,6 +219,18 @@ func newPlacementCheck(n int, radius, txRange float64) *placementCheck {
 func (pc *placementCheck) axis(v float64) int {
 	c := int((v + pc.radius) / pc.cell)
 	return max(0, min(c, pc.side-1))
+}
+
+// around returns the cells adjacent to p's cell (and p's own): every
+// node within txRange of p is bucketed in one of them.
+func (pc *placementCheck) around(p phy.Position, dst []int) []int {
+	cx, cy := pc.axis(p.X), pc.axis(p.Y)
+	for y := max(cy-1, 0); y <= min(cy+1, pc.side-1); y++ {
+		for x := max(cx-1, 0); x <= min(cx+1, pc.side-1); x++ {
+			dst = append(dst, y*pc.side+x)
+		}
+	}
+	return dst
 }
 
 // connected reports whether every node of pos is reachable from node 0
@@ -240,10 +253,9 @@ func (pc *placementCheck) connected(pos []phy.Position) bool {
 		pc.end[c]++
 	}
 
-	// Near the connectivity threshold almost every disconnected placement
-	// has an isolated node, and spotting one is far cheaper than a search.
+	var cells [9]int
 	for i, u := range pos {
-		if !pc.hasNeighbor(int32(i), u, pos) {
+		if !pc.hasNeighbor(int32(i), u, pos, cells[:0]) {
 			return false
 		}
 	}
@@ -253,19 +265,15 @@ func (pc *placementCheck) connected(pos []phy.Position) bool {
 	n := len(pos)
 	for head := 0; head < len(queue) && len(queue) < n; head++ {
 		u := pos[queue[head]]
-		cx, cy := pc.axis(u.X), pc.axis(u.Y)
-		for y := max(cy-1, 0); y <= min(cy+1, pc.side-1); y++ {
-			for x := max(cx-1, 0); x <= min(cx+1, pc.side-1); x++ {
-				c := y*pc.side + x
-				for k := pc.start[c]; k < pc.end[c]; {
-					v := pc.items[k]
-					if !inRange(u, pos[v], pc.txRange, pc.lo, pc.hi) {
-						k++
-						continue
-					}
-					pc.take(v) // moves another unreached node into slot k
-					queue = append(queue, v)
+		for _, c := range pc.around(u, cells[:0]) {
+			for k := pc.start[c]; k < pc.end[c]; {
+				v := pc.items[k]
+				if u.Dist(pos[v]) > pc.txRange {
+					k++
+					continue
 				}
+				pc.take(v) // moves another unreached node into slot k
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -274,15 +282,11 @@ func (pc *placementCheck) connected(pos []phy.Position) bool {
 }
 
 // hasNeighbor reports whether node i at u has any other node in range.
-func (pc *placementCheck) hasNeighbor(i int32, u phy.Position, pos []phy.Position) bool {
-	cx, cy := pc.axis(u.X), pc.axis(u.Y)
-	for y := max(cy-1, 0); y <= min(cy+1, pc.side-1); y++ {
-		for x := max(cx-1, 0); x <= min(cx+1, pc.side-1); x++ {
-			c := y*pc.side + x
-			for _, v := range pc.items[pc.start[c]:pc.end[c]] {
-				if v != i && inRange(u, pos[v], pc.txRange, pc.lo, pc.hi) {
-					return true
-				}
+func (pc *placementCheck) hasNeighbor(i int32, u phy.Position, pos []phy.Position, cells []int) bool {
+	for _, c := range pc.around(u, cells) {
+		for _, v := range pc.items[pc.start[c]:pc.end[c]] {
+			if v != i && u.Dist(pos[v]) <= pc.txRange {
+				return true
 			}
 		}
 	}
@@ -296,32 +300,6 @@ func (pc *placementCheck) take(v int32) {
 	w := pc.items[last]
 	pc.items[pc.at[v]], pc.at[w] = w, pc.at[v]
 	pc.end[c] = last
-}
-
-// rangeBounds returns the squared-distance thresholds below and above
-// which inRange may settle a pair without math.Hypot: a relative margin
-// of 1e-9, millions of times the rounding error of either computation.
-// Outside the range of radii whose square is a comfortably normal float
-// the prefilter is disabled and every pair takes the exact path.
-func rangeBounds(r float64) (lo, hi float64) {
-	if r < 1e-100 || r > 1e100 || math.IsNaN(r) {
-		return -1, math.Inf(1)
-	}
-	return r * r * (1 - 1e-9), r * r * (1 + 1e-9)
-}
-
-// inRange reports p.Dist(q) <= r exactly. The squared distance settles
-// the pairs clearly inside or outside the range; only pairs within the
-// rangeBounds margin of the boundary pay for math.Hypot.
-func inRange(p, q phy.Position, r, lo, hi float64) bool {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	switch d2 := dx*dx + dy*dy; {
-	case d2 <= lo:
-		return true
-	case d2 > hi:
-		return false
-	}
-	return p.Dist(q) <= r
 }
 
 // ApplyEdgeLoss calibrates a deterministic edge-of-range loss model over
