@@ -70,9 +70,9 @@ func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, boo
 // Topology builders use it to draw initial gateway-bound routes
 // (following the parent chain from a node yields its minimum-hop path to
 // the gateway); with Connected it is also the reference connectivity
-// test. mesh.RandomDisk screens its many rejected placements with a
-// cheaper unordered check and builds this tree only for the placement
-// it accepts.
+// test. mesh.RandomDisk builds this tree for its first draw and for the
+// placement it accepts, and screens the draws in between with a cheaper
+// unordered check.
 //
 // Candidates come from the same spatial hash the PHY neighbor index is
 // built with, so a pass is O(N·degree) instead of O(N²). The nodes a
@@ -94,7 +94,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 		u := queue[0]
 		queue = queue[1:]
 		cand = g.Near(pos[u], cand[:0])
-		found := len(queue)
+		fresh := len(queue)
 		for _, v32 := range cand {
 			v := int(v32)
 			if parent[v] < 0 && pos[u].Dist(pos[v]) <= txRange {
@@ -102,7 +102,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 				queue = append(queue, v)
 			}
 		}
-		slices.Sort(queue[found:])
+		slices.Sort(queue[fresh:])
 	}
 	return parent
 }
