@@ -516,11 +516,14 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		}
 	}
 
-	// Queue traces at every node that relays for some flow.
+	// Queue traces at every node that relays for some flow. Each ring
+	// holds at most the samples the run can take, so a short run on a
+	// large mesh does not preallocate DefaultRingSize samples per node.
+	ring := min(trace.DefaultRingSize, int(cfg.Duration/cfg.QueueSample)+1)
 	for _, n := range m.Nodes() {
 		nn := n
 		sc.QueueTraces[n.ID] = trace.NewRecorder(eng,
-			fmt.Sprintf("queue-%v", n.ID), cfg.QueueSample,
+			fmt.Sprintf("queue-%v", n.ID), cfg.QueueSample, ring,
 			func() float64 { return float64(nn.MAC.TotalQueued()) })
 	}
 

@@ -66,10 +66,11 @@ type Recorder struct {
 	stop   bool
 }
 
-// NewRecorder starts sampling probe every period on eng. Call Stop at the
-// end of the run to flush the final partial block.
-func NewRecorder(eng *sim.Engine, name string, period sim.Time, probe func() float64) *Recorder {
-	r := &Recorder{Series: stats.Series{Name: name}, ring: NewRing(0)}
+// NewRecorder starts sampling probe every period on eng, buffering up to
+// ring samples between flushes (DefaultRingSize if ring <= 0). Call Stop
+// at the end of the run to flush the final partial block.
+func NewRecorder(eng *sim.Engine, name string, period sim.Time, ring int, probe func() float64) *Recorder {
+	r := &Recorder{Series: stats.Series{Name: name}, ring: NewRing(ring)}
 	var tick func()
 	tick = func() {
 		if r.stop {

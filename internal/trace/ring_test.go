@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"ezflow/internal/sim"
@@ -53,7 +54,7 @@ func TestRingOverflowPanics(t *testing.T) {
 func TestRecorder(t *testing.T) {
 	eng := sim.NewEngine(1)
 	v := 0.0
-	rec := NewRecorder(eng, "probe", sim.Second, func() float64 { v++; return v })
+	rec := NewRecorder(eng, "probe", sim.Second, 0, func() float64 { v++; return v })
 	eng.Run(10 * sim.Second)
 	rec.Stop()
 	if rec.Series.Len() != 10 {
@@ -75,7 +76,7 @@ func TestRecorder(t *testing.T) {
 // the series holds every sample exactly once, in time order.
 func TestRecorderStopFlushesPartialRing(t *testing.T) {
 	eng := sim.NewEngine(1)
-	rec := NewRecorder(eng, "probe", sim.Second, func() float64 { return 1 })
+	rec := NewRecorder(eng, "probe", sim.Second, 0, func() float64 { return 1 })
 	total := DefaultRingSize + 44 // one in-run flush plus a partial block
 	eng.Run(sim.Time(total) * sim.Second)
 	if rec.Series.Len() != DefaultRingSize {
@@ -108,7 +109,7 @@ func TestRecorderRegisteredAfterStart(t *testing.T) {
 	if eng.Now() != 5*sim.Second {
 		t.Fatalf("engine clock = %v, want 5s", eng.Now())
 	}
-	rec := NewRecorder(eng, "late", sim.Second, func() float64 { return float64(eng.Now() / sim.Second) })
+	rec := NewRecorder(eng, "late", sim.Second, 0, func() float64 { return float64(eng.Now() / sim.Second) })
 	eng.Run(10 * sim.Second)
 	rec.Stop()
 	if rec.Series.Len() != 5 {
@@ -126,7 +127,7 @@ func TestRecorderRegisteredAfterStart(t *testing.T) {
 // whole run allocates only O(n/ringsize) block growths.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
-	rec := NewRecorder(eng, "probe", sim.Second, func() float64 { return 1 })
+	rec := NewRecorder(eng, "probe", sim.Second, 0, func() float64 { return 1 })
 	eng.Run(sim.Time(DefaultRingSize) * sim.Second / 2) // half-fill the ring
 	if avg := testing.AllocsPerRun(50, func() {
 		eng.Run(eng.Now() + sim.Second)
@@ -134,4 +135,27 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("in-ring sampling allocates %.1f objects per tick, want 0", avg)
 	}
 	rec.Stop()
+}
+
+// TestRecorderRingSizeInvariant: the ring size only decides when samples
+// are flushed, never which ones the series ends up with, so callers may
+// size it to the samples a run can take.
+func TestRecorderRingSizeInvariant(t *testing.T) {
+	series := func(ring int) []stats.Point {
+		eng := sim.NewEngine(1)
+		v := 0.0
+		rec := NewRecorder(eng, "probe", sim.Second, ring, func() float64 { v += 0.5; return v })
+		eng.Run(37 * sim.Second)
+		rec.Stop()
+		return rec.Series.Points
+	}
+	want := series(0)
+	if len(want) != 37 {
+		t.Fatalf("default ring: %d samples, want 37", len(want))
+	}
+	for _, ring := range []int{1, 3, 37, 38} {
+		if got := series(ring); !slices.Equal(got, want) {
+			t.Fatalf("ring %d: series differs from the default ring's", ring)
+		}
+	}
 }
