@@ -90,6 +90,29 @@ func (g *SpatialGrid) axisCell(d float64) int {
 	return int(d / g.cell)
 }
 
+// candidatePairs returns how many unordered pairs of distinct stored
+// points lie in each other's 3×3 cell neighborhood: the pairs Near can
+// report, and so an upper bound on the pairs within the query radius.
+func (g *SpatialGrid) candidatePairs() int {
+	total := 0
+	for y := range g.rows {
+		for x := range g.cols {
+			k := len(g.cells[y*g.cols+x])
+			if k == 0 {
+				continue
+			}
+			near := 0
+			for ny := max(y-1, 0); ny <= min(y+1, g.rows-1); ny++ {
+				for nx := max(x-1, 0); nx <= min(x+1, g.cols-1); nx++ {
+					near += len(g.cells[ny*g.cols+nx])
+				}
+			}
+			total += k * (near - 1)
+		}
+	}
+	return total / 2
+}
+
 // Move re-buckets index i from its cell at `from` to its cell at `to`,
 // keeping cell contents ascending. Clamping makes the grid closed under
 // movement: a point that drifts outside the built extent lands in the

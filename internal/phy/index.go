@@ -81,13 +81,15 @@ func (c Config) interferenceRange() float64 {
 // previous slot assignment, so a rebuild between flights is transparent.
 //
 // The lists are built in two passes and never sorted. Pass 1 finds every
-// in-range pair once, from its lower slot, with its distance; counting
-// each pair at both ends gives every list's exact length, so the arenas
-// are sized once. Pass 2 visits the stations y in ascending slot order and
-// appends y to the list of each of its neighbors, which leaves every list
-// ascending by slot. Distance is symmetric to the bit, so the received
-// power is computed once per pair and both directed records carry the
-// values a per-direction computation would give.
+// in-range pair once, from its lower slot; counting each pair at both
+// ends gives every list's exact length, so the arenas are sized once.
+// Pass 1 keeps only each pair's upper slot, in a buffer sized up front
+// from the grid's cell populations, so the build allocates little beyond
+// the arenas it keeps. Pass 2 visits the stations y in ascending slot
+// order and appends y to the list of each of its neighbors, which leaves
+// every list ascending by slot. Distance is symmetric to the bit, so the
+// received power is computed once per pair and both directed records
+// carry the values a per-direction computation would give.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
 	r := c.cfg.interferenceRange()
@@ -110,11 +112,9 @@ func (c *Channel) buildIndex() {
 	c.grid = g
 	cand := c.scratch
 
-	// Pass 1: the in-range pairs (i, j > i), grouped by i, with their
-	// distances; count[i] and csCount[i] count i's neighbors and in-CS
-	// neighbors.
-	var upper []int32
-	var dist []float64
+	// Pass 1: the in-range pairs (i, j > i), grouped by i; count[i] and
+	// csCount[i] count i's neighbors and in-CS neighbors.
+	upper := make([]int32, 0, g.candidatePairs())
 	upperEnd := make([]int32, n)
 	count := make([]int32, n)
 	csCount := make([]int32, n)
@@ -129,7 +129,6 @@ func (c *Channel) buildIndex() {
 				continue
 			}
 			upper = append(upper, j)
-			dist = append(dist, d)
 			count[i]++
 			count[j]++
 			if d <= c.cfg.CSRange {
@@ -191,9 +190,9 @@ func (c *Channel) buildIndex() {
 		for _, l := range st.nbrs[:count[y]] {
 			add(l.slot, y, l)
 		}
-		for k := lo; k < upperEnd[y]; k++ {
-			d := dist[k]
-			add(upper[k], y, link{
+		for _, j := range upper[lo:upperEnd[y]] {
+			d := pos[y].Dist(pos[j])
+			add(j, y, link{
 				inCS:  d <= c.cfg.CSRange,
 				inTx:  d <= c.cfg.TxRange,
 				power: c.cfg.power(d),

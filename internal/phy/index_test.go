@@ -302,3 +302,32 @@ func TestSpatialGridNearSuperset(t *testing.T) {
 		}
 	}
 }
+
+// TestSpatialGridCandidatePairs pins the bound buildIndex sizes its pass-1
+// buffer with: it counts exactly the unordered pairs Near reports for the
+// stored points, so it is never below the pairs within the query radius.
+func TestSpatialGridCandidatePairs(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		radius float64
+	}{{80, 400}, {400, 978}, {50, math.Inf(1)}, {1, 100}, {0, 100}} {
+		pos := diskPositions(tc.n, 3)
+		g := NewSpatialGrid(pos, tc.radius)
+		near, inRange := 0, 0
+		for i, p := range pos {
+			for _, j := range g.Near(p, nil) {
+				if int(j) > i {
+					near++
+				}
+			}
+			for _, q := range pos[i+1:] {
+				if p.Dist(q) <= tc.radius {
+					inRange++
+				}
+			}
+		}
+		if got := g.candidatePairs(); got != near || got < inRange {
+			t.Fatalf("n=%d r=%g: candidatePairs = %d, want %d (Near pairs; %d in range)", tc.n, tc.radius, got, near, inRange)
+		}
+	}
+}
