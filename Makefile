@@ -56,7 +56,8 @@ staticcheck:
 # (key derivation and a store Put+Get round trip — the fixed overhead
 # a cache hit pays to skip a simulation), the mobility path (a
 # single incremental phy.MoveNode re-index, pinned at zero steady-state
-# allocs, plus a full 200-node waypoint disk run), and large-disk set-up
+# allocs, plus a full 200-node waypoint disk run and one route-repair
+# round over the mobile workload's disk), and large-disk set-up
 # (mesh.RandomDisk at 200 and 400 nodes with its connectivity
 # resampling, and one full PHY neighbor-index build) — gates them against
 # the committed baseline (BENCH_PR8.json; >25% allocs/op regression
@@ -66,7 +67,7 @@ staticcheck:
 # committed when the recorded trajectory changes), and prints the
 # speedup table.
 bench:
-	$(GO) test -bench='^BenchmarkChainRun|^BenchmarkEngineThroughput|^BenchmarkGrid100Run$$|^BenchmarkRandomDisk200Run$$|^BenchmarkDiskScaling$$|^BenchmarkRouting|^BenchmarkDiskScalingRouting$$|^BenchmarkWaypointDisk200$$' \
+	$(GO) test -bench='^BenchmarkChainRun|^BenchmarkEngineThroughput|^BenchmarkGrid100Run$$|^BenchmarkRandomDisk200Run$$|^BenchmarkDiskScaling$$|^BenchmarkRouting|^BenchmarkDiskScalingRouting$$|^BenchmarkWaypointDisk200$$|^BenchmarkRepairRound$$' \
 	    -benchmem -run='^$$' -benchtime=20x . | tee /tmp/bench.out
 	$(GO) test -bench='^BenchmarkEngine' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/sim | tee -a /tmp/bench.out

@@ -586,9 +586,7 @@ func (sc *Scenario) repairRoutes() {
 		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
 			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
 	}
-	for _, f := range m.Flows() {
-		m.RerouteFlow(f, usable)
-	}
+	m.RerouteFlows(usable)
 	if sc.Ctl != nil {
 		sc.Ctl.Extend(m)
 	}

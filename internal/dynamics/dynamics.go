@@ -12,7 +12,7 @@
 // attached, so a dynamics-enabled run remains a pure function of
 // (scenario, seed): same script, same seed, byte-identical results on any
 // worker count. Events that change connectivity can request route repair,
-// a deterministic BFS over the surviving links (mesh.RerouteFlow).
+// a deterministic search over the surviving links (mesh.RerouteFlows).
 //
 // The package deliberately depends only on the mesh/phy/mac/traffic
 // layers, never on the public ezflow package, so the root package can
@@ -465,9 +465,7 @@ func (e *Engine) Usable(a, b pkt.NodeID) bool {
 // (flows in ascending id order), then fires OnReroute. Flows with no
 // surviving path keep their broken route until connectivity returns.
 func (e *Engine) RerouteAll() {
-	for _, f := range e.m.Flows() {
-		e.m.RerouteFlow(f, e.Usable)
-	}
+	e.m.RerouteFlows(e.Usable)
 	e.recordRelays()
 	if e.OnReroute != nil {
 		e.OnReroute()

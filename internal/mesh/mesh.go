@@ -8,6 +8,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ezflow/internal/mac"
@@ -75,6 +76,9 @@ type Mesh struct {
 	Ch  *phy.Channel
 
 	nodes map[pkt.NodeID]*Node
+	// ids caches the node ids in ascending order for RoutingGraph; AddNode
+	// clears it.
+	ids []pkt.NodeID
 	// routes[flow] is the full node path source..destination.
 	routes map[pkt.FlowID][]pkt.NodeID
 	// nextHop[flow][node] -> successor on that flow.
@@ -121,6 +125,7 @@ func (m *Mesh) AddNode(id pkt.NodeID, pos phy.Position) *Node {
 	}
 	n.MAC.OnDeliver(func(p *pkt.Packet, from pkt.NodeID) { m.arrive(n, p) })
 	m.nodes[id] = n
+	m.ids = nil
 	return n
 }
 
@@ -259,23 +264,30 @@ func (m *Mesh) Strategy() routing.Strategy {
 }
 
 // RoutingGraph assembles the read-only topology view routing strategies
-// compute over: ascending node ids, the usable-link predicate (plain
-// transmission range when usable is nil — the build-time connectivity),
-// the channel's calibrated losses, and the live per-link MAC counters.
+// compute over: ascending node ids, candidate next hops from the PHY
+// neighbor index, the usable-link predicate (plain transmission range
+// when usable is nil — the build-time connectivity), the channel's
+// calibrated losses, and the live per-link MAC counters. usable must
+// admit only links within transmission range: candidates come from
+// phy.Channel.TxNeighbors. The Graph is one routing round's snapshot
+// (see routing.Graph); build a new one after the topology changes.
 func (m *Mesh) RoutingGraph(usable func(a, b pkt.NodeID) bool) *routing.Graph {
-	ids := make([]pkt.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
+	if m.ids == nil {
+		m.ids = make([]pkt.NodeID, 0, len(m.nodes))
+		for id := range m.nodes {
+			m.ids = append(m.ids, id)
+		}
+		slices.Sort(m.ids)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if usable == nil {
 		usable = m.Ch.InTxRange
 	}
 	return &routing.Graph{
-		IDs:      ids,
-		Usable:   usable,
-		LinkLoss: m.Ch.LinkLoss,
-		Measured: m.linkMeasured,
+		IDs:       m.ids,
+		Neighbors: m.Ch.TxNeighbors,
+		Usable:    usable,
+		LinkLoss:  m.Ch.LinkLoss,
+		Measured:  m.linkMeasured,
 	}
 }
 
@@ -303,20 +315,36 @@ func (m *Mesh) linkMeasured(a, b pkt.NodeID) (acked, retries uint64, ok bool) {
 // RerouteFlow recomputes the flow's path from its source to its
 // destination with the active routing strategy over the links admitted by
 // the usable predicate (typically transmission range minus failed links
-// and halted nodes) and installs the result. Every strategy is
-// deterministic, so repairs are too. It reports whether a path was found;
-// when none exists the previous route stays in place and the failure is
-// counted (RerouteFailures) — traffic stalls at the break until
-// connectivity returns, exactly like a static routing agent that has not
-// re-converged. Endpoints are always considered, even when usable
+// and halted nodes; see RoutingGraph) and installs the result. Every
+// strategy is deterministic, so repairs are too. It reports whether a
+// path was found; when none exists the previous route stays in place and
+// the failure is counted (RerouteFailures) — traffic stalls at the break
+// until connectivity returns, exactly like a static routing agent that
+// has not re-converged. Endpoints are always considered, even when usable
 // excludes them as relays of other flows.
 func (m *Mesh) RerouteFlow(flow pkt.FlowID, usable func(a, b pkt.NodeID) bool) bool {
+	return m.reroute(m.RoutingGraph(usable), flow)
+}
+
+// RerouteFlows repairs every installed flow, in ascending id order, as
+// RerouteFlow would, over one routing graph for the whole round, so the
+// strategy can share work between flows: BFS searches once per distinct
+// source. Mobility and dynamics repair both run through it.
+func (m *Mesh) RerouteFlows(usable func(a, b pkt.NodeID) bool) {
+	g := m.RoutingGraph(usable)
+	for _, f := range m.Flows() {
+		m.reroute(g, f)
+	}
+}
+
+// reroute is RerouteFlow over a prepared graph.
+func (m *Mesh) reroute(g *routing.Graph, flow pkt.FlowID) bool {
 	route := m.routes[flow]
 	if len(route) < 2 {
 		return false
 	}
 	src, dst := route[0], route[len(route)-1]
-	path, ok := m.Strategy().Route(m.RoutingGraph(usable), flow, src, dst)
+	path, ok := m.Strategy().Route(g, flow, src, dst)
 	if !ok {
 		m.rerouteFailures++
 		return false

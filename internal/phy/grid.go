@@ -13,7 +13,8 @@ import "math"
 // neighborhood. Within a cell, indices are stored ascending; Near
 // therefore returns candidates that are sorted per cell but not
 // globally — callers that need ascending order (the repository's
-// determinism convention for broadcast iteration) sort the result.
+// determinism convention for broadcast iteration) order the result
+// themselves (GatewayTree sorts, MoveNode reads a slot bitset back).
 type SpatialGrid struct {
 	cell       float64
 	minX, minY float64

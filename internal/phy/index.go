@@ -110,6 +110,7 @@ func (c *Channel) buildIndex() {
 
 	g := NewSpatialGrid(pos, r)
 	c.grid = g
+	c.txListed = c.cfg.TxRange <= r
 	cand := c.scratch
 
 	// Pass 1: the in-range pairs (i, j > i), grouped by i; count[i] and
@@ -223,6 +224,30 @@ func (s *Station) neighbor(slot int32) *link {
 		return &s.nbrs[lo]
 	}
 	return nil
+}
+
+// TxNeighbors calls yield(b) for every station b != a with
+// InTxRange(a, b), in ascending id order. Once the index is built it
+// walks a's cached records with inTx set, O(degree); before the first
+// build, or when TxRange reaches past the interference radius (so the
+// lists can miss decodable stations), it scans every station with the
+// same distance test InTxRange makes. Both paths yield the same set in
+// the same order. Route repair enumerates candidate next hops with it.
+func (c *Channel) TxNeighbors(a pkt.NodeID, yield func(b pkt.NodeID)) {
+	st := c.station(a)
+	if c.indexed && c.txListed {
+		for i := range st.nbrs {
+			if st.nbrs[i].inTx {
+				yield(c.order[st.nbrs[i].slot].id)
+			}
+		}
+		return
+	}
+	for _, o := range c.order {
+		if o != st && st.pos.Dist(o.pos) <= c.cfg.TxRange {
+			yield(o.id)
+		}
+	}
 }
 
 // cachedLink returns the mutable record of the directed link a->b, or

@@ -1,7 +1,10 @@
 package phy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ezflow/internal/pkt"
@@ -330,4 +333,79 @@ func TestSpatialGridCandidatePairs(t *testing.T) {
 			t.Fatalf("n=%d r=%g: candidatePairs = %d, want %d (Near pairs; %d in range)", tc.n, tc.radius, got, near, inRange)
 		}
 	}
+}
+
+// TestTxNeighborsMatchesInTxRange pins TxNeighbors to its contract, every
+// b != a with InTxRange(a, b) in ascending id order, on both of its
+// paths: the all-stations scan before the first build, the index walk
+// after it and through 1,000 random moves, and the scan again when
+// TxRange reaches past the neighbor-list radius.
+func TestTxNeighborsMatchesInTxRange(t *testing.T) {
+	check := func(t *testing.T, ch *Channel, when string) {
+		t.Helper()
+		ids := ch.NodeIDs()
+		var got, want []pkt.NodeID
+		for _, a := range ids {
+			got, want = got[:0], want[:0]
+			ch.TxNeighbors(a, func(b pkt.NodeID) { got = append(got, b) })
+			for _, b := range ids {
+				if b != a && ch.InTxRange(a, b) {
+					want = append(want, b)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: TxNeighbors(%v) = %v, want %v", when, a, got, want)
+			}
+		}
+	}
+	build := func(cfg Config, n int) (*Channel, *sim.Engine) {
+		eng := sim.NewEngine(1)
+		ch := NewChannel(eng, cfg)
+		for i, p := range diskPositions(n, 5) {
+			ch.AddNode(pkt.NodeID(i), p, nil)
+		}
+		return ch, eng
+	}
+	transmit := func(ch *Channel, eng *sim.Engine) {
+		f := ch.Pool().Frame()
+		f.Type = pkt.FrameData
+		f.TxSrc, f.TxDst = 0, 1
+		ch.TransmitFrom(ch.station(0), f)
+		for eng.RunStep() {
+		}
+	}
+
+	t.Run("index", func(t *testing.T) {
+		ch, eng := build(DefaultConfig(), 120)
+		check(t, ch, "before the build")
+		transmit(ch, eng)
+		if !ch.indexed || !ch.txListed {
+			t.Fatal("the first transmission did not build a list covering TxRange")
+		}
+		check(t, ch, "after the build")
+		rng := rand.New(rand.NewSource(3))
+		extent := 100 * math.Sqrt(120)
+		for step := range 1000 {
+			id := pkt.NodeID(rng.Intn(120))
+			p := ch.Position(id)
+			ch.MoveNode(id, Position{X: p.X + rng.NormFloat64()*extent/8, Y: p.Y + rng.NormFloat64()*extent/8})
+			if step%50 == 49 {
+				check(t, ch, fmt.Sprintf("after %d moves", step+1))
+			}
+		}
+		if err := ch.VerifyIndex(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("tx-beyond-lists", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.TxRange = 2 * cfg.interferenceRange()
+		ch, eng := build(cfg, 120)
+		transmit(ch, eng)
+		if !ch.indexed || ch.txListed {
+			t.Fatal("want a built index whose lists stop short of TxRange")
+		}
+		check(t, ch, "TxRange past the list radius")
+	})
 }

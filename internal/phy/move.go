@@ -30,6 +30,7 @@ package phy
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ezflow/internal/pkt"
@@ -94,9 +95,10 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 	// position, into the reusable staging buffer, ascending by slot.
 	r := c.cfg.interferenceRange()
 	cand := c.grid.Near(pos, c.scratch[:0])
-	slices.Sort(cand)
+	c.scratch = cand
+	mutated := len(c.loss) > 0 || len(c.down) > 0
 	newL := c.moveBuf[:0]
-	for _, j := range cand {
+	for _, j := range c.ascending(cand) {
 		if j == st.slot {
 			continue
 		}
@@ -105,17 +107,19 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 		if d > r {
 			continue
 		}
-		key := linkKey{st.id, o.id}
-		newL = append(newL, link{
+		l := link{
 			slot:  j,
 			inCS:  d <= c.cfg.CSRange,
 			inTx:  d <= c.cfg.TxRange,
-			down:  c.down[key],
 			power: c.cfg.power(d),
-			loss:  c.loss[key],
-		})
+		}
+		if mutated {
+			key := linkKey{st.id, o.id}
+			l.down, l.loss = c.down[key], c.loss[key]
+		}
+		newL = append(newL, l)
 	}
-	c.scratch, c.moveBuf = cand, newL
+	c.moveBuf = newL
 
 	// Merge-diff the old and new lists (both ascending by slot) and patch
 	// the reverse direction at each affected neighbor. Range predicates
@@ -141,14 +145,12 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 				changed = true
 			}
 			b := c.order[nl.slot]
-			c.insertNeighbor(b, link{
-				slot:  st.slot,
-				inCS:  nl.inCS,
-				inTx:  nl.inTx,
-				down:  c.down[linkKey{b.id, st.id}],
-				power: nl.power,
-				loss:  c.loss[linkKey{b.id, st.id}],
-			})
+			rev := link{slot: st.slot, inCS: nl.inCS, inTx: nl.inTx, power: nl.power}
+			if mutated {
+				key := linkKey{b.id, st.id}
+				rev.down, rev.loss = c.down[key], c.loss[key]
+			}
+			c.insertNeighbor(b, rev)
 			j++
 		default:
 			// Kept neighbor: refresh geometry in place, both directions.
@@ -181,6 +183,34 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 
 	c.moveFlightState(st)
 	return changed
+}
+
+// ascending puts the grid candidates cand into ascending slot order, in
+// place, without sorting: it marks each slot in a reused bitset and reads
+// the set bits back in word order, O(len + words spanned). The grid's
+// cells are disjoint, so no slot appears twice.
+func (c *Channel) ascending(cand []int32) []int32 {
+	if len(cand) == 0 {
+		return cand
+	}
+	if need := (len(c.order) + 63) / 64; len(c.candBits) < need {
+		c.candBits = make([]uint64, need)
+	}
+	set := c.candBits
+	lo, hi := len(set), 0
+	for _, j := range cand {
+		w := int(j >> 6)
+		set[w] |= 1 << (j & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	out := cand[:0]
+	for w := lo; w <= hi; w++ {
+		for b := set[w]; b != 0; b &= b - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(b)))
+		}
+		set[w] = 0
+	}
+	return out
 }
 
 // moveFlightState reconciles the mover's receiver state with the

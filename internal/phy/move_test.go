@@ -179,6 +179,35 @@ func TestMoveWhileTransmittingPanics(t *testing.T) {
 	_ = eng
 }
 
+// TestMoveNodeReadsLinkStateMaps covers MoveNode's skip of the loss and
+// down maps when both are empty: with only one of them set, a node
+// moving out of and back into range of its severed or lossy peers must
+// carry the link state into the records it recreates, in both
+// directions.
+func TestMoveNodeReadsLinkStateMaps(t *testing.T) {
+	for _, only := range []string{"down", "loss"} {
+		t.Run(only, func(t *testing.T) {
+			ch, _, a, b := moveBench(200)
+			far := Position{X: a.X + 5000, Y: a.Y}
+			for _, peer := range []pkt.NodeID{3, 11, 42, 150} {
+				if only == "down" {
+					ch.SetLinkDown(7, peer, true)
+					ch.SetLinkDown(peer, 7, true)
+				} else {
+					ch.SetLinkLoss(7, peer, 0.25)
+					ch.SetLinkLoss(peer, 7, 0.5)
+				}
+			}
+			for _, p := range []Position{far, a, b, far, b} {
+				ch.MoveNode(7, p)
+				if err := ch.VerifyIndex(); err != nil {
+					t.Fatalf("after moving to %v: %v", p, err)
+				}
+			}
+		})
+	}
+}
+
 // TestMoveNodeSteadyStateAllocs pins the zero-alloc steady state of the
 // incremental move path once list capacities have warmed up.
 func TestMoveNodeSteadyStateAllocs(t *testing.T) {

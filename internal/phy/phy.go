@@ -170,9 +170,14 @@ type Channel struct {
 	scratch []int32 // candidate buffer reused across index builds
 	// grid is the spatial hash the last buildIndex bucketed the stations
 	// into, kept alive so MoveNode can re-bucket a moving station without
-	// rebuilding; moveBuf is MoveNode's reusable new-list staging buffer.
-	grid    *SpatialGrid
-	moveBuf []link
+	// rebuilding; moveBuf is MoveNode's reusable new-list staging buffer,
+	// candBits its slot bitset for ordering grid candidates.
+	grid     *SpatialGrid
+	moveBuf  []link
+	candBits []uint64
+	// txListed marks TxRange as within the neighbor-list radius, so every
+	// decodable pair has a record and TxNeighbors can walk the lists.
+	txListed bool
 	// Arenas backing every station's neighbor lists (sub-sliced by
 	// buildIndex); pointer-free, so invisible to the garbage collector.
 	linkArena []link

@@ -27,40 +27,96 @@ func (BFS) Name() string { return "bfs" }
 
 // Route runs the breadth-first search over g's usable links. The flow id
 // is ignored: minimum-hop paths are flow-independent.
+//
+// The first Route from a source builds that source's whole search tree
+// and memoises it on g; later calls from the same source, for any
+// destination, only walk the tree. This returns exactly the path an
+// early-stopping search would: a node's parent is fixed when the search
+// first discovers it, and stopping once dst is found changes nothing
+// discovered before it. Downlink flows all start at the gateway, so a
+// repair round over them runs one search.
 func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool) {
-	parent := map[pkt.NodeID]pkt.NodeID{src: src}
-	queue := []pkt.NodeID{src}
-	found := false
-	for len(queue) > 0 && !found {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.IDs {
-			if _, seen := parent[v]; seen || !g.Usable(u, v) {
-				continue
-			}
-			parent[v] = u
-			if v == dst {
-				found = true
-				break
-			}
-			queue = append(queue, v)
-		}
-	}
-	if !found {
+	si, ok := g.slot(src)
+	if !ok {
 		return nil, false
 	}
-	var rev []pkt.NodeID
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
+	di, ok := g.slot(dst)
+	if !ok || di == si {
+		return nil, false
+	}
+	parent := g.bfsTree(int32(si))
+	if parent[di] < 0 {
+		return nil, false
+	}
+	return g.treePath(parent, int32(si), int32(di)), true
+}
+
+// treePath reads the path src..dst, given as slots, out of a predecessor
+// tree over g's slots (parent[src] == src), allocating only the path.
+func (g *Graph) treePath(parent []int32, src, dst int32) []pkt.NodeID {
+	hops := 0
+	for v := dst; v != src; v = parent[v] {
+		hops++
+	}
+	path := make([]pkt.NodeID, hops+1)
+	for v, k := dst, hops; k >= 0; v, k = parent[v], k-1 {
+		path[k] = g.IDs[v]
+	}
+	return path
+}
+
+// bfsTrees is a Graph's memo of BFS search trees, one per source.
+type bfsTrees struct {
+	owner *Graph
+	// src[i] is the source slot of the tree parent[i]. parent[i][v] is
+	// v's predecessor slot toward the source (the source is its own
+	// parent), or -1 when v is unreachable.
+	src    []int32
+	parent [][]int32
+	queue  []int32 // search queue, reused across sources
+}
+
+// bfsTree returns the search tree rooted at slot src, building and
+// memoising it on first use. Nodes are dequeued in discovery order and
+// each one's candidates are tried in ascending id order, so ties break
+// toward the lowest id exactly as the all-ids scan did.
+func (g *Graph) bfsTree(src int32) []int32 {
+	t := g.trees
+	if t == nil || t.owner != g {
+		t = &bfsTrees{owner: g}
+		g.trees = t
+	}
+	for i, s := range t.src {
+		if s == src {
+			return t.parent[i]
 		}
 	}
-	path := make([]pkt.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	parent := make([]int32, len(g.IDs))
+	for i := range parent {
+		parent[i] = -1
 	}
-	return path, true
+	parent[src] = src
+	if t.queue == nil {
+		t.queue = make([]int32, 0, len(g.IDs))
+	}
+	queue := append(t.queue[:0], src)
+	var u int32
+	visit := func(v pkt.NodeID) {
+		vi, ok := g.slot(v)
+		if !ok || parent[vi] >= 0 || !g.Usable(g.IDs[u], v) {
+			return
+		}
+		parent[vi] = u
+		queue = append(queue, int32(vi))
+	}
+	for head := 0; head < len(queue); head++ {
+		u = queue[head]
+		g.neighbors(g.IDs[u], visit)
+	}
+	t.queue = queue
+	t.src = append(t.src, src)
+	t.parent = append(t.parent, parent)
+	return parent
 }
 
 // GatewayTree runs a breadth-first search over the transmission-range

@@ -63,35 +63,48 @@ func (e *ETX) LinkCost(g *Graph, a, b pkt.NodeID) float64 {
 // id is ignored: the cheapest path is flow-independent.
 func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool) {
 	n := len(g.IDs)
-	idx := make(map[pkt.NodeID]int, n)
-	for i, id := range g.IDs {
-		idx[id] = i
-	}
-	si, ok := idx[src]
+	si, ok := g.slot(src)
 	if !ok {
 		return nil, false
 	}
-	di, ok := idx[dst]
+	di, ok := g.slot(dst)
 	if !ok {
 		return nil, false
 	}
 
 	const unreached = -1
 	dist := make([]float64, n)
-	parent := make([]int, n)
+	parent := make([]int32, n)
 	done := make([]bool, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = unreached
 	}
 	dist[si] = 0
-	parent[si] = si
+	parent[si] = int32(si)
 
+	// Relaxing u's out-links touches each neighbour once, so the result
+	// does not depend on the order Neighbors yields them in.
+	var u int
+	relax := func(vid pkt.NodeID) {
+		v, ok := g.slot(vid)
+		if !ok || done[v] || !g.Usable(g.IDs[u], vid) {
+			return
+		}
+		c := e.LinkCost(g, g.IDs[u], vid)
+		if math.IsInf(c, 1) {
+			return
+		}
+		if nd := dist[u] + c; nd < dist[v] {
+			dist[v] = nd
+			parent[v] = int32(u)
+		}
+	}
 	// O(V²) selection: scan for the unsettled minimum. Topologies top out
 	// in the hundreds of nodes, and the ascending scan doubles as the
 	// lowest-id tie-break, which a binary heap would not give for free.
 	for {
-		u := unreached
+		u = unreached
 		for i := 0; i < n; i++ {
 			if !done[i] && parent[i] != unreached && (u == unreached || dist[i] < dist[u]) {
 				u = i
@@ -104,34 +117,10 @@ func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, 
 			break
 		}
 		done[u] = true
-		uid := g.IDs[u]
-		for v := 0; v < n; v++ {
-			if done[v] || !g.Usable(uid, g.IDs[v]) {
-				continue
-			}
-			c := e.LinkCost(g, uid, g.IDs[v])
-			if math.IsInf(c, 1) {
-				continue
-			}
-			if nd := dist[u] + c; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = u
-			}
-		}
+		g.neighbors(g.IDs[u], relax)
 	}
 
-	var rev []pkt.NodeID
-	for v := di; ; v = parent[v] {
-		rev = append(rev, g.IDs[v])
-		if v == si {
-			break
-		}
-	}
-	path := make([]pkt.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path, true
+	return g.treePath(parent, int32(si), int32(di)), true
 }
 
 // PathCost sums a path's link costs under this strategy's rules — the

@@ -77,10 +77,13 @@ func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 			for _, u := range root[:len(root)-1] {
 				bannedNode[u] = true
 			}
+			// A fresh Graph: the spur search must not reuse g's memoised
+			// trees, which ignore the bans.
 			sub := &Graph{
-				IDs:      g.IDs,
-				LinkLoss: g.LinkLoss,
-				Measured: g.Measured,
+				IDs:       g.IDs,
+				Neighbors: g.Neighbors,
+				LinkLoss:  g.LinkLoss,
+				Measured:  g.Measured,
 				Usable: func(a, b pkt.NodeID) bool {
 					if bannedNode[a] || bannedNode[b] || bannedEdge[[2]pkt.NodeID{a, b}] {
 						return false

@@ -29,6 +29,7 @@
 package routing
 
 import (
+	"slices"
 	"strings"
 
 	"ezflow/internal/pkt"
@@ -38,10 +39,23 @@ import (
 // Graph is the read-only topology view a Strategy computes over. The mesh
 // layer assembles it; strategies never see the mesh itself, so they cannot
 // perturb simulation state.
+//
+// A Graph is a snapshot: build one per routing round (a repair of every
+// flow, a wiring-time recomputation) and do not change the topology or
+// the predicates behind it between Route calls on it. Strategies may
+// memoise work on the Graph for the rest of the round — BFS keeps one
+// search tree per source — so a stale Graph would keep answering for the
+// old topology. A Graph is not safe for concurrent Route calls.
 type Graph struct {
 	// IDs holds every node id in ascending order. Strategies iterate this
 	// slice (never a map) so their visit order is deterministic.
 	IDs []pkt.NodeID
+	// Neighbors calls yield(b), in ascending id order, for every b != a
+	// that a might reach: a superset of the b with Usable(a, b), which
+	// strategies still check per candidate. The mesh walks the PHY
+	// neighbor index here, so a search costs O(degree) per node instead
+	// of O(N). Nil stands for every id in IDs.
+	Neighbors func(a pkt.NodeID, yield func(b pkt.NodeID))
 	// Usable reports whether the directed link a->b can carry traffic
 	// right now: both endpoints up, the link not severed, b within a's
 	// transmission range. During route repair this is the dynamics
@@ -58,6 +72,33 @@ type Graph struct {
 	// queue toward b. Nil when the caller has no MAC state (pure
 	// topology-level computations).
 	Measured func(a, b pkt.NodeID) (acked, retries uint64, ok bool)
+
+	// trees memoises BFS search trees by source (see BFS.Route); owner
+	// guards against a copied Graph reusing the original's trees.
+	trees *bfsTrees
+}
+
+// neighbors calls yield for every candidate next hop of a: the Graph's
+// Neighbors, or every other id when a hand-built Graph leaves it nil.
+func (g *Graph) neighbors(a pkt.NodeID, yield func(b pkt.NodeID)) {
+	if g.Neighbors != nil {
+		g.Neighbors(a, yield)
+		return
+	}
+	for _, b := range g.IDs {
+		if b != a {
+			yield(b)
+		}
+	}
+}
+
+// slot returns id's position in IDs. Ids are often dense from 0, so the
+// common case is a direct hit; anything else falls back to binary search.
+func (g *Graph) slot(id pkt.NodeID) (int, bool) {
+	if i := int(id); i >= 0 && i < len(g.IDs) && g.IDs[i] == id {
+		return i, true
+	}
+	return slices.BinarySearch(g.IDs, id)
 }
 
 // Strategy computes one flow's path over a graph view.

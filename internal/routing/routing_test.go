@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,5 +248,125 @@ func TestOptionsDefaults(t *testing.T) {
 	FillDefaults(&set)
 	if set.K != 9 || set.MinAcked != 2 {
 		t.Errorf("FillDefaults clobbered caller values: %+v", set)
+	}
+}
+
+// TestBFSMemoNeverCrossesGraphs pins the search-tree memo to the Graph it
+// was built on. A Graph copied by value, or a fresh Graph over the same
+// ids, with a different Usable must search again rather than answer from
+// the original's tree; the original keeps answering from its own.
+func TestBFSMemoNeverCrossesGraphs(t *testing.T) {
+	edges := [][2]pkt.NodeID{{0, 1}, {1, 3}, {0, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}}
+	g := testGraph(6, edges, nil)
+	want := []pkt.NodeID{0, 1, 3}
+	if got, ok := (BFS{}).Route(g, 1, 0, 3); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Route = %v, %v; want %v", got, ok, want)
+	}
+	// Severing node 1 leaves 0-2-3; severing 1 and 2 leaves the detour.
+	without := func(bad ...pkt.NodeID) func(a, b pkt.NodeID) bool {
+		return func(a, b pkt.NodeID) bool {
+			for _, x := range bad {
+				if a == x || b == x {
+					return false
+				}
+			}
+			return g.Usable(a, b)
+		}
+	}
+	copied := *g
+	copied.Usable = without(1)
+	if got, ok := (BFS{}).Route(&copied, 1, 0, 3); !ok || !reflect.DeepEqual(got, []pkt.NodeID{0, 2, 3}) {
+		t.Errorf("copied Graph: Route = %v, %v; want [0 2 3]", got, ok)
+	}
+	fresh := &Graph{IDs: g.IDs, Neighbors: g.Neighbors, Usable: without(1, 2)}
+	if got, ok := (BFS{}).Route(fresh, 1, 0, 3); !ok || !reflect.DeepEqual(got, []pkt.NodeID{0, 4, 5, 3}) {
+		t.Errorf("fresh Graph: Route = %v, %v; want [0 4 5 3]", got, ok)
+	}
+	if got, ok := (BFS{}).Route(g, 1, 0, 3); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("original Graph after the others: Route = %v, %v; want %v", got, ok, want)
+	}
+	// Yen's spur searches ban nodes and edges; running them on a warmed
+	// Graph must rank the same paths as on a cold one.
+	ks := &KShortest{K: 4}
+	cold := ks.Paths(testGraph(6, edges, nil), 0, 3)
+	if warm := ks.Paths(g, 0, 3); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("k-shortest on a warmed Graph = %v, cold %v", warm, cold)
+	}
+}
+
+// TestBFSRouteWarmAllocs pins the memoised lookup: once a source's tree
+// is built, Route allocates only the path it returns.
+func TestBFSRouteWarmAllocs(t *testing.T) {
+	var edges [][2]pkt.NodeID
+	for i := pkt.NodeID(0); i < 40; i++ {
+		edges = append(edges, [2]pkt.NodeID{i, i + 1})
+		if i%3 == 0 {
+			edges = append(edges, [2]pkt.NodeID{i, i + 2})
+		}
+	}
+	g := testGraph(41, edges, nil)
+	if _, ok := (BFS{}).Route(g, 1, 0, 40); !ok {
+		t.Fatal("no route along a connected line")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		(BFS{}).Route(g, 1, 0, 40)
+		(BFS{}).Route(g, 2, 0, 17)
+	}); allocs != 2 {
+		t.Fatalf("warm Route allocates %.1f allocs per two calls, want 2 (the paths)", allocs)
+	}
+}
+
+// TestNeighborsDoNotChangeRoutes checks every strategy routes the same
+// over a Graph that lists candidate next hops as over one that leaves
+// Neighbors nil (every id), on random sparse graphs with asymmetric
+// usable links and losses.
+func TestNeighborsDoNotChangeRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 20 {
+		n := 30 + rng.Intn(30)
+		ids := make([]pkt.NodeID, n)
+		for i := range ids {
+			ids[i] = pkt.NodeID(3 * i) // sparse ids exercise the slot search
+		}
+		adj := make([][]pkt.NodeID, 3*n)
+		usable := make(map[[2]pkt.NodeID]bool)
+		loss := make(map[[2]pkt.NodeID]float64)
+		for _, a := range ids {
+			for _, b := range ids {
+				if a != b && rng.Float64() < 0.12 {
+					adj[a] = append(adj[a], b)
+					usable[[2]pkt.NodeID{a, b}] = rng.Float64() < 0.9
+					loss[[2]pkt.NodeID{a, b}] = rng.Float64() / 2
+				}
+			}
+		}
+		graph := func(withNeighbors bool) *Graph {
+			g := &Graph{
+				IDs:      ids,
+				Usable:   func(a, b pkt.NodeID) bool { return usable[[2]pkt.NodeID{a, b}] },
+				LinkLoss: func(a, b pkt.NodeID) float64 { return loss[[2]pkt.NodeID{a, b}] },
+			}
+			if withNeighbors {
+				g.Neighbors = func(a pkt.NodeID, yield func(pkt.NodeID)) {
+					for _, b := range adj[a] {
+						yield(b)
+					}
+				}
+			}
+			return g
+		}
+		for _, s := range []Strategy{BFS{}, &ETX{MinAcked: 8}, &KShortest{K: 3}} {
+			all, listed := graph(false), graph(true)
+			for range 10 {
+				src, dst := ids[rng.Intn(n)], ids[rng.Intn(n)]
+				flow := pkt.FlowID(1 + rng.Intn(4))
+				want, wok := s.Route(all, flow, src, dst)
+				got, gok := s.Route(listed, flow, src, dst)
+				if wok != gok || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %s %v->%v: with Neighbors %v, %v; without %v, %v",
+						trial, s.Name(), src, dst, got, gok, want, wok)
+				}
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/mobility"
 	"ezflow/internal/routing"
 )
 
@@ -135,22 +136,27 @@ func routingStrategy(b *testing.B, name string) routing.Strategy {
 	return info.New(routing.DefaultOptions())
 }
 
-// benchRouteBuild measures one strategy's pure route-computation cost on
-// a 200-node lossy random disk: the graph is assembled once, then each
-// iteration recomputes the rim flow's path — the work a dynamics-driven
-// repair performs mid-run.
+// benchRouteBuild measures one strategy's route-computation cost on a
+// 200-node lossy random disk in mid-run state: a short run builds the PHY
+// neighbor index repair walks, then each iteration assembles a fresh
+// routing graph and recomputes the rim flow's path — the work one
+// dynamics-driven repair of one flow performs. The graph must be fresh
+// per iteration: BFS memoises its search tree on the graph, so reusing
+// one would time a lookup.
 func benchRouteBuild(b *testing.B, name string) {
 	cfg := ezflow.DefaultConfig()
 	cfg.Seed = 1
+	cfg.Duration = ezflow.Second
 	sc := ezflow.NewRandomLossy(200, 0, 0.5, cfg)
-	g := sc.Mesh.RoutingGraph(nil)
-	route := sc.Mesh.Route(1)
+	sc.Run()
+	m := sc.Mesh
+	route := m.Route(1)
 	src, dst := route[0], route[len(route)-1]
 	s := routingStrategy(b, name)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Route(g, 1, src, dst); !ok {
+		if _, ok := s.Route(m.RoutingGraph(nil), 1, src, dst); !ok {
 			b.Fatal("no route on a connected disk")
 		}
 	}
@@ -167,6 +173,39 @@ func BenchmarkRoutingETX(b *testing.B) { benchRouteBuild(b, "etx") }
 // BenchmarkRoutingKShortest measures Yen's k-shortest ranking (K=4, each
 // spur an inner BFS) on the same graph — the most expensive strategy.
 func BenchmarkRoutingKShortest(b *testing.B) { benchRouteBuild(b, "kshortest") }
+
+// BenchmarkRepairRound measures one mobility repair round, the loop the
+// ezperf mobile workload is bound by: a 200-node waypoint disk serving 16
+// on/off downlink clients (the workload's shape) runs 4 simulated
+// seconds, then each iteration reroutes all 17 flows over one routing
+// graph with the predicate mobility repair uses.
+func BenchmarkRepairRound(b *testing.B) {
+	cfg := ezflow.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Duration = 4 * ezflow.Second
+	cfg.Mode = ezflow.ModeEZFlow
+	cfg.Mobility = &mobility.Config{
+		Model:   "waypoint",
+		Opts:    mobility.Options{SpeedMps: 3, PauseSec: 2},
+		TickSec: 0.5,
+	}
+	cfg.Workload = &ezflow.WorkloadSpec{Clients: 16, OnMeanSec: 5, OffMeanSec: 5}
+	sc := ezflow.NewRandom(200, 0, cfg)
+	sc.Run()
+	m := sc.Mesh
+	usable := func(a, b ezflow.NodeID) bool {
+		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
+			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RerouteFlows(usable)
+	}
+	if m.RerouteFailures() != 0 {
+		b.Fatalf("%d flows found no path", m.RerouteFailures())
+	}
+}
 
 // lossyDiskRun is diskRun over the edge-of-range loss model with the
 // given routing strategy — the workload of the `ezbench -exp routing`

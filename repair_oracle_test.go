@@ -1,0 +1,193 @@
+package ezflow_test
+
+import (
+	"slices"
+	"testing"
+
+	"ezflow"
+	"ezflow/internal/dynamics"
+	"ezflow/internal/mesh"
+	"ezflow/internal/mobility"
+)
+
+// legacyRoute is the per-flow repair search the mesh ran before route
+// repair walked the PHY neighbor index, kept as the oracle: every node
+// id is a candidate of every dequeued node, the parents live in a map,
+// and the search stops as soon as it discovers dst.
+func legacyRoute(ids []ezflow.NodeID, usable func(a, b ezflow.NodeID) bool, src, dst ezflow.NodeID) ([]ezflow.NodeID, bool) {
+	parent := map[ezflow.NodeID]ezflow.NodeID{src: src}
+	queue := []ezflow.NodeID{src}
+	found := false
+	for len(queue) > 0 && !found {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range ids {
+			if _, seen := parent[v]; seen || !usable(u, v) {
+				continue
+			}
+			parent[v] = u
+			if v == dst {
+				found = true
+				break
+			}
+			queue = append(queue, v)
+		}
+	}
+	if !found {
+		return nil, false
+	}
+	var rev []ezflow.NodeID
+	for v := dst; ; v = parent[v] {
+		rev = append(rev, v)
+		if v == src {
+			break
+		}
+	}
+	slices.Reverse(rev)
+	return rev, true
+}
+
+// repairOracle checks repair rounds against legacyRoute. Given the
+// routes a round starts from, expect computes what the legacy search
+// would install: its path where it finds one, the old route where it
+// does not. After the round every installed route must equal that.
+type repairOracle struct {
+	t       *testing.T
+	m       *mesh.Mesh
+	want    map[ezflow.FlowID][]ezflow.NodeID
+	rounds  int
+	changed int
+}
+
+// routes copies every flow's installed route.
+func routes(m *mesh.Mesh) map[ezflow.FlowID][]ezflow.NodeID {
+	out := make(map[ezflow.FlowID][]ezflow.NodeID)
+	for _, f := range m.Flows() {
+		out[f] = slices.Clone(m.Route(f))
+	}
+	return out
+}
+
+func (o *repairOracle) expect(usable func(a, b ezflow.NodeID) bool, prev map[ezflow.FlowID][]ezflow.NodeID) {
+	ids := o.m.Ch.NodeIDs()
+	o.want = make(map[ezflow.FlowID][]ezflow.NodeID)
+	for f, route := range prev {
+		o.want[f] = route
+		if p, ok := legacyRoute(ids, usable, route[0], route[len(route)-1]); ok {
+			o.want[f] = p
+		}
+	}
+}
+
+func (o *repairOracle) check(prev map[ezflow.FlowID][]ezflow.NodeID) {
+	o.t.Helper()
+	o.rounds++
+	for _, f := range o.m.Flows() {
+		got, want := o.m.Route(f), o.want[f]
+		if !slices.Equal(got, want) {
+			o.t.Fatalf("repair round %d, flow %v: installed %v, legacy search %v", o.rounds, f, got, want)
+		}
+		if !slices.Equal(got, prev[f]) {
+			o.changed++
+		}
+	}
+}
+
+// mobileDisk is the mobile workload's shape at test length: a 200-node
+// EZ-flow random disk in waypoint motion serving 16 on/off downlink
+// clients, so every client flow shares the gateway as its source.
+func mobileDisk(seed int64) *ezflow.Scenario {
+	cfg := ezflow.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Duration = 20 * ezflow.Second
+	cfg.Mode = ezflow.ModeEZFlow
+	cfg.Mobility = &mobility.Config{
+		Model:   "waypoint",
+		Opts:    mobility.Options{SpeedMps: 15, PauseSec: 1},
+		TickSec: 0.5,
+	}
+	cfg.Workload = &ezflow.WorkloadSpec{Clients: 16, OnMeanSec: 3, OffMeanSec: 3}
+	return ezflow.NewRandom(200, 0, cfg)
+}
+
+// TestRepairMatchesLegacySearch runs mobility repair, with and without a
+// dynamics timeline of down nodes and severed links, and checks every
+// round installs exactly the routes the legacy per-flow all-ids search
+// would have.
+func TestRepairMatchesLegacySearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	t.Run("mobility", func(t *testing.T) {
+		sc := mobileDisk(1)
+		m := sc.Mesh
+		o := &repairOracle{t: t, m: m}
+		usable := func(a, b ezflow.NodeID) bool {
+			return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
+				!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
+		}
+		repair := sc.Mob.Repair
+		sc.Mob.Repair = func() {
+			prev := routes(m)
+			o.expect(usable, prev)
+			repair()
+			o.check(prev)
+		}
+		sc.Run()
+		if o.rounds < 10 || o.changed == 0 {
+			t.Fatalf("%d repair rounds changed %d routes; waypoint motion should force both", o.rounds, o.changed)
+		}
+		t.Logf("%d rounds, %d route changes", o.rounds, o.changed)
+	})
+
+	t.Run("dynamics", func(t *testing.T) {
+		sc := mobileDisk(2)
+		m := sc.Mesh
+		var script dynamics.Script
+		at := func(s float64) ezflow.Time { return ezflow.Time(s * float64(ezflow.Second)) }
+		for i, f := range m.Flows() {
+			route := m.Route(f)
+			if len(route) < 3 {
+				continue
+			}
+			start := 1 + float64(i%8)
+			a, b := dynamics.MiddleLink(m, f)
+			script.Events = append(script.Events, dynamics.Flap(a, b, at(start), at(start+6), true)...)
+			if relay := dynamics.MiddleRelay(m, f); relay != 0 && i%2 == 0 {
+				script.Events = append(script.Events, dynamics.Churn(relay, at(start+0.5), at(start+9), false, true)...)
+			}
+			if i == 3 {
+				// A halted destination leaves its flow no path: the failed
+				// repair must keep the old route.
+				script.Events = append(script.Events, dynamics.Churn(route[len(route)-1], at(2), at(5), false, true)...)
+			}
+		}
+		if err := sc.AddDynamics(&script); err != nil {
+			t.Fatal(err)
+		}
+		// Every round, mobility's included, runs through RerouteAll, which
+		// fires OnReroute right after installing the routes. Routes change
+		// only in rounds, so each round starts from the routes the last
+		// one left, and the predicate does not depend on routes, so the
+		// expectation can be computed after the round.
+		o := &repairOracle{t: t, m: m}
+		prev := routes(m)
+		extend := sc.Dyn.OnReroute
+		sc.Dyn.OnReroute = func() {
+			o.expect(sc.Dyn.Usable, prev)
+			o.check(prev)
+			prev = routes(m)
+			if extend != nil {
+				extend()
+			}
+		}
+		sc.Run()
+		if o.rounds < 10 || o.changed == 0 {
+			t.Fatalf("%d repair rounds changed %d routes; the timeline should force both", o.rounds, o.changed)
+		}
+		if len(sc.Dyn.Log) == 0 || m.RerouteFailures() == 0 {
+			t.Fatalf("the timeline applied %d events and failed %d repairs; it should do both", len(sc.Dyn.Log), m.RerouteFailures())
+		}
+		t.Logf("%d rounds, %d route changes, %d events, %d failed repairs", o.rounds, o.changed, len(sc.Dyn.Log), m.RerouteFailures())
+	})
+}
