@@ -76,7 +76,8 @@
 // failures and the campaign completes degraded (failed runs carry
 // failed/error in JSON and a failed_runs CSV column, and are excluded
 // from aggregates). -run-timeout bounds each replication's wall clock in
-// any mode; a breach is a structured per-run failure, as is a panic.
+// any mode; a breach stops the run and is a structured per-run failure,
+// as is a panic.
 // Every recovery action is counted and reported on a final stderr
 // `faults:` line (silent when the campaign was healthy).
 package main
@@ -138,7 +139,7 @@ func main() {
 		cacheDir = flag.String("cache-dir", "fabric-cache", "fabric store directory (setting it implies -cache)")
 		shards   = flag.Int("shards", 1, "worker subprocesses to fan the grid across (1 = in-process); output is byte-identical for any value")
 		worker   = flag.Bool("worker", false, "run as a shard worker: read a job document on stdin, stream result frames on stdout (internal)")
-		runTO    = flag.Duration("run-timeout", 0, "wall-clock cap per replication (0 = none); a run over the cap is recorded failed, not aborted")
+		runTO    = flag.Duration("run-timeout", 0, "wall-clock cap per replication (0 = none); a run over the cap is recorded failed and stopped")
 		liveness = flag.Duration("liveness", 0, "with -shards: kill and replace a worker silent for this long (0 = no deadline); must exceed the slowest single run")
 		retries  = flag.Int("max-retries", 0, "with -shards: consecutive no-progress worker failures before an assignment is marked failed (0 = default 3)")
 		version  = flag.Bool("version", false, "print version and exit")

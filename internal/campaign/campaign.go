@@ -615,23 +615,20 @@ type Engine struct {
 	// new replications start, in-flight ones finish (and reach the
 	// cache), and Run returns ErrInterrupted.
 	Interrupt <-chan struct{}
-	// RunActive, when non-nil, is incremented for the duration of every
-	// replication that actually simulates — cache hits never touch it.
-	// It is the worker-utilization probe of cmd/ezserve.
-	RunActive *atomic.Int64
 	// RunTimeout, when positive, caps each replication's wall-clock time:
-	// a run still simulating past the deadline is abandoned and recorded
-	// as a structured per-run failure instead of hanging the campaign.
-	// The abandoned goroutine keeps running until its simulation returns
-	// (in-process isolation cannot kill it — use -shards for hard
-	// isolation); its late result is discarded. 0 disables the timeout,
-	// which is the default because a timeout makes output timing-
-	// dependent and therefore non-reproducible on pathological runs.
+	// a run still simulating past the deadline is recorded as a
+	// structured per-run failure and stopped, so it neither hangs the
+	// campaign nor keeps its CPU. The stop reaches the event loop within
+	// a few thousand events; topology build is not interruptible. 0
+	// disables the timeout, which is the default because a timeout makes
+	// output timing-dependent and therefore non-reproducible on
+	// pathological runs.
 	RunTimeout time.Duration
 	// Faults, when non-nil, additionally receives this engine's fault
-	// events — the aggregation hook for callers running many engines
-	// (cmd/ezserve's /metrics gauges). The engine always tracks its own
-	// per-campaign counters too; read them with FaultStats.
+	// events — the aggregation hook for callers that count engines and
+	// shard coordinators together (ezcampaign's `faults:` line). The
+	// engine always tracks its own per-campaign counters too; read them
+	// with FaultStats.
 	Faults *FaultCounters
 
 	hits, misses atomic.Uint64
@@ -640,14 +637,14 @@ type Engine struct {
 
 // CacheStats reports the engine's cumulative cache traffic across its
 // Run calls (both zero when no Cache is attached). Safe to call
-// concurrently with Run — ezserve polls it for live status.
+// concurrently with Run.
 func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{Hits: e.hits.Load(), Misses: e.misses.Load()}
 }
 
 // FaultStats reports the engine's cumulative fault-handling events
 // (timeouts, recovered panics, failed runs). Safe to call concurrently
-// with Run — ezserve polls it for live status.
+// with Run.
 func (e *Engine) FaultStats() FaultStats {
 	return e.faults.Snapshot()
 }
@@ -709,11 +706,11 @@ func (e *Engine) Run(spec Spec) (*Result, error) {
 // version, so both must re-execute on retry.
 func (e *Engine) exec(spec Spec, p Point, rep int, durSec float64) RunResult {
 	if e.Cache == nil {
-		return e.simulate(spec, p, rep, durSec)
+		return e.runIsolated(spec, p, rep, durSec)
 	}
 	key, err := runKey(spec, p, rep, durSec)
 	if err != nil {
-		return e.simulate(spec, p, rep, durSec)
+		return e.runIsolated(spec, p, rep, durSec)
 	}
 	var w wireRun
 	if e.Cache.Get(key, &w) {
@@ -721,22 +718,11 @@ func (e *Engine) exec(spec Spec, p Point, rep int, durSec float64) RunResult {
 		return w.run(p, rep)
 	}
 	e.misses.Add(1)
-	rr := e.simulate(spec, p, rep, durSec)
+	rr := e.runIsolated(spec, p, rep, durSec)
 	if !rr.Failed {
 		e.Cache.Put(key, wireFromRun(rr)) //nolint:errcheck // cache writes are best-effort
 	}
 	return rr
-}
-
-// simulate runs one replication under the engine's isolation policy
-// (panic recovery, optional wall-clock timeout), tracking worker
-// utilization.
-func (e *Engine) simulate(spec Spec, p Point, rep int, durSec float64) RunResult {
-	if e.RunActive != nil {
-		e.RunActive.Add(1)
-		defer e.RunActive.Add(-1)
-	}
-	return e.runIsolated(spec, p, rep, durSec)
 }
 
 // assemble aggregates the grid's replications (in grid order: the run
@@ -781,7 +767,10 @@ func assemble(spec Spec, points []Point, reps int, runs []RunResult) *Result {
 	return res
 }
 
-func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
+// runOne builds and simulates one replication. A raised stop ends the
+// event loop early (see sim.Engine.StopOn); the build itself runs to
+// completion.
+func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunResult {
 	seed := DeriveSeed(spec.BaseSeed, p.Label, rep)
 	s := runSpec(spec, p)
 	cfg := s.Config()
@@ -802,6 +791,7 @@ func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 	if spec.Obs {
 		sc.EnableObs(obs.Config{Metrics: true, FlightRecorder: 4096})
 	}
+	sc.Eng.StopOn(stop)
 	res := sc.Run()
 	rr := RunResult{
 		Point: p.Index, Label: p.Label, Rep: rep, Seed: seed,

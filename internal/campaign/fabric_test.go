@@ -108,8 +108,12 @@ func TestWarmCacheReplay(t *testing.T) {
 		t.Errorf("store puts = %d, want 4", st.Puts)
 	}
 
-	var active atomic.Int64
-	warm := Engine{Parallel: 1, Cache: store, RunActive: &active}
+	var simulated atomic.Int64
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunResult {
+		simulated.Add(1)
+		return runOne(spec, p, rep, durSec, stop)
+	})
+	warm := Engine{Parallel: 1, Cache: store}
 	warmRes, err := warm.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +128,8 @@ func TestWarmCacheReplay(t *testing.T) {
 	if st := warm.CacheStats(); st.Hits != 4 || st.Misses != 0 {
 		t.Errorf("warm stats = %+v, want 4 hits / 0 misses (zero simulations)", st)
 	}
-	if active.Load() != 0 {
-		t.Errorf("RunActive = %d after the run", active.Load())
+	if n := simulated.Load(); n != 0 {
+		t.Errorf("warm replay simulated %d runs, want 0", n)
 	}
 }
 

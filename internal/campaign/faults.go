@@ -3,12 +3,11 @@
 // declared dead, a replacement launched, an assignment re-dealt, a run
 // cut off by its wall-clock timeout or rescued from a panic — increments
 // exactly one counter here, so "how unhealthy was that campaign?" is
-// always answerable from /stats, /metrics, or the ezcampaign summary
-// line without grepping logs.
+// always answerable from the ezcampaign summary line without grepping
+// logs.
 //
 // Counters are cumulative and atomic. An Engine always tracks its own
-// FaultCounters (per-campaign numbers for ezserve's /status); callers
-// that aggregate across campaigns — ezserve's /metrics gauges, the
+// FaultCounters (Engine.FaultStats); callers that aggregate — the
 // ezcampaign CLI summary — additionally share one FaultCounters between
 // engines and shard coordinators via Engine.Faults / ShardOptions.Faults.
 package campaign

@@ -3,6 +3,7 @@ package campaign
 import (
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func isolateSpec() Spec {
 
 // stubRuns swaps the simulation entry point for the test's double and
 // restores it on cleanup. Tests using it must not run in parallel.
-func stubRuns(t *testing.T, fn func(Spec, Point, int, float64) RunResult) {
+func stubRuns(t *testing.T, fn func(Spec, Point, int, float64, *atomic.Bool) RunResult) {
 	t.Helper()
 	orig := runReplication
 	runReplication = fn
@@ -34,7 +35,7 @@ func stubRuns(t *testing.T, fn func(Spec, Point, int, float64) RunResult) {
 // panics becomes a structured failed run; its sibling still completes
 // and still aggregates.
 func TestRunPanicRecovered(t *testing.T) {
-	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64) RunResult {
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, _ *atomic.Bool) RunResult {
 		if rep == 0 {
 			panic("injected: simulator blew up")
 		}
@@ -74,7 +75,7 @@ func TestRunPanicRecovered(t *testing.T) {
 func TestRunTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64) RunResult {
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, _ *atomic.Bool) RunResult {
 		if rep == 0 {
 			<-release // hang until the test tears down
 		}
@@ -98,6 +99,63 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
+// TestTimedOutRunCountsOnce pins that only the outcome the isolator
+// keeps is counted: a replication that times out and then panics in its
+// abandoned goroutine adds no panic and no second failure, to either the
+// engine's counters or the shared ones.
+func TestTimedOutRunCountsOnce(t *testing.T) {
+	finished := make(chan struct{})
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, _ *atomic.Bool) RunResult {
+		if rep == 0 {
+			defer close(finished)
+			time.Sleep(150 * time.Millisecond)
+			panic("injected: late panic")
+		}
+		return RunResult{Point: p.Index, Label: p.Label, Rep: rep,
+			Seed: DeriveSeed(spec.BaseSeed, p.Label, rep), AggKbps: 100, RecoverySec: -1}
+	})
+	var shared FaultCounters
+	eng := Engine{Parallel: 1, RunTimeout: 30 * time.Millisecond, Faults: &shared}
+	if _, err := eng.Run(isolateSpec()); err != nil {
+		t.Fatal(err)
+	}
+	<-finished
+	// A late count would land just after the stub's deferred close; with
+	// the fix there is no event to wait on, so give it a bounded window.
+	time.Sleep(100 * time.Millisecond)
+	for _, fs := range []FaultStats{eng.FaultStats(), shared.Snapshot()} {
+		if fs.RunsTimeout != 1 || fs.RunsFailed != 1 || fs.RunsPanicked != 0 {
+			t.Errorf("fault stats = %+v, want 1 timeout / 1 failed / 0 panicked", fs)
+		}
+	}
+}
+
+// TestTimedOutRunStops pins that a timeout stops the simulation, not
+// just the wait for it: a real replication with a horizon far beyond
+// the deadline returns within 2 s of its 100 ms timeout.
+func TestTimedOutRunStops(t *testing.T) {
+	returned := make(chan struct{})
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunResult {
+		defer close(returned)
+		return runOne(spec, p, rep, durSec, stop)
+	})
+	spec := isolateSpec()
+	spec.Reps, spec.DurationSec = 1, 1e6
+	eng := Engine{Parallel: 1, RunTimeout: 100 * time.Millisecond}
+	res, err := eng.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Runs[0]; !r.Failed || !strings.Contains(r.Error, "wall-clock timeout") {
+		t.Fatalf("run = %+v, want a timeout failure", r)
+	}
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the timed-out replication was still simulating 2 s after its deadline")
+	}
+}
+
 // TestFailedRunsNeverCached pins the cache-poisoning guard: a failed
 // replication must not enter the fabric store, so a fixed binary (or a
 // roomier timeout) re-executes it instead of replaying the failure
@@ -108,7 +166,7 @@ func TestFailedRunsNeverCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64) RunResult {
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, _ *atomic.Bool) RunResult {
 		if rep == 0 {
 			panic("injected: transient")
 		}
@@ -125,7 +183,7 @@ func TestFailedRunsNeverCached(t *testing.T) {
 
 	// With the "bug" fixed, the failed slot re-executes (a miss, then a
 	// put); the healthy slot replays (a hit).
-	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64) RunResult {
+	stubRuns(t, func(spec Spec, p Point, rep int, durSec float64, _ *atomic.Bool) RunResult {
 		return RunResult{Point: p.Index, Label: p.Label, Rep: rep,
 			Seed: DeriveSeed(spec.BaseSeed, p.Label, rep), AggKbps: 100, RecoverySec: -1}
 	})

@@ -486,8 +486,8 @@ type frameMsg struct {
 // 0. Any other outcome — a sink-detected protocol violation, a corrupt
 // frame, liveness-deadline silence, or a non-zero exit — kills the
 // worker (when still alive) and returns an error carrying the last
-// 4 KiB of its stderr, so shard failures are diagnosable from ezserve
-// logs without re-running.
+// 4 KiB of its stderr, so shard failures are diagnosable from the
+// coordinator's error without re-running.
 func runShard(spec Spec, opts ShardOptions, assignments []fabric.Assignment, sink func(workerFrame) error) error {
 	cmd := exec.Command(opts.Command[0], opts.Command[1:]...)
 	cmd.Env = append(os.Environ(), opts.Env...)

@@ -15,17 +15,16 @@
 // bump invalidates every prior entry without orphaning their files.
 // Store is a persistent on-disk map from Key to a JSON payload, written
 // atomically (temp file + rename in the same directory) so concurrent
-// writers — worker subprocesses, parallel campaigns, an ezserve instance
-// — can share one directory with no coordination, and read tolerantly
-// (a truncated, corrupt, or stale-version entry is a miss that deletes
-// the bad file, never an error).
+// writers — worker subprocesses, parallel campaigns, ezcampaign and
+// ezbench runs — can share one directory with no coordination, and read
+// tolerantly (a truncated, corrupt, or stale-version entry is a miss that
+// deletes the bad file, never an error).
 //
 // Consumers: campaign.Engine consults the store before every
-// replication, cmd/ezcampaign and cmd/ezbench thread -cache/-cache-dir
-// through to it, and cmd/ezserve fronts it with the HTTP campaign
-// service. The determinism tests in internal/campaign pin the contract
-// that a warm-cache replay is byte-identical to a cold run and performs
-// zero simulations.
+// replication, and cmd/ezcampaign and cmd/ezbench thread
+// -cache/-cache-dir through to it. The determinism tests in
+// internal/campaign pin the contract that a warm-cache replay is
+// byte-identical to a cold run and performs zero simulations.
 package fabric
 
 import (

@@ -3,8 +3,7 @@
 // never touches simulation state — the simulation goroutine publishes
 // immutable Snapshot/Progress values through atomic pointers and HTTP
 // handlers only ever read the latest published value, so serving is
-// race-free and cannot perturb a run. This is the seed of the roadmap's
-// campaign-service (ezserve) API.
+// race-free and cannot perturb a run.
 package obs
 
 import (

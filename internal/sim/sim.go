@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -203,7 +204,8 @@ func (h eventHeap) siftDown(i int) {
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use: the simulated world is single-threaded by design, which is
 // what makes runs reproducible. (Independent engines may run concurrently;
-// the campaign layer relies on that.)
+// the campaign layer relies on that. The one cross-goroutine input is the
+// StopOn flag.)
 type Engine struct {
 	now    Time
 	queue  eventHeap
@@ -212,10 +214,17 @@ type Engine struct {
 	halted bool
 	fired  uint64
 	free   []*event // recycled events; Schedule pops here before allocating
-	// cancelled sits after the hot fields: only Timer.Cancel and the
-	// observability gauges touch it.
+	// cancelled and stop sit after the hot fields: only Timer.Cancel, the
+	// observability gauges and Run's stop poll touch them.
 	cancelled uint64
+	stop      *atomic.Bool
 }
+
+// stopPollMask sets how often Run reads its StopOn flag: once every
+// stopPollMask+1 = 4096 fired events. Masking the fired count with a
+// power of two minus one keeps the poll to one AND and a rarely taken
+// branch per event.
+const stopPollMask = 4095
 
 // NewEngine returns an engine whose random generator is seeded with seed.
 func NewEngine(seed int64) *Engine {
@@ -312,12 +321,28 @@ func (en *Engine) ScheduleFuncAt(at Time, fn func()) {
 }
 
 // Stop halts the run loop after the currently executing event completes.
+// It must be called from the simulation goroutine (an event callback);
+// use StopOn to stop a run from another goroutine.
 func (en *Engine) Stop() { en.halted = true }
 
+// StopOn attaches flag as a stop request that any goroutine may raise
+// with flag.Store(true). Run reads it on entry, so a request raised
+// before Run starts is honoured, and then once every 4096 fired events,
+// so a running loop ends within a few thousand events of the request.
+// Either way the run halts as if Stop were called: the clock stays where
+// the loop stopped. The poll schedules no event, draws no random value
+// and allocates nothing, so a run whose flag is never raised fires
+// exactly the events it would without one. A nil flag detaches it.
+func (en *Engine) StopOn(flag *atomic.Bool) { en.stop = flag }
+
+// stopRequested reports whether the StopOn flag is raised.
+func (en *Engine) stopRequested() bool { return en.stop != nil && en.stop.Load() }
+
 // Run executes events until the queue is empty, until is reached, or Stop is
-// called. It returns the virtual time at which the loop stopped.
+// called (or the StopOn flag is raised). It returns the virtual time at which
+// the loop stopped.
 func (en *Engine) Run(until Time) Time {
-	en.halted = false
+	en.halted = en.stopRequested()
 	for len(en.queue) > 0 && !en.halted {
 		e := en.queue[0]
 		if e.at > until {
@@ -326,6 +351,9 @@ func (en *Engine) Run(until Time) Time {
 		en.queue.popMin()
 		en.now = e.at
 		en.fired++
+		if en.fired&stopPollMask == 0 && en.stopRequested() {
+			en.halted = true // this event still fires; the loop ends after it
+		}
 		fn := e.fn
 		en.release(e)
 		fn()

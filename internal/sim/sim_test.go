@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +121,100 @@ func TestStop(t *testing.T) {
 	en.Run(Second)
 	if count != 3 {
 		t.Fatalf("count = %d, want 3 after Stop", count)
+	}
+}
+
+// ticker schedules an endless 1 µs event chain on en; each event calls
+// hook first.
+func ticker(en *Engine, hook func()) {
+	var tick func()
+	tick = func() {
+		hook()
+		en.ScheduleFunc(Microsecond, tick)
+	}
+	en.ScheduleFunc(0, tick)
+}
+
+// TestStopOnFromAnotherGoroutine pins the cross-goroutine stop: a flag
+// raised by another goroutine ends an endless run at the next poll, and
+// the clock stays where the loop stopped instead of jumping to the
+// horizon. Run it under -race.
+func TestStopOnFromAnotherGoroutine(t *testing.T) {
+	const failsafe = 1 << 24
+	en := NewEngine(1)
+	var stop atomic.Bool
+	en.StopOn(&stop)
+	started := make(chan struct{})
+	ticker(en, func() {
+		switch en.Fired() {
+		case 1:
+			close(started)
+		case failsafe:
+			en.Stop()
+		}
+	})
+	go func() {
+		<-started
+		stop.Store(true)
+	}()
+	end := en.Run(Time(math.MaxInt64))
+	n := en.Fired()
+	if n >= failsafe {
+		t.Fatalf("the stop request was not honoured within %d events", n)
+	}
+	if n%(stopPollMask+1) != 0 {
+		t.Errorf("stopped after %d events, want a multiple of the %d-event poll", n, stopPollMask+1)
+	}
+	if want := Time(n-1) * Microsecond; end != want || en.Now() != want {
+		t.Errorf("Run returned %v (Now %v), want the last event's time %v", end, en.Now(), want)
+	}
+}
+
+// TestStopOnBeforeRun pins that a request raised before Run starts is
+// not lost: Run fires nothing and leaves the clock alone. Lowering the
+// flag lets a later Run proceed as usual.
+func TestStopOnBeforeRun(t *testing.T) {
+	en := NewEngine(1)
+	var stop atomic.Bool
+	stop.Store(true)
+	en.StopOn(&stop)
+	for i := 1; i <= 5; i++ {
+		en.Schedule(Time(i)*Microsecond, func() {})
+	}
+	if end := en.Run(Second); end != 0 || en.Fired() != 0 || en.Pending() != 5 {
+		t.Fatalf("pre-stopped Run: end %v, fired %d, pending %d; want 0, 0, 5", end, en.Fired(), en.Pending())
+	}
+	stop.Store(false)
+	if end := en.Run(Second); end != Second || en.Fired() != 5 {
+		t.Fatalf("resumed Run: end %v, fired %d; want 1s, 5", end, en.Fired())
+	}
+}
+
+// TestStopOnUnraisedIsInert pins that an attached but never raised flag
+// changes nothing: the same random workload fires the same events, ends
+// at the same time and leaves the RNG in the same state, across many
+// polls.
+func TestStopOnUnraisedIsInert(t *testing.T) {
+	run := func(flag *atomic.Bool) (uint64, Time, int64) {
+		en := NewEngine(7)
+		en.StopOn(flag)
+		ticker(en, func() {
+			if en.Chance(0.5) {
+				en.ScheduleFunc(Time(en.Uniform(50))*Microsecond, func() {})
+			}
+		})
+		end := en.Run(50 * Millisecond)
+		return en.Fired(), end, en.Rand().Int63()
+	}
+	var never atomic.Bool
+	n0, end0, r0 := run(nil)
+	n1, end1, r1 := run(&never)
+	if n0 < 10*(stopPollMask+1) {
+		t.Fatalf("workload fired only %d events; it must cross many polls", n0)
+	}
+	if n1 != n0 || end1 != end0 || r1 != r0 {
+		t.Errorf("with an unraised flag: fired %d, end %v, rng %d; without: %d, %v, %d",
+			n1, end1, r1, n0, end0, r0)
 	}
 }
 
