@@ -67,7 +67,17 @@ func goldenCases() []goldenCase {
 			cfg.Controller = "feedback"
 			cfg.Ctl.Feedback.Period, cfg.Ctl.Feedback.TargetQueue = 100*ezflow.Second/1000, 4
 		}},
+		rtsCase("ezflow"), rtsCase("backpressure"), rtsCase("staticcap"), rtsCase("feedback"),
 	)
+}
+
+// rtsCase runs the named controller with RTS/CTS on, so the NAV each
+// RTS reserves for the coming data frame is pinned too.
+func rtsCase(name string) goldenCase {
+	return goldenCase{name: name + " rts/cts", set: func(cfg *ezflow.Config) {
+		cfg.Controller = name
+		cfg.MAC.UseRTSCTS = true
+	}}
 }
 
 // runGoldenCase runs one case for 30 simulated seconds on the testbed
