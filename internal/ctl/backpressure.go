@@ -126,7 +126,7 @@ func (b *BPInstance) Extend(m *mesh.Mesh) {
 			f.HasBP = true
 			f.BPLen = mc.QueuedTo(f.TxDst)
 			dep.AddOverhead(pkt.BPHeaderBytes)
-		})
+		}, pkt.BPHeaderBytes)
 	}
 }
 

@@ -120,9 +120,12 @@ type Controller interface {
 	// node churn bypass it.
 	OnDequeue(r *Relay, p *pkt.Packet)
 	// OnTransmit runs on every outgoing data frame of the relay's node —
-	// every attempt, before air time is computed — so the controller may
-	// piggyback header fields (Frame.HasBP/BPLen). Check f.Retry for
-	// first-attempt-only semantics.
+	// every attempt, before air time is computed. The deployment registers
+	// it as a stamp that adds no on-air bytes, so it may observe the frame
+	// or set off-air fields but must not grow it; a header charged on the
+	// air (backpressure's Frame.HasBP/BPLen) goes through a node stamp
+	// that declares its bytes (mac.MAC.AddTxStamp), so an RTS reserves
+	// them. Check f.Retry for first-attempt-only semantics.
 	OnTransmit(r *Relay, f *pkt.Frame)
 	// OnOverhear observes every frame the relay's node decodes in monitor
 	// mode (its own unicast traffic included).

@@ -83,7 +83,7 @@ func (d *Deployment) wire(r *Relay, q *mac.Queue) {
 		func(p *pkt.Packet) { ctrl.OnEnqueue(r, p) },
 		func(p *pkt.Packet) { ctrl.OnDequeue(r, p) },
 	)
-	r.MAC.AddTxStamp(func(f *pkt.Frame) { ctrl.OnTransmit(r, f) })
+	r.MAC.AddTxStamp(func(f *pkt.Frame) { ctrl.OnTransmit(r, f) }, 0)
 	r.MAC.AddTap(func(f *pkt.Frame, ci pkt.CaptureInfo) { ctrl.OnOverhear(r, f, ci) })
 	if d.tick > 0 {
 		var fire func()

@@ -86,7 +86,8 @@ type TxNotifyFunc func(f *pkt.Frame)
 // included — before the frame's air time is computed, so it may piggyback
 // header fields (Frame.HasBP/BPLen, Frame.QueueTag) that change what goes
 // on the air. Controllers register stamps via AddTxStamp; the frame's
-// Retry bit is already set when stamps run.
+// Retry bit is already set when stamps run, so a stamp that only observes
+// first attempts checks !f.Retry.
 type TxStampFunc func(f *pkt.Frame)
 
 // DropFunc observes packets dropped by this MAC with a reason.
@@ -323,7 +324,10 @@ type MAC struct {
 	taps    []TapFunc
 	txHooks []TxNotifyFunc
 	stamps  []TxStampFunc
-	drops   []DropFunc
+	// stampBytes is the most on-air bytes any registered stamp may add
+	// to a data frame; an RTS reserves them in its NAV.
+	stampBytes int
+	drops      []DropFunc
 
 	state      txState
 	down       bool     // radio halted (node churn); see SetDown
@@ -429,8 +433,12 @@ func (m *MAC) AddTap(t TapFunc) { m.taps = append(m.taps, t) }
 func (m *MAC) AddTxNotify(t TxNotifyFunc) { m.txHooks = append(m.txHooks, t) }
 
 // AddTxStamp registers a per-attempt outgoing-frame stamp (see
-// TxStampFunc).
-func (m *MAC) AddTxStamp(s TxStampFunc) { m.stamps = append(m.stamps, s) }
+// TxStampFunc) that adds at most bytes on-air bytes to a data frame (0 for
+// a stamp that only observes or sets off-air fields).
+func (m *MAC) AddTxStamp(s TxStampFunc, bytes int) {
+	m.stamps = append(m.stamps, s)
+	m.stampBytes = max(m.stampBytes, bytes)
+}
 
 // AddDropHook registers a drop observer.
 func (m *MAC) AddDropHook(d DropFunc) { m.drops = append(m.drops, d) }
@@ -872,16 +880,11 @@ func (m *MAC) sendData() {
 }
 
 func (m *MAC) sendRTS() {
-	// Stamps may grow the coming data frame by the optional backpressure
-	// header, which does not exist yet when the NAV is computed; reserve
-	// for it whenever stamps are registered. A stamp that adds no on-air
-	// bytes leaves the NAV 2 bytes long — over-reservation is benign,
+	// Stamps may grow the coming data frame by header bytes that do not
+	// exist yet when the NAV is computed, so reserve the most any
+	// registered stamp declared. Over-reservation is benign;
 	// under-reservation would let neighbours contend into the data frame.
-	extra := 0
-	if len(m.stamps) > 0 {
-		extra = pkt.BPHeaderBytes
-	}
-	dataAir := m.ch.AirTime(m.cur.head().Bytes + pkt.MACHeaderBytes + extra)
+	dataAir := m.ch.AirTime(m.cur.head().Bytes + pkt.MACHeaderBytes + m.stampBytes)
 	nav := 3*SIFS + m.ch.AirTime(pkt.CTSBytes) + dataAir + m.ch.AirTime(pkt.AckBytes)
 	f := m.pool.Frame()
 	f.Type, f.TxSrc, f.TxDst, f.NAV = pkt.FrameRTS, m.id, m.cur.next, nav

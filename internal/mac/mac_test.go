@@ -341,6 +341,41 @@ func TestRTSCTSExchange(t *testing.T) {
 	}
 }
 
+// TestRTSNavReservesDeclaredStampBytes pins the NAV rule: an RTS reserves
+// the most on-air bytes any registered stamp declared, and a stamp that
+// declares none leaves the NAV as if no stamp were registered.
+func TestRTSNavReservesDeclaredStampBytes(t *testing.T) {
+	nav := func(stampBytes ...int) sim.Time {
+		cfg := DefaultConfig()
+		cfg.UseRTSCTS = true
+		eng, _, a, b := pair(t, cfg)
+		for _, n := range stampBytes {
+			a.AddTxStamp(func(*pkt.Frame) {}, n)
+		}
+		var got sim.Time
+		b.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
+			if f.Type == pkt.FrameRTS && got == 0 {
+				got = f.NAV
+			}
+		})
+		a.NewQueue(1).Enqueue(packet(1))
+		eng.Run(sim.Second)
+		if got == 0 {
+			t.Fatal("no RTS overheard")
+		}
+		return got
+	}
+	none := nav()
+	if got := nav(0, 0); got != none {
+		t.Errorf("0-byte stamps reserve NAV %v, want %v as without stamps", got, none)
+	}
+	ch := phy.NewChannel(sim.NewEngine(1), phy.DefaultConfig())
+	want := none + ch.AirTime(1000+pkt.MACHeaderBytes+pkt.BPHeaderBytes) - ch.AirTime(1000+pkt.MACHeaderBytes)
+	if got := nav(0, pkt.BPHeaderBytes, 0); got != want {
+		t.Errorf("NAV with a %d-byte stamp = %v, want %v", pkt.BPHeaderBytes, got, want)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ch := phy.NewChannel(eng, phy.DefaultConfig())
