@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"ezflow"
+	"ezflow/internal/ctl"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		fmt.Printf("  aggregate %.1f kb/s, Jain FI %.3f\n", res.AggKbps, res.Fairness)
 		if mode == ezflow.ModeEZFlow {
 			fmt.Printf("  controllers deployed: %d (one per relay successor)\n",
-				len(sc.Deployment.Controllers))
+				len(sc.Ctl.(*ctl.Deployment).Relays))
 		}
 	}
 }

@@ -257,9 +257,6 @@ type Scenario struct {
 	// Ctl is the deployed congestion controller, non-nil whenever the
 	// scenario runs one (any mode or controller name except plain 802.11).
 	Ctl ctl.Instance
-	// Deployment is non-nil when the ezflow controller is deployed
-	// (ModeEZFlow or Controller "ezflow").
-	Deployment *ez.Deployment
 	// Dyn is the perturbation engine, non-nil once a dynamics script is
 	// attached (Config.Dynamics or AddDynamics).
 	Dyn *dynamics.Engine
@@ -511,9 +508,6 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 			panic("ezflow: " + err.Error())
 		}
 		sc.Ctl = info.Deploy(m, cfg.Ctl)
-		if e, ok := sc.Ctl.(*ctl.EZFlow); ok {
-			sc.Deployment = e.EZ()
-		}
 	}
 
 	// Queue traces at every node that relays for some flow. Each ring
@@ -718,11 +712,13 @@ func (sc *Scenario) Run() *Result {
 		res.QueueTraces[id] = &s.Series
 		res.MeanQueue[id] = s.Series.Mean()
 	}
-	if sc.Deployment != nil {
-		for _, c := range sc.Deployment.Controllers {
-			key := fmt.Sprintf("%v->%v", c.Node, c.Successor)
-			res.CWTraces[key] = c.CWTrace
-			res.FinalCW[key] = c.Queue.CWmin()
+	if dep, ok := sc.Ctl.(*ctl.Deployment); ok {
+		for _, r := range dep.Relays {
+			if c, ok := r.State.(*ez.Controller); ok {
+				key := fmt.Sprintf("%v->%v", r.Node, r.Successor)
+				res.CWTraces[key] = c.CWTrace
+				res.FinalCW[key] = r.Caps.Window()
+			}
 		}
 	}
 	if sc.Ctl != nil {

@@ -3,6 +3,7 @@ package ezflow
 import (
 	"testing"
 
+	"ezflow/internal/ctl"
 	"ezflow/internal/mesh"
 	"ezflow/internal/sim"
 )
@@ -252,7 +253,7 @@ func TestTreeScenarioAPI(t *testing.T) {
 	if res.AggKbps <= 0 {
 		t.Fatal("tree delivered nothing")
 	}
-	if len(sc.Deployment.Controllers) == 0 {
+	if len(sc.Ctl.(*ctl.Deployment).Relays) == 0 {
 		t.Fatal("no controllers on the tree")
 	}
 }

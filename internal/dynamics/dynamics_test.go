@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 	"ezflow/internal/mac"
 	"ezflow/internal/pkt"
@@ -159,7 +160,7 @@ func TestRerouteRepairsPath(t *testing.T) {
 	if got := sc.Mesh.Route(1); !equalPath(got, want) {
 		t.Fatalf("pre-fault route %v, want %v", got, want)
 	}
-	ctlsBefore := len(sc.Deployment.Controllers)
+	ctlsBefore := len(sc.Ctl.(*ctl.Deployment).Relays)
 
 	script := (&dynamics.Script{}).Add(dynamics.Event{
 		At: 1 * ezflow.Second, Kind: dynamics.LinkDown, A: 2, B: 0, Reroute: true,
@@ -175,7 +176,7 @@ func TestRerouteRepairsPath(t *testing.T) {
 	}
 	// The repair created a queue toward the new relay N1; the EZ-Flow
 	// deployment must have extended itself over it.
-	if got := len(sc.Deployment.Controllers); got <= ctlsBefore {
+	if got := len(sc.Ctl.(*ctl.Deployment).Relays); got <= ctlsBefore {
 		t.Errorf("deployment did not extend after reroute: %d -> %d controllers", ctlsBefore, got)
 	}
 	// Stability metrics must keep covering the abandoned relay N2 — it is

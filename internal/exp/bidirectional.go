@@ -1,7 +1,7 @@
 package exp
 
 import (
-	ez "ezflow/internal/ezflow"
+	"ezflow/internal/ctl"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -39,6 +39,7 @@ func Bidirectional(o Options) *BidirectionalResult {
 		retransFrac float64
 	}
 	variants := []bool{false, true}
+	ezInfo, _ := ctl.Controllers.ByName("ezflow")
 	runs := fanOut(o, variants, func(withEZ bool) bidirRun {
 		eng := sim.NewEngine(o.Seed)
 		m := mesh.New(eng, phy.DefaultConfig(), mac.DefaultConfig())
@@ -49,7 +50,7 @@ func Bidirectional(o Options) *BidirectionalResult {
 		}
 		transport.InstallBidirectional(m, 1, path)
 		if withEZ {
-			ez.Deploy(m, ez.DefaultOptions())
+			ezInfo.Deploy(m, ctl.Options{})
 		}
 		cfg := transport.DefaultConfig()
 		cfg.MaxWindow = 200

@@ -1,29 +1,23 @@
 package ezflow
 
 import (
-	"sort"
-
-	"ezflow/internal/mac"
-	"ezflow/internal/mesh"
 	"ezflow/internal/pkt"
 	"ezflow/internal/sim"
 )
 
 // Controller is one EZ-Flow instance: the BOE/CAA pair a node runs for one
-// of its successors. It wires itself to the node's MAC through exactly two
-// attachment points — the transmit-notification hook (to record sent
-// identifiers on the air, resolving the sniffer constraint of §4.1 the way
-// the paper's two-interface deployment does) and the promiscuous tap (to
-// overhear the successor's forwards). Its only actuator is the MAC queue's
-// CWmin.
+// of its successors. It touches the MAC through nothing but its CWmin
+// knob; the caller feeds it the identifiers the node sends toward the
+// successor (BOE.RecordSent, on first attempts only: the paper's
+// two-interface deployment resolves the sniffer constraint of §4.1 the
+// same way) and the frames it overhears in monitor mode (BOE.OnSniff).
+// internal/ctl's "ezflow" controller does both from its relay hooks.
 type Controller struct {
-	Node      pkt.NodeID
-	Successor pkt.NodeID
-	BOE       *BOE
-	CAA       *CAA
-	Queue     *mac.Queue
+	BOE *BOE
+	CAA *CAA
 
-	// CWTrace records (time, cw) after every change, for Figs. 8 and 11.
+	// CWTrace records (time, cw) at creation and after every change, for
+	// Figs. 8 and 11.
 	CWTrace []CWPoint
 }
 
@@ -33,15 +27,7 @@ type CWPoint struct {
 	CW int
 }
 
-// SniffLossyTap wraps a tap function so that each overheard frame is
-// dropped with probability p before reaching the BOE — the ablation knob
-// for §3.2's claim that EZ-Flow tolerates missing most overheard frames.
-type SniffLossyTap struct {
-	P    float64
-	Rand func() float64
-}
-
-// Options configures deployment of EZ-Flow over a mesh.
+// Options configures EZ-Flow.
 type Options struct {
 	CAA CAAConfig
 	// SniffLoss drops each overheard frame at the BOE with this
@@ -49,105 +35,16 @@ type Options struct {
 	SniffLoss float64
 }
 
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options {
-	return Options{CAA: DefaultCAAConfig()}
-}
-
-// Attach creates and wires a Controller at node n for the queue q feeding
-// successor succ.
-func Attach(n *mesh.Node, q *mac.Queue, opts Options) *Controller {
-	succ := q.NextHop()
-	eng := n.Engine()
-	ctl := &Controller{Node: n.ID, Successor: succ, Queue: q}
-	ctl.CAA = NewCAA(opts.CAA, q, eng.Now)
-	ctl.CAA.OnDecision = func(d Decision) {
+// New builds the controller watching successor succ and driving cw, the
+// controlled queue's CWmin. now supplies virtual time.
+func New(succ pkt.NodeID, cw CWSetter, now func() sim.Time, cfg CAAConfig) *Controller {
+	c := &Controller{CAA: NewCAA(cfg, cw, now)}
+	c.CAA.OnDecision = func(d Decision) {
 		if d.Changed {
-			ctl.CWTrace = append(ctl.CWTrace, CWPoint{d.At, d.CW})
+			c.CWTrace = append(c.CWTrace, CWPoint{d.At, d.CW})
 		}
 	}
-	ctl.BOE = NewBOE(succ, eng.Now, ctl.CAA.OnSample)
-	ctl.CWTrace = append(ctl.CWTrace, CWPoint{eng.Now(), q.CWmin()})
-
-	// Record identifiers when frames toward succ truly go on the air.
-	n.MAC.AddTxNotify(func(f *pkt.Frame) {
-		if f.TxDst == succ && f.Payload != nil {
-			ctl.BOE.RecordSent(f.Payload.Checksum16())
-		}
-	})
-	// Overhear the successor's forwards (monitor mode).
-	rng := eng.Rand()
-	n.MAC.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
-		if opts.SniffLoss > 0 && rng.Float64() < opts.SniffLoss {
-			return
-		}
-		ctl.BOE.OnSniff(f)
-	})
-	return ctl
-}
-
-// Deployment is the set of controllers installed over a mesh.
-type Deployment struct {
-	Controllers []*Controller
-	byNode      map[pkt.NodeID][]*Controller
-	opts        Options
-	attached    map[*mac.Queue]bool
-}
-
-// Deploy installs EZ-Flow on every node that transmits toward a successor
-// which is not the final destination of all its traffic — i.e. every queue
-// whose next hop is itself a relay. Queues draining directly into a flow's
-// destination have no downstream buffer to protect, so they keep their
-// CWmin (their successor never forwards, hence the BOE would never hear
-// anything — exactly the paper's situation where the last hop needs no
-// control).
-func Deploy(m *mesh.Mesh, opts Options) *Deployment {
-	dep := &Deployment{
-		byNode:   make(map[pkt.NodeID][]*Controller),
-		opts:     opts,
-		attached: make(map[*mac.Queue]bool),
-	}
-	dep.Extend(m)
-	return dep
-}
-
-// Extend attaches controllers to queues that appeared after the previous
-// Deploy/Extend pass — mid-run route repair (dynamics BFS rerouting)
-// creates fresh per-successor queues that would otherwise run
-// uncontrolled. Queues that already carry a controller are untouched, so
-// their BOE state and contention-window trajectory survive the repair.
-// The Controllers slice stays sorted by (node, successor).
-func (d *Deployment) Extend(m *mesh.Mesh) {
-	relays := m.RelaySet()
-	for _, n := range m.Nodes() {
-		for _, q := range n.Queues() {
-			if d.attached[q] || !relays[q.NextHop()] {
-				continue
-			}
-			ctl := Attach(n, q, d.opts)
-			d.attached[q] = true
-			d.Controllers = append(d.Controllers, ctl)
-			d.byNode[n.ID] = append(d.byNode[n.ID], ctl)
-		}
-	}
-	sort.Slice(d.Controllers, func(i, j int) bool {
-		a, b := d.Controllers[i], d.Controllers[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Successor < b.Successor
-	})
-}
-
-// At returns the controllers installed at a node.
-func (d *Deployment) At(n pkt.NodeID) []*Controller { return d.byNode[n] }
-
-// Controller returns the controller at node n watching successor s, or nil.
-func (d *Deployment) Controller(n, s pkt.NodeID) *Controller {
-	for _, c := range d.byNode[n] {
-		if c.Successor == s {
-			return c
-		}
-	}
-	return nil
+	c.BOE = NewBOE(succ, now, c.CAA.OnSample)
+	c.CWTrace = append(c.CWTrace, CWPoint{now(), cw.CWmin()})
+	return c
 }

@@ -1,8 +1,9 @@
-package ezflow
+package ezflow_test
 
 import (
 	"testing"
 
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -13,32 +14,35 @@ import (
 
 // TestDeployTreePerSuccessorControllers exercises the §7 extension: on a
 // downlink tree, every interior node gets one controller per successor
-// queue, each watching its own successor, and the controllers act
-// independently.
+// queue, each watching its own successor.
 func TestDeployTreePerSuccessorControllers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := mesh.Tree(eng, 3, 2, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, DefaultOptions())
+	dep := deployEZ(t, m, ez.Options{})
 
 	// Gateway N0 forwards to relays N1, N2, N3 (all interior): three
 	// controllers at N0, one per successor.
-	if got := len(dep.At(0)); got != 3 {
-		t.Fatalf("gateway controllers = %d, want 3", got)
+	gw := relaysAt(dep, 0)
+	if len(gw) != 3 {
+		t.Fatalf("gateway controllers = %d, want 3", len(gw))
 	}
 	succs := map[pkt.NodeID]bool{}
-	for _, c := range dep.At(0) {
-		succs[c.Successor] = true
-		if c.Queue.NextHop() != c.Successor {
+	for _, r := range gw {
+		succs[r.Successor] = true
+		if r.Caps.NextHop() != r.Successor {
 			t.Fatalf("controller %v->%v bound to queue toward %v",
-				c.Node, c.Successor, c.Queue.NextHop())
+				r.Node, r.Successor, r.Caps.NextHop())
+		}
+		if got := ezOf(r).BOE.Successor(); got != r.Successor {
+			t.Fatalf("controller %v->%v estimates %v's buffer", r.Node, r.Successor, got)
 		}
 	}
 	if !succs[1] || !succs[2] || !succs[3] {
 		t.Fatalf("gateway successors watched: %v", succs)
 	}
 	// Interior nodes forward only to leaves: no controllers there.
-	if len(dep.At(1)) != 0 {
-		t.Fatalf("interior-to-leaf node has %d controllers, want 0", len(dep.At(1)))
+	if n := len(relaysAt(dep, 1)); n != 0 {
+		t.Fatalf("interior-to-leaf node has %d controllers, want 0", n)
 	}
 }
 
@@ -48,30 +52,27 @@ func TestDeployTreePerSuccessorControllers(t *testing.T) {
 func TestTreeControllersActIndependently(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := mesh.Tree(eng, 3, 2, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, DefaultOptions())
+	dep := deployEZ(t, m, ez.Options{})
 
 	// Flows 1..3 descend through N1, 4..6 through N2, 7..9 through N3.
 	// Saturate only the flows of the first branch.
 	for _, f := range []pkt.FlowID{1, 2, 3} {
-		src := traffic.NewCBR(m, f, 7e5, 1028)
-		src.Start()
+		traffic.NewCBR(m, f, 7e5, 1028).Start()
 	}
 	// A trickle on one other-branch flow to keep its BOE sampled.
-	trickle := traffic.NewCBR(m, 7, 2e4, 1028)
-	trickle.Start()
+	traffic.NewCBR(m, 7, 2e4, 1028).Start()
 
 	eng.Run(900 * sim.Second)
 
-	hot := dep.Controller(0, 1)
-	cold := dep.Controller(0, 3)
+	hot, cold := relayAt(dep, 0, 1), relayAt(dep, 0, 3)
 	if hot == nil || cold == nil {
 		t.Fatal("missing controllers")
 	}
-	if hot.BOE.Estimates == 0 {
+	if ezOf(hot).BOE.Estimates == 0 {
 		t.Fatal("hot branch BOE produced no estimates")
 	}
-	if hot.Queue.CWmin() <= cold.Queue.CWmin() {
+	if hot.Caps.Window() <= cold.Caps.Window() {
 		t.Fatalf("hot branch cw %d not above cold branch cw %d",
-			hot.Queue.CWmin(), cold.Queue.CWmin())
+			hot.Caps.Window(), cold.Caps.Window())
 	}
 }

@@ -3,7 +3,7 @@ package transport
 import (
 	"testing"
 
-	ez "ezflow/internal/ezflow"
+	"ezflow/internal/ctl"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -126,7 +126,8 @@ func TestEZFlowUnderBidirectionalTraffic(t *testing.T) {
 		}
 		InstallBidirectional(m, 1, path)
 		if withEZ {
-			ez.Deploy(m, ez.DefaultOptions())
+			info, _ := ctl.Controllers.ByName("ezflow")
+			info.Deploy(m, ctl.Options{})
 		}
 		cfg := DefaultConfig()
 		cfg.MaxWindow = 200 // aggressive enough to congest the backhaul

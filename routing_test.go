@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 )
 
@@ -109,7 +110,7 @@ func TestRoutingRepairPerStrategy(t *testing.T) {
 			t.Fatalf("%s: wired route %v, want 2 hops", name, before)
 		}
 		relayBefore := before[1]
-		ctlsBefore := len(sc.Deployment.Controllers)
+		ctlsBefore := len(sc.Ctl.(*ctl.Deployment).Relays)
 
 		a, b := dynamics.MiddleLink(sc.Mesh, 1)
 		script := (&dynamics.Script{}).Add(dynamics.Event{
@@ -132,7 +133,7 @@ func TestRoutingRepairPerStrategy(t *testing.T) {
 		// relay's queues cannot predate the fault — strictly larger.
 		// (kshortest pre-creates the alternative's queues at wiring: flow 2
 		// already rides the second-ranked path, so its repair is covered.)
-		got := len(sc.Deployment.Controllers)
+		got := len(sc.Ctl.(*ctl.Deployment).Relays)
 		if got < ctlsBefore {
 			t.Errorf("%s: deployment shrank after repair: %d -> %d controllers", name, ctlsBefore, got)
 		}
