@@ -99,6 +99,37 @@ func TestDiffQPiggybacksAndAdapts(t *testing.T) {
 	}
 }
 
+// TestDiffQTagsEveryAttempt pins that every data frame DiffQ puts on the
+// air advertises its transmitter's backlog, retries included. The head
+// packet stays queued until acknowledged, so no tag may read 0.
+func TestDiffQTagsEveryAttempt(t *testing.T) {
+	eng, m, _ := deployOnChain(t, 4, "diffq", ctl.Options{})
+	var retries, firsts, zero int
+	for _, n := range m.Nodes() {
+		n.MAC.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
+			if f.Type != pkt.FrameData || f.Payload == nil {
+				return
+			}
+			if f.Retry {
+				retries++
+			} else {
+				firsts++
+			}
+			if f.QueueTag == 0 {
+				zero++
+			}
+		})
+	}
+	traffic.NewCBR(m, 1, 2e6, 1028).Start()
+	eng.Run(60 * sim.Second)
+	if retries == 0 || firsts == 0 {
+		t.Fatalf("overheard %d first attempts and %d retries, want both", firsts, retries)
+	}
+	if zero != 0 {
+		t.Errorf("%d of %d overheard data frames (%d retries) advertise backlog 0", zero, firsts+retries, retries)
+	}
+}
+
 func TestDiffQOverheadGrowsWithTraffic(t *testing.T) {
 	run := func(dur sim.Time) uint64 {
 		eng, m, inst := deployOnChain(t, 3, "diffq", ctl.Options{})

@@ -49,10 +49,13 @@ func (d *DiffQ) Extend(m *mesh.Mesh) {
 		dn := &DiffQNode{node: n, neighbourBacklog: make(map[pkt.NodeID]int)}
 		d.Nodes[n.ID] = dn
 		mc := n.MAC
-		mc.AddTxNotify(func(f *pkt.Frame) {
+		// Every attempt carries the tag: a retry goes out as a fresh
+		// frame. The tag is not charged on the air, so the stamp
+		// declares no bytes for the RTS NAV.
+		mc.AddTxStamp(func(f *pkt.Frame) {
 			f.QueueTag = mc.TotalQueued()
 			d.overhead += diffqPiggybackBytes
-		})
+		}, 0)
 		mc.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
 			if f.Type != pkt.FrameData {
 				return
