@@ -77,11 +77,6 @@ type DeliverFunc func(p *pkt.Packet, from pkt.NodeID)
 // TapFunc observes every frame decoded at this node (monitor mode).
 type TapFunc func(f *pkt.Frame, ci pkt.CaptureInfo)
 
-// TxNotifyFunc observes every data frame this node puts on the air
-// (first attempt only, not retries). EZ-Flow's BOE registers one to record
-// sent identifiers exactly when they are truly transmitted physically.
-type TxNotifyFunc func(f *pkt.Frame)
-
 // TxStampFunc runs on every outgoing data frame — every attempt, retries
 // included — before the frame's air time is computed, so it may piggyback
 // header fields (Frame.HasBP/BPLen, Frame.QueueTag) that change what goes
@@ -134,16 +129,15 @@ func (r DropReason) cause() obs.Cause {
 	}
 }
 
-// Queue is a bounded FIFO transmit queue with its own CWmin and AIFS —
-// the two knobs IEEE 802.11e EDCA differentiates access categories by,
-// which the paper's §7 extension repurposes as per-successor queues.
+// Queue is a bounded FIFO transmit queue with its own CWmin — the knob
+// IEEE 802.11e EDCA differentiates access categories by, which the
+// paper's §7 extension repurposes as per-successor queues.
 type Queue struct {
-	mac       *MAC
-	id        int
-	next      pkt.NodeID // MAC next hop for everything in this queue
-	buf       []*pkt.Packet
-	cwMin     int
-	aifsSlots int // idle slots after SIFS before backoff (2 = legacy DIFS)
+	mac   *MAC
+	id    int
+	next  pkt.NodeID // MAC next hop for everything in this queue
+	buf   []*pkt.Packet
+	cwMin int
 
 	// onEnqueue/onDequeue are the controller hooks of internal/ctl: they
 	// observe each packet accepted into the queue and each packet leaving
@@ -188,30 +182,12 @@ func (q *Queue) Len() int { return len(q.buf) }
 // CWmin reports the queue's current minimum contention window.
 func (q *Queue) CWmin() int { return q.cwMin }
 
-// AIFSSlots reports the queue's arbitration inter-frame space in slots
-// after SIFS (2 corresponds to the legacy DIFS).
-func (q *Queue) AIFSSlots() int { return q.aifsSlots }
-
-// SetAIFSSlots sets the queue's AIFS in slots after SIFS; values below 1
-// are clamped to 1 (802.11e forbids shorter-than-PIFS data access).
-func (q *Queue) SetAIFSSlots(n int) {
-	if n < 1 {
-		n = 1
-	}
-	q.aifsSlots = n
-}
-
 // SetHooks registers the queue's enqueue/dequeue observers (either may be
 // nil). At most one pair is supported — a second call replaces the first —
 // because exactly one controller owns a queue at a time.
 func (q *Queue) SetHooks(onEnqueue, onDequeue func(*pkt.Packet)) {
 	q.onEnqueue = onEnqueue
 	q.onDequeue = onDequeue
-}
-
-// ifs is the inter-frame space this queue defers before backoff.
-func (q *Queue) ifs() sim.Time {
-	return SIFS + sim.Time(q.aifsSlots)*SlotTime
 }
 
 // SetCWmin updates the queue's minimum contention window, clamping to the
@@ -322,7 +298,6 @@ type MAC struct {
 	rr      int // round-robin cursor over queues
 	deliver DeliverFunc
 	taps    []TapFunc
-	txHooks []TxNotifyFunc
 	stamps  []TxStampFunc
 	// stampBytes is the most on-air bytes any registered stamp may add
 	// to a data frame; an RTS reserves them in its NAV.
@@ -429,9 +404,6 @@ func (m *MAC) OnDeliver(f DeliverFunc) { m.deliver = f }
 // AddTap registers a promiscuous tap (monitor mode).
 func (m *MAC) AddTap(t TapFunc) { m.taps = append(m.taps, t) }
 
-// AddTxNotify registers an on-air transmit observer.
-func (m *MAC) AddTxNotify(t TxNotifyFunc) { m.txHooks = append(m.txHooks, t) }
-
 // AddTxStamp registers a per-attempt outgoing-frame stamp (see
 // TxStampFunc) that adds at most bytes on-air bytes to a data frame (0 for
 // a stamp that only observes or sets off-air fields).
@@ -466,10 +438,9 @@ func (m *MAC) notifyDrop(p *pkt.Packet, r DropReason) {
 }
 
 // NewQueue creates a transmit queue toward next with the MAC's default
-// CWmin and the legacy DIFS arbitration space. Queues are served in
-// round-robin order.
+// CWmin. Queues are served in round-robin order.
 func (m *MAC) NewQueue(next pkt.NodeID) *Queue {
-	q := &Queue{mac: m, id: len(m.queues), next: next, cwMin: m.cfg.CWmin, aifsSlots: 2}
+	q := &Queue{mac: m, id: len(m.queues), next: next, cwMin: m.cfg.CWmin}
 	m.queues = append(m.queues, q)
 	return q
 }
@@ -797,9 +768,6 @@ func (m *MAC) resume() {
 		return
 	}
 	ifs := DIFS
-	if m.cur != nil {
-		ifs = m.cur.ifs()
-	}
 	if m.useEIFS {
 		ifs = SIFS + m.ch.AirTime(pkt.AckBytes) + DIFS // EIFS
 	}
@@ -866,9 +834,6 @@ func (m *MAC) sendData() {
 		m.record(obs.KindRetry, obs.CauseNone, m.cur.next, f.Payload)
 	} else {
 		m.record(obs.KindTxAttempt, obs.CauseNone, m.cur.next, f.Payload)
-		for _, h := range m.txHooks {
-			h(f)
-		}
 	}
 	m.state = stTxData
 	end := m.ch.TransmitFrom(m.st, f)

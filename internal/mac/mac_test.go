@@ -252,22 +252,6 @@ func TestTapSeesAllFrames(t *testing.T) {
 	}
 }
 
-func TestTxNotifyFirstAttemptOnly(t *testing.T) {
-	eng, ch, a, _ := pair(t, DefaultConfig())
-	ch.SetLinkLoss(0, 1, 1.0)
-	notifies := 0
-	a.AddTxNotify(func(f *pkt.Frame) { notifies++ })
-	q := a.NewQueue(1)
-	q.Enqueue(packet(1))
-	eng.Run(20 * sim.Second)
-	if notifies != 1 {
-		t.Fatalf("tx notify fired %d times, want 1 (retries excluded)", notifies)
-	}
-	if a.TxRetries == 0 {
-		t.Fatal("expected retries")
-	}
-}
-
 func TestBackoffContention(t *testing.T) {
 	// Two saturated senders toward a common receiver: both must make
 	// progress (no starvation, no deadlock) and their shares should be
@@ -447,50 +431,5 @@ func TestPropertyPacketConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAIFSDefaultsMatchDIFS(t *testing.T) {
-	eng, _, a, _ := pair(t, DefaultConfig())
-	_ = eng
-	q := a.NewQueue(1)
-	if q.AIFSSlots() != 2 {
-		t.Fatalf("default AIFS %d slots, want 2 (legacy DIFS)", q.AIFSSlots())
-	}
-	if q.ifs() != DIFS {
-		t.Fatalf("default ifs %v, want DIFS %v", q.ifs(), DIFS)
-	}
-	q.SetAIFSSlots(0)
-	if q.AIFSSlots() != 1 {
-		t.Fatal("AIFS floor not applied")
-	}
-}
-
-func TestAIFSDifferentiatesAccess(t *testing.T) {
-	// Two saturated senders with equal CWmin but different AIFS: the
-	// low-AIFS (high-priority) sender must win a clearly larger share —
-	// the 802.11e mechanism behind the paper's §7 multi-queue extension.
-	eng := sim.NewEngine(1)
-	ch := phy.NewChannel(eng, phy.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.QueueCap = 20000
-	a := New(eng, ch, 0, phy.Position{X: 0}, cfg)
-	b := New(eng, ch, 1, phy.Position{X: 100, Y: 100}, cfg)
-	r := New(eng, ch, 2, phy.Position{X: 100}, cfg)
-	got := map[pkt.NodeID]int{}
-	r.OnDeliver(func(p *pkt.Packet, from pkt.NodeID) { got[from]++ })
-	qa := a.NewQueue(2)
-	qa.SetAIFSSlots(12) // low priority
-	qb := b.NewQueue(2) // default: high priority
-	for i := uint64(1); i <= 20000; i++ {
-		qa.Enqueue(pkt.NewPacket(1, i, 0, 2, 1000, 0))
-		qb.Enqueue(pkt.NewPacket(2, i, 1, 2, 1000, 0))
-	}
-	eng.Run(60 * sim.Second)
-	if got[0] == 0 {
-		t.Fatal("low-priority sender fully starved")
-	}
-	if float64(got[0]) > 0.8*float64(got[1]) {
-		t.Fatalf("AIFS had no differentiation effect: %v", got)
 	}
 }
