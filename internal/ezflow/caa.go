@@ -44,7 +44,7 @@ type CWSetter interface {
 	SetCWmin(int)
 }
 
-// Decision records one CAA decision, for traces and tests.
+// Decision describes one CAA decision, for traces and tests.
 type Decision struct {
 	At      sim.Time
 	Avg     float64 // averaged b_{k+1} over the window
@@ -72,8 +72,7 @@ type CAA struct {
 	countUp   int
 	countDown int
 
-	// Trace of every decision; OnDecision is invoked per decision too.
-	Decisions  []Decision
+	// OnDecision, when set, observes every decision.
 	OnDecision func(Decision)
 	now        func() sim.Time
 }
@@ -163,9 +162,7 @@ func (c *CAA) decide(avg float64) {
 		c.countUp = 0
 		c.countDown = 0
 	}
-	d := Decision{At: c.now(), Avg: avg, CW: c.cw.CWmin(), Changed: changed}
-	c.Decisions = append(c.Decisions, d)
 	if c.OnDecision != nil {
-		c.OnDecision(d)
+		c.OnDecision(Decision{At: c.now(), Avg: avg, CW: c.cw.CWmin(), Changed: changed})
 	}
 }

@@ -20,6 +20,13 @@ func newTestCAA(initCW int) (*CAA, *fakeCW) {
 	return c, cw
 }
 
+// recordDecisions collects every decision c makes through OnDecision.
+func recordDecisions(c *CAA) *[]Decision {
+	var ds []Decision
+	c.OnDecision = func(d Decision) { ds = append(ds, d) }
+	return &ds
+}
+
 // feed sends one full decision window of identical samples.
 func feed(c *CAA, value int) {
 	for i := 0; i < c.Config().Window; i++ {
@@ -29,14 +36,15 @@ func feed(c *CAA, value int) {
 
 func TestCAANoDecisionBeforeWindow(t *testing.T) {
 	c, cw := newTestCAA(32)
+	ds := recordDecisions(c)
 	for i := 0; i < DefaultWindow-1; i++ {
 		c.OnSample(Sample{Value: 100})
 	}
-	if len(c.Decisions) != 0 || cw.cw != 32 {
+	if len(*ds) != 0 || cw.cw != 32 {
 		t.Fatal("decision fired before 50 samples accumulated")
 	}
 	c.OnSample(Sample{Value: 100})
-	if len(c.Decisions) != 1 {
+	if len(*ds) != 1 {
 		t.Fatal("50th sample did not trigger a decision")
 	}
 }
@@ -171,13 +179,12 @@ func TestCAAInitialClamp(t *testing.T) {
 
 func TestCAADecisionTrace(t *testing.T) {
 	c, _ := newTestCAA(32)
-	var cb []Decision
-	c.OnDecision = func(d Decision) { cb = append(cb, d) }
+	ds := recordDecisions(c)
 	feed(c, 7)
-	if len(c.Decisions) != 1 || len(cb) != 1 {
+	if len(*ds) != 1 {
 		t.Fatal("decision not recorded")
 	}
-	d := c.Decisions[0]
+	d := (*ds)[0]
 	if d.Avg != 7 || d.CW != 32 || d.Changed {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -191,15 +198,16 @@ func TestCAAAveragingNotMedian(t *testing.T) {
 	// most samples are low — the CAA works on the mean, as Algorithm 1
 	// specifies.
 	c, _ := newTestCAA(32)
+	ds := recordDecisions(c)
 	for i := 0; i < 49; i++ {
 		c.OnSample(Sample{Value: 0})
 	}
 	c.OnSample(Sample{Value: 5000})
-	if len(c.Decisions) != 1 {
+	if len(*ds) != 1 {
 		t.Fatal("no decision")
 	}
-	if c.Decisions[0].Avg != 100 {
-		t.Fatalf("avg = %v, want 100", c.Decisions[0].Avg)
+	if (*ds)[0].Avg != 100 {
+		t.Fatalf("avg = %v, want 100", (*ds)[0].Avg)
 	}
 }
 
