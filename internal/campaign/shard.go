@@ -217,6 +217,9 @@ type ShardOptions struct {
 	Faults *FaultCounters
 	// Progress, when non-nil, is called after every completed
 	// replication with the number finished so far, across all shards.
+	// Calls are serialised (made under the merge lock, so Progress must
+	// not block) and arrive in completion order, as with
+	// Engine.Progress.
 	Progress func(done, total int)
 }
 
@@ -267,21 +270,20 @@ type shardMerge struct {
 // record places one worker-reported run, validating it against the
 // supervisor's pending set semantics: the caller guarantees (point,
 // rep) was pending, so a duplicate here means two shards were dealt the
-// same job — a planner bug worth crashing on.
+// same job — a planner bug worth crashing on. progress is called under
+// the lock, so concurrent supervisors never call it at once.
 func (m *shardMerge) record(r RunResult, progress func(done, total int)) error {
 	i := r.Point*m.reps + r.Rep
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.got[i] {
-		m.mu.Unlock()
 		return errShardFatal{fmt.Errorf("campaign: (point %d, rep %d) merged twice — shard plan overlap", r.Point, r.Rep)}
 	}
 	m.runs[i] = r
 	m.got[i] = true
 	m.done++
-	done, total := m.done, len(m.runs)
-	m.mu.Unlock()
 	if progress != nil {
-		progress(done, total)
+		progress(m.done, len(m.runs))
 	}
 	return nil
 }
