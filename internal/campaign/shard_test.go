@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ezflow/internal/fabric"
 )
@@ -81,6 +84,46 @@ func TestShardedMatchesInProcess(t *testing.T) {
 				t.Errorf("progress reached %d, want %d", progressed, len(baseRes.Runs))
 			}
 		})
+	}
+}
+
+// TestShardProgressSerialised pins that concurrent shard supervisors
+// never call Progress at once: each call holds the callback for a
+// moment, and no call may overlap another.
+func TestShardProgressSerialised(t *testing.T) {
+	const shards, perShard = 4, 8
+	m := &shardMerge{
+		reps: perShard,
+		runs: make([]RunResult, shards*perShard),
+		got:  make([]bool, shards*perShard),
+	}
+	var inside, overlaps, calls atomic.Int32
+	progress := func(done, total int) {
+		if inside.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		calls.Add(1)
+		time.Sleep(100 * time.Microsecond)
+		inside.Add(-1)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < shards; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < perShard; r++ {
+				if err := m.record(RunResult{Point: p, Rep: r}, progress); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if calls.Load() != shards*perShard {
+		t.Errorf("progress called %d times, want %d", calls.Load(), shards*perShard)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d progress calls overlapped another", n)
 	}
 }
 
