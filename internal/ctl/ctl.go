@@ -16,7 +16,10 @@
 // schemes that rely on explicit signalling or offline tuning, vs
 // EZ-Flow's passive estimation):
 //
-//   - ezflow: the paper's BOE+CAA pair, message-free (internal/ezflow);
+//   - ezflow: the paper's BOE+CAA pair, message-free (internal/ezflow),
+//     deployed on the relay hooks like every hook-based family: it
+//     records its own first attempts (OnTransmit) and sniffs its
+//     successor's forwards (OnOverhear);
 //   - penalty: the static source throttling of [9], tuned offline;
 //   - diffq: DiffQ-style differential backlog, piggybacking node backlogs
 //     on data frames (4 bytes each);
@@ -29,6 +32,11 @@
 // Plain 802.11 deploys no controller at all (IsNone). The legacy
 // ezflow.Mode values are thin wrappers naming ezflow, penalty or diffq,
 // and ezflow.Config.Ctl (Options) is the only place a run tunes them.
+//
+// Outgoing-frame hooks are MAC stamps that declare the on-air bytes they
+// may add, so an RTS reserves them in its NAV: OnTransmit declares none,
+// and a header charged on the air (backpressure's) is a node stamp that
+// declares its size.
 //
 // Determinism contract: controllers run inside one scenario's
 // single-threaded event loop. They must derive randomness only from the

@@ -8,9 +8,9 @@ import (
 )
 
 // Deployment wires one hook-based Controller over a mesh: one Relay per
-// queue whose next hop is a relay of some flow (the same coverage rule as
-// the EZ-Flow deployment — queues draining straight into a destination
-// have no downstream buffer to protect). It implements Instance.
+// queue whose next hop is a relay of some flow (the paper's EZ-Flow
+// coverage rule — queues draining straight into a destination have no
+// downstream buffer to protect). It implements Instance.
 type Deployment struct {
 	// Ctrl is the deployed controller.
 	Ctrl Controller

@@ -1,11 +1,14 @@
 // Package ezflow implements the paper's contribution: the EZ-Flow
 // distributed flow-control mechanism, composed of a Buffer Occupancy
-// Estimator (BOE) and a Channel Access Adaptation (CAA) module, wired to
-// the MAC only through the per-queue CWmin knob and the promiscuous tap —
-// never through message passing.
+// Estimator (BOE) and a Channel Access Adaptation (CAA) module. It acts
+// on the MAC only through the per-queue CWmin knob and learns only from
+// the node's own transmissions and the frames it overhears — never
+// through message passing.
 //
 // One Controller runs per (node, successor) pair, exactly as the paper
-// deploys one EZ-Flow program per relay with per-successor state.
+// deploys one EZ-Flow program per relay with per-successor state. This
+// package holds the algorithm only; internal/ctl's "ezflow" controller
+// deploys it over a mesh through the relay hooks.
 package ezflow
 
 import (

@@ -44,7 +44,7 @@ type CWSetter interface {
 	SetCWmin(int)
 }
 
-// Decision describes one CAA decision, for traces and tests.
+// Decision records one CAA decision, for traces and tests.
 type Decision struct {
 	At      sim.Time
 	Avg     float64 // averaged b_{k+1} over the window
