@@ -252,7 +252,10 @@ func (s *Station) ensureOwned(capHint int) {
 	if s.owned && cap(s.nbrs) >= capHint && cap(s.csNbrs) >= capHint {
 		return
 	}
-	cp := capHint + capHint/2 + 8
+	// The copy keeps the current records, so a list about to shrink (a
+	// long jump) needs room for them too.
+	cp := max(capHint, len(s.nbrs))
+	cp += cp/2 + 8
 	nbrs := make([]link, len(s.nbrs), cp)
 	copy(nbrs, s.nbrs)
 	slots := make([]int32, len(s.nbrSlots), cp)

@@ -71,6 +71,27 @@ func TestMoveNodeIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestMoveNodeFirstMoveIsFarJump: a station whose first move after an
+// index build takes it out of range of its many arena-packed neighbors
+// must detach its list with room for the records it still holds.
+func TestMoveNodeFirstMoveIsFarJump(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, DefaultConfig())
+	for i, p := range diskPositions(200, 1) {
+		ch.AddNode(pkt.NodeID(i), p, nil)
+	}
+	ch.Transmit(0, frame(0, 1))
+	for eng.RunStep() {
+	}
+	if len(ch.station(9).nbrs) <= 8 {
+		t.Fatal("the mover needs more neighbors than a fresh list's headroom")
+	}
+	ch.MoveNode(9, Position{X: 1e6, Y: 1e6})
+	if err := ch.VerifyIndex(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMoveNodeBeforeIndexBuilds exercises the pre-index path: moves
 // before the first transmission just adopt positions, and the eventual
 // build sees the final geometry.
