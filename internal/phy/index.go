@@ -92,7 +92,7 @@ func (c Config) interferenceRange() float64 {
 // carry the values a per-direction computation would give.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
-	r := c.cfg.interferenceRange()
+	r := c.radius
 	pos := make([]Position, n)
 	sensed := make([]int32, n)
 	busy := make([]bool, n)
@@ -122,7 +122,7 @@ func (c *Channel) buildIndex() {
 	for i := range pos {
 		cand = g.Near(pos[i], cand[:0])
 		for _, j := range cand {
-			if int(j) <= i {
+			if int(j) <= i || c.beyond(pos[i], pos[j]) {
 				continue
 			}
 			d := pos[i].Dist(pos[j])
@@ -160,6 +160,7 @@ func (c *Channel) buildIndex() {
 		st.nbrs, links = links[:k:k], links[k:]
 		st.nbrSlots, keys = keys[:k:k], keys[k:]
 		st.csNbrs, cs = cs[:ck:ck], cs[ck:]
+		st.nbrTwin = nil
 		st.owned = false
 	}
 
@@ -201,7 +202,29 @@ func (c *Channel) buildIndex() {
 		}
 		lo = upperEnd[y]
 	}
-	c.indexed = true
+	c.indexed, c.twinned = true, false
+}
+
+// buildTwins fills every station's nbrTwin from a twin arena, in one
+// cursor pass over all records. Visiting the stations x in ascending
+// slot order meets the records toward any station y in the order y's
+// own list holds their reverse records (ascending by x), so a per-y
+// cursor walks y's list once. It runs on the first MoveNode after
+// buildIndex, while every list still lives in the build arenas.
+func (c *Channel) buildTwins() {
+	total := len(c.slotArena)
+	c.twinArena = slices.Grow(c.twinArena[:0], total)[:total]
+	twins := c.twinArena
+	cursor := make([]int32, len(c.order))
+	for _, st := range c.order {
+		k := len(st.nbrs)
+		st.nbrTwin, twins = twins[:k:k], twins[k:]
+		for i, y := range st.nbrSlots {
+			st.nbrTwin[i] = cursor[y]
+			cursor[y]++
+		}
+	}
+	c.twinned = true
 }
 
 // neighbor returns the cached link record toward the station at the

@@ -4,15 +4,21 @@
 // re-buckets the station in the retained spatial grid, recomputes the
 // station's own neighbor list from a grid query, and patches the
 // reverse direction at exactly the neighbors whose interference-radius
-// membership or cached geometry changed — O(degree·log degree) per move
-// against the O(N·degree) full rebuild.
+// membership or cached geometry changed. A move costs one
+// squared-distance test per grid candidate (math.Hypot only for those
+// that pass it) plus O(degree) reverse-record patches, each addressed
+// through the twin index instead of a search — against the O(N·degree)
+// full rebuild. Inserting or removing a reverse record also re-points
+// the twins of the records it shifts, O(degree) more; membership changes
+// are rare next to kept neighbors.
 //
-// Storage discipline: buildIndex packs every list into shared arenas, so
-// a list can never grow or shrink in place without trampling the next
-// station's records. The first mutation that resizes a station's list
-// detaches it (copy-on-write) into station-owned slices with amortized
-// spare capacity; once the capacities of the stations along a node's
-// path have warmed up, steady-state moves allocate nothing.
+// Storage discipline: buildIndex and buildTwins pack every list into
+// shared arenas, so no list can grow or shrink in place without
+// trampling the next station's records. The first mutation that resizes
+// a station's list detaches it (copy-on-write) into station-owned slices
+// with amortized spare capacity; once the capacities of the stations
+// along a node's path have warmed up, steady-state moves allocate
+// nothing.
 //
 // Determinism rules (the golden campaigns pin these):
 //   - MoveNode never touches the engine RNG, so a move perturbs no other
@@ -84,6 +90,9 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 	if c.busyTx[st.slot] {
 		panic(fmt.Sprintf("phy: MoveNode of node %v while transmitting", id))
 	}
+	if !c.twinned {
+		c.buildTwins()
+	}
 	old := st.pos
 	if pos == old {
 		return false
@@ -93,7 +102,7 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 
 	// Recompute the mover's own neighbor list from the grid at the new
 	// position, into the reusable staging buffer, ascending by slot.
-	r := c.cfg.interferenceRange()
+	r := c.radius
 	cand := c.grid.Near(pos, c.scratch[:0])
 	c.scratch = cand
 	mutated := len(c.loss) > 0 || len(c.down) > 0
@@ -103,6 +112,9 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 			continue
 		}
 		o := c.order[j]
+		if c.beyond(pos, o.pos) {
+			continue
+		}
 		d := pos.Dist(o.pos)
 		if d > r {
 			continue
@@ -120,14 +132,18 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 		newL = append(newL, l)
 	}
 	c.moveBuf = newL
+	newT := slices.Grow(c.twinBuf[:0], len(newL))[:len(newL)]
+	c.twinBuf = newT
 
 	// Merge-diff the old and new lists (both ascending by slot) and patch
 	// the reverse direction at each affected neighbor. Range predicates
 	// and received power are symmetric, so the forward record carries
 	// everything the reverse one needs except the per-direction loss/down
-	// state, which is read from the authoritative maps on insert.
+	// state, which is read from the authoritative maps on insert. Each
+	// neighbor's list changes at most once per move, and only at its
+	// record toward the mover, so the old twins stay valid throughout.
 	changed := false
-	oldL := st.nbrs
+	oldL, oldT := st.nbrs, st.nbrTwin
 	i, j := 0, 0
 	for i < len(oldL) || j < len(newL) {
 		switch {
@@ -136,7 +152,7 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 			if oldL[i].inTx {
 				changed = true
 			}
-			c.removeNeighbor(c.order[oldL[i].slot], st.slot)
+			c.removeNeighborAt(c.order[oldL[i].slot], oldT[i])
 			i++
 		case i >= len(oldL) || newL[j].slot < oldL[i].slot:
 			// Appeared neighbor: insert the reverse record.
@@ -150,16 +166,20 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 				key := linkKey{b.id, st.id}
 				rev.down, rev.loss = c.down[key], c.loss[key]
 			}
-			c.insertNeighbor(b, rev)
+			newT[j] = c.insertNeighbor(b, rev, int32(j))
 			j++
 		default:
-			// Kept neighbor: refresh geometry in place, both directions.
+			// Kept neighbor: refresh geometry in place, both directions,
+			// and re-point its twin at the mover's new list position.
 			nl, ol := &newL[j], &oldL[i]
 			if nl.inTx != ol.inTx {
 				changed = true
 			}
 			b := c.order[nl.slot]
-			blk := b.neighbor(st.slot)
+			t := oldT[i]
+			newT[j] = t
+			b.nbrTwin[t] = int32(j)
+			blk := &b.nbrs[t]
 			if blk.inCS != nl.inCS {
 				blk.inCS, blk.inTx, blk.power = nl.inCS, nl.inTx, nl.power
 				b.ensureOwned(len(b.nbrs))
@@ -175,6 +195,7 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 	// Adopt the new forward list into station-owned storage.
 	st.ensureOwned(len(newL))
 	st.nbrs = append(st.nbrs[:0], newL...)
+	st.nbrTwin = append(st.nbrTwin[:0], newT...)
 	st.nbrSlots = st.nbrSlots[:0]
 	for k := range newL {
 		st.nbrSlots = append(st.nbrSlots, newL[k].slot)
@@ -247,7 +268,8 @@ func (c *Channel) moveFlightState(st *Station) {
 // build arenas into station-owned slices with room for at least capHint
 // links (plus amortized headroom), so incremental moves can resize the
 // lists without corrupting the neighbors packed after them. A no-op once
-// the station is detached with sufficient capacity.
+// the station is detached with sufficient capacity. Only MoveNode calls
+// it, after buildTwins, so the twins are copied along.
 func (s *Station) ensureOwned(capHint int) {
 	if s.owned && cap(s.nbrs) >= capHint && cap(s.csNbrs) >= capHint {
 		return
@@ -262,7 +284,9 @@ func (s *Station) ensureOwned(capHint int) {
 	copy(slots, s.nbrSlots)
 	cs := make([]int32, len(s.csNbrs), cp)
 	copy(cs, s.csNbrs)
-	s.nbrs, s.nbrSlots, s.csNbrs = nbrs, slots, cs
+	twins := make([]int32, len(s.nbrTwin), cp)
+	copy(twins, s.nbrTwin)
+	s.nbrs, s.nbrSlots, s.csNbrs, s.nbrTwin = nbrs, slots, cs, twins
 	s.owned = true
 }
 
@@ -279,9 +303,11 @@ func rebuildCS(s *Station) {
 	s.csNbrs = cs
 }
 
-// insertNeighbor splices a link record into b's lists at its ascending
-// slot position, detaching b from the arenas if needed.
-func (c *Channel) insertNeighbor(b *Station, lk link) {
+// insertNeighbor splices a link record, whose reverse record sits at
+// position twin, into b's lists at its ascending slot position, detaching
+// b from the arenas if needed, and returns that position. The records it
+// shifts up have their twins re-pointed.
+func (c *Channel) insertNeighbor(b *Station, lk link, twin int32) int32 {
 	n := len(b.nbrs)
 	b.ensureOwned(n + 1)
 	pos := lowerBound32(b.nbrSlots, lk.slot)
@@ -291,23 +317,36 @@ func (c *Channel) insertNeighbor(b *Station, lk link) {
 	b.nbrSlots = b.nbrSlots[:n+1]
 	copy(b.nbrSlots[pos+1:], b.nbrSlots[pos:n])
 	b.nbrSlots[pos] = lk.slot
+	b.nbrTwin = b.nbrTwin[:n+1]
+	copy(b.nbrTwin[pos+1:], b.nbrTwin[pos:n])
+	b.nbrTwin[pos] = twin
+	c.repointTwins(b, pos+1)
+	rebuildCS(b)
+	return int32(pos)
+}
+
+// removeNeighborAt deletes the record at position k from b's lists,
+// detaching b from the arenas if needed. The records it shifts down have
+// their twins re-pointed.
+func (c *Channel) removeNeighborAt(b *Station, k int32) {
+	n := len(b.nbrs)
+	b.ensureOwned(n)
+	copy(b.nbrs[k:], b.nbrs[k+1:])
+	b.nbrs = b.nbrs[:n-1]
+	copy(b.nbrSlots[k:], b.nbrSlots[k+1:])
+	b.nbrSlots = b.nbrSlots[:n-1]
+	copy(b.nbrTwin[k:], b.nbrTwin[k+1:])
+	b.nbrTwin = b.nbrTwin[:n-1]
+	c.repointTwins(b, int(k))
 	rebuildCS(b)
 }
 
-// removeNeighbor deletes the record toward the given slot from b's
-// lists, detaching b from the arenas if needed.
-func (c *Channel) removeNeighbor(b *Station, slot int32) {
-	pos := lowerBound32(b.nbrSlots, slot)
-	n := len(b.nbrs)
-	if pos >= n || b.nbrSlots[pos] != slot {
-		panic("phy: removeNeighbor of absent link")
+// repointTwins tells the peer of each of b's records from position from
+// on where that record now sits in b's list.
+func (c *Channel) repointTwins(b *Station, from int) {
+	for k := from; k < len(b.nbrs); k++ {
+		c.order[b.nbrs[k].slot].nbrTwin[b.nbrTwin[k]] = int32(k)
 	}
-	b.ensureOwned(n)
-	copy(b.nbrs[pos:], b.nbrs[pos+1:])
-	b.nbrs = b.nbrs[:n-1]
-	copy(b.nbrSlots[pos:], b.nbrSlots[pos+1:])
-	b.nbrSlots = b.nbrSlots[:n-1]
-	rebuildCS(b)
 }
 
 // VerifyIndex checks the incrementally-patched neighbor index against a
@@ -320,7 +359,7 @@ func (c *Channel) VerifyIndex() error {
 	if !c.indexed {
 		return nil
 	}
-	r := c.cfg.interferenceRange()
+	r := c.radius
 	for si, st := range c.order {
 		if st.slot != int32(si) {
 			return fmt.Errorf("station %v: slot %d, want %d", st.id, st.slot, si)
@@ -365,6 +404,18 @@ func (c *Channel) VerifyIndex() error {
 		}
 		if !slices.Equal(cs, st.csNbrs) {
 			return fmt.Errorf("station %v: csNbrs %v, want %v", st.id, st.csNbrs, cs)
+		}
+		// Every twin must point back at this station's slot.
+		if c.twinned {
+			if len(st.nbrTwin) != len(st.nbrs) {
+				return fmt.Errorf("station %v: %d twins for %d links", st.id, len(st.nbrTwin), len(st.nbrs))
+			}
+			for k, t := range st.nbrTwin {
+				peer := c.order[st.nbrs[k].slot]
+				if t < 0 || int(t) >= len(peer.nbrSlots) || peer.nbrSlots[t] != st.slot {
+					return fmt.Errorf("station %v link %d: twin %d does not point back from %v", st.id, k, t, peer.id)
+				}
+			}
 		}
 		// The grid must still find the station from its own position.
 		found := slices.Contains(c.grid.Near(st.pos, nil), st.slot)

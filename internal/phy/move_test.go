@@ -71,6 +71,87 @@ func TestMoveNodeIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestMoveNodeTickMatchesRebuild drives the mobility engine's pattern on
+// a 200-node disk: every station takes one 1.5-m waypoint step per tick,
+// with occasional jumps outside the grid's extent, link-state churn,
+// flights left on the air across the moves, and a mid-run AddNode that
+// forces an index rebuild and then a lazy twin rebuild. The patched
+// index, twins included, must match the oracle after every tick.
+func TestMoveNodeTickMatchesRebuild(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(17))
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, DefaultConfig())
+	sts := make([]*Station, n)
+	for i, p := range diskPositions(n, 5) {
+		sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
+	}
+	send := func(src *Station) {
+		f := ch.Pool().Frame()
+		f.Type = pkt.FrameData
+		f.TxSrc = src.id
+		f.TxDst = pkt.NodeID(rng.Intn(n))
+		ch.TransmitFrom(src, f)
+	}
+	send(sts[0])
+	for eng.RunStep() {
+	}
+	w := newWaypoints(n, 1.5, 23)
+	extent := 100 * math.Sqrt(n)
+
+	for tick := 0; tick < 120; tick++ {
+		if tick == 60 {
+			// Drain the air first: a station added mid-flight would owe
+			// the flights' finish a carrier-sense decrement it never got.
+			for eng.RunStep() {
+			}
+			late := ch.AddNode(n, Position{X: 150, Y: -90}, nil)
+			sts = append(sts, late)
+			ch.MoveNode(n, Position{X: 160, Y: -95}) // before the rebuild
+			send(late)
+			if !ch.indexed || ch.twinned {
+				t.Fatal("the flight after AddNode must rebuild the index but not the twins")
+			}
+		}
+		for k := 0; k < 4; k++ { // link-state churn between ticks
+			a, b := pkt.NodeID(rng.Intn(len(sts))), pkt.NodeID(rng.Intn(len(sts)))
+			if a != b {
+				ch.SetLinkDown(a, b, rng.Intn(3) == 0)
+				ch.SetLinkLoss(b, a, rng.Float64())
+			}
+		}
+		for k := 0; k < 3; k++ { // flights still on the air during the moves
+			if src := sts[rng.Intn(len(sts))]; !ch.Transmitting(src.id) {
+				send(src)
+			}
+		}
+		eng.Run(eng.Now() + 2*sim.Millisecond)
+		for _, st := range sts {
+			if ch.Transmitting(st.id) {
+				continue // deferred, as the mobility engine does
+			}
+			p := w.step(int(st.id)%n, st.pos)
+			if rng.Intn(500) == 0 {
+				p = Position{X: (rng.Float64()*4 - 2) * extent, Y: (rng.Float64()*4 - 2) * extent}
+			}
+			ch.MoveNode(st.id, p)
+		}
+		if !ch.twinned {
+			t.Fatalf("tick %d: MoveNode left the twins unbuilt", tick)
+		}
+		if err := ch.VerifyIndex(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+	}
+	for eng.RunStep() {
+	}
+	for _, st := range sts {
+		if ch.Busy(st.id) {
+			t.Fatalf("station %v senses a busy medium after the last flight", st.id)
+		}
+	}
+}
+
 // TestMoveNodeFirstMoveIsFarJump: a station whose first move after an
 // index build takes it out of range of its many arena-packed neighbors
 // must detach its list with room for the records it still holds.
@@ -268,10 +349,55 @@ func moveBench(n int) (ch *Channel, eng *sim.Engine, a, b Position) {
 	return ch, eng, a, b
 }
 
+// waypoints is a random-waypoint walk for the stations of a disk laid out
+// by diskPositions: each heads for its own target in the disk at step
+// metres per tick and draws a fresh target on arrival.
+type waypoints struct {
+	rng    *rand.Rand
+	radius float64
+	speed  float64
+	target []Position
+}
+
+func newWaypoints(n int, step float64, seed int64) *waypoints {
+	w := &waypoints{
+		rng:    rand.New(rand.NewSource(seed)),
+		radius: 100 * math.Sqrt(float64(n)),
+		speed:  step,
+		target: make([]Position, n),
+	}
+	for i := range w.target {
+		w.target[i] = w.draw()
+	}
+	return w
+}
+
+func (w *waypoints) draw() Position {
+	r := w.radius * math.Sqrt(w.rng.Float64())
+	theta := 2 * math.Pi * w.rng.Float64()
+	return Position{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
+}
+
+// step returns where station i, now at p, stands one tick later.
+func (w *waypoints) step(i int, p Position) Position {
+	tgt := w.target[i]
+	d := p.Dist(tgt)
+	if d <= w.speed {
+		w.target[i] = w.draw()
+		return tgt
+	}
+	f := w.speed / d
+	return Position{X: p.X + (tgt.X-p.X)*f, Y: p.Y + (tgt.Y-p.Y)*f}
+}
+
 // BenchmarkMoveNode compares the incremental patch against the full
-// index rebuild it replaces, at the 200-node disk scale: one position
-// oscillation per op. The incremental path must be several times faster
-// and allocation-free in steady state.
+// index rebuild it replaces, at the 200-node disk scale. incremental and
+// rebuild do one position oscillation of one station per op, so the
+// peers it patches stay cache-hot; tick moves every station one 1.5-m
+// waypoint step per op (the mobile workload's 3 m/s at 0.5-s ticks),
+// which touches every list once, as a mobility tick does. The
+// incremental path must be several times faster than the rebuild and
+// allocation-free in steady state.
 func BenchmarkMoveNode(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		ch, _, p1, p2 := moveBench(200)
@@ -283,6 +409,23 @@ func BenchmarkMoveNode(b *testing.B) {
 			} else {
 				ch.MoveNode(7, p1)
 			}
+		}
+	})
+	b.Run("tick", func(b *testing.B) {
+		ch, _, _, _ := moveBench(200)
+		w := newWaypoints(200, 1.5, 1)
+		tick := func() {
+			for _, st := range ch.order {
+				ch.MoveNode(st.id, w.step(int(st.id), st.pos))
+			}
+		}
+		for range 200 { // warm owned-list capacities (growth is rare afterwards)
+			tick()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tick()
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {

@@ -65,9 +65,20 @@ func DefaultConfig() Config {
 }
 
 // power is the received power (arbitrary units) at distance d.
+//
+// The default d⁻⁴ law takes a closed form that equals math.Pow(d, -4)
+// to the bit: Pow squares the Frexp mantissa of d twice, rounding each
+// time, and inverts the result; squaring d twice and inverting rounds
+// the same values scaled by powers of two, which changes no rounding
+// while every value stays a normal float (d < 2²⁵⁰). TestPowerMatchesPow
+// pins the equality.
 func (c Config) power(d float64) float64 {
 	if d < 1 {
 		d = 1
+	}
+	if c.PathLossExp == 4 && d < 0x1p250 {
+		s := d * d
+		return 1 / (s * s)
 	}
 	return math.Pow(d, -c.PathLossExp)
 }
@@ -127,11 +138,15 @@ type Station struct {
 	// interference range ascending by slot; nbrSlots mirrors their slots
 	// in a flat array for cache-dense binary search; csNbrs indexes the
 	// subsequence of nbrs within carrier-sense range (the only stations
-	// finish can owe a sensed-- or a delivery to).
+	// finish can owe a sensed-- or a delivery to). nbrTwin[k], once
+	// Channel.twinned is set, is the position of the reverse record in
+	// the list of the station at nbrs[k].slot, so MoveNode patches and
+	// removes reverse records without searching for them.
 	nbrs     []link
 	nbrSlots []int32
 	csNbrs   []int32
-	// owned marks the three lists as station-private storage rather than
+	nbrTwin  []int32
+	// owned marks the four lists as station-private storage rather than
 	// arena sub-slices: MoveNode detaches a station (copy-on-write) the
 	// first time its list has to grow or shrink, so incremental resizes
 	// can never bleed into the neighbor packed after it in the arena. A
@@ -167,22 +182,37 @@ type Channel struct {
 	// indexed marks the neighbor lists as built; AddNode clears it and
 	// the next transmission rebuilds (see index.go).
 	indexed bool
+	// twinned marks every station's nbrTwin as built for the current
+	// index. buildIndex clears it; the first MoveNode after a build sets
+	// it (see buildTwins), so runs that never move a node never pay for
+	// the twin arena.
+	twinned bool
 	scratch []int32 // candidate buffer reused across index builds
+	// radius is the neighbor-list radius (Config.interferenceRange, fixed
+	// at construction); radius2 is its square with a relative margin far
+	// wider than the rounding error of a sum of two squares, so a pair
+	// whose squared distance exceeds it is beyond radius whatever
+	// math.Hypot returns, and math.Hypot decides every other pair.
+	radius, radius2 float64
 	// grid is the spatial hash the last buildIndex bucketed the stations
 	// into, kept alive so MoveNode can re-bucket a moving station without
-	// rebuilding; moveBuf is MoveNode's reusable new-list staging buffer,
-	// candBits its slot bitset for ordering grid candidates.
+	// rebuilding; moveBuf and twinBuf are MoveNode's reusable staging
+	// buffers for the new list and its twins, candBits its slot bitset
+	// for ordering grid candidates.
 	grid     *SpatialGrid
 	moveBuf  []link
+	twinBuf  []int32
 	candBits []uint64
 	// txListed marks TxRange as within the neighbor-list radius, so every
 	// decodable pair has a record and TxNeighbors can walk the lists.
 	txListed bool
 	// Arenas backing every station's neighbor lists (sub-sliced by
-	// buildIndex); pointer-free, so invisible to the garbage collector.
+	// buildIndex, and by buildTwins for the twins); pointer-free, so
+	// invisible to the garbage collector.
 	linkArena []link
 	slotArena []int32
 	csArena   []int32
+	twinArena []int32
 	// Dense per-slot event state: the number of in-flight transmissions
 	// each station senses, whether it is itself transmitting, and the
 	// reception it is locked onto (rx[slot].tx == nil when idle). For
@@ -248,13 +278,24 @@ type linkKey struct{ a, b pkt.NodeID }
 
 // NewChannel creates an empty channel over the given engine.
 func NewChannel(eng *sim.Engine, cfg Config) *Channel {
+	r := cfg.interferenceRange()
 	return &Channel{
-		cfg:  cfg,
-		eng:  eng,
-		loss: make(map[linkKey]float64),
-		down: make(map[linkKey]bool),
-		pool: pkt.NewPool(),
+		cfg:     cfg,
+		eng:     eng,
+		radius:  r,
+		radius2: r * r * (1 + 1e-9),
+		loss:    make(map[linkKey]float64),
+		down:    make(map[linkKey]bool),
+		pool:    pkt.NewPool(),
 	}
+}
+
+// beyond reports whether p and q are certainly farther apart than the
+// neighbor-list radius, from their squared distance alone (see radius2).
+// A false result decides nothing: the caller still tests math.Hypot.
+func (c *Channel) beyond(p, q Position) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return dx*dx+dy*dy > c.radius2
 }
 
 // Config returns the channel configuration.

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,53 @@ func TestPropertySenseBalanced(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPowerMatchesPow pins the d⁻⁴ closed form in Config.power to
+// math.Pow bit for bit: over 10⁷ seeded distances in [1, 10⁴], across
+// consecutive floats around the 250-m decode, 550-m carrier-sense and
+// ≈978-m interference radii, at huge distances, and through the d < 1
+// clamp. Other exponents must still go through math.Pow.
+func TestPowerMatchesPow(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.PathLossExp != 4 {
+		t.Fatalf("default path-loss exponent %v, want 4", cfg.PathLossExp)
+	}
+	check := func(d, want float64) {
+		if got := cfg.power(d); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("power(%v) = %v (%#x), want %v (%#x)", d, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 10_000_000 {
+		d := 1 + rng.Float64()*(1e4-1)
+		check(d, math.Pow(d, -4))
+	}
+	for _, at := range []float64{1, 250, 550, cfg.interferenceRange(), 1e4} {
+		down, up := at, at
+		for range 100_000 {
+			down, up = math.Nextafter(down, 0), math.Nextafter(up, math.Inf(1))
+			check(up, math.Pow(up, -4))
+			if down >= 1 {
+				check(down, math.Pow(down, -4))
+			}
+		}
+	}
+	for _, d := range []float64{1e20, 1e75, 0x1p250, 1e76, 1e77, 1e80, math.MaxFloat64, math.Inf(1)} {
+		check(d, math.Pow(d, -4))
+	}
+	for _, d := range []float64{0, 0.5, math.Nextafter(1, 0), -3} {
+		check(d, 1) // clamped to d = 1
+	}
+
+	for _, exp := range []float64{3, 2.5} {
+		c := cfg
+		c.PathLossExp = exp
+		for _, d := range []float64{1, 7.3, 250, 550, 977.7, 1e4} {
+			if got, want := c.power(d), math.Pow(d, -exp); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("exponent %v: power(%v) = %v, want math.Pow's %v", exp, d, got, want)
+			}
+		}
 	}
 }
