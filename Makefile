@@ -17,8 +17,12 @@ check: lint staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
 
+# bench/ is its own Go module, so the root `go test ./...` never reaches
+# ezperf's self-test (phase-split digests against plain runs, per workload).
 test:
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # fuzz is a short smoke over the hostile-input decoders: the scenario
 # JSON loader, the shard worker frame protocol (plus the chaos-spec
@@ -56,8 +60,9 @@ staticcheck:
 # (key derivation and a store Put+Get round trip — the fixed overhead
 # a cache hit pays to skip a simulation), the mobility path (a
 # single incremental phy.MoveNode re-index, pinned at zero steady-state
-# allocs, plus a full 200-node waypoint disk run and one route-repair
-# round over the mobile workload's disk), and large-disk set-up
+# allocs, one mobility tick that steps all 200 stations of a disk, plus
+# a full 200-node waypoint disk run and one route-repair round over the
+# mobile workload's disk), and large-disk set-up
 # (mesh.RandomDisk at 200 and 400 nodes with its connectivity
 # resampling, and one full PHY neighbor-index build) — gates them against
 # the committed baseline (BENCH_PR8.json; >25% allocs/op regression
