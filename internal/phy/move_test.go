@@ -86,19 +86,16 @@ func TestMoveNodeTickMatchesRebuild(t *testing.T) {
 	for i, p := range diskPositions(n, 5) {
 		sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
 	}
-	send := func(src *Station) {
-		f := ch.Pool().Frame()
-		f.Type = pkt.FrameData
-		f.TxSrc = src.id
-		f.TxDst = pkt.NodeID(rng.Intn(n))
-		ch.TransmitFrom(src, f)
+	send := func(src *Station) { // ≈8.4 ms on the air
+		ch.TransmitFrom(src, frame(src.id, pkt.NodeID(rng.Intn(n))))
 	}
 	send(sts[0])
 	for eng.RunStep() {
 	}
-	w := newWaypoints(n, 1.5, 23)
+	w := newWaypoints(n+1, 1.5, 23) // one walk more, for the late node
 	extent := 100 * math.Sqrt(n)
 
+	deferred := 0
 	for tick := 0; tick < 120; tick++ {
 		if tick == 60 {
 			// Drain the air first: a station added mid-flight would owe
@@ -128,9 +125,10 @@ func TestMoveNodeTickMatchesRebuild(t *testing.T) {
 		eng.Run(eng.Now() + 2*sim.Millisecond)
 		for _, st := range sts {
 			if ch.Transmitting(st.id) {
-				continue // deferred, as the mobility engine does
+				deferred++
+				continue // as the mobility engine defers it
 			}
-			p := w.step(int(st.id)%n, st.pos)
+			p := w.step(int(st.id), st.pos)
 			if rng.Intn(500) == 0 {
 				p = Position{X: (rng.Float64()*4 - 2) * extent, Y: (rng.Float64()*4 - 2) * extent}
 			}
@@ -142,6 +140,9 @@ func TestMoveNodeTickMatchesRebuild(t *testing.T) {
 		if err := ch.VerifyIndex(); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
+	}
+	if deferred == 0 {
+		t.Fatal("no station was ever caught mid-frame: the flights never overlapped a tick")
 	}
 	for eng.RunStep() {
 	}
@@ -350,7 +351,7 @@ func moveBench(n int) (ch *Channel, eng *sim.Engine, a, b Position) {
 }
 
 // waypoints is a random-waypoint walk for the stations of a disk laid out
-// by diskPositions: each heads for its own target in the disk at step
+// by diskPositions: each heads for its own target in the disk at speed
 // metres per tick and draws a fresh target on arrival.
 type waypoints struct {
 	rng    *rand.Rand
@@ -359,11 +360,11 @@ type waypoints struct {
 	target []Position
 }
 
-func newWaypoints(n int, step float64, seed int64) *waypoints {
+func newWaypoints(n int, speed float64, seed int64) *waypoints {
 	w := &waypoints{
 		rng:    rand.New(rand.NewSource(seed)),
 		radius: 100 * math.Sqrt(float64(n)),
-		speed:  step,
+		speed:  speed,
 		target: make([]Position, n),
 	}
 	for i := range w.target {
