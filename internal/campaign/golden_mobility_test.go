@@ -134,3 +134,76 @@ func TestGoldenMobilityCampaigns(t *testing.T) {
 		}
 	}
 }
+
+// goldenMobilityFaultsSpec crosses the mobility golden scenario's
+// waypoint commuters with the flap and churn fault axes under four
+// control planes, so mobility ticks repair routes through an attached
+// dynamics engine while controllers whose Extend does real work
+// (feedback refreshes predecessors, backpressure stamps new nodes)
+// re-extend after every round.
+func goldenMobilityFaultsSpec(t *testing.T) Spec {
+	t.Helper()
+	spec := goldenMobilitySpec(t)
+	spec.Name = "golden-mobility-faults"
+	spec.Axes = []Axis{
+		{Name: "controller", Values: []string{"802.11", "ezflow", "backpressure", "feedback"}},
+		{Name: "flap", Values: []string{"0", "1"}},
+		{Name: "churn", Values: []string{"0", "1"}},
+	}
+	return spec
+}
+
+// TestGoldenMobilityFaults pins mobility repair interleaved with
+// scripted faults byte-for-byte, at two worker counts.
+//
+// Regenerate (only after an intentional behaviour change) with
+//
+//	EZFLOW_UPDATE_GOLDEN=1 go test ./internal/campaign -run GoldenMobilityFaults
+func TestGoldenMobilityFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	jsonPath := filepath.Join("testdata", "golden_mobility_faults.json")
+	csvPath := filepath.Join("testdata", "golden_mobility_faults.csv")
+	run := func(parallel int) (js, cs []byte) {
+		res, err := (&Engine{Parallel: parallel}).Run(goldenMobilityFaultsSpec(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jb, cb bytes.Buffer
+		if err := (JSONSink{W: &jb}).Emit(res); err != nil {
+			t.Fatal(err)
+		}
+		if err := (CSVSink{W: &cb}).Emit(res); err != nil {
+			t.Fatal(err)
+		}
+		return jb.Bytes(), cb.Bytes()
+	}
+	if os.Getenv("EZFLOW_UPDATE_GOLDEN") != "" {
+		js, cs := run(1)
+		if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(csvPath, cs, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Log("updated mobility-faults goldens")
+	}
+	wantJSON, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 4} {
+		js, cs := run(parallel)
+		if !bytes.Equal(js, wantJSON) {
+			t.Errorf("parallel=%d: JSON diverges from golden %s", parallel, jsonPath)
+		}
+		if !bytes.Equal(cs, wantCSV) {
+			t.Errorf("parallel=%d: CSV diverges from golden %s", parallel, csvPath)
+		}
+	}
+}
