@@ -529,8 +529,7 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		}
 	}
 
-	// Mobility, attached after dynamics so the repair hook can see the
-	// perturbation engine. A nil config or off model attaches nothing —
+	// Mobility. A nil config or off model attaches nothing —
 	// zero events, zero RNG reads — keeping static runs byte-identical.
 	if cfg.Mobility != nil && !mobility.IsOff(cfg.Mobility.Model) {
 		mcfg := *cfg.Mobility
@@ -550,7 +549,6 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		if err != nil {
 			panic(fmt.Sprintf("ezflow: %v", err))
 		}
-		mob.Repair = sc.repairRoutes
 		sc.Mob = mob
 	}
 
@@ -562,35 +560,11 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	return sc
 }
 
-// repairRoutes is the mobility engine's route-maintenance hook: the
-// same delegation to the active routing strategy that dynamics repair
-// performs. With a perturbation engine attached it IS dynamics repair
-// (RerouteAll honours scripted link/node failures and re-extends the
-// controller through OnReroute); without one it reroutes every flow
-// over current transmission-range connectivity and re-extends the
-// controller itself, so queues created by a route change come under
-// control exactly as after a scripted fault.
-func (sc *Scenario) repairRoutes() {
-	if sc.Dyn != nil {
-		sc.Dyn.RerouteAll()
-		return
-	}
-	m := sc.Mesh
-	usable := func(a, b NodeID) bool {
-		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
-			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
-	}
-	m.RerouteFlows(usable)
-	if sc.Ctl != nil {
-		sc.Ctl.Extend(m)
-	}
-}
-
 // AddDynamics attaches a perturbation script to a wired scenario, or
 // appends further events if one is already attached. It must be called
-// before Run; event times are absolute simulation times. In ModeEZFlow
-// the deployment is re-extended after every route repair so queues that
-// repair creates come under control.
+// before Run; event times are absolute simulation times. Route repair
+// runs through mesh.Repair, whose hooks re-extend the deployed controller
+// over the queues a repair creates.
 func (sc *Scenario) AddDynamics(script *dynamics.Script) error {
 	if sc.ran {
 		panic("ezflow: AddDynamics after Run")
@@ -603,14 +577,6 @@ func (sc *Scenario) AddDynamics(script *dynamics.Script) error {
 		return err
 	}
 	sc.Dyn = dyn
-	// Route repair creates fresh queues (and can promote fresh relays);
-	// the controller re-asserts itself over them through its instance's
-	// Extend (a no-op for DiffQ, whose per-frame remap already walks every
-	// queue).
-	if sc.Ctl != nil {
-		c, m := sc.Ctl, sc.Mesh
-		dyn.OnReroute = func() { c.Extend(m) }
-	}
 	return nil
 }
 

@@ -48,9 +48,9 @@ func FillDefaults(o *Options) {
 // Instance is a controller installed over one scenario's mesh.
 type Instance interface {
 	// Extend (re)installs the controller over queues created since the
-	// previous call — deployment calls it once up front, and the dynamics
-	// layer calls it again after every BFS route repair so repair-created
-	// queues come under control.
+	// previous call — deployment calls it once up front, and Register's
+	// deploy wrapper hooks it to every mesh.Repair round (mesh.OnRepair)
+	// so repair-created queues come under control.
 	Extend(m *mesh.Mesh)
 	// OverheadBytes reports the control bytes the instance put (or
 	// scheduled) on the air: piggybacked header bytes, injected control
@@ -66,7 +66,8 @@ type Info struct {
 	Summary string
 	// Deploy installs the controller over a mesh. Register wraps it so
 	// it always receives defaulted Options (FillDefaults): callers may
-	// pass a zero Options.
+	// pass a zero Options. The wrapper also re-extends the instance after
+	// every route-repair round of the mesh.
 	Deploy func(m *mesh.Mesh, opts Options) Instance
 }
 
@@ -82,7 +83,9 @@ func Register(info Info) {
 	}
 	info.Deploy = func(m *mesh.Mesh, opts Options) Instance {
 		FillDefaults(&opts)
-		return deploy(m, opts)
+		inst := deploy(m, opts)
+		m.OnRepair(func() { inst.Extend(m) })
+		return inst
 	}
 	Controllers.Add(info.Name, info.Summary, info)
 }

@@ -12,7 +12,7 @@
 // attached, so a dynamics-enabled run remains a pure function of
 // (scenario, seed): same script, same seed, byte-identical results on any
 // worker count. Events that change connectivity can request route repair,
-// a deterministic search over the surviving links (mesh.RerouteFlows).
+// the mesh's deterministic search over the surviving links (mesh.Repair).
 //
 // The package deliberately depends only on the mesh/phy/mac/traffic
 // layers, never on the public ezflow package, so the root package can
@@ -118,8 +118,8 @@ type Event struct {
 	// Drop makes NodeDown discard the node's queued packets instead of
 	// letting them drain on restart.
 	Drop bool
-	// Reroute triggers deterministic BFS route repair for every flow
-	// after the event is applied. Only the connectivity-changing kinds
+	// Reroute runs one route-repair round (mesh.Repair) after the event
+	// is applied. Only the connectivity-changing kinds
 	// (LinkDown, LinkUp, NodeDown, NodeUp) accept it; validation rejects
 	// it elsewhere, because repair keys on up/down state, not loss.
 	Reroute bool
@@ -182,15 +182,15 @@ type Applied struct {
 	Desc string
 }
 
-// Engine applies a script to a wired scenario. It tracks which links and
-// nodes are currently down so route repair sees the true connectivity,
-// and records the instants of fault events for the stability metrics.
+// Engine applies a script to a wired scenario. Up/down state lives where
+// the run reads it (the MAC's halted flag, the channel's severed links),
+// so route repair is the mesh's own (mesh.Repair). The engine records the
+// instants of fault events and every relay routes ever used, for the
+// stability metrics.
 type Engine struct {
 	m       *mesh.Mesh
 	sources map[pkt.FlowID]*traffic.Source
 
-	downLinks map[[2]pkt.NodeID]bool
-	downNodes map[pkt.NodeID]bool
 	savedLoss map[[2]pkt.NodeID]float64
 	relaySeen map[pkt.NodeID]bool
 
@@ -198,10 +198,6 @@ type Engine struct {
 	FaultTimes []sim.Time
 	// Log records every applied event in execution order.
 	Log []Applied
-	// OnReroute, when non-nil, runs after every route repair pass — the
-	// hook the EZ-Flow deployment uses to attach controllers to queues
-	// that repair created.
-	OnReroute func()
 }
 
 // Attach validates the script against the mesh and schedules every event
@@ -213,23 +209,22 @@ func Attach(m *mesh.Mesh, sources map[pkt.FlowID]*traffic.Source, script *Script
 	e := &Engine{
 		m:         m,
 		sources:   sources,
-		downLinks: make(map[[2]pkt.NodeID]bool),
-		downNodes: make(map[pkt.NodeID]bool),
 		savedLoss: make(map[[2]pkt.NodeID]float64),
 		relaySeen: make(map[pkt.NodeID]bool),
 	}
-	e.recordRelays()
 	if err := e.Append(script); err != nil {
 		return nil, err
 	}
+	e.recordRelays()
+	m.OnRepair(e.recordRelays)
 	return e, nil
 }
 
 // recordRelays folds the interior nodes of every current route into the
 // set of relays ever seen. Called at attach time and after every route
-// repair, so stability metrics cover relays a repair later routed
-// around — the abandoned relay is exactly the one holding the fault
-// backlog.
+// repair round (a mesh.OnRepair hook), so stability metrics cover relays
+// a repair later routed around — the abandoned relay is exactly the one
+// holding the fault backlog.
 func (e *Engine) recordRelays() {
 	for _, f := range e.m.Flows() {
 		route := e.m.Route(f)
@@ -341,7 +336,6 @@ func (e *Engine) apply(ev Event) {
 		}
 		e.m.Ch.SetLinkLoss(ev.A, ev.B, ev.Loss)
 	case NodeDown:
-		e.downNodes[ev.Node] = true
 		n := e.m.Node(ev.Node)
 		n.MAC.SetDown(true)
 		if ev.Drop {
@@ -349,7 +343,6 @@ func (e *Engine) apply(ev Event) {
 		}
 		reroute = ev.Reroute
 	case NodeUp:
-		delete(e.downNodes, ev.Node)
 		e.m.Node(ev.Node).MAC.SetDown(false)
 		reroute = ev.Reroute
 	case RegionLoss:
@@ -365,7 +358,7 @@ func (e *Engine) apply(ev Event) {
 	}
 	e.Log = append(e.Log, Applied{At: now, Desc: e.describe(ev)})
 	if reroute {
-		e.RerouteAll()
+		e.m.Repair()
 	}
 }
 
@@ -395,13 +388,6 @@ func (e *Engine) describe(ev Event) string {
 
 // setLink severs or restores both directions of a link.
 func (e *Engine) setLink(a, b pkt.NodeID, down bool) {
-	if down {
-		e.downLinks[[2]pkt.NodeID{a, b}] = true
-		e.downLinks[[2]pkt.NodeID{b, a}] = true
-	} else {
-		delete(e.downLinks, [2]pkt.NodeID{a, b})
-		delete(e.downLinks, [2]pkt.NodeID{b, a})
-	}
 	e.m.Ch.SetLinkDown(a, b, down)
 	e.m.Ch.SetLinkDown(b, a, down)
 }
@@ -451,29 +437,3 @@ func (e *Engine) restoreRegion() {
 	}
 	e.savedLoss = make(map[[2]pkt.NodeID]float64)
 }
-
-// Usable reports whether the directed link a->b can carry traffic right
-// now: both endpoints up, the link not severed, and b within a's
-// transmission range. It is the predicate RerouteAll feeds to the mesh's
-// BFS repair.
-func (e *Engine) Usable(a, b pkt.NodeID) bool {
-	return !e.downNodes[a] && !e.downNodes[b] &&
-		!e.downLinks[[2]pkt.NodeID{a, b}] && e.m.Ch.InTxRange(a, b)
-}
-
-// RerouteAll repairs every flow's route against the current connectivity
-// (flows in ascending id order), then fires OnReroute. Flows with no
-// surviving path keep their broken route until connectivity returns.
-func (e *Engine) RerouteAll() {
-	e.m.RerouteFlows(e.Usable)
-	e.recordRelays()
-	if e.OnReroute != nil {
-		e.OnReroute()
-	}
-}
-
-// NodeIsDown reports whether a node is currently halted.
-func (e *Engine) NodeIsDown(n pkt.NodeID) bool { return e.downNodes[n] }
-
-// LinkIsDown reports whether the directed link a->b is currently severed.
-func (e *Engine) LinkIsDown(a, b pkt.NodeID) bool { return e.downLinks[[2]pkt.NodeID{a, b}] }

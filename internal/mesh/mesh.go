@@ -93,6 +93,8 @@ type Mesh struct {
 	// (the flow kept its broken route) — the non-panicking half of the
 	// route-validity contract; see CheckRoutes.
 	rerouteFailures uint64
+	// repairHooks run after every Repair round, in registration order.
+	repairHooks []func()
 }
 
 // SinkFunc observes every packet that reaches its final destination.
@@ -329,13 +331,38 @@ func (m *Mesh) RerouteFlow(flow pkt.FlowID, usable func(a, b pkt.NodeID) bool) b
 // RerouteFlows repairs every installed flow, in ascending id order, as
 // RerouteFlow would, over one routing graph for the whole round, so the
 // strategy can share work between flows: BFS searches once per distinct
-// source. Mobility and dynamics repair both run through it.
+// source. Repair runs every round through it.
 func (m *Mesh) RerouteFlows(usable func(a, b pkt.NodeID) bool) {
 	g := m.RoutingGraph(usable)
 	for _, f := range m.Flows() {
 		m.reroute(g, f)
 	}
 }
+
+// Usable reports whether the directed link a->b can carry traffic right
+// now: both stations up (mac.MAC.Down), the link not severed
+// (phy.Channel.LinkDown) and b within a's decode range. It is the
+// predicate of every Repair round.
+func (m *Mesh) Usable(a, b pkt.NodeID) bool {
+	return !m.nodes[a].MAC.Down() && !m.nodes[b].MAC.Down() &&
+		!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
+}
+
+// Repair is the one route-repair round: it reroutes every flow over the
+// links Usable admits (RerouteFlows), then runs the OnRepair hooks in
+// registration order. Scripted faults and mobility ticks both call it.
+func (m *Mesh) Repair() {
+	m.RerouteFlows(m.Usable)
+	for _, hook := range m.repairHooks {
+		hook()
+	}
+}
+
+// OnRepair registers hook to run after every Repair round, once the
+// round's routes are installed — how a controller extends itself over
+// the queues a repair created, and how the dynamics engine records the
+// relays a repair promoted.
+func (m *Mesh) OnRepair(hook func()) { m.repairHooks = append(m.repairHooks, hook) }
 
 // reroute is RerouteFlow over a prepared graph.
 func (m *Mesh) reroute(g *routing.Graph, flow pkt.FlowID) bool {

@@ -2,9 +2,8 @@
 // simulation clock that queries the active model for every mobile
 // node's position (ascending node id — the repository's deterministic
 // iteration convention), applies it through mesh.MoveNode's incremental
-// PHY re-indexing, and triggers route repair through the caller's hook
-// whenever decode-range link membership changed — the same delegation
-// to the active routing strategy that dynamics repair uses.
+// PHY re-indexing, and runs one mesh.Repair round whenever decode-range
+// link membership changed — the same repair round scripted faults run.
 //
 // Tick-ordering determinism: ticks fire at fixed multiples of the tick
 // interval, so their (time, sequence) order against every other event
@@ -61,7 +60,7 @@ type Stats struct {
 	// Deferred counts moves skipped because the node was mid-frame.
 	Deferred uint64
 	// Repairs counts ticks that changed decode-range link membership and
-	// invoked the repair hook.
+	// ran a route-repair round.
 	Repairs uint64
 }
 
@@ -74,13 +73,6 @@ type Engine struct {
 	ids    []pkt.NodeID
 	mobile []bool
 	tickFn func()
-
-	// Repair is invoked after any tick on which some node's decode-range
-	// link membership changed; the wiring layer points it at the same
-	// route-repair path dynamics uses (reroute every flow through the
-	// active routing strategy, then re-extend controllers). Nil means no
-	// repair — routes silently stale, acceptable only in PHY-level tests.
-	Repair func()
 
 	// Stats accumulates engine activity.
 	Stats Stats
@@ -160,9 +152,7 @@ func (e *Engine) step() {
 	e.Stats.Ticks++
 	if changed {
 		e.Stats.Repairs++
-		if e.Repair != nil {
-			e.Repair()
-		}
+		e.m.Repair()
 	}
 	if next := now + e.tick; next <= e.until {
 		e.m.Eng.ScheduleFuncAt(next, e.tickFn)

@@ -158,7 +158,7 @@ func TestEngineMovesAndPinsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	repairs := 0
-	e.Repair = func() { repairs++ }
+	m.OnRepair(func() { repairs++ })
 	eng.Run(sim.FromSeconds(60))
 	if m.Ch.Position(0) != gwPos {
 		t.Fatalf("fixed gateway moved to %v", m.Ch.Position(0))

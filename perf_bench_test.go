@@ -193,14 +193,10 @@ func BenchmarkRepairRound(b *testing.B) {
 	sc := ezflow.NewRandom(200, 0, cfg)
 	sc.Run()
 	m := sc.Mesh
-	usable := func(a, b ezflow.NodeID) bool {
-		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
-			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.RerouteFlows(usable)
+		m.RerouteFlows(m.Usable)
 	}
 	if m.RerouteFailures() != 0 {
 		b.Fatalf("%d flows found no path", m.RerouteFailures())

@@ -1,6 +1,7 @@
 package ezflow_test
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -79,6 +80,20 @@ func (o *repairOracle) expect(usable func(a, b ezflow.NodeID) bool, prev map[ezf
 	}
 }
 
+// watch checks every repair round of the mesh against the legacy
+// search over usable, from a mesh.OnRepair hook. Routes change only in
+// rounds, so each round starts from the routes the last one left, and
+// usable does not depend on routes, so the expectation can be computed
+// after the round.
+func (o *repairOracle) watch(usable func(a, b ezflow.NodeID) bool) {
+	prev := routes(o.m)
+	o.m.OnRepair(func() {
+		o.expect(usable, prev)
+		o.check(prev)
+		prev = routes(o.m)
+	})
+}
+
 func (o *repairOracle) check(prev map[ezflow.FlowID][]ezflow.NodeID) {
 	o.t.Helper()
 	o.rounds++
@@ -126,13 +141,7 @@ func TestRepairMatchesLegacySearch(t *testing.T) {
 			return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
 				!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
 		}
-		repair := sc.Mob.Repair
-		sc.Mob.Repair = func() {
-			prev := routes(m)
-			o.expect(usable, prev)
-			repair()
-			o.check(prev)
-		}
+		o.watch(usable)
 		sc.Run()
 		if o.rounds < 10 || o.changed == 0 {
 			t.Fatalf("%d repair rounds changed %d routes; waypoint motion should force both", o.rounds, o.changed)
@@ -165,22 +174,30 @@ func TestRepairMatchesLegacySearch(t *testing.T) {
 		if err := sc.AddDynamics(&script); err != nil {
 			t.Fatal(err)
 		}
-		// Every round, mobility's included, runs through RerouteAll, which
-		// fires OnReroute right after installing the routes. Routes change
-		// only in rounds, so each round starts from the routes the last
-		// one left, and the predicate does not depend on routes, so the
-		// expectation can be computed after the round.
-		o := &repairOracle{t: t, m: m}
-		prev := routes(m)
-		extend := sc.Dyn.OnReroute
-		sc.Dyn.OnReroute = func() {
-			o.expect(sc.Dyn.Usable, prev)
-			o.check(prev)
-			prev = routes(m)
-			if extend != nil {
-				extend()
+		// The oracle's predicate keeps its own up/down books: before each
+		// round it replays the events the engine has applied so far (its
+		// Log's length), in firing order — time, then script order.
+		events := slices.Clone(script.Events)
+		slices.SortStableFunc(events, func(x, y dynamics.Event) int { return cmp.Compare(x.At, y.At) })
+		downNode := make(map[ezflow.NodeID]bool)
+		downLink := make(map[[2]ezflow.NodeID]bool)
+		replayed := 0
+		m.OnRepair(func() {
+			for ; replayed < len(sc.Dyn.Log); replayed++ {
+				ev := events[replayed]
+				switch ev.Kind {
+				case dynamics.NodeDown, dynamics.NodeUp:
+					downNode[ev.Node] = ev.Kind == dynamics.NodeDown
+				case dynamics.LinkDown, dynamics.LinkUp:
+					downLink[[2]ezflow.NodeID{ev.A, ev.B}] = ev.Kind == dynamics.LinkDown
+					downLink[[2]ezflow.NodeID{ev.B, ev.A}] = ev.Kind == dynamics.LinkDown
+				}
 			}
-		}
+		})
+		o := &repairOracle{t: t, m: m}
+		o.watch(func(a, b ezflow.NodeID) bool {
+			return !downNode[a] && !downNode[b] && !downLink[[2]ezflow.NodeID{a, b}] && m.Ch.InTxRange(a, b)
+		})
 		sc.Run()
 		if o.rounds < 10 || o.changed == 0 {
 			t.Fatalf("%d repair rounds changed %d routes; the timeline should force both", o.rounds, o.changed)
