@@ -797,15 +797,10 @@ func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunR
 		Point: p.Index, Label: p.Label, Rep: rep, Seed: seed,
 		AggKbps:     res.AggKbps,
 		Fairness:    res.Fairness,
-		RecoverySec: -1,
+		RecoverySec: res.Stability.SlowestRecoverySec(),
 		FlowKbps:    make(map[ezflow.FlowID]float64, len(res.Flows)),
 	}
 	if st := res.Stability; st != nil {
-		if st.Recovered {
-			rr.RecoverySec = st.MaxRecoverySec
-		} else {
-			rr.RecoverySec = -2
-		}
 		rr.TailQueuePkts = st.TailMaxQueuePkts
 	}
 	// Iterate flows in sorted order: float accumulation order must not
@@ -879,34 +874,20 @@ func runSpec(spec Spec, p Point) *scenario.Spec {
 }
 
 // applyAxisFaults layers the flap/churn axes' perturbations onto a built
-// scenario: the first flow's middle link is severed (flap) and/or its
-// middle relay halted (churn) from 40% to 50% of the run, with BFS route
-// repair at both edges. Points whose first flow has no relay (1-hop
-// routes) skip churn rather than fail.
+// scenario: dynamics.RouteFaults on the first flow from 40% to 50% of the
+// run. Points whose first flow has no relay (1-hop routes) skip churn
+// rather than fail.
 func applyAxisFaults(sc *ezflow.Scenario, p Point) {
-	if !p.Flap && !p.Churn {
-		return
-	}
 	flows := sc.Mesh.Flows()
 	if len(flows) == 0 {
 		return
 	}
-	f := flows[0]
 	dur := sc.Cfg.Duration
-	downAt, upAt := dur/5*2, dur/2
-	script := &dynamics.Script{}
-	if p.Flap {
-		a, b := dynamics.MiddleLink(sc.Mesh, f)
-		script.Events = append(script.Events, dynamics.Flap(a, b, downAt, upAt, true)...)
-	}
-	if p.Churn && len(sc.Mesh.Route(f)) >= 3 {
-		n := dynamics.MiddleRelay(sc.Mesh, f)
-		script.Events = append(script.Events, dynamics.Churn(n, downAt, upAt, false, true)...)
-	}
-	if len(script.Events) == 0 {
+	evs := dynamics.RouteFaults(sc.Mesh, flows[0], dur/5*2, dur/2, p.Flap, p.Churn)
+	if len(evs) == 0 {
 		return
 	}
-	if err := sc.AddDynamics(script); err != nil {
+	if err := sc.AddDynamics(&dynamics.Script{Events: evs}); err != nil {
 		panic(err)
 	}
 }

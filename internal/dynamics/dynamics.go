@@ -176,6 +176,23 @@ func MiddleRelay(m *mesh.Mesh, flow pkt.FlowID) pkt.NodeID {
 	return route[len(route)/2]
 }
 
+// RouteFaults returns the mid-run fault of the stability experiments on
+// one flow: its middle link severed (flap) and/or its middle relay halted
+// (churn) during [downAt, upAt), with route repair at every edge and the
+// halted relay's queue kept to drain on restart. Churn is skipped on a
+// route with no relay (fewer than 3 nodes).
+func RouteFaults(m *mesh.Mesh, flow pkt.FlowID, downAt, upAt sim.Time, flap, churn bool) []Event {
+	var evs []Event
+	if flap {
+		a, b := MiddleLink(m, flow)
+		evs = append(evs, Flap(a, b, downAt, upAt, true)...)
+	}
+	if churn && len(m.Route(flow)) >= 3 {
+		evs = append(evs, Churn(MiddleRelay(m, flow), downAt, upAt, false, true)...)
+	}
+	return evs
+}
+
 // Applied records one executed event for reports and tests.
 type Applied struct {
 	At   sim.Time

@@ -115,17 +115,8 @@ func Controllers(o Options) *ControllersResult {
 					root.FlowSpec{Flow: 1, RateBps: saturating},
 					root.FlowSpec{Flow: 2, RateBps: saturating})
 			}
-			script := &dynamics.Script{}
-			switch c.dyn {
-			case "flap":
-				a, b := dynamics.MiddleLink(sc.Mesh, 1)
-				script.Events = dynamics.Flap(a, b, downAt, upAt, true)
-			case "churn":
-				n := dynamics.MiddleRelay(sc.Mesh, 1)
-				script.Events = dynamics.Churn(n, downAt, upAt, false, true)
-			}
-			if len(script.Events) > 0 {
-				if err := sc.AddDynamics(script); err != nil {
+			if evs := dynamics.RouteFaults(sc.Mesh, 1, downAt, upAt, c.dyn == "flap", c.dyn == "churn"); len(evs) > 0 {
+				if err := sc.AddDynamics(&dynamics.Script{Events: evs}); err != nil {
 					panic(err)
 				}
 			}
@@ -136,18 +127,13 @@ func Controllers(o Options) *ControllersResult {
 				Dynamics:      c.dyn,
 				AggKbps:       res.AggKbps,
 				Fairness:      res.Fairness,
-				RecoverySec:   -1,
+				RecoverySec:   res.Stability.SlowestRecoverySec(),
 				Recovered:     true,
 				OverheadBytes: res.OverheadBytes,
 			}
 			if st := res.Stability; st != nil {
 				run.TailQueuePkts = st.TailMaxQueuePkts
 				run.Recovered = st.Recovered
-				if st.Recovered {
-					run.RecoverySec = st.MaxRecoverySec
-				} else {
-					run.RecoverySec = -2
-				}
 			}
 			return run
 		})

@@ -75,8 +75,7 @@ func Stability(o Options) *StabilityResult {
 		cfg := baseConfig(o, mode, dur)
 		cfg.WarmupSkip = dur / 10
 		sc := root.NewChain(hops, cfg, root.FlowSpec{Flow: 1, RateBps: saturating})
-		a, b := dynamics.MiddleLink(sc.Mesh, 1)
-		script := &dynamics.Script{Events: dynamics.Flap(a, b, downAt, upAt, true)}
+		script := &dynamics.Script{Events: dynamics.RouteFaults(sc.Mesh, 1, downAt, upAt, true, false)}
 		if err := sc.AddDynamics(script); err != nil {
 			panic(err)
 		}

@@ -49,6 +49,19 @@ type StabilityResult struct {
 	FairnessTrajectory *stats.Series
 }
 
+// SlowestRecoverySec condenses s into one recovery figure: the slowest
+// flow's recovery time, -1 when s is nil (the run had no fault) and -2
+// when some flow never recovered.
+func (s *StabilityResult) SlowestRecoverySec() float64 {
+	switch {
+	case s == nil:
+		return -1
+	case !s.Recovered:
+		return -2
+	}
+	return s.MaxRecoverySec
+}
+
 // computeStability derives the recovery metrics after a dynamics-enabled
 // run; it returns nil when no fault event fired.
 func computeStability(sc *Scenario, res *Result) *StabilityResult {
