@@ -127,15 +127,6 @@ func (m Mode) ControllerName() string {
 // usage strings enumerate this instead of hand-maintained lists.
 func Controllers() []string { return ctl.Controllers.Names() }
 
-// Routings returns the names of every registered routing strategy, sorted
-// — the values Config.Routing, scenario files, the campaign "routing"
-// axis and the ezsim -routing flag accept (see internal/routing).
-func Routings() []string { return routing.Strategies.Names() }
-
-// RoutingUsage renders one "name — summary" line per registered routing
-// strategy for CLI help text.
-func RoutingUsage() string { return routing.Strategies.Usage() }
-
 // Config parameterises a scenario run.
 type Config struct {
 	Seed     int64
@@ -157,10 +148,10 @@ type Config struct {
 	Ctl ctl.Options
 
 	// Routing selects a routing strategy from the internal/routing
-	// registry by name (see Routings()). Empty or "bfs" keeps the default
-	// minimum-hop behaviour, byte-identical to configurations that predate
-	// the registry: builder-installed routes stay exactly as constructed
-	// and only dynamics route repair runs the strategy. Any other name
+	// registry by name (see routing.Strategies). Empty or "bfs" keeps the
+	// default minimum-hop behaviour, byte-identical to configurations that
+	// predate the registry: builder-installed routes stay exactly as
+	// constructed and only route repair (mesh.Repair) runs the strategy. Any other name
 	// ("etx", "kshortest") additionally recomputes every installed route
 	// at wiring, so link-quality and multipath strategies take effect
 	// before traffic starts. Unknown names panic at scenario wiring — the

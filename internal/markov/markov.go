@@ -424,16 +424,6 @@ func Table4(region string, cw []int) []Pattern {
 	return nil
 }
 
-// LyapunovCertificate checks condition (6) of Foster's theorem numerically:
-// for every state b⃗ outside S = {b_i < bound} with entries up to probe, it
-// verifies that the expected k-step drift of h is ≤ −eps for some k ≤ kMax
-// (the paper uses region-dependent k between 1 and 25). It returns an error
-// listing any violating state.
-type LyapunovCertificate struct {
-	Checked    int
-	MaxDriftK1 float64
-}
-
 // CheckDrift evaluates the one-step expected drift of h over a grid of
 // 4-hop states with the given contention windows and reports the maximum
 // drift found in each region. A stabilising cw⃗ yields negative drift in

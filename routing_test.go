@@ -13,6 +13,7 @@ import (
 	"ezflow"
 	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
+	"ezflow/internal/routing"
 )
 
 // lossyDynamicsRun builds the repository's hardest determinism workload —
@@ -97,7 +98,7 @@ func TestRoutingUnknownPanics(t *testing.T) {
 // require a valid repaired route through the other relay, with the
 // EZ-Flow deployment extended over the repair-created queue.
 func TestRoutingRepairPerStrategy(t *testing.T) {
-	for _, name := range ezflow.Routings() {
+	for _, name := range routing.Strategies.Names() {
 		cfg := ezflow.DefaultConfig()
 		cfg.Mode = ezflow.ModeEZFlow
 		cfg.Duration = 5 * ezflow.Second
@@ -173,28 +174,5 @@ func TestRoutingRepairFailureThenRecovery(t *testing.T) {
 	}
 	if err := sc.Mesh.CheckRoutes(); err != nil {
 		t.Errorf("recovered mesh invalid: %v", err)
-	}
-}
-
-// TestRoutingReExports smoke-tests the root-package registry surface the
-// CLIs embed in their usage strings.
-func TestRoutingReExports(t *testing.T) {
-	names := ezflow.Routings()
-	if len(names) < 3 {
-		t.Fatalf("Routings() = %v, want at least bfs, etx, kshortest", names)
-	}
-	for _, want := range []string{"bfs", "etx", "kshortest"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Routings() misses %q: %v", want, names)
-		}
-	}
-	if !strings.Contains(ezflow.RoutingUsage(), "etx") {
-		t.Errorf("RoutingUsage() misses etx:\n%s", ezflow.RoutingUsage())
 	}
 }
