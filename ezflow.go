@@ -151,11 +151,11 @@ type Config struct {
 	// registry by name (see routing.Strategies). Empty or "bfs" keeps the
 	// default minimum-hop behaviour, byte-identical to configurations that
 	// predate the registry: builder-installed routes stay exactly as
-	// constructed and only route repair (mesh.Repair) runs the strategy. Any other name
-	// ("etx", "kshortest") additionally recomputes every installed route
-	// at wiring, so link-quality and multipath strategies take effect
-	// before traffic starts. Unknown names panic at scenario wiring — the
-	// CLI and scenario layers validate before building.
+	// constructed and only route repair (mesh.Repair) runs the strategy.
+	// Any other name ("etx", "kshortest") additionally recomputes every
+	// installed route at wiring, so link-quality and multipath strategies
+	// take effect before traffic starts. Unknown names panic at scenario
+	// wiring — the CLI and scenario layers validate before building.
 	Routing string
 
 	// PHY/MAC parameters; zero values select the paper's defaults
@@ -520,8 +520,8 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		}
 	}
 
-	// Mobility. A nil config or off model attaches nothing —
-	// zero events, zero RNG reads — keeping static runs byte-identical.
+	// Mobility. A nil config or off model attaches nothing — zero events,
+	// zero RNG reads — keeping static runs byte-identical.
 	if cfg.Mobility != nil && !mobility.IsOff(cfg.Mobility.Model) {
 		mcfg := *cfg.Mobility
 		if mcfg.Seed == 0 {

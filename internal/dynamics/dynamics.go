@@ -119,9 +119,9 @@ type Event struct {
 	// letting them drain on restart.
 	Drop bool
 	// Reroute runs one route-repair round (mesh.Repair) after the event
-	// is applied. Only the connectivity-changing kinds
-	// (LinkDown, LinkUp, NodeDown, NodeUp) accept it; validation rejects
-	// it elsewhere, because repair keys on up/down state, not loss.
+	// is applied. Only the connectivity-changing kinds (LinkDown, LinkUp,
+	// NodeDown, NodeUp) accept it; validation rejects it elsewhere,
+	// because repair keys on up/down state, not loss.
 	Reroute bool
 }
 
@@ -229,10 +229,10 @@ func Attach(m *mesh.Mesh, sources map[pkt.FlowID]*traffic.Source, script *Script
 		savedLoss: make(map[[2]pkt.NodeID]float64),
 		relaySeen: make(map[pkt.NodeID]bool),
 	}
+	e.recordRelays()
 	if err := e.Append(script); err != nil {
 		return nil, err
 	}
-	e.recordRelays()
 	m.OnRepair(e.recordRelays)
 	return e, nil
 }

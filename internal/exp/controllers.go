@@ -115,7 +115,8 @@ func Controllers(o Options) *ControllersResult {
 					root.FlowSpec{Flow: 1, RateBps: saturating},
 					root.FlowSpec{Flow: 2, RateBps: saturating})
 			}
-			if evs := dynamics.RouteFaults(sc.Mesh, 1, downAt, upAt, c.dyn == "flap", c.dyn == "churn"); len(evs) > 0 {
+			flap, churn := c.dyn == "flap", c.dyn == "churn"
+			if evs := dynamics.RouteFaults(sc.Mesh, 1, downAt, upAt, flap, churn); len(evs) > 0 {
 				if err := sc.AddDynamics(&dynamics.Script{Events: evs}); err != nil {
 					panic(err)
 				}
