@@ -193,10 +193,11 @@ func BenchmarkRepairRound(b *testing.B) {
 	sc := ezflow.NewRandom(200, 0, cfg)
 	sc.Run()
 	m := sc.Mesh
+	usable := m.Usable
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.RerouteFlows(m.Usable)
+		m.RerouteFlows(usable)
 	}
 	if m.RerouteFailures() != 0 {
 		b.Fatalf("%d flows found no path", m.RerouteFailures())
