@@ -174,9 +174,10 @@ func TestRepairMatchesLegacySearch(t *testing.T) {
 		if err := sc.AddDynamics(&script); err != nil {
 			t.Fatal(err)
 		}
-		// The oracle's predicate keeps its own up/down books: before each
-		// round it replays the events the engine has applied so far (its
-		// Log's length), in firing order — time, then script order.
+		// The oracle's predicate keeps its own up/down books: each round,
+		// before the oracle checks it, a hook replays the events the engine
+		// has applied so far (its Log's length) in firing order — time,
+		// then script order.
 		events := slices.Clone(script.Events)
 		slices.SortStableFunc(events, func(x, y dynamics.Event) int { return cmp.Compare(x.At, y.At) })
 		downNode := make(map[ezflow.NodeID]bool)
