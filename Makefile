@@ -51,10 +51,11 @@ staticcheck:
 
 # bench runs the hot-path benchmarks guarding the simulator core — the
 # end-to-end chain and large-topology scenarios, the event-queue
-# micro-benchmarks, the PHY transmission path, the controller hot hooks
-# (OnOverhear/OnDequeue, pinned at zero allocs), the observability
-# instruments (counter/vec/histogram/flight-record increments plus the
-# disabled nil-receiver hooks, all pinned at zero allocs), the
+# micro-benchmarks, the PHY transmission path (one flight at a time and
+# eight overlapping), the controller hot hooks (OnOverhear/OnDequeue/
+# OnTransmit, pinned at zero allocs), the observability instruments
+# (counter/vec/histogram/flight-record increments plus the disabled
+# nil-receiver hooks, all pinned at zero allocs), the
 # routing strategies (pure route-computation cost per registry entry
 # plus the lossy-disk rerun per strategy), the fabric cache
 # (key derivation and a store Put+Get round trip — the fixed overhead

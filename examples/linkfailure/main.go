@@ -51,7 +51,9 @@ func main() {
 		st := res.Stability
 
 		rec := "never recovered"
-		if r := st.RecoverySec[1]; r >= 0 {
+		if r, ok := st.RecoverySec[1]; !ok {
+			rec = "no pre-fault baseline"
+		} else if r >= 0 {
 			rec = fmt.Sprintf("recovered in %.0fs", r)
 		}
 		fmt.Printf("%-8s  pre-fault %6.1f kb/s   %s   excursion %2.0f pkts   tail max %2.0f pkts\n",

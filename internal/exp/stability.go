@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	root "ezflow"
 	"ezflow/internal/dynamics"
 	"ezflow/internal/sim"
@@ -23,6 +25,9 @@ type StabilityRun struct {
 	ThroughputKbps float64
 	// PreFaultKbps is the mean goodput before the failure.
 	PreFaultKbps float64
+	// Baseline reports whether the flow had pre-fault goodput to recover
+	// to; without one, RecoverySec and Recovered say nothing.
+	Baseline bool
 	// RecoverySec is the time from failure until goodput returned to
 	// within the tolerance of pre-fault (includes the outage; < 0 means
 	// never).
@@ -84,29 +89,43 @@ func Stability(o Options) *StabilityResult {
 	out.Report.addf("link N1<->N2 down at %v, up at %v (run %v)",
 		downAt, upAt, dur)
 	for i, mode := range modes {
-		res := results[i]
-		st := res.Stability
-		run := &StabilityRun{
-			Mode:             mode,
-			ThroughputKbps:   res.Flows[1].MeanThroughputKbps,
-			PreFaultKbps:     st.PreFaultKbps[1],
-			RecoverySec:      st.RecoverySec[1],
-			MaxExcursionPkts: st.MaxQueueExcursion,
-			TailMaxQueuePkts: st.TailMaxQueuePkts,
-			Recovered:        st.Recovered,
-		}
+		run := newStabilityRun(mode, results[i])
 		out.Runs = append(out.Runs, run)
-		verdict := "stable after repair"
-		if run.TailMaxQueuePkts >= 45 {
-			verdict = "queues still hit the cap"
-		}
-		rec := "never"
-		if run.RecoverySec >= 0 {
-			rec = sim.FromSeconds(run.RecoverySec).String()
-		}
-		out.Report.addf("%-9s pre-fault %6.1f kb/s  recovery %-10s excursion %4.0f pkts  tail max %4.0f pkts  (%s)",
-			mode.String()+":", run.PreFaultKbps, rec, run.MaxExcursionPkts, run.TailMaxQueuePkts, verdict)
+		out.Report.addf("%s", run.line())
 	}
 	out.Report.addf("expected shape: EZ-flow drains the fault backlog and settles; 802.11 stays turbulent at the cap")
 	return out
+}
+
+// newStabilityRun condenses one mode's run of the experiment's flow 1.
+func newStabilityRun(mode root.Mode, res *root.Result) *StabilityRun {
+	st := res.Stability
+	rec, ok := st.RecoverySec[1]
+	return &StabilityRun{
+		Mode:             mode,
+		ThroughputKbps:   res.Flows[1].MeanThroughputKbps,
+		PreFaultKbps:     st.PreFaultKbps[1],
+		Baseline:         ok,
+		RecoverySec:      rec,
+		MaxExcursionPkts: st.MaxQueueExcursion,
+		TailMaxQueuePkts: st.TailMaxQueuePkts,
+		Recovered:        st.Recovered,
+	}
+}
+
+// line is the run's report line.
+func (run *StabilityRun) line() string {
+	verdict := "stable after repair"
+	if run.TailMaxQueuePkts >= 45 {
+		verdict = "queues still hit the cap"
+	}
+	rec := "never"
+	switch {
+	case !run.Baseline:
+		rec = "no baseline"
+	case run.RecoverySec >= 0:
+		rec = sim.FromSeconds(run.RecoverySec).String()
+	}
+	return fmt.Sprintf("%-9s pre-fault %6.1f kb/s  recovery %-10s excursion %4.0f pkts  tail max %4.0f pkts  (%s)",
+		run.Mode.String()+":", run.PreFaultKbps, rec, run.MaxExcursionPkts, run.TailMaxQueuePkts, verdict)
 }

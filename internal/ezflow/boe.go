@@ -27,6 +27,16 @@ type Sample struct {
 	Value int // estimated b_{k+1}
 }
 
+// bucketBits sets the number of identifier buckets the send history
+// chains through: 256 chains for at most HistorySize live sends, so a
+// lookup walks about four entries.
+const bucketBits = 8
+
+// bucket maps an identifier to its history chain. Identifiers of
+// consecutive packets differ in their low bits (Checksum16 is a sum that
+// includes the sequence number), so the low byte spreads them evenly.
+func bucket(id uint16) uint16 { return id & (1<<bucketBits - 1) }
+
 // BOE passively estimates the buffer occupancy of the successor node
 // b_{k+1} from two pieces of local information: the identifiers of packets
 // this node sent to the successor, and the identifiers of packets the
@@ -34,15 +44,23 @@ type Sample struct {
 // successor's buffer is FIFO, the number of identifiers between the
 // overheard packet and the most recently sent one equals the packets still
 // queued there (Algorithm 1 of the paper).
+//
+// The history of the last HistorySize sends is keyed by absolute send
+// number: send n (counting from 0) lives at slot n%HistorySize. Sends
+// whose identifiers share a bucket are chained newest-first: head holds
+// each bucket's newest send and prev each slot's predecessor in its
+// bucket, both as n+1 so that 0 ends a chain. A chain entry that is
+// HistorySize or more sends old has been evicted, and so has everything
+// behind it. Storage grows with the sends, up to HistorySize slots and
+// the bucket heads, and is then reused: a steady stream of new
+// identifiers costs no allocation, and a BOE that never sends allocates
+// no history.
 type BOE struct {
 	succ pkt.NodeID // N_{k+1}
 
-	// ring of the last HistorySize sent identifiers, oldest overwritten.
-	ring  []uint16
-	pos   map[uint16][]int // identifier -> ring indexes holding it
-	head  int              // next slot to overwrite
-	count int              // number of valid entries
-	last  int              // ring index of LastPktSent (-1 before first send)
+	ids  []uint16 // identifier of each send, by slot
+	prev []uint64 // previous send in the slot's bucket, +1 (0: none)
+	head []uint64 // newest send in each bucket, +1 (0: none)
 
 	// Stats
 	Sent      uint64 // identifiers recorded
@@ -57,14 +75,7 @@ type BOE struct {
 // NewBOE creates an estimator for the successor node succ. emit receives
 // each buffer estimate; now supplies virtual time.
 func NewBOE(succ pkt.NodeID, now func() sim.Time, emit func(Sample)) *BOE {
-	return &BOE{
-		succ: succ,
-		ring: make([]uint16, HistorySize),
-		pos:  make(map[uint16][]int),
-		last: -1,
-		emit: emit,
-		now:  now,
-	}
+	return &BOE{succ: succ, emit: emit, now: now}
 }
 
 // Successor reports which node this BOE watches.
@@ -72,33 +83,25 @@ func (b *BOE) Successor() pkt.NodeID { return b.succ }
 
 // RecordSent stores the identifier of a packet just transmitted to the
 // successor ("Store checksum of p in PktSent[]; LastPktSent = checksum").
+// Sent counts the sends, so send n = Sent-1 is LastPktSent.
 func (b *BOE) RecordSent(id uint16) {
+	if b.head == nil {
+		b.head = make([]uint64, 1<<bucketBits)
+	}
+	n := b.Sent
 	b.Sent++
-	// Overwrite the oldest entry if the ring is full.
-	if b.count == len(b.ring) {
-		old := b.ring[b.head]
-		b.dropIndex(old, b.head)
+	k := bucket(id)
+	if len(b.ids) < HistorySize {
+		// Still filling: slot n is the next one.
+		b.ids = append(b.ids, id)
+		b.prev = append(b.prev, b.head[k])
 	} else {
-		b.count++
+		// Overwrite the oldest send. Its own chain link needs no
+		// unhooking: any walk that reaches it sees it is evicted.
+		s := n % HistorySize
+		b.ids[s], b.prev[s] = id, b.head[k]
 	}
-	b.ring[b.head] = id
-	b.pos[id] = append(b.pos[id], b.head)
-	b.last = b.head
-	b.head = (b.head + 1) % len(b.ring)
-}
-
-func (b *BOE) dropIndex(id uint16, idx int) {
-	xs := b.pos[id]
-	for i, x := range xs {
-		if x == idx {
-			xs = append(xs[:i], xs[i+1:]...)
-			break
-		}
-	}
-	// Keep the (possibly empty) slice in the map: once the ring has cycled
-	// through an identifier, its slot capacity is reused forever, so
-	// steady-state RecordSent stops allocating.
-	b.pos[id] = xs
+	b.head[k] = n + 1
 }
 
 // OnSniff processes a frame overheard on the air. Only data frames
@@ -111,41 +114,23 @@ func (b *BOE) OnSniff(f *pkt.Frame) {
 		return
 	}
 	b.Overheard++
-	if b.last < 0 {
+	if b.Sent == 0 {
 		return
 	}
 	id := f.Payload.Checksum16()
-	idxs := b.pos[id]
-	if len(idxs) == 0 {
-		return
-	}
-	b.Matched++
-	// With identifier collisions several ring slots may hold id; take the
-	// one closest behind LastPktSent (the most recently sent instance),
-	// which is the FIFO-consistent interpretation.
-	best := -1
-	bestDist := len(b.ring) + 1
-	for _, idx := range idxs {
-		d := b.distance(idx)
-		if d < bestDist {
-			bestDist = d
-			best = idx
+	// With identifier collisions several live sends may carry id; the
+	// newest-first walk meets the most recently sent instance first,
+	// which is the FIFO-consistent interpretation. Its distance counts
+	// the packets sent after it up to and including LastPktSent — the
+	// packets that must still sit in the successor's FIFO buffer.
+	for e := b.head[bucket(id)]; e != 0 && b.Sent-(e-1) <= HistorySize; e = b.prev[(e-1)%HistorySize] {
+		if n := e - 1; b.ids[n%HistorySize] == id {
+			b.Matched++
+			b.Estimates++
+			if b.emit != nil {
+				b.emit(Sample{At: b.now(), Value: int(b.Sent - 1 - n)})
+			}
+			return
 		}
 	}
-	if best < 0 {
-		return
-	}
-	b.Estimates++
-	if b.emit != nil {
-		b.emit(Sample{At: b.now(), Value: bestDist})
-	}
-}
-
-// distance counts packets sent strictly after ring index idx up to and
-// including LastPktSent — the packets that must still sit in the
-// successor's FIFO buffer when the packet at idx is being forwarded.
-func (b *BOE) distance(idx int) int {
-	n := len(b.ring)
-	d := (b.last - idx + n) % n
-	return d
 }

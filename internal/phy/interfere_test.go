@@ -1,0 +1,250 @@
+package phy
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ezflow/internal/obs"
+	"ezflow/internal/pkt"
+	"ezflow/internal/sim"
+)
+
+// refFlight is one transmission of the brute-force reference channel.
+type refFlight struct {
+	src int
+	end sim.Time
+	seq int // start order: the engine's tie-break between equal ends
+}
+
+// refReception mirrors reception for the reference channel.
+type refReception struct {
+	flight    *refFlight
+	signal    float64
+	decodable bool
+	corrupted bool
+}
+
+// refChannel is a receiver-major model of the channel's reception rules
+// with no neighbor index: each transmission visits every station, every
+// pair's geometry comes from the positions and Config.power at the
+// receiver's end, and a newly locked receiver loops over the flights in
+// the air itself. It keeps the flight list in the channel's order
+// (appended on start, swap-removed on finish), which the order-dependent
+// Captures count needs.
+type refChannel struct {
+	cfg    Config
+	radius float64
+	pos    []Position
+	sensed []int32
+	busyTx []bool
+	rx     []refReception
+	flight []*refFlight
+	starts int
+
+	collisions, captures []uint64 // per receiver
+}
+
+func newRefChannel(cfg Config, pos []Position) *refChannel {
+	n := len(pos)
+	return &refChannel{
+		cfg:        cfg,
+		radius:     cfg.interferenceRange(),
+		pos:        append([]Position(nil), pos...),
+		sensed:     make([]int32, n),
+		busyTx:     make([]bool, n),
+		rx:         make([]refReception, n),
+		collisions: make([]uint64, n),
+		captures:   make([]uint64, n),
+	}
+}
+
+// interfere applies energy of power p to receiver j's locked frame.
+func (r *refChannel) interfere(j int, p float64) {
+	rx := &r.rx[j]
+	if rx.signal < r.cfg.CaptureRatio*p {
+		if !rx.corrupted && rx.decodable {
+			r.collisions[j]++
+		}
+		rx.corrupted = true
+	} else if !rx.corrupted && rx.decodable {
+		r.captures[j]++
+	}
+}
+
+func (r *refChannel) transmit(src int, end sim.Time) {
+	f := &refFlight{src: src, end: end, seq: r.starts}
+	r.starts++
+	r.flight = append(r.flight, f)
+	r.busyTx[src] = true
+	for j := range r.pos {
+		d := r.pos[j].Dist(r.pos[src])
+		if j == src || d > r.radius {
+			continue
+		}
+		inCS := d <= r.cfg.CSRange
+		if inCS {
+			r.sensed[j]++
+		}
+		switch rx := &r.rx[j]; {
+		case r.busyTx[j]:
+		case rx.flight != nil:
+			r.interfere(j, r.cfg.power(d))
+		case inCS:
+			*rx = refReception{flight: f, signal: r.cfg.power(d), decodable: d <= r.cfg.TxRange}
+			for _, o := range r.flight {
+				if rx.corrupted {
+					break
+				}
+				if od := r.pos[j].Dist(r.pos[o.src]); o != f && od <= r.radius {
+					r.interfere(j, r.cfg.power(od))
+				}
+			}
+		}
+	}
+}
+
+// finish ends the flight the engine fires next: the earliest end, ties
+// broken by start order.
+func (r *refChannel) finish() sim.Time {
+	at := 0
+	for i, f := range r.flight {
+		if g := r.flight[at]; f.end < g.end || f.end == g.end && f.seq < g.seq {
+			at = i
+		}
+	}
+	f := r.flight[at]
+	r.busyTx[f.src] = false
+	for j := range r.pos {
+		if j != f.src && r.pos[j].Dist(r.pos[f.src]) <= r.cfg.CSRange {
+			r.sensed[j]--
+		}
+		if r.rx[j].flight == f {
+			r.rx[j] = refReception{}
+		}
+	}
+	last := len(r.flight) - 1
+	r.flight[at] = r.flight[last]
+	r.flight = r.flight[:last]
+	return f.end
+}
+
+// check compares the channel's reception state, counters and flight
+// order with the reference.
+func (r *refChannel) check(t *testing.T, ch *Channel, k Counters, when string) {
+	t.Helper()
+	var coll, capt uint64
+	for j := range r.pos {
+		coll += r.collisions[j]
+		capt += r.captures[j]
+		if got, want := k.Collisions.Value(j), r.collisions[j]; got != want {
+			t.Fatalf("%s: station %d collisions %d, want %d", when, j, got, want)
+		}
+		if got, want := k.Captures.Value(j), r.captures[j]; got != want {
+			t.Fatalf("%s: station %d captures %d, want %d", when, j, got, want)
+		}
+		if ch.sensed[j] != r.sensed[j] || ch.busyTx[j] != r.busyTx[j] {
+			t.Fatalf("%s: station %d sensed/busy %d/%v, want %d/%v",
+				when, j, ch.sensed[j], ch.busyTx[j], r.sensed[j], r.busyTx[j])
+		}
+		got, want := ch.rx[j], r.rx[j]
+		if (got.tx == nil) != (want.flight == nil) {
+			t.Fatalf("%s: station %d locked=%v, want %v", when, j, got.tx != nil, want.flight != nil)
+		}
+		if want.flight != nil && (int(got.tx.srcn.slot) != want.flight.src || got.signal != want.signal ||
+			got.decodable != want.decodable || got.corrupted != want.corrupted) {
+			t.Fatalf("%s: station %d reception {src %d, %g, decodable %v, corrupted %v}, want {src %d, %g, %v, %v}",
+				when, j, got.tx.srcn.slot, got.signal, got.decodable, got.corrupted,
+				want.flight.src, want.signal, want.decodable, want.corrupted)
+		}
+	}
+	if ch.Stats.Collisions != coll || ch.Stats.Captures != capt {
+		t.Fatalf("%s: collisions/captures %d/%d, want %d/%d",
+			when, ch.Stats.Collisions, ch.Stats.Captures, coll, capt)
+	}
+	if len(ch.flight) != len(r.flight) {
+		t.Fatalf("%s: %d flights, want %d", when, len(ch.flight), len(r.flight))
+	}
+	for i, f := range ch.flight {
+		if int(f.srcn.slot) != r.flight[i].src {
+			t.Fatalf("%s: flight %d from %d, want %d", when, i, f.srcn.slot, r.flight[i].src)
+		}
+	}
+}
+
+// TestInterferenceMatchesBruteForce replays random placements with many
+// overlapping flights against the receiver-major reference, checking
+// after every start and finish the receptions, Stats.Collisions and
+// Stats.Captures, and the per-station obs counters. Between bursts, with
+// the air clear, random stations move through MoveNode, so the scan also
+// runs over incrementally patched neighbor lists.
+func TestInterferenceMatchesBruteForce(t *testing.T) {
+	cfg := DefaultConfig()
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(30)
+		side := 300 + rng.Float64()*1500
+		place := func() Position { return Position{X: rng.Float64() * side, Y: rng.Float64() * side} }
+		pos := make([]Position, n)
+		labels := make([]string, n)
+		for i := range pos {
+			pos[i] = place()
+			labels[i] = fmt.Sprint(i)
+		}
+		eng := sim.NewEngine(seed)
+		ch := NewChannel(eng, cfg)
+		sts := make([]*Station, n)
+		for i, p := range pos {
+			sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
+		}
+		reg := obs.NewRegistry()
+		k := Counters{
+			Collisions: reg.CounterVec("collisions", labels),
+			Captures:   reg.CounterVec("captures", labels),
+		}
+		ch.SetCounters(k)
+		ref := newRefChannel(cfg, pos)
+
+		maxFlights, moves := 0, 0
+		for step := 0; step < 3000; step++ {
+			when := fmt.Sprintf("seed %d step %d", seed, step)
+			if step%300 == 299 {
+				// Clear the air, then move a few stations.
+				for len(ref.flight) > 0 {
+					eng.RunStep()
+					ref.finish()
+				}
+				for range 1 + rng.Intn(3) {
+					i := rng.Intn(n)
+					p := place()
+					ch.MoveNode(pkt.NodeID(i), p)
+					ref.pos[i] = p
+					moves++
+				}
+				ref.check(t, ch, k, when+" after moves")
+				continue
+			}
+			if len(ref.flight) > 0 && rng.Intn(5) < 2 {
+				eng.RunStep()
+				if at := ref.finish(); at != eng.Now() {
+					t.Fatalf("%s: finish at %v, reference %v", when, eng.Now(), at)
+				}
+				ref.check(t, ch, k, when+" finish")
+				continue
+			}
+			src := rng.Intn(n)
+			if ref.busyTx[src] {
+				continue
+			}
+			p := pkt.NewPacket(1, uint64(step), pkt.NodeID(src), 0, 1+rng.Intn(4)*300, 0)
+			end := ch.TransmitFrom(sts[src], &pkt.Frame{Type: pkt.FrameData, TxSrc: pkt.NodeID(src), Payload: p})
+			ref.transmit(src, end)
+			maxFlights = max(maxFlights, len(ref.flight))
+			ref.check(t, ch, k, when+" transmit")
+		}
+		if maxFlights < 5 || moves == 0 || ch.Stats.Collisions == 0 || ch.Stats.Captures == 0 {
+			t.Fatalf("seed %d: stream too tame: at most %d flights, %d moves, %d collisions, %d captures",
+				seed, maxFlights, moves, ch.Stats.Collisions, ch.Stats.Captures)
+		}
+	}
+}

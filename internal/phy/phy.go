@@ -224,6 +224,9 @@ type Channel struct {
 	loss   map[linkKey]float64 // per directed link erasure probability
 	down   map[linkKey]bool    // severed directed links (dynamics overrides)
 	flight []*transmission
+	// locked collects, during one TransmitFrom walk, the slots of the
+	// receivers that locked onto the new frame; reused across calls.
+	locked []int32
 	pool   *pkt.Pool       // packet/frame pool shared by the whole stack
 	freeTx []*transmission // recycled transmissions
 
@@ -434,7 +437,14 @@ func (c *Channel) Transmit(src pkt.NodeID, f *pkt.Frame) sim.Time {
 //
 // This is the PHY hot path: it walks only the transmitter's neighbor
 // list (every station beyond interference range is provably unaffected)
-// and does no distance/path-loss math and no map lookups per event.
+// and does no distance/path-loss math, no map lookups and no neighbor
+// searches per event. The walk raises carrier sense, applies the new
+// energy at receivers already locked, and locks idle ones; the flights
+// already on the air then reach the newly locked receivers flight by
+// flight (interfere), not receiver by receiver. That split changes no
+// outcome: each receiver's state depends only on its own record and the
+// flights, and the CarrierBusy(true) callbacks made during the walk
+// (the MAC freezing its backoff) read neither the receptions nor Stats.
 func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 	if !c.indexed {
 		c.buildIndex()
@@ -466,6 +476,7 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 	// receivers. Neighbor lists ascend by slot (= id), preserving the
 	// deterministic iteration order of the old all-stations loop.
 	cr := c.cfg.CaptureRatio
+	locked := c.locked[:0]
 	nbrs := sn.nbrs
 	for i := range nbrs {
 		lk := &nbrs[i]
@@ -505,40 +516,73 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 		case lk.inCS:
 			// Idle receiver locks onto the first frame it senses, even
 			// one too weak to decode (noise lock). Energy already in
-			// flight from other transmitters counts as interference.
+			// flight from other transmitters counts as interference,
+			// applied by interfere below.
+			c.rx[slot] = reception{tx: tx, signal: lk.power, decodable: lk.inTx}
+			locked = append(locked, slot)
+		}
+	}
+	if len(locked) > 0 && len(c.flight) > 1 {
+		c.interfere(locked)
+	}
+	c.locked = locked[:0]
+
+	c.eng.ScheduleFuncAt(tx.end, tx.finishFn)
+	return tx.end
+}
+
+// interfere applies the energy of every flight already on the air to the
+// receivers the newest flight (the last in c.flight) just locked, given
+// by slot in ascending order. Each older flight is taken in c.flight
+// order and its source's slot-sorted neighbor list merge-joined against
+// the locked slots, so the neighbor records are read in order and never
+// searched. A locked frame is corrupted by the first flight it is not
+// CaptureRatio stronger than, and rides out (is captured over) each
+// flight before that; once corrupted, later flights cannot touch it.
+//
+// This visits the flights of each receiver in the order a per-receiver
+// loop over c.flight would, stopping at the same flight, so Collisions
+// and Captures come out the same although both depend on that order.
+// The interferer's power is read from its source's record of the
+// receiver rather than the receiver's record of the source; the two are
+// equal to the bit, because distance is symmetric and buildIndex and
+// MoveNode write both records of a pair from one computation.
+func (c *Channel) interfere(locked []int32) {
+	cr := c.cfg.CaptureRatio
+	for _, other := range c.flight[:len(c.flight)-1] {
+		on := other.srcn
+		keys := on.nbrSlots
+		k := 0
+		for _, slot := range locked {
+			for k < len(keys) && keys[k] < slot {
+				k++
+			}
+			if k == len(keys) {
+				break
+			}
+			if keys[k] != slot {
+				continue // beyond interference range: cannot corrupt
+			}
 			rx := &c.rx[slot]
-			*rx = reception{tx: tx, signal: lk.power, decodable: lk.inTx}
-			nst := c.order[slot]
-			for _, other := range c.flight {
-				if other == tx {
-					continue
-				}
-				olk := nst.neighbor(other.srcn.slot)
-				if olk == nil {
-					continue // beyond interference range: cannot corrupt
-				}
-				if rx.signal < cr*olk.power {
-					rx.corrupted = true
-					if rx.decodable {
-						c.Stats.Collisions++
-						if c.obs.Collisions != nil {
-							c.obs.Collisions.Inc(int(slot))
-						}
-					}
-					break
-				}
+			if rx.corrupted {
+				continue
+			}
+			if rx.signal < cr*on.nbrs[k].power {
+				rx.corrupted = true
 				if rx.decodable {
-					c.Stats.Captures++
-					if c.obs.Captures != nil {
-						c.obs.Captures.Inc(int(slot))
+					c.Stats.Collisions++
+					if c.obs.Collisions != nil {
+						c.obs.Collisions.Inc(int(slot))
 					}
+				}
+			} else if rx.decodable {
+				c.Stats.Captures++
+				if c.obs.Captures != nil {
+					c.obs.Captures.Inc(int(slot))
 				}
 			}
 		}
 	}
-
-	c.eng.ScheduleFuncAt(tx.end, tx.finishFn)
-	return tx.end
 }
 
 // finish completes a transmission: lowers carrier sense, resolves frame
@@ -595,12 +639,11 @@ func (c *Channel) finish(tx *transmission) {
 		}
 	}
 
-	// Swap-remove tx from the in-flight list (order is irrelevant: the
-	// interference scan over flights is order-independent), then recycle
-	// the frame and the transmission: every receiver has been served
-	// synchronously above, so nothing references either beyond this
-	// point. The flight's payload reference (taken in TransmitFrom) is
-	// dropped with it.
+	// Swap-remove tx from the in-flight list, then recycle the frame and
+	// the transmission: every receiver has been served synchronously
+	// above, so nothing references either beyond this point. The
+	// flight's payload reference (taken in TransmitFrom) is dropped with
+	// it.
 	last := len(c.flight) - 1
 	if i := tx.flightIdx; i != last {
 		moved := c.flight[last]

@@ -39,32 +39,42 @@ func chainPositions(n int) []Position {
 	return pos
 }
 
-// benchTransmit measures one data-frame Transmit+finish cycle per op,
-// rotating the transmitter over every station. Radios are nil, so the
-// measurement is pure channel work: carrier-sense bookkeeping, receiver
-// locking, interference checks, and delivery resolution.
-func benchTransmit(b *testing.B, pos []Position) {
-	b.Helper()
-	eng := sim.NewEngine(1)
-	ch := NewChannel(eng, DefaultConfig())
+// benchChannel registers a station with a nil radio at each position, so
+// a measurement is pure channel work: carrier-sense bookkeeping,
+// receiver locking, interference checks, and delivery resolution. send
+// puts a data frame on the air from station i mod len(pos).
+func benchChannel(pos []Position) (eng *sim.Engine, ch *Channel, send func(i int)) {
+	eng = sim.NewEngine(1)
+	ch = NewChannel(eng, DefaultConfig())
 	sts := make([]*Station, len(pos))
 	for i, p := range pos {
 		sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
 	}
-	send := func(i int) {
+	send = func(i int) {
 		f := ch.Pool().Frame()
 		f.Type = pkt.FrameData
 		f.TxSrc = pkt.NodeID(i % len(pos))
 		f.TxDst = pkt.NodeID((i + 1) % len(pos))
 		ch.TransmitFrom(sts[i%len(pos)], f)
+	}
+	return eng, ch, send
+}
+
+// benchTransmit measures one data-frame Transmit+finish cycle per op,
+// rotating the transmitter over every station.
+func benchTransmit(b *testing.B, pos []Position) {
+	b.Helper()
+	eng, _, send := benchChannel(pos)
+	cycle := func(i int) {
+		send(i)
 		for eng.RunStep() {
 		}
 	}
-	send(0) // warm up: builds the neighbor index, fills the pools
+	cycle(0) // warm up: builds the neighbor index, fills the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		send(i)
+		cycle(i)
 	}
 }
 
@@ -79,6 +89,30 @@ func BenchmarkChannelTransmit200(b *testing.B) {
 // every station neighbors every other.
 func BenchmarkChannelTransmitChain5(b *testing.B) {
 	benchTransmit(b, chainPositions(5))
+}
+
+// BenchmarkChannelTransmitOverlap keeps eight flights in the air on the
+// 200-node disk: each op starts one transmission and, once eight are
+// flying, first finishes the oldest. Every receiver a new frame locks
+// meets the seven flights already on the air, so this prices the
+// interference scan that the one-flight-at-a-time benchmarks skip.
+func BenchmarkChannelTransmitOverlap(b *testing.B) {
+	const inAir = 8
+	eng, ch, send := benchChannel(diskPositions(200, 1))
+	op := func(i int) {
+		if len(ch.flight) == inAir {
+			eng.RunStep()
+		}
+		send(i)
+	}
+	for i := range 2 * inAir { // warm up: the index, the pools, the air
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
 }
 
 // BenchmarkBuildIndex times one full neighbor-index build on a fresh

@@ -17,8 +17,9 @@ type StabilityResult struct {
 	// Tolerance is the recovery threshold fraction x (a flow has
 	// recovered once its throughput is back within x of pre-fault).
 	Tolerance float64
-	// PreFaultKbps is each flow's mean throughput over
-	// [WarmupSkip, FaultAt).
+	// PreFaultKbps is each flow's mean throughput over the bins that
+	// end in [WarmupSkip, FaultAt], the last of them the bin the fault
+	// closes.
 	PreFaultKbps map[FlowID]float64
 	// RecoverySec maps each flow to the seconds from FaultAt until its
 	// binned throughput first returned to >= (1-x)·pre-fault and held for
@@ -77,13 +78,17 @@ func computeStability(sc *Scenario, res *Result) *StabilityResult {
 		RecoverySec:  make(map[FlowID]float64, len(res.Flows)),
 		Recovered:    true,
 	}
+	// Throughput points are stamped with their bin end and Window is
+	// half-open, so the window runs to fault+1 ns: a bin that ends
+	// exactly at the fault measured only pre-fault traffic and belongs
+	// to the baseline.
 	for f, fr := range res.Flows {
-		pre := fr.Throughput.Window(sc.Cfg.WarmupSkip, fault).Mean()
+		pre := fr.Throughput.Window(sc.Cfg.WarmupSkip, fault+1).Mean()
 		if pre <= 0 {
 			// The fault predates the end of the warmup window; fall back
 			// to everything before the fault so an early fault still
 			// gets a baseline instead of being reported as "recovered".
-			pre = fr.Throughput.Window(0, fault).Mean()
+			pre = fr.Throughput.Window(0, fault+1).Mean()
 		}
 		st.PreFaultKbps[f] = pre
 		if pre <= 0 {
