@@ -26,14 +26,17 @@ test:
 
 # fuzz is a short smoke over the hostile-input decoders: the scenario
 # JSON loader, the shard worker frame protocol (plus the chaos-spec
-# grammar), and the mobility trace-file parser. Ten seconds each is
-# enough to catch decode panics in CI; crank FUZZTIME for a real soak.
+# grammar), and the mobility trace-file parser; plus the event engine's
+# differential order check (heap and lanes against the heap-only
+# reference). Ten seconds each is enough to catch decode panics and
+# order slips in CI; crank FUZZTIME for a real soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility
+	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages).
@@ -51,8 +54,10 @@ staticcheck:
 
 # bench runs the hot-path benchmarks guarding the simulator core — the
 # end-to-end chain and large-topology scenarios, the event-queue
-# micro-benchmarks, the PHY transmission path (one flight at a time and
-# eight overlapping), the controller hot hooks (OnOverhear/OnDequeue/
+# micro-benchmarks (schedule/cancel churn, a deep heap, and a MAC-shaped
+# mix of lane and heap events pinned at zero allocs by
+# TestEngineMixedAllocs), the PHY transmission path (one flight at a
+# time and eight overlapping), the controller hot hooks (OnOverhear/OnDequeue/
 # OnTransmit, pinned at zero allocs), the observability instruments
 # (counter/vec/histogram/flight-record increments plus the disabled
 # nil-receiver hooks, all pinned at zero allocs), the

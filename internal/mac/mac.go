@@ -646,7 +646,7 @@ func (m *MAC) rxCTS(f *pkt.Frame) {
 	m.timer.Cancel()
 	// Send the data frame after SIFS.
 	m.state = stTxCtl // transiently; sendData moves us to stTxData
-	m.eng.ScheduleFunc(SIFS, m.sendDataFn)
+	m.eng.ScheduleFuncFixed(SIFS, m.sendDataFn)
 }
 
 // scheduleCtl queues a control response (ACK or CTS) to go out after SIFS.
@@ -657,7 +657,7 @@ func (m *MAC) scheduleCtl(f *pkt.Frame) {
 		m.pool.PutFrame(m.pendingCtl)
 	}
 	m.pendingCtl = f
-	m.eng.ScheduleFunc(SIFS, m.sendCtlFn)
+	m.eng.ScheduleFuncFixed(SIFS, m.sendCtlFn)
 }
 
 // sendCtl fires SIFS after a control response was queued and puts it on
@@ -683,7 +683,7 @@ func (m *MAC) sendCtl() {
 	m.state = stTxCtl
 	end := m.ch.TransmitFrom(m.st, ctl)
 	m.txEnd = end
-	m.eng.ScheduleFuncAt(end, m.ctlDoneFn)
+	m.eng.ScheduleFuncFixed(end-m.eng.Now(), m.ctlDoneFn)
 }
 
 // ctlDone restores the pre-response state once the control frame has left
@@ -838,10 +838,10 @@ func (m *MAC) sendData() {
 	m.state = stTxData
 	end := m.ch.TransmitFrom(m.st, f)
 	m.txEnd = end
-	ackTime := m.ch.AirTime(pkt.AckBytes)
-	timeout := (end - m.eng.Now()) + SIFS + ackTime + SlotTime
-	m.eng.ScheduleFuncAt(end, m.dataEndFn)
-	m.timer = m.eng.Schedule(timeout, m.ackTimeoutFn)
+	air := end - m.eng.Now()
+	timeout := air + SIFS + m.ch.AirTime(pkt.AckBytes) + SlotTime
+	m.eng.ScheduleFuncFixed(air, m.dataEndFn)
+	m.timer = m.eng.ScheduleFixed(timeout, m.ackTimeoutFn)
 }
 
 func (m *MAC) sendRTS() {
@@ -857,9 +857,10 @@ func (m *MAC) sendRTS() {
 	m.state = stTxData
 	end := m.ch.TransmitFrom(m.st, f)
 	m.txEnd = end
-	timeout := (end - m.eng.Now()) + SIFS + m.ch.AirTime(pkt.CTSBytes) + SlotTime
-	m.eng.ScheduleFuncAt(end, m.rtsEndFn)
-	m.timer = m.eng.Schedule(timeout, m.ackTimeoutFn)
+	air := end - m.eng.Now()
+	timeout := air + SIFS + m.ch.AirTime(pkt.CTSBytes) + SlotTime
+	m.eng.ScheduleFuncFixed(air, m.rtsEndFn)
+	m.timer = m.eng.ScheduleFixed(timeout, m.ackTimeoutFn)
 }
 
 // ackTimeout handles a missing ACK (or CTS): exponential backoff and retry,

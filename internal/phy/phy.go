@@ -339,18 +339,6 @@ func (c *Channel) AddNode(id pkt.NodeID, pos Position, r Radio) *Station {
 	return st
 }
 
-// SetRadio rebinds the radio of an existing node (used by the MAC package
-// which creates the PHY entry before its own state). Neighbor-list
-// records reference the station, not the radio, so no invalidation is
-// needed.
-func (c *Channel) SetRadio(id pkt.NodeID, r Radio) {
-	n := c.station(id)
-	if n == nil {
-		panic(fmt.Sprintf("phy: SetRadio for unknown node %v", id))
-	}
-	n.radio = r
-}
-
 // SetLinkLoss sets the erasure probability for the directed link a->b.
 // It models the residual frame error rate of a degraded real-world link.
 // The cached neighbor record, if built, is patched in place so the next
@@ -527,7 +515,7 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 	}
 	c.locked = locked[:0]
 
-	c.eng.ScheduleFuncAt(tx.end, tx.finishFn)
+	c.eng.ScheduleFuncFixed(dur, tx.finishFn)
 	return tx.end
 }
 

@@ -1,18 +1,32 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine keeps virtual time as int64 nanoseconds, schedules callbacks
-// on an inlined 4-ary heap ordered by (time, sequence), and exposes a
-// seeded random number generator so that every run is a pure function of
-// its inputs. All higher layers of the repository (PHY, MAC, traffic
-// sources, EZ-Flow controllers) are driven exclusively by this engine:
-// nothing in the simulator reads the wall clock.
+// The engine keeps virtual time as int64 nanoseconds, fires callbacks in
+// (time, sequence) order, and exposes a seeded random number generator so
+// that every run is a pure function of its inputs. All higher layers of
+// the repository (PHY, MAC, traffic sources, EZ-Flow controllers) are
+// driven exclusively by this engine: nothing in the simulator reads the
+// wall clock.
 //
 // The engine is built for the hot path. Fired and cancelled events are
 // recycled through a free list, so steady-state scheduling does not
 // allocate; Timer handles carry a generation counter, so a handle kept
 // past its event's lifetime can never cancel the event's next occupant.
-// Callers that never cancel should prefer the ScheduleFunc/ScheduleFuncAt
-// fast paths, which skip handle construction entirely.
+// Callers that never cancel should prefer the ScheduleFunc, ScheduleFuncAt
+// and ScheduleFuncFixed fast paths, which skip handle construction.
+//
+// Pending events wait in two kinds of queue. Schedule, ScheduleAt and
+// their Func forms put them on an inlined 4-ary heap. ScheduleFixed and
+// ScheduleFuncFixed, meant for delays that are constant over a run, put
+// them in a lane: a FIFO of the events scheduled with one delay (at most
+// eight lanes; when none is free for a delay, the heap takes the event). The clock never runs
+// backwards and every schedule takes the next sequence number, so events
+// scheduled with one delay join their lane already in (time, sequence)
+// order, and the lane keeps them sorted with no heap operation. Each step
+// fires the least of the heap top and the lane fronts under the same
+// (time, sequence) rule, so a run fires exactly the events, in exactly
+// the order, that an engine with the heap alone would. The MAC and PHY
+// schedule most of their events with a handful of such delays (air
+// times, SIFS, the ACK timeout, a CBR gap).
 package sim
 
 import (
@@ -49,17 +63,25 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // event is the pooled state of one scheduled callback. Events are owned by
-// the engine: they move between the heap and the free list and are never
+// the engine: they move between the queues and the free list and are never
 // exposed to callers directly (Timer is the handle). gen distinguishes the
 // lifetimes of successive occupants of the same allocation.
 type event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	index  int32 // heap index, -1 when not queued
+	at  Time
+	seq uint64
+	fn  func() // nil once a lane entry is cancelled
+	// index is the heap position (>= 0), notQueued, or laneIndex(l) for
+	// an event queued in lane l.
+	index  int32
 	gen    uint64
 	engine *Engine
 }
+
+// notQueued marks an event that is on the free list or firing.
+const notQueued = -1
+
+// laneIndex encodes lane l in an event's index field, below notQueued.
+func laneIndex(l int) int32 { return notQueued - 1 - int32(l) }
 
 // Timer is a cancellable handle to a scheduled callback. The zero value is
 // inert: Cancel is a no-op and Pending reports false. A Timer remains valid
@@ -74,7 +96,7 @@ type Timer struct {
 // Pending reports whether the timer's event is still queued to fire.
 func (t Timer) Pending() bool {
 	e := t.ev
-	return e != nil && e.gen == t.gen && e.index >= 0
+	return e != nil && e.gen == t.gen && e.index != notQueued
 }
 
 // At reports when the event fires; the second result is false if the event
@@ -91,13 +113,17 @@ func (t Timer) At() (Time, bool) {
 // the engine has recycled the event's storage for a newer schedule.
 func (t Timer) Cancel() {
 	e := t.ev
-	if e == nil || e.gen != t.gen || e.index < 0 {
+	if e == nil || e.gen != t.gen || e.index == notQueued {
 		return
 	}
 	en := e.engine
-	en.queue.remove(int(e.index))
 	en.cancelled++
-	en.release(e)
+	if e.index >= 0 {
+		en.queue.remove(int(e.index))
+		en.release(e)
+		return
+	}
+	en.cancelLane(e)
 }
 
 // eventHeap is an index-tracked 4-ary min-heap of events ordered by
@@ -135,7 +161,7 @@ func (h *eventHeap) popMin() *event {
 	if n > 1 {
 		h.siftDown(0)
 	}
-	e.index = -1
+	e.index = notQueued
 	return e
 }
 
@@ -154,7 +180,7 @@ func (h *eventHeap) remove(i int) {
 		h.siftDown(i)
 		h.siftUp(i)
 	}
-	e.index = -1
+	e.index = notQueued
 }
 
 func (h eventHeap) siftUp(i int) {
@@ -210,10 +236,14 @@ type Engine struct {
 	now    Time
 	queue  eventHeap
 	seq    uint64
+	nlanes int               // lanes keyed so far: a prefix of fronts and lanes
+	fronts [maxLanes]laneKey // each lane's front key, emptyKey when it is empty
 	rng    *rand.Rand
 	halted bool
 	fired  uint64
 	free   []*event // recycled events; Schedule pops here before allocating
+	lanes  [maxLanes]lane
+	live   int // events queued in lanes and not cancelled
 	// cancelled and stop sit after the hot fields: only Timer.Cancel, the
 	// observability gauges and Run's stop poll touch them.
 	cancelled uint64
@@ -248,8 +278,10 @@ func (en *Engine) Scheduled() uint64 { return en.seq }
 // firing.
 func (en *Engine) Cancelled() uint64 { return en.cancelled }
 
-// Pending reports how many events are queued.
-func (en *Engine) Pending() int { return len(en.queue) }
+// Pending reports how many events are queued to fire: those on the heap
+// and those in lanes, but not the cancelled lane entries that wait to be
+// reclaimed.
+func (en *Engine) Pending() int { return len(en.queue) + en.live }
 
 // get recycles an event from the free list, or allocates one.
 func (en *Engine) get() *event {
@@ -259,14 +291,14 @@ func (en *Engine) get() *event {
 		en.free = en.free[:n-1]
 		return e
 	}
-	return &event{engine: en, index: -1}
+	return &event{engine: en, index: notQueued}
 }
 
 // release returns a fired or cancelled event to the free list. Bumping gen
 // invalidates every outstanding Timer handle to this occupancy.
 func (en *Engine) release(e *event) {
 	e.fn = nil
-	e.index = -1
+	e.index = notQueued
 	e.gen++
 	en.free = append(en.free, e)
 }
@@ -320,6 +352,22 @@ func (en *Engine) ScheduleFuncAt(at Time, fn func()) {
 	en.schedule(at, fn)
 }
 
+// ScheduleFixed is Schedule for a caller whose delay is a per-run
+// constant, such as a frame's air time or a protocol timeout. The event
+// fires exactly when and in the order Schedule's would; it is queued in
+// the delay's lane, which costs no heap operation, whenever a lane is
+// free for that delay.
+func (en *Engine) ScheduleFixed(delay Time, fn func()) Timer {
+	e := en.scheduleFixed(delay, fn)
+	return Timer{ev: e, gen: e.gen}
+}
+
+// ScheduleFuncFixed is ScheduleFunc for a per-run constant delay; see
+// ScheduleFixed.
+func (en *Engine) ScheduleFuncFixed(delay Time, fn func()) {
+	en.scheduleFixed(delay, fn)
+}
+
 // Stop halts the run loop after the currently executing event completes.
 // It must be called from the simulation goroutine (an event callback);
 // use StopOn to stop a run from another goroutine.
@@ -343,12 +391,12 @@ func (en *Engine) stopRequested() bool { return en.stop != nil && en.stop.Load()
 // the loop stopped.
 func (en *Engine) Run(until Time) Time {
 	en.halted = en.stopRequested()
-	for len(en.queue) > 0 && !en.halted {
-		e := en.queue[0]
-		if e.at > until {
+	for !en.halted {
+		e, l := en.next()
+		if e == nil || e.at > until {
 			break
 		}
-		en.queue.popMin()
+		en.take(l)
 		en.now = e.at
 		en.fired++
 		if en.fired&stopPollMask == 0 && en.stopRequested() {
@@ -368,10 +416,11 @@ func (en *Engine) Run(until Time) Time {
 // RunStep executes exactly one event, if any remain, and reports whether an
 // event fired. Used by tests that want to single-step the world.
 func (en *Engine) RunStep() bool {
-	if len(en.queue) == 0 {
+	e, l := en.next()
+	if e == nil {
 		return false
 	}
-	e := en.queue.popMin()
+	en.take(l)
 	en.now = e.at
 	en.fired++
 	fn := e.fn

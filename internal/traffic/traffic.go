@@ -115,14 +115,6 @@ func (s *Source) Stop() {
 	s.timer.Cancel()
 }
 
-func (s *Source) nextGap() sim.Time {
-	if !s.poisson {
-		return s.period
-	}
-	mean := float64(s.period)
-	return sim.Time(s.m.Eng.Rand().ExpFloat64() * mean)
-}
-
 func (s *Source) emit() {
 	if !s.active {
 		return
@@ -134,5 +126,10 @@ func (s *Source) emit() {
 		s.Injected++
 	}
 	p.Release() // the source queue holds its own reference now
-	s.timer = s.m.Eng.Schedule(s.nextGap(), s.emitFn)
+	if !s.poisson {
+		s.timer = s.m.Eng.ScheduleFixed(s.period, s.emitFn) // CBR: one gap per rate
+		return
+	}
+	gap := sim.Time(s.m.Eng.Rand().ExpFloat64() * float64(s.period))
+	s.timer = s.m.Eng.Schedule(gap, s.emitFn)
 }
