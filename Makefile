@@ -57,7 +57,9 @@ staticcheck:
 # micro-benchmarks (schedule/cancel churn, a deep heap, and a MAC-shaped
 # mix of lane and heap events pinned at zero allocs by
 # TestEngineMixedAllocs), the PHY transmission path (one flight at a
-# time and eight overlapping), the controller hot hooks (OnOverhear/OnDequeue/
+# time and eight overlapping), a traffic source's arrival at a full
+# source queue (pinned at zero allocs and zero pooled packets by
+# TestSourceOverflowAllocs), the controller hot hooks (OnOverhear/OnDequeue/
 # OnTransmit, pinned at zero allocs), the observability instruments
 # (counter/vec/histogram/flight-record increments plus the disabled
 # nil-receiver hooks, all pinned at zero allocs), the
@@ -86,6 +88,8 @@ bench:
 	    ./internal/phy | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkRandomDiskBuild$$' -benchmem -run='^$$' -benchtime=20x \
 	    ./internal/mesh | tee -a /tmp/bench.out
+	$(GO) test -bench='^BenchmarkSourceOverflow$$' -benchmem -run='^$$' -benchtime=1s \
+	    ./internal/traffic | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkCtl' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/ctl | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkObs' -benchmem -run='^$$' -benchtime=1s \

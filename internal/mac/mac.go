@@ -214,9 +214,7 @@ func (q *Queue) SetCWmin(cw int) {
 // packet leaves the queue), so callers keep whatever references they hold.
 func (q *Queue) Enqueue(p *pkt.Packet) bool {
 	if len(q.buf) >= q.mac.cfg.QueueCap {
-		q.Dropped++
-		q.DroppedOverflow++
-		q.mac.record(obs.KindDrop, obs.CauseQueueOverflow, q.next, p)
+		q.overflow(p.Flow, p.Seq)
 		q.mac.notifyDrop(p, DropQueueOverflow)
 		return false
 	}
@@ -232,6 +230,30 @@ func (q *Queue) Enqueue(p *pkt.Packet) bool {
 	}
 	q.mac.kick()
 	return true
+}
+
+// DropIfFull counts the overflow drop of packet seq of flow without the
+// packet, when the queue is full and no drop hook (AddDropHook) needs
+// the packet. It reports whether it dropped; on false the caller builds
+// the packet and Enqueues it as usual. The counters and the flight
+// recorder's drop record come out as Enqueue's overflow branch writes
+// them, so a traffic source that checks here first draws no pooled
+// packet for an arrival the full queue would only discard.
+func (q *Queue) DropIfFull(flow pkt.FlowID, seq uint64) bool {
+	if len(q.buf) < q.mac.cfg.QueueCap || len(q.mac.drops) > 0 {
+		return false
+	}
+	q.overflow(flow, seq)
+	return true
+}
+
+// overflow counts and records one overflow drop.
+func (q *Queue) overflow(flow pkt.FlowID, seq uint64) {
+	q.Dropped++
+	q.DroppedOverflow++
+	if rec := q.mac.rec; rec != nil {
+		rec.Record(q.mac.eng.Now(), obs.KindDrop, obs.CauseQueueOverflow, q.mac.id, q.next, flow, seq)
+	}
 }
 
 // Flush discards every buffered packet, releasing the queue's references
@@ -318,8 +340,8 @@ type MAC struct {
 	retryCW    int      // current retry contention window
 	navUntil   sim.Time // virtual carrier sense (RTS/CTS)
 	pendingCtl *pkt.Frame
-	ctlSaved   txState           // state to restore after a control response
-	lastSeq    map[dupKey]uint64 // duplicate filter, one flat lookup per decode
+	ctlSaved   txState    // state to restore after a control response
+	lastSeq    []dupEntry // duplicate filter, one entry per (transmitter, flow) stream
 
 	// Bound callbacks, built once in New so the per-frame timers (backoff
 	// expiry, ACK timeout, air-time completion, SIFS-deferred responses)
@@ -358,12 +380,11 @@ func New(eng *sim.Engine, ch *phy.Channel, id pkt.NodeID, pos phy.Position, cfg 
 		cfg.QueueCap = DefaultQueueCap
 	}
 	m := &MAC{
-		id:      id,
-		eng:     eng,
-		ch:      ch,
-		pool:    ch.Pool(),
-		cfg:     cfg,
-		lastSeq: make(map[dupKey]uint64),
+		id:   id,
+		eng:  eng,
+		ch:   ch,
+		pool: ch.Pool(),
+		cfg:  cfg,
 	}
 	m.accessWonFn = m.accessWon
 	m.ackTimeoutFn = m.ackTimeout
@@ -385,11 +406,31 @@ func New(eng *sim.Engine, ch *phy.Channel, id pkt.NodeID, pos phy.Position, cfg 
 	return m
 }
 
-// dupKey identifies one (transmitter, flow) stream in the duplicate
-// filter.
-type dupKey struct {
+// dupEntry is the duplicate filter's record of one (transmitter, flow)
+// stream: the sequence number last delivered from it. A station receives
+// from few streams, so the filter scans a slice instead of hashing.
+type dupEntry struct {
 	src  pkt.NodeID
 	flow pkt.FlowID
+	seq  uint64
+}
+
+// duplicate reports whether seq repeats the last sequence number
+// delivered on the (src, flow) stream, recording seq as the stream's
+// last when it does not.
+func (m *MAC) duplicate(src pkt.NodeID, flow pkt.FlowID, seq uint64) bool {
+	for i := range m.lastSeq {
+		e := &m.lastSeq[i]
+		if e.src == src && e.flow == flow {
+			if e.seq == seq {
+				return true
+			}
+			e.seq = seq
+			return false
+		}
+	}
+	m.lastSeq = append(m.lastSeq, dupEntry{src: src, flow: flow, seq: seq})
+	return false
 }
 
 // ID reports the node id.
@@ -597,12 +638,10 @@ func (m *MAC) rxData(f *pkt.Frame) {
 	if p == nil {
 		return
 	}
-	k := dupKey{f.TxSrc, p.Flow}
-	if last, seen := m.lastSeq[k]; seen && last == p.Seq {
+	if m.duplicate(f.TxSrc, p.Flow, p.Seq) {
 		m.RxDup++
 		return
 	}
-	m.lastSeq[k] = p.Seq
 	m.RxData++
 	if m.deliver != nil {
 		m.deliver(p, f.TxSrc)

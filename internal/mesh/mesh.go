@@ -29,6 +29,54 @@ type Node struct {
 	// traffic, plus one per next hop for local (source) traffic.
 	fwdQ map[pkt.NodeID]*mac.Queue
 	srcQ map[pkt.NodeID]*mac.Queue
+	// hops holds one entry per flow whose installed route leaves this
+	// node (SetRoute). A node carries few flows, so lookups scan it.
+	hops []hop
+}
+
+// hop is a node's forwarding entry for one flow: the flow's successor
+// at the node and the queue SetRoute made toward it, the source queue
+// at the flow's source and the forward queue at a relay. Inject and
+// arrive read the queue from it instead of resolving the successor and
+// then the queue by hashing.
+type hop struct {
+	flow pkt.FlowID
+	next pkt.NodeID
+	q    *mac.Queue
+	src  bool // the route starts here: q is the source queue
+}
+
+// hopFor returns the node's entry for flow, or nil when no installed route
+// of the flow leaves the node.
+func (n *Node) hopFor(flow pkt.FlowID) *hop {
+	for i := range n.hops {
+		if n.hops[i].flow == flow {
+			return &n.hops[i]
+		}
+	}
+	return nil
+}
+
+// setHop installs h, replacing the node's entry for the same flow.
+func (n *Node) setHop(h hop) {
+	if e := n.hopFor(h.flow); e != nil {
+		*e = h
+		return
+	}
+	n.hops = append(n.hops, h)
+}
+
+// dropHop removes the node's entry for flow, if any.
+func (n *Node) dropHop(flow pkt.FlowID) {
+	for i := range n.hops {
+		if n.hops[i].flow == flow {
+			last := len(n.hops) - 1
+			n.hops[i] = n.hops[last]
+			n.hops[last] = hop{}
+			n.hops = n.hops[:last]
+			return
+		}
+	}
 }
 
 // Engine returns the simulation engine driving this node's mesh.
@@ -57,6 +105,22 @@ func (n *Node) SourceQueue(next pkt.NodeID) *mac.Queue {
 	return q
 }
 
+// InjectQueue returns the queue the node's own packets of flow enter:
+// its source queue toward the flow's successor here. It panics when no
+// installed route of the flow leaves the node.
+func (n *Node) InjectQueue(flow pkt.FlowID) *mac.Queue {
+	h := n.hopFor(flow)
+	if h == nil {
+		panic(fmt.Sprintf("mesh: no route for %v at %v", flow, n.ID))
+	}
+	if h.src {
+		return h.q
+	}
+	// The node relays the flow: its source queue toward the successor
+	// is made on first use.
+	return n.SourceQueue(h.next)
+}
+
 // Queues returns every MAC queue of the node.
 func (n *Node) Queues() []*mac.Queue { return n.MAC.Queues() }
 
@@ -79,12 +143,11 @@ type Mesh struct {
 	// ids caches the node ids in ascending order for RoutingGraph; AddNode
 	// clears it.
 	ids []pkt.NodeID
-	// routes[flow] is the full node path source..destination.
+	// routes[flow] is the full node path source..destination; each
+	// node's hops entry for the flow holds its successor on it.
 	routes map[pkt.FlowID][]pkt.NodeID
-	// nextHop[flow][node] -> successor on that flow.
-	nextHop map[pkt.FlowID]map[pkt.NodeID]pkt.NodeID
-	sinks   []SinkFunc
-	macCfg  mac.Config
+	sinks  []SinkFunc
+	macCfg mac.Config
 
 	// strategy computes (re)routes; nil selects the registry default
 	// (minimum-hop BFS, byte-identical to the pre-registry behaviour).
@@ -103,12 +166,11 @@ type SinkFunc func(p *pkt.Packet, at sim.Time)
 // New creates an empty mesh over a fresh channel.
 func New(eng *sim.Engine, phyCfg phy.Config, macCfg mac.Config) *Mesh {
 	return &Mesh{
-		Eng:     eng,
-		Ch:      phy.NewChannel(eng, phyCfg),
-		nodes:   make(map[pkt.NodeID]*Node),
-		routes:  make(map[pkt.FlowID][]pkt.NodeID),
-		nextHop: make(map[pkt.FlowID]map[pkt.NodeID]pkt.NodeID),
-		macCfg:  macCfg,
+		Eng:    eng,
+		Ch:     phy.NewChannel(eng, phyCfg),
+		nodes:  make(map[pkt.NodeID]*Node),
+		routes: make(map[pkt.FlowID][]pkt.NodeID),
+		macCfg: macCfg,
 	}
 }
 
@@ -149,7 +211,7 @@ func (m *Mesh) MoveNode(id pkt.NodeID, pos phy.Position) bool {
 
 // Pool returns the packet/frame pool shared by the mesh's whole stack.
 // Traffic generators draw packets from it and Release their reference
-// after Inject; the pool recycles each packet once every queue on the
+// once queued; the pool recycles each packet once every queue on the
 // path has let go.
 func (m *Mesh) Pool() *pkt.Pool { return m.Ch.Pool() }
 
@@ -168,30 +230,35 @@ func (m *Mesh) AddSink(s SinkFunc) { m.sinks = append(m.sinks, s) }
 
 // SetRoute installs the static path for a flow. The path must contain at
 // least two nodes, all previously added. Queues along the path are created
-// eagerly so controllers can attach before traffic starts.
+// eagerly so controllers can attach before traffic starts, and each node
+// the path leaves records the flow's successor and queue there (its hops
+// entry), replacing what the flow's previous route recorded. Where a path
+// visits a node twice, its later successor wins.
 func (m *Mesh) SetRoute(flow pkt.FlowID, path []pkt.NodeID) {
 	if len(path) < 2 {
 		panic("mesh: route needs at least source and destination")
 	}
-	hops := make(map[pkt.NodeID]pkt.NodeID, len(path)-1)
-	for i := 0; i < len(path)-1; i++ {
-		cur, next := path[i], path[i+1]
-		n := m.nodes[cur]
-		if n == nil {
-			panic(fmt.Sprintf("mesh: route through unknown node %v", cur))
-		}
-		if m.nodes[next] == nil {
-			panic(fmt.Sprintf("mesh: route through unknown node %v", next))
-		}
-		hops[cur] = next
-		if i == 0 {
-			n.SourceQueue(next)
-		} else {
-			n.ForwardQueue(next)
+	for _, id := range path {
+		if m.nodes[id] == nil {
+			panic(fmt.Sprintf("mesh: route through unknown node %v", id))
 		}
 	}
+	if old := m.routes[flow]; len(old) > 0 {
+		for _, id := range old[:len(old)-1] {
+			m.nodes[id].dropHop(flow)
+		}
+	}
+	for i := 0; i < len(path)-1; i++ {
+		n, next := m.nodes[path[i]], path[i+1]
+		h := hop{flow: flow, next: next, src: i == 0}
+		if h.src {
+			h.q = n.SourceQueue(next)
+		} else {
+			h.q = n.ForwardQueue(next)
+		}
+		n.setHop(h)
+	}
 	m.routes[flow] = append([]pkt.NodeID(nil), path...)
-	m.nextHop[flow] = hops
 }
 
 // Route returns the installed path of a flow.
@@ -225,8 +292,12 @@ func (m *Mesh) RelaySet() map[pkt.NodeID]bool {
 // NextHop reports the successor of node on flow, with ok=false at (or off)
 // the destination.
 func (m *Mesh) NextHop(flow pkt.FlowID, node pkt.NodeID) (pkt.NodeID, bool) {
-	nh, ok := m.nextHop[flow][node]
-	return nh, ok
+	if n := m.nodes[node]; n != nil {
+		if h := n.hopFor(flow); h != nil {
+			return h.next, true
+		}
+	}
+	return 0, false
 }
 
 // Successor reports the node the given node forwards flow traffic to —
@@ -236,18 +307,15 @@ func (m *Mesh) Successor(flow pkt.FlowID, node pkt.NodeID) (pkt.NodeID, bool) {
 	return m.NextHop(flow, node)
 }
 
-// Inject enqueues a freshly generated packet at the source of its flow.
-// It reports false if the source queue overflowed.
+// Inject enqueues a freshly generated packet at the source of its flow
+// (Node.InjectQueue of its Src). It reports false if the source queue
+// overflowed.
 func (m *Mesh) Inject(p *pkt.Packet) bool {
 	n := m.nodes[p.Src]
 	if n == nil {
 		panic(fmt.Sprintf("mesh: inject at unknown node %v", p.Src))
 	}
-	next, ok := m.nextHop[p.Flow][p.Src]
-	if !ok {
-		panic(fmt.Sprintf("mesh: no route for %v at %v", p.Flow, p.Src))
-	}
-	return n.SourceQueue(next).Enqueue(p)
+	return n.InjectQueue(p.Flow).Enqueue(p)
 }
 
 // SetStrategy installs the routing strategy (re)routes are computed
@@ -435,11 +503,17 @@ func (m *Mesh) arrive(n *Node, p *pkt.Packet) {
 		}
 		return
 	}
-	next, ok := m.nextHop[p.Flow][n.ID]
-	if !ok {
-		// Mis-routed packet: no successor here. Drop silently; static
-		// routing makes this unreachable in practice.
+	h := n.hopFor(p.Flow)
+	if h == nil {
+		// No route of the flow leaves this node, as for a packet sent
+		// before a repair moved the route away. Drop silently.
 		return
 	}
-	n.ForwardQueue(next).Enqueue(p)
+	if h.src {
+		// Back at its flow's source: forwarded like at a relay, through
+		// a forward queue made on first use.
+		n.ForwardQueue(h.next).Enqueue(p)
+		return
+	}
+	h.q.Enqueue(p)
 }

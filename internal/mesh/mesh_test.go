@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math/rand"
 	"testing"
 
 	"ezflow/internal/mac"
@@ -237,4 +238,74 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	m.AddNode(0, phy.Position{})
+}
+
+// TestHopTableMatchesRoutes installs random routes, some revisiting a
+// node, and checks after each SetRoute that every node's hop entries
+// agree with a per-flow successor map written the way routes were once
+// stored (one entry per path position, later positions overwriting
+// earlier ones): NextHop, the queue Inject fills (the source queue
+// toward that successor) and the queue arrive forwards into (the
+// forward queue toward it), or no forwarding at all off the route.
+func TestHopTableMatchesRoutes(t *testing.T) {
+	const nodes, flows = 7, 3
+	eng := sim.NewEngine(1)
+	m := New(eng, phy.DefaultConfig(), mac.DefaultConfig())
+	for i := 0; i < nodes; i++ {
+		m.AddNode(pkt.NodeID(i), phy.Position{X: float64(i) * 100})
+	}
+	ref := make(map[pkt.FlowID]map[pkt.NodeID]pkt.NodeID)
+	rng := rand.New(rand.NewSource(1))
+	seq := uint64(0)
+	for step := 0; step < 300; step++ {
+		f := pkt.FlowID(1 + rng.Intn(flows))
+		path := make([]pkt.NodeID, 2+rng.Intn(5))
+		for i := range path {
+			path[i] = pkt.NodeID(rng.Intn(nodes))
+			for i > 0 && path[i] == path[i-1] {
+				path[i] = pkt.NodeID(rng.Intn(nodes))
+			}
+		}
+		m.SetRoute(f, path)
+		hops := make(map[pkt.NodeID]pkt.NodeID)
+		for i := 0; i < len(path)-1; i++ {
+			hops[path[i]] = path[i+1]
+		}
+		ref[f] = hops
+
+		for flow, hops := range ref {
+			for id := pkt.NodeID(0); id < nodes; id++ {
+				n := m.Node(id)
+				want, on := hops[id]
+				got, ok := m.NextHop(flow, id)
+				if ok != on || got != want {
+					t.Fatalf("step %d: NextHop(%v, %v) = %v, %v; want %v, %v", step, flow, id, got, ok, want, on)
+				}
+				// A packet of flow arriving at id, bound beyond every node.
+				seq++
+				p := pkt.NewPacket(flow, seq, 0, nodes, 100, 0)
+				var fq *mac.Queue
+				before := make([]uint64, 0, len(n.Queues())+1)
+				if on {
+					fq = n.ForwardQueue(want)
+				}
+				for _, q := range n.Queues() {
+					before = append(before, q.Enqueued+q.Dropped)
+				}
+				m.arrive(n, p)
+				for i, q := range n.Queues() {
+					if moved := q.Enqueued+q.Dropped != before[i]; moved != (q == fq) {
+						t.Fatalf("step %d: flow %v arriving at %v touched queue to %v (moved %v), want the forward queue to %v (on route %v)",
+							step, flow, id, q.NextHop(), moved, want, on)
+					}
+				}
+				if !on {
+					continue
+				}
+				if q := n.InjectQueue(flow); q != n.SourceQueue(want) {
+					t.Fatalf("step %d: InjectQueue(%v) at %v is the queue to %v, want the source queue to %v", step, flow, id, q.NextHop(), want)
+				}
+			}
+		}
+	}
 }

@@ -127,9 +127,6 @@ func Attach(m *mesh.Mesh, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Model returns the attached model.
-func (e *Engine) Model() Model { return e.model }
-
 // step is one position-update round (see the package comment for the
 // determinism rules).
 func (e *Engine) step() {

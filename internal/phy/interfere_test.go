@@ -59,15 +59,20 @@ func newRefChannel(cfg Config, pos []Position) *refChannel {
 	}
 }
 
-// interfere applies energy of power p to receiver j's locked frame.
+// interfere applies energy of power p to receiver j's locked frame. A
+// noise lock (not decodable) is never marked corrupted: nothing reads
+// the flag of a frame that cannot be delivered.
 func (r *refChannel) interfere(j int, p float64) {
 	rx := &r.rx[j]
+	if !rx.decodable {
+		return
+	}
 	if rx.signal < r.cfg.CaptureRatio*p {
-		if !rx.corrupted && rx.decodable {
+		if !rx.corrupted {
 			r.collisions[j]++
 		}
 		rx.corrupted = true
-	} else if !rx.corrupted && rx.decodable {
+	} else if !rx.corrupted {
 		r.captures[j]++
 	}
 }
@@ -246,5 +251,76 @@ func TestInterferenceMatchesBruteForce(t *testing.T) {
 			t.Fatalf("seed %d: stream too tame: at most %d flights, %d moves, %d collisions, %d captures",
 				seed, maxFlights, moves, ch.Stats.Collisions, ch.Stats.Captures)
 		}
+	}
+}
+
+// TestNoiseLockTakesNoInterference overlaps one interfering flight with
+// two receivers locked onto another frame: D decodably, N only as a
+// noise lock (in carrier-sense range, beyond decode range). The
+// interferer is strong enough at N to destroy a frame N could decode, so
+// the test shows that Collisions, Captures and ReceiveError come from D
+// alone and N's reception is never marked corrupted. The interferer
+// starts after the locks (the walk in TransmitFrom) or, beyond both
+// receivers' carrier-sense range, before them (interfere).
+func TestNoiseLockTakesNoInterference(t *testing.T) {
+	const a, d, n, i = 0, 1, 2, 3
+	for _, tc := range []struct {
+		name       string
+		pos        []Position // a, d, n, i
+		iFirst     bool
+		collisions uint64
+		captures   uint64
+	}{
+		{"collision", []Position{{X: 0}, {X: 200}, {X: -400}, {X: 300}}, false, 1, 0},
+		{"capture", []Position{{X: 0}, {X: 200}, {X: -400}, {X: -200}}, false, 0, 1},
+		{"capture, interferer first", []Position{{X: 0}, {X: -200}, {X: -400}, {X: -960}}, true, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ch, radios := setup(t, tc.pos...)
+			cfg := ch.Config()
+			// N's lock is a noise lock that the interferer's energy
+			// could destroy, were N's frame decodable.
+			dn, in := tc.pos[n].Dist(tc.pos[a]), tc.pos[n].Dist(tc.pos[i])
+			if dn <= cfg.TxRange || dn > cfg.CSRange || cfg.power(dn) >= cfg.CaptureRatio*cfg.power(in) {
+				t.Fatalf("placement: N at %.0f m from A and %.0f m from I is not an endangered noise lock", dn, in)
+			}
+			reg := obs.NewRegistry()
+			labels := []string{"a", "d", "n", "i"}
+			k := Counters{Collisions: reg.CounterVec("collisions", labels), Captures: reg.CounterVec("captures", labels)}
+			ch.SetCounters(k)
+			if tc.iFirst {
+				ch.Transmit(i, frame(i, a))
+				ch.Transmit(a, frame(a, d))
+			} else {
+				ch.Transmit(a, frame(a, d))
+				ch.Transmit(i, frame(i, a))
+			}
+			if ch.rx[n].tx == nil || ch.rx[n].decodable || ch.rx[n].corrupted {
+				t.Fatalf("N's reception %+v, want an uncorrupted noise lock", ch.rx[n])
+			}
+			if ch.rx[d].tx == nil || !ch.rx[d].decodable || ch.rx[d].corrupted != (tc.collisions > 0) {
+				t.Fatalf("D's reception %+v, want a decodable lock, corrupted=%v", ch.rx[d], tc.collisions > 0)
+			}
+			eng.Run(sim.Second)
+			if ch.Stats.Collisions != tc.collisions || ch.Stats.Captures != tc.captures {
+				t.Fatalf("collisions/captures %d/%d, want %d/%d",
+					ch.Stats.Collisions, ch.Stats.Captures, tc.collisions, tc.captures)
+			}
+			if k.Collisions.Value(d) != tc.collisions || k.Captures.Value(d) != tc.captures ||
+				k.Collisions.Value(n) != 0 || k.Captures.Value(n) != 0 {
+				t.Fatalf("per-station collisions D %d N %d, captures D %d N %d",
+					k.Collisions.Value(d), k.Collisions.Value(n), k.Captures.Value(d), k.Captures.Value(n))
+			}
+			wantErr, wantRx := 0, 1
+			if tc.collisions > 0 {
+				wantErr, wantRx = 1, 0
+			}
+			if radios[d].errors != wantErr || len(radios[d].received) != wantRx {
+				t.Fatalf("D: %d receive errors, %d frames, want %d and %d", radios[d].errors, len(radios[d].received), wantErr, wantRx)
+			}
+			if r := radios[n]; r.errors != 0 || len(r.received) != 0 || len(r.overheard) != 0 {
+				t.Fatalf("N: %d receive errors, %d frames, %d overheard, want none", r.errors, len(r.received), len(r.overheard))
+			}
+		})
 	}
 }

@@ -159,14 +159,17 @@ type Station struct {
 // receiver, even if it is too weak to decode (a "noise lock"); later
 // overlapping frames either are captured over (signal/interference >=
 // CaptureRatio) or corrupt the locked frame. The receiver never switches
-// to a later, stronger frame. Receptions live by value in the channel's
-// slot-indexed rx array (tx == nil means idle), so locking and resolving
-// a receiver is a dense array write, not a pool round-trip.
+// to a later, stronger frame. Only a decodable lock is ever marked
+// corrupted: a noise lock delivers nothing and reports no error, so no
+// count or callback could read the flag, and interference is not
+// applied to it. Receptions live by value in the channel's slot-indexed
+// rx array (tx == nil means idle), so locking and resolving a receiver
+// is a dense array write, not a pool round-trip.
 type reception struct {
 	tx        *transmission
 	signal    float64 // received power of the locked frame
 	decodable bool    // within TxRange (above the receive threshold)
-	corrupted bool
+	corrupted bool    // destroyed by interference; set only when decodable
 }
 
 // Channel is the shared medium connecting all nodes.
@@ -225,7 +228,8 @@ type Channel struct {
 	down   map[linkKey]bool    // severed directed links (dynamics overrides)
 	flight []*transmission
 	// locked collects, during one TransmitFrom walk, the slots of the
-	// receivers that locked onto the new frame; reused across calls.
+	// receivers that locked decodably onto the new frame; reused across
+	// calls.
 	locked []int32
 	pool   *pkt.Pool       // packet/frame pool shared by the whole stack
 	freeTx []*transmission // recycled transmissions
@@ -427,12 +431,15 @@ func (c *Channel) Transmit(src pkt.NodeID, f *pkt.Frame) sim.Time {
 // list (every station beyond interference range is provably unaffected)
 // and does no distance/path-loss math, no map lookups and no neighbor
 // searches per event. The walk raises carrier sense, applies the new
-// energy at receivers already locked, and locks idle ones; the flights
-// already on the air then reach the newly locked receivers flight by
-// flight (interfere), not receiver by receiver. That split changes no
-// outcome: each receiver's state depends only on its own record and the
-// flights, and the CarrierBusy(true) callbacks made during the walk
-// (the MAC freezing its backoff) read neither the receptions nor Stats.
+// energy at receivers already locked onto a decodable frame, and locks
+// idle ones; the flights already on the air then reach the newly and
+// decodably locked receivers flight by flight (interfere), not receiver
+// by receiver. That split changes no outcome: each receiver's state
+// depends only on its own record and the flights, and the
+// CarrierBusy(true) callbacks made during the walk (the MAC freezing its
+// backoff) read neither the receptions nor Stats. Noise locks, most of a
+// station's carrier-sense area, skip interference altogether (see
+// reception).
 func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 	if !c.indexed {
 		c.buildIndex()
@@ -482,18 +489,19 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 			// Half-duplex: a transmitting node ignores arrivals.
 		case c.rx[slot].tx != nil:
 			// Locked on another frame: the new energy is interference.
-			// The locked frame survives only if it is CaptureRatio
+			// A decodable frame survives only if it is CaptureRatio
 			// stronger (ns-2 capture); the receiver never re-locks.
 			rx := &c.rx[slot]
-			if rx.signal < cr*lk.power {
-				if !rx.corrupted && rx.decodable {
-					c.Stats.Collisions++
-					if c.obs.Collisions != nil {
-						c.obs.Collisions.Inc(int(slot))
-					}
-				}
+			switch {
+			case !rx.decodable || rx.corrupted:
+				// A noise lock or a destroyed frame: nothing to count.
+			case rx.signal < cr*lk.power:
 				rx.corrupted = true
-			} else if !rx.corrupted && rx.decodable {
+				c.Stats.Collisions++
+				if c.obs.Collisions != nil {
+					c.obs.Collisions.Inc(int(slot))
+				}
+			default:
 				// The locked frame rides out the new interference: the
 				// capture effect the paper's ns-2 model (CPThresh) allows.
 				c.Stats.Captures++
@@ -503,11 +511,13 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 			}
 		case lk.inCS:
 			// Idle receiver locks onto the first frame it senses, even
-			// one too weak to decode (noise lock). Energy already in
-			// flight from other transmitters counts as interference,
-			// applied by interfere below.
+			// one too weak to decode (noise lock). For a decodable lock,
+			// energy already in flight from other transmitters counts as
+			// interference, applied by interfere below.
 			c.rx[slot] = reception{tx: tx, signal: lk.power, decodable: lk.inTx}
-			locked = append(locked, slot)
+			if lk.inTx {
+				locked = append(locked, slot)
+			}
 		}
 	}
 	if len(locked) > 0 && len(c.flight) > 1 {
@@ -520,13 +530,14 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 }
 
 // interfere applies the energy of every flight already on the air to the
-// receivers the newest flight (the last in c.flight) just locked, given
-// by slot in ascending order. Each older flight is taken in c.flight
-// order and its source's slot-sorted neighbor list merge-joined against
-// the locked slots, so the neighbor records are read in order and never
-// searched. A locked frame is corrupted by the first flight it is not
-// CaptureRatio stronger than, and rides out (is captured over) each
-// flight before that; once corrupted, later flights cannot touch it.
+// receivers the newest flight (the last in c.flight) just locked onto a
+// decodable frame, given by slot in ascending order. Each older flight
+// is taken in c.flight order and its source's slot-sorted neighbor list
+// merge-joined against the locked slots, so the neighbor records are
+// read in order and never searched. A locked frame is corrupted by the
+// first flight it is not CaptureRatio stronger than, and rides out (is
+// captured over) each flight before that; once corrupted, later flights
+// cannot touch it.
 //
 // This visits the flights of each receiver in the order a per-receiver
 // loop over c.flight would, stopping at the same flight, so Collisions
@@ -557,13 +568,11 @@ func (c *Channel) interfere(locked []int32) {
 			}
 			if rx.signal < cr*on.nbrs[k].power {
 				rx.corrupted = true
-				if rx.decodable {
-					c.Stats.Collisions++
-					if c.obs.Collisions != nil {
-						c.obs.Collisions.Inc(int(slot))
-					}
+				c.Stats.Collisions++
+				if c.obs.Collisions != nil {
+					c.obs.Collisions.Inc(int(slot))
 				}
-			} else if rx.decodable {
+			} else {
 				c.Stats.Captures++
 				if c.obs.Captures != nil {
 					c.obs.Captures.Inc(int(slot))
@@ -597,13 +606,13 @@ func (c *Channel) finish(tx *transmission) {
 		}
 		if rx := &c.rx[slot]; rx.tx == tx {
 			rx.tx = nil
-			corrupted, decodable := rx.corrupted, rx.decodable
-			if corrupted || !decodable {
-				if corrupted && decodable {
-					if r := c.order[slot].radio; r != nil {
-						r.ReceiveError()
-					}
+			if rx.corrupted {
+				if r := c.order[slot].radio; r != nil {
+					r.ReceiveError()
 				}
+				continue
+			}
+			if !rx.decodable {
 				continue
 			}
 			// A severed link erases deterministically (before the loss

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a point in virtual time, counted in nanoseconds from the start of
@@ -49,9 +48,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
-
-// Duration converts t to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds reports t as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

@@ -14,8 +14,8 @@ import (
 // Source generates packets for one flow and injects them at its source node.
 type Source struct {
 	m       *mesh.Mesh
+	node    *mesh.Node // the source node, whose queue arrivals enter
 	flow    pkt.FlowID
-	src     pkt.NodeID
 	dst     pkt.NodeID
 	bytes   int
 	period  sim.Time // CBR inter-packet gap; 0 disables CBR
@@ -26,8 +26,8 @@ type Source struct {
 	active bool
 	timer  sim.Timer
 	emitFn func() // bound once so rescheduling does not allocate
-	// Generated counts every packet created; Injected excludes source
-	// queue overflows.
+	// Generated counts every arrival; Injected excludes those dropped
+	// at a full source queue.
 	Generated uint64
 	Injected  uint64
 }
@@ -44,8 +44,7 @@ func NewCBR(m *mesh.Mesh, flow pkt.FlowID, rateBps float64, bytes int) *Source {
 		bytes = pkt.DefaultPayloadBytes
 	}
 	s := &Source{
-		m: m, flow: flow,
-		src: route[0], dst: route[len(route)-1],
+		m: m, node: m.Node(route[0]), flow: flow, dst: route[len(route)-1],
 		bytes: bytes, period: cbrGap(bytes, rateBps), rateBps: rateBps,
 	}
 	s.emitFn = s.emit
@@ -115,17 +114,26 @@ func (s *Source) Stop() {
 	s.timer.Cancel()
 }
 
+// emit generates one arrival and schedules the next. An arrival that
+// finds the source queue full is dropped there before any packet is
+// built (mac.Queue.DropIfFull): the drop counts and records as an
+// overflowing Enqueue would, and building a packet draws no random
+// number, so the run is the same either way. The queue is looked up per
+// arrival (Node.InjectQueue), so it follows every SetRoute.
 func (s *Source) emit() {
 	if !s.active {
 		return
 	}
 	s.seq++
-	p := s.m.Pool().Packet(s.flow, s.seq, s.src, s.dst, s.bytes, s.m.Eng.Now())
 	s.Generated++
-	if s.m.Inject(p) {
-		s.Injected++
+	q := s.node.InjectQueue(s.flow)
+	if !q.DropIfFull(s.flow, s.seq) {
+		p := s.m.Pool().Packet(s.flow, s.seq, s.node.ID, s.dst, s.bytes, s.m.Eng.Now())
+		if q.Enqueue(p) {
+			s.Injected++
+		}
+		p.Release() // the source queue holds its own reference now
 	}
-	p.Release() // the source queue holds its own reference now
 	if !s.poisson {
 		s.timer = s.m.Eng.ScheduleFixed(s.period, s.emitFn) // CBR: one gap per rate
 		return

@@ -108,9 +108,6 @@ func New(m *mesh.Mesh, flow pkt.FlowID, cfg Config) *Conn {
 	return c
 }
 
-// Flow reports the data flow id.
-func (c *Conn) Flow() pkt.FlowID { return c.flow }
-
 // Cwnd reports the current congestion window.
 func (c *Conn) Cwnd() float64 { return c.cwnd }
 
