@@ -39,7 +39,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # lint enforces the godoc conventions (package docs everywhere, exported
-# symbol docs in the public ezflow package and all internal packages).
+# symbol docs in the public ezflow package and all internal packages) and
+# the unused-export rule (every exported identifier under internal/ has a
+# use outside tests in the root or bench/ module). Stdlib only, offline.
 lint:
 	$(GO) run ./tools/lintdoc
 
@@ -61,7 +63,7 @@ staticcheck:
 # source queue (pinned at zero allocs and zero pooled packets by
 # TestSourceOverflowAllocs), the controller hot hooks (OnOverhear/OnDequeue/
 # OnTransmit, pinned at zero allocs), the observability instruments
-# (counter/vec/histogram/flight-record increments plus the disabled
+# (vec/histogram/flight-record increments plus the disabled
 # nil-receiver hooks, all pinned at zero allocs), the
 # routing strategies (pure route-computation cost per registry entry
 # plus the lossy-disk rerun per strategy), the fabric cache
@@ -71,7 +73,7 @@ staticcheck:
 # allocs, one mobility tick that steps all 200 stations of a disk, plus
 # a full 200-node waypoint disk run and one route-repair round over the
 # mobile workload's disk), and large-disk set-up
-# (mesh.RandomDisk at 200 and 400 nodes with its connectivity
+# (mesh.RandomDiskLossy at 200 and 400 nodes with its connectivity
 # resampling, and one full PHY neighbor-index build) — gates them against
 # the committed baseline (BENCH_PR8.json; >25% allocs/op regression
 # fails, zero-alloc pins fail on any alloc, ns/op gets a wider 2x band

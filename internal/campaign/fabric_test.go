@@ -38,6 +38,16 @@ func emit(t *testing.T, res *Result) (js, cs []byte) {
 	return jb.Bytes(), cb.Bytes()
 }
 
+// storeLen counts the entry files on disk in store.
+func storeLen(t *testing.T, store *fabric.Store) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(store.Dir(), "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
+}
+
 // TestRunKeyGolden pins the cache key of a fixed replication. Drift
 // here means every deployed fabric store goes cold on upgrade — legal
 // only as a deliberate schema bump, with this pin updated alongside.
@@ -53,11 +63,11 @@ func TestRunKeyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "5dbe350149bf6001ac3c713529a95c6e9f700dfc010a9af372a7ab07e89112b8"
-	if k.ID() != want {
-		t.Errorf("run key drifted:\n got %s\nwant %s", k.ID(), want)
+	if k.ID != want {
+		t.Errorf("run key drifted:\n got %s\nwant %s", k.ID, want)
 	}
-	if k.Version() != "golden-test-v1" {
-		t.Errorf("key version = %q", k.Version())
+	if k.Version != "golden-test-v1" {
+		t.Errorf("key version = %q", k.Version)
 	}
 	// The key is position-independent: the same point at another grid
 	// index must hash identically, or extending a sweep misses old work.
@@ -67,7 +77,7 @@ func TestRunKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2.ID() != k.ID() {
+	if k2.ID != k.ID {
 		t.Error("grid index leaked into the cache key")
 	}
 }
@@ -162,8 +172,8 @@ func TestCacheVersionBumpInvalidates(t *testing.T) {
 	if st := store.Stats(); st.Evictions != 4 {
 		t.Errorf("store evictions = %d, want 4 (stale entries must be collected)", st.Evictions)
 	}
-	if store.Len() != 4 {
-		t.Errorf("store has %d entries, want 4 fresh ones", store.Len())
+	if n := storeLen(t, store); n != 4 {
+		t.Errorf("store has %d entries, want 4 fresh ones", n)
 	}
 
 	// Same version again: everything hits.

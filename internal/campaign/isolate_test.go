@@ -177,7 +177,7 @@ func TestFailedRunsNeverCached(t *testing.T) {
 	if _, err := eng.Run(isolateSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if n := store.Len(); n != 1 {
+	if n := storeLen(t, store); n != 1 {
 		t.Fatalf("store holds %d entries after 1 failed + 1 healthy run, want 1", n)
 	}
 

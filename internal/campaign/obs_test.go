@@ -72,8 +72,14 @@ func obsChainRun(t *testing.T, seed int64) []byte {
 	if res.Obs == nil {
 		t.Fatal("observed run returned nil snapshot")
 	}
-	if v, ok := res.Obs.Get("sim.events_fired"); !ok || v <= 0 {
-		t.Fatalf("snapshot missing live sim.events_fired (got %v, %v)", v, ok)
+	var fired float64
+	for _, m := range res.Obs.Metrics {
+		if m.Name == "sim.events_fired" {
+			fired = m.Value
+		}
+	}
+	if fired <= 0 {
+		t.Fatalf("snapshot missing live sim.events_fired (got %v)", fired)
 	}
 	b, err := json.Marshal(res.Obs)
 	if err != nil {

@@ -69,7 +69,7 @@ func TestPenaltyStabilizesChain(t *testing.T) {
 	eng, m, _ := deployOnChain(t, 4, "penalty", penaltyOpts(1.0/32, 16))
 	traffic.NewCBR(m, 1, 2e6, 1028).Start()
 	eng.Run(600 * sim.Second)
-	if d := m.Node(1).RelayDepth(); d > 40 {
+	if d := m.Node(1).ForwardQueue(2).Len(); d > 40 {
 		t.Fatalf("penalty scheme left N1 with %d queued", d)
 	}
 }

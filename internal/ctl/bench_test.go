@@ -30,7 +30,7 @@ func hotSetup(b *testing.B, name string) (*ctl.Deployment, *ctl.Relay) {
 // interface. It must not allocate: the bench gate pins allocs/op at zero.
 func BenchmarkCtlOnOverhear(b *testing.B) {
 	dep, r := hotSetup(b, "backpressure")
-	p := pkt.NewPacket(1, 42, r.Node, 99, 1028, 0)
+	p := pkt.NewPool().Packet(1, 42, r.Node, 99, 1028, 0)
 	f := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Successor, TxDst: 99, Payload: p, HasBP: true, BPLen: 7}
 	ci := pkt.CaptureInfo{Listener: r.Node, OnAir: true}
 	b.ReportAllocs()
@@ -45,7 +45,7 @@ func BenchmarkCtlOnOverhear(b *testing.B) {
 // retune. Zero allocs/op, pinned by the bench gate.
 func BenchmarkCtlOnDequeue(b *testing.B) {
 	dep, r := hotSetup(b, "backpressure")
-	p := pkt.NewPacket(1, 42, r.Node, 99, 1028, 0)
+	p := pkt.NewPool().Packet(1, 42, r.Node, 99, 1028, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +58,7 @@ func BenchmarkCtlOnDequeue(b *testing.B) {
 // Zero allocs/op, pinned by the bench gate.
 func BenchmarkCtlFeedbackOnOverhear(b *testing.B) {
 	dep, r := hotSetup(b, "feedback")
-	p := pkt.NewPacket(ctl.FeedbackFlow, 3<<16|64, r.Successor, r.Node, 16, 0)
+	p := pkt.NewPool().Packet(ctl.FeedbackFlow, 3<<16|64, r.Successor, r.Node, 16, 0)
 	f := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Successor, TxDst: r.Node, Payload: p}
 	ci := pkt.CaptureInfo{Listener: r.Node, OnAir: true}
 	b.ReportAllocs()
@@ -74,7 +74,7 @@ func BenchmarkCtlFeedbackOnOverhear(b *testing.B) {
 // by the bench gate.
 func BenchmarkCtlEZFlowOnOverhear(b *testing.B) {
 	dep, r := hotSetup(b, "ezflow")
-	p := pkt.NewPacket(1, 42, r.Node, 99, 1028, 0)
+	p := pkt.NewPool().Packet(1, 42, r.Node, 99, 1028, 0)
 	dep.Ctrl.OnTransmit(r, &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Node, TxDst: r.Successor, Payload: p})
 	f := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Successor, TxDst: 99, Payload: p}
 	ci := pkt.CaptureInfo{Listener: r.Node, OnAir: true}
@@ -95,7 +95,7 @@ func BenchmarkCtlEZFlowOnTransmit(b *testing.B) {
 	// comes round again.
 	out := make([]*pkt.Frame, 4*ez.HistorySize)
 	for i := range out {
-		p := pkt.NewPacket(1, uint64(i+1), r.Node, 99, 1028, 0)
+		p := pkt.NewPool().Packet(1, uint64(i+1), r.Node, 99, 1028, 0)
 		out[i] = &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Node, TxDst: r.Successor, Payload: p}
 	}
 	for _, f := range out {
@@ -135,7 +135,7 @@ func TestHotHooksDoNotAllocate(t *testing.T) {
 		seen := map[uint16]bool{}
 		var hot []hotFrames
 		for seq := uint64(1); len(hot) < warm+runs+1; seq++ {
-			p := pkt.NewPacket(1, seq, r.Node, 99, 1028, 0)
+			p := pkt.NewPool().Packet(1, seq, r.Node, 99, 1028, 0)
 			id := p.Checksum16()
 			if len(hot) >= warm && seen[id] {
 				continue

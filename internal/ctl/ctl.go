@@ -74,9 +74,6 @@ func (c Caps) SetWindow(w int) { c.q.SetCWmin(w) }
 // Len reports the instantaneous backlog of the controlled queue.
 func (c Caps) Len() int { return c.q.Len() }
 
-// NextHop reports the queue's MAC next hop (the successor under control).
-func (c Caps) NextHop() pkt.NodeID { return c.q.NextHop() }
-
 // Queue exposes the underlying MAC queue for instrumentation (traces,
 // tests). Controllers themselves should stick to Window/SetWindow/Len.
 func (c Caps) Queue() *mac.Queue { return c.q }
@@ -143,11 +140,9 @@ type Controller interface {
 }
 
 // NopHooks is an embeddable base supplying no-op implementations of every
-// Controller hook, so a controller only spells out the hooks it uses.
+// Controller hook except Attach, so a controller spells out only Attach
+// (where it builds its per-relay state) and the hooks it uses.
 type NopHooks struct{}
-
-// Attach implements Controller with a no-op.
-func (NopHooks) Attach(*Relay) {}
 
 // OnEnqueue implements Controller with a no-op.
 func (NopHooks) OnEnqueue(*Relay, *pkt.Packet) {}

@@ -1,6 +1,7 @@
 package dynamics_test
 
 import (
+	"math"
 	"testing"
 
 	"ezflow"
@@ -240,8 +241,10 @@ func TestTrafficEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sc.Run()
-	if got := sc.Sources[1].RateBps(); got != 8e5 {
-		t.Errorf("source rate after flow-rate event = %g, want 8e5", got)
+	// 5 s at the flow's 4e5 bit/s, then 10 s at the new 8e5 bit/s.
+	want := (5*4e5 + 10*8e5) / float64(8*pkt.DefaultPayloadBytes)
+	if got := float64(sc.Sources[1].Generated); math.Abs(got-want) > 2 {
+		t.Errorf("source generated %g packets, want %.1f (rate 8e5 after the flow-rate event)", got, want)
 	}
 	var off, onAgain float64
 	for _, p := range res.Flows[1].Throughput.Points {

@@ -42,10 +42,6 @@ type Options struct {
 	Cache *fabric.Store
 }
 
-// DefaultOptions runs at 1/4 of the paper durations — long enough for the
-// steady-state shapes, short enough for iterative work.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 0.25} }
-
 func (o Options) dur(paperSeconds float64) sim.Time {
 	if o.Scale <= 0 {
 		o.Scale = 0.25
@@ -219,17 +215,6 @@ func Table1(o Options) *Table1Result {
 	}
 	r.Report.addf("shape check: l2 is the bottleneck in both")
 	return r
-}
-
-// Bottleneck reports the index of the weakest measured link.
-func (t *Table1Result) Bottleneck() int {
-	best, idx := -1.0, -1
-	for i, v := range t.MeanKbps {
-		if idx < 0 || v < best {
-			best, idx = v, i
-		}
-	}
-	return idx
 }
 
 // --------------------------------------------------------------------------

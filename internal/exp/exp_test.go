@@ -149,13 +149,6 @@ func TestScenario2Shape(t *testing.T) {
 	if r.FinalCW["N10->N11"] < 256 {
 		t.Errorf("hidden source cw = %d, expected strong penalty", r.FinalCW["N10->N11"])
 	}
-	// Helpers.
-	if r.CumulativeKbps(root.ModeEZFlow, "F1+F2+F3") <= 0 {
-		t.Error("CumulativeKbps")
-	}
-	if r.MeanDelay(root.Mode80211, "F1+F2") <= 0 {
-		t.Error("MeanDelay")
-	}
 }
 
 func TestTheorem1Shape(t *testing.T) {

@@ -177,26 +177,3 @@ func Scenario2(o Options) *ScenarioResult {
 	res.Report.addf("  F1 alone 150.0 -> 179.9 kb/s")
 	return res
 }
-
-// CumulativeKbps sums a period's mean throughputs under one mode.
-func (r *ScenarioResult) CumulativeKbps(mode root.Mode, period string) float64 {
-	var sum float64
-	for _, st := range r.Stats[mode][period] {
-		sum += st.MeanKbps
-	}
-	return sum
-}
-
-// MeanDelay averages a period's per-flow delays under one mode.
-func (r *ScenarioResult) MeanDelay(mode root.Mode, period string) float64 {
-	var sum float64
-	n := 0
-	for _, st := range r.Stats[mode][period] {
-		sum += st.MeanDelaySec
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

@@ -49,16 +49,6 @@ type StabilityResult struct {
 	Report Report
 }
 
-// Get returns the run for a mode, or nil.
-func (r *StabilityResult) Get(m root.Mode) *StabilityRun {
-	for _, run := range r.Runs {
-		if run.Mode == m {
-			return run
-		}
-	}
-	return nil
-}
-
 // Stability reproduces the link-failure recovery experiment: a saturating
 // flow over a 4-hop chain, the middle link severed at one third of the
 // run and restored a twentieth of the run later, under plain 802.11,

@@ -78,9 +78,6 @@ func NewBOE(succ pkt.NodeID, now func() sim.Time, emit func(Sample)) *BOE {
 	return &BOE{succ: succ, emit: emit, now: now}
 }
 
-// Successor reports which node this BOE watches.
-func (b *BOE) Successor() pkt.NodeID { return b.succ }
-
 // RecordSent stores the identifier of a packet just transmitted to the
 // successor ("Store checksum of p in PktSent[]; LastPktSent = checksum").
 // Sent counts the sends, so send n = Sent-1 is LastPktSent.

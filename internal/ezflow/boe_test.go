@@ -28,7 +28,7 @@ func TestBOEExactUnderFIFO(t *testing.T) {
 	seq := uint64(0)
 	send := func() {
 		seq++
-		p := pkt.NewPacket(1, seq, 0, 5, 1028, 0)
+		p := pkt.NewPool().Packet(1, seq, 0, 5, 1028, 0)
 		b.RecordSent(p.Checksum16())
 		fifo = append(fifo, p)
 	}
@@ -62,7 +62,7 @@ func TestBOEExactUnderFIFO(t *testing.T) {
 
 func TestBOEIgnoresIrrelevantFrames(t *testing.T) {
 	b, got := newTestBOE(1)
-	p := pkt.NewPacket(1, 1, 0, 5, 1028, 0)
+	p := pkt.NewPool().Packet(1, 1, 0, 5, 1028, 0)
 	b.RecordSent(p.Checksum16())
 	// Wrong source: a frame from node 7, not the successor.
 	b.OnSniff(&pkt.Frame{Type: pkt.FrameData, TxSrc: 7, TxDst: 8, Payload: p})
@@ -77,11 +77,11 @@ func TestBOEIgnoresIrrelevantFrames(t *testing.T) {
 
 func TestBOEUnknownIdentifierNoEstimate(t *testing.T) {
 	b, got := newTestBOE(1)
-	sent := pkt.NewPacket(1, 1, 0, 5, 1028, 0)
+	sent := pkt.NewPool().Packet(1, 1, 0, 5, 1028, 0)
 	b.RecordSent(sent.Checksum16())
 	// The successor forwards a packet we never sent (e.g. cross traffic
 	// from another predecessor).
-	other := pkt.NewPacket(9, 77, 3, 5, 999, 0)
+	other := pkt.NewPool().Packet(9, 77, 3, 5, 999, 0)
 	if other.Checksum16() == sent.Checksum16() {
 		t.Skip("identifier collision in test vector")
 	}
@@ -96,7 +96,7 @@ func TestBOEUnknownIdentifierNoEstimate(t *testing.T) {
 
 func TestBOESniffBeforeAnySend(t *testing.T) {
 	b, got := newTestBOE(1)
-	b.OnSniff(sniffFrom(1, pkt.NewPacket(1, 1, 0, 5, 1028, 0)))
+	b.OnSniff(sniffFrom(1, pkt.NewPool().Packet(1, 1, 0, 5, 1028, 0)))
 	if len(*got) != 0 {
 		t.Fatal("estimate produced before any send was recorded")
 	}
@@ -108,7 +108,7 @@ func TestBOERingOverwrite(t *testing.T) {
 	// forgotten.
 	packets := make([]*pkt.Packet, HistorySize+100)
 	for i := range packets {
-		packets[i] = pkt.NewPacket(1, uint64(i+1), 0, 5, 1028, 0)
+		packets[i] = pkt.NewPool().Packet(1, uint64(i+1), 0, 5, 1028, 0)
 		b.RecordSent(packets[i].Checksum16())
 	}
 	// Overhear the very first packet: its slot has been overwritten, so
@@ -138,13 +138,13 @@ func TestBOEIdentifierCollisionPicksNearest(t *testing.T) {
 	// must use the most recently sent instance (smallest distance), which
 	// is the FIFO-consistent reading.
 	b, got := newTestBOE(1)
-	p := pkt.NewPacket(1, 42, 0, 5, 1028, 0)
+	p := pkt.NewPool().Packet(1, 42, 0, 5, 1028, 0)
 	b.RecordSent(p.Checksum16()) // old instance
 	for i := 0; i < 10; i++ {
-		b.RecordSent(pkt.NewPacket(1, uint64(100+i), 0, 5, 1028, 0).Checksum16())
+		b.RecordSent(pkt.NewPool().Packet(1, uint64(100+i), 0, 5, 1028, 0).Checksum16())
 	}
 	b.RecordSent(p.Checksum16()) // fresh instance (same identifier)
-	b.RecordSent(pkt.NewPacket(1, 200, 0, 5, 1028, 0).Checksum16())
+	b.RecordSent(pkt.NewPool().Packet(1, 200, 0, 5, 1028, 0).Checksum16())
 	b.OnSniff(sniffFrom(1, p))
 	if len(*got) != 1 {
 		t.Fatal("no estimate")
@@ -164,7 +164,7 @@ func TestBOELossySniffStillConsistent(t *testing.T) {
 	for round := 0; round < 2000; round++ {
 		if rng.Intn(2) == 0 || len(fifo) == 0 {
 			seq++
-			p := pkt.NewPacket(1, seq, 0, 5, 1028, 0)
+			p := pkt.NewPool().Packet(1, seq, 0, 5, 1028, 0)
 			b.RecordSent(p.Checksum16())
 			fifo = append(fifo, p)
 		} else {
@@ -205,7 +205,7 @@ func TestPropertyBOEMatchesFIFO(t *testing.T) {
 		for _, isSend := range ops {
 			if isSend || len(fifo) == 0 {
 				seq++
-				p := pkt.NewPacket(1, seq, 0, 5, 1028, 0)
+				p := pkt.NewPool().Packet(1, seq, 0, 5, 1028, 0)
 				b.RecordSent(p.Checksum16())
 				fifo = append(fifo, p)
 			} else {
@@ -308,15 +308,15 @@ func (b *refBOE) OnSniff(f *pkt.Frame) {
 // the complement of a one's-complement sum that includes the sequence
 // number, so solving for the sequence hits any identifier.
 func packetWithID(id uint16) *pkt.Packet {
-	base := pkt.NewPacket(1, 0, 0, 5, 1028, 0).Checksum16()
+	base := pkt.NewPool().Packet(1, 0, 0, 5, 1028, 0).Checksum16()
 	// Raising the sequence's low word by k lowers the checksum by k
 	// (mod 0xffff, one's complement).
 	k := (uint32(base) + 0xffff - uint32(id)) % 0xffff
-	p := pkt.NewPacket(1, uint64(k), 0, 5, 1028, 0)
+	p := pkt.NewPool().Packet(1, uint64(k), 0, 5, 1028, 0)
 	if p.Checksum16() != id {
 		// One's-complement zero has two spellings; the other sequence
 		// reaches the one the first missed.
-		p = pkt.NewPacket(1, uint64(k)+0xffff, 0, 5, 1028, 0)
+		p = pkt.NewPool().Packet(1, uint64(k)+0xffff, 0, 5, 1028, 0)
 	}
 	if p.Checksum16() != id {
 		panic("packetWithID: no sequence reaches the identifier")
@@ -405,7 +405,7 @@ func TestBOEMatchesMapOracle(t *testing.T) {
 // never seen costs no allocation.
 func TestBOEHistoryAllocations(t *testing.T) {
 	b := NewBOE(1, func() sim.Time { return 0 }, func(Sample) {})
-	b.OnSniff(sniffFrom(1, pkt.NewPacket(1, 1, 0, 5, 1028, 0)))
+	b.OnSniff(sniffFrom(1, pkt.NewPool().Packet(1, 1, 0, 5, 1028, 0)))
 	if b.ids != nil || b.prev != nil || b.head != nil {
 		t.Fatal("a BOE that never sent allocated history")
 	}

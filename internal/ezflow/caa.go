@@ -99,12 +99,6 @@ func NewCAA(cfg CAAConfig, cw CWSetter, now func() sim.Time) *CAA {
 	return c
 }
 
-// Config returns the CAA parameters.
-func (c *CAA) Config() CAAConfig { return c.cfg }
-
-// Pending reports how many samples are waiting for the next decision.
-func (c *CAA) Pending() int { return len(c.samples) }
-
 // OnSample feeds one BOE estimate; every Window samples a decision fires.
 func (c *CAA) OnSample(s Sample) {
 	c.samples = append(c.samples, s.Value)

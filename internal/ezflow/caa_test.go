@@ -29,7 +29,7 @@ func recordDecisions(c *CAA) *[]Decision {
 
 // feed sends one full decision window of identical samples.
 func feed(c *CAA, value int) {
-	for i := 0; i < c.Config().Window; i++ {
+	for i := 0; i < c.cfg.Window; i++ {
 		c.OnSample(Sample{Value: value})
 	}
 }
@@ -188,7 +188,7 @@ func TestCAADecisionTrace(t *testing.T) {
 	if d.Avg != 7 || d.CW != 32 || d.Changed {
 		t.Fatalf("decision = %+v", d)
 	}
-	if c.Pending() != 0 {
+	if len(c.samples) != 0 {
 		t.Fatal("samples not flushed after decision")
 	}
 }

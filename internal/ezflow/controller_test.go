@@ -113,7 +113,7 @@ func TestControllerEndToEnd(t *testing.T) {
 	}
 	// The stabilisation claim: the first relay must not end the run with
 	// a saturated buffer.
-	if got := m.Node(1).RelayDepth(); got > 45 {
+	if got := relayAt(dep, 1, 2).Caps.Len(); got > 45 {
 		t.Fatalf("relay N1 ends the run nearly saturated: %d", got)
 	}
 }

@@ -29,9 +29,9 @@ func TestDeployTreePerSuccessorControllers(t *testing.T) {
 	succs := map[pkt.NodeID]bool{}
 	for _, r := range gw {
 		succs[r.Successor] = true
-		if r.Caps.NextHop() != r.Successor {
+		if r.Caps.Queue().NextHop() != r.Successor {
 			t.Fatalf("controller %v->%v bound to queue toward %v",
-				r.Node, r.Successor, r.Caps.NextHop())
+				r.Node, r.Successor, r.Caps.Queue().NextHop())
 		}
 		if got := ezOf(r).BOE.Successor(); got != r.Successor {
 			t.Fatalf("controller %v->%v estimates %v's buffer", r.Node, r.Successor, got)

@@ -41,8 +41,10 @@ import (
 // then invalidates (and garbage-collects) stale entries in place rather
 // than leaving them stranded under never-again-referenced hashes.
 type Key struct {
-	hash    string
-	version string
+	// ID is the content hash in hex — the on-disk entry name.
+	ID string
+	// Version is the code-version string the key was built with.
+	Version string
 }
 
 // NewKey builds a key from a version string and any JSON-serialisable
@@ -57,15 +59,9 @@ func NewKey(version string, material any) (Key, error) {
 		return Key{}, fmt.Errorf("fabric: marshalling key material: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return Key{hash: hex.EncodeToString(sum[:]), version: version}, nil
+	return Key{ID: hex.EncodeToString(sum[:]), Version: version}, nil
 }
-
-// ID reports the key's content hash in hex — the on-disk entry name.
-func (k Key) ID() string { return k.hash }
-
-// Version reports the code-version string the key was built with.
-func (k Key) Version() string { return k.version }
 
 // valid reports whether the key was produced by NewKey (the zero Key is
 // not addressable).
-func (k Key) valid() bool { return k.hash != "" }
+func (k Key) valid() bool { return k.ID != "" }

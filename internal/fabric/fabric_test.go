@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // keyMaterial is a fixed fixture; its canonical JSON (and therefore its
@@ -28,11 +27,11 @@ func TestKeyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "5a88a84c7c298f6d26d81b640fee3be1157c450c153d6a8e549a902c0a48d29c"
-	if k.ID() != want {
-		t.Errorf("key hash drifted:\n got %s\nwant %s", k.ID(), want)
+	if k.ID != want {
+		t.Errorf("key hash drifted:\n got %s\nwant %s", k.ID, want)
 	}
-	if k.Version() != "v-test" {
-		t.Errorf("version = %q, want v-test", k.Version())
+	if k.Version != "v-test" {
+		t.Errorf("version = %q, want v-test", k.Version)
 	}
 }
 
@@ -41,13 +40,13 @@ func TestKeyGolden(t *testing.T) {
 func TestKeyDeterminism(t *testing.T) {
 	a, _ := NewKey("v1", fixedMaterial)
 	b, _ := NewKey("v1", fixedMaterial)
-	if a.ID() != b.ID() {
-		t.Errorf("identical material hashed differently: %s vs %s", a.ID(), b.ID())
+	if a.ID != b.ID {
+		t.Errorf("identical material hashed differently: %s vs %s", a.ID, b.ID)
 	}
 	m := fixedMaterial
 	m.Seed++
 	c, _ := NewKey("v1", m)
-	if c.ID() == a.ID() {
+	if c.ID == a.ID {
 		t.Error("different material collided")
 	}
 }
@@ -88,14 +87,24 @@ func TestStoreRoundTrip(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Evictions != 0 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 put / 0 evictions", st)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if n := storeLen(t, s); n != 1 {
+		t.Errorf("store holds %d entries, want 1", n)
 	}
+}
+
+// storeLen counts the entry files on disk in s.
+func storeLen(t *testing.T, s *Store) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(s.Dir(), "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
 }
 
 // entryPath mirrors Store.path for white-box corruption tests.
 func entryPath(s *Store, k Key) string {
-	return filepath.Join(s.Dir(), k.ID()[:2], k.ID()+".json")
+	return filepath.Join(s.Dir(), k.ID[:2], k.ID+".json")
 }
 
 // TestStoreCorruptEntry checks that unreadable entries degrade to a
@@ -124,7 +133,7 @@ func TestStoreCorruptEntry(t *testing.T) {
 			path := entryPath(s, k)
 			if name == "bad-payload" {
 				// Patch the real key in so only the payload is at fault.
-				data := []byte(`{"schema":1,"key":"` + k.ID() + `","version":"v1","payload":["not","a","payload"]}`)
+				data := []byte(`{"schema":1,"key":"` + k.ID + `","version":"v1","payload":["not","a","payload"]}`)
 				os.WriteFile(path, data, 0o644)
 			} else {
 				corrupt(path)
@@ -160,7 +169,7 @@ func TestStoreVersionInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2, _ := NewKey("v2", fixedMaterial)
-	if k1.ID() != k2.ID() {
+	if k1.ID != k2.ID {
 		t.Fatal("version leaked into the hash — bumps would orphan entries instead of invalidating them")
 	}
 	var got payload
@@ -182,41 +191,6 @@ func TestStoreVersionInvalidation(t *testing.T) {
 	}
 }
 
-func TestStorePrune(t *testing.T) {
-	s := openStore(t)
-	keys := make([]Key, 5)
-	base := time.Now().Add(-time.Hour)
-	for i := range keys {
-		m := fixedMaterial
-		m.Seed = int64(i)
-		keys[i], _ = NewKey("v1", m)
-		if err := s.Put(keys[i], payload{N: i}); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes, oldest first, so eviction order is fixed.
-		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(entryPath(s, keys[i]), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.Prune(10); n != 0 {
-		t.Errorf("Prune under the limit removed %d", n)
-	}
-	if n := s.Prune(2); n != 3 {
-		t.Errorf("Prune(2) removed %d, want 3", n)
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len after prune = %d, want 2", s.Len())
-	}
-	var got payload
-	for i, k := range keys {
-		hit := s.Get(k, &got)
-		if wantHit := i >= 3; hit != wantHit {
-			t.Errorf("entry %d: hit=%v, want %v (oldest must go first)", i, hit, wantHit)
-		}
-	}
-}
-
 // TestStoreNil checks every method is a safe no-op on a nil store, so
 // call sites never need cache-enabled branches.
 func TestStoreNil(t *testing.T) {
@@ -229,7 +203,7 @@ func TestStoreNil(t *testing.T) {
 	if err := s.Put(k, payload{}); err != nil {
 		t.Error(err)
 	}
-	if s.Len() != 0 || s.Prune(0) != 0 || (s.Stats() != Stats{}) {
+	if (s.Stats() != Stats{}) {
 		t.Error("nil store reported non-zero state")
 	}
 }

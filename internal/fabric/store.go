@@ -1,15 +1,12 @@
 // The persistent store: a directory of content-addressed JSON entries
-// with atomic writes, tolerant reads, and age-ordered pruning.
+// with atomic writes and tolerant reads.
 package fabric
 
 import (
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -36,8 +33,8 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Puts counts successfully written entries.
 	Puts uint64 `json:"puts"`
-	// Evictions counts entries removed by Prune plus corrupt or
-	// stale-version files deleted during Get.
+	// Evictions counts corrupt or stale-version files deleted during
+	// Get.
 	Evictions uint64 `json:"evictions"`
 }
 
@@ -71,7 +68,7 @@ func (s *Store) Dir() string { return s.dir }
 
 // path maps a key to its entry file.
 func (s *Store) path(k Key) string {
-	return filepath.Join(s.dir, k.hash[:2], k.hash+".json")
+	return filepath.Join(s.dir, k.ID[:2], k.ID+".json")
 }
 
 // Get looks the key up and, on a hit, unmarshals the stored payload into
@@ -92,12 +89,12 @@ func (s *Store) Get(k Key, out any) bool {
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Schema != entrySchema || e.Key != k.hash {
+		e.Schema != entrySchema || e.Key != k.ID {
 		s.discard(path)
 		s.misses.Add(1)
 		return false
 	}
-	if e.Version != k.version {
+	if e.Version != k.Version {
 		// A different code version produced this result; the simulator's
 		// behaviour may have changed, so the entry is unusable. Deleting
 		// it here is what makes a version bump a one-shot invalidation
@@ -139,7 +136,7 @@ func (s *Store) Put(k Key, payload any) error {
 	if err != nil {
 		return fmt.Errorf("fabric: marshalling payload: %w", err)
 	}
-	data, err := json.Marshal(entry{Schema: entrySchema, Key: k.hash, Version: k.version, Payload: raw})
+	data, err := json.Marshal(entry{Schema: entrySchema, Key: k.ID, Version: k.Version, Payload: raw})
 	if err != nil {
 		return fmt.Errorf("fabric: marshalling entry: %w", err)
 	}
@@ -179,67 +176,4 @@ func (s *Store) Stats() Stats {
 		Puts:      s.puts.Load(),
 		Evictions: s.evictions.Load(),
 	}
-}
-
-// Len counts the entries currently on disk (a directory walk; intended
-// for stats endpoints and tests, not hot paths).
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.list())
-}
-
-// storedEntry pairs an entry file with its modification time for
-// age-ordered pruning.
-type storedEntry struct {
-	path string
-	mod  int64
-}
-
-// list walks the store and returns every entry file.
-func (s *Store) list() []storedEntry {
-	var out []storedEntry
-	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error { //nolint:errcheck // walk errors degrade to an incomplete listing
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		out = append(out, storedEntry{path: path, mod: info.ModTime().UnixNano()})
-		return nil
-	})
-	return out
-}
-
-// Prune evicts the oldest entries (by file modification time, ties
-// broken by path for determinism) until at most max remain, returning
-// the number removed. max <= 0 clears the store.
-func (s *Store) Prune(max int) int {
-	if s == nil {
-		return 0
-	}
-	entries := s.list()
-	if max < 0 {
-		max = 0
-	}
-	if len(entries) <= max {
-		return 0
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].mod != entries[j].mod {
-			return entries[i].mod < entries[j].mod
-		}
-		return entries[i].path < entries[j].path
-	})
-	removed := 0
-	for _, e := range entries[:len(entries)-max] {
-		if os.Remove(e.path) == nil {
-			removed++
-			s.evictions.Add(1)
-		}
-	}
-	return removed
 }

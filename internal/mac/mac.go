@@ -115,20 +115,6 @@ func (r DropReason) String() string {
 	}
 }
 
-// cause maps the drop reason to the flight recorder's cause code.
-func (r DropReason) cause() obs.Cause {
-	switch r {
-	case DropQueueOverflow:
-		return obs.CauseQueueOverflow
-	case DropRetryExceeded:
-		return obs.CauseRetryExceeded
-	case DropHalted:
-		return obs.CauseHalted
-	default:
-		return obs.CauseNone
-	}
-}
-
 // Queue is a bounded FIFO transmit queue with its own CWmin — the knob
 // IEEE 802.11e EDCA differentiates access categories by, which the
 // paper's §7 extension repurposes as per-successor queues.
@@ -436,9 +422,6 @@ func (m *MAC) duplicate(src pkt.NodeID, flow pkt.FlowID, seq uint64) bool {
 // ID reports the node id.
 func (m *MAC) ID() pkt.NodeID { return m.id }
 
-// Config returns the MAC configuration.
-func (m *MAC) Config() Config { return m.cfg }
-
 // OnDeliver sets the callback for packets MAC-addressed to this node.
 func (m *MAC) OnDeliver(f DeliverFunc) { m.deliver = f }
 
@@ -488,16 +471,6 @@ func (m *MAC) NewQueue(next pkt.NodeID) *Queue {
 
 // Queues returns all transmit queues.
 func (m *MAC) Queues() []*Queue { return m.queues }
-
-// QueueTo returns the first queue whose next hop is next, or nil.
-func (m *MAC) QueueTo(next pkt.NodeID) *Queue {
-	for _, q := range m.queues {
-		if q.next == next {
-			return q
-		}
-	}
-	return nil
-}
 
 // QueuedTo reports the packets buffered across every queue whose next hop
 // is next — the per-successor backlog a backpressure controller

@@ -21,7 +21,7 @@ func pair(t *testing.T, cfg Config) (*sim.Engine, *phy.Channel, *MAC, *MAC) {
 }
 
 func packet(seq uint64) *pkt.Packet {
-	return pkt.NewPacket(1, seq, 0, 1, 1000, 0)
+	return pkt.NewPool().Packet(1, seq, 0, 1, 1000, 0)
 }
 
 func TestSingleTransfer(t *testing.T) {
@@ -51,7 +51,7 @@ func TestManyTransfersFIFO(t *testing.T) {
 	q := a.NewQueue(1)
 	const n = 30
 	for i := uint64(1); i <= n; i++ {
-		q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
+		q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
 	}
 	eng.Run(10 * sim.Second)
 	if len(got) != n {
@@ -129,7 +129,7 @@ func TestRetryRecovers(t *testing.T) {
 	q := a.NewQueue(1)
 	const n = 50
 	for i := uint64(1); i <= n; i++ {
-		q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
+		q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
 	}
 	eng.Run(60 * sim.Second)
 	if len(delivered) < n*9/10 {
@@ -154,7 +154,7 @@ func TestAckLossDuplicateFiltered(t *testing.T) {
 	b.OnDeliver(func(*pkt.Packet, pkt.NodeID) { delivered++ })
 	q := a.NewQueue(1)
 	for i := uint64(1); i <= 10; i++ {
-		q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
+		q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
 	}
 	eng.Run(60 * sim.Second)
 	if delivered > 10 {
@@ -209,15 +209,12 @@ func TestRoundRobinQueues(t *testing.T) {
 	qb := a.NewQueue(1)
 	qc := a.NewQueue(2)
 	for i := uint64(1); i <= 20; i++ {
-		qb.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
-		qc.Enqueue(pkt.NewPacket(2, i, 0, 2, 1000, 0))
+		qb.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
+		qc.Enqueue(pkt.NewPool().Packet(2, i, 0, 2, 1000, 0))
 	}
 	eng.Run(5 * sim.Second)
 	if nb != 20 || nc != 20 {
 		t.Fatalf("nb=%d nc=%d, want 20/20", nb, nc)
-	}
-	if a.QueueTo(1) != qb || a.QueueTo(2) != qc || a.QueueTo(9) != nil {
-		t.Fatal("QueueTo lookup")
 	}
 }
 
@@ -244,7 +241,7 @@ func TestTapSeesAllFrames(t *testing.T) {
 	})
 	q := a.NewQueue(1)
 	for i := uint64(1); i <= 5; i++ {
-		q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
+		q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
 	}
 	eng.Run(5 * sim.Second)
 	if data != 5 || acks != 5 {
@@ -268,8 +265,8 @@ func TestBackoffContention(t *testing.T) {
 	qa := a.NewQueue(2)
 	qb := b.NewQueue(2)
 	for i := uint64(1); i <= 400; i++ {
-		qa.Enqueue(pkt.NewPacket(1, i, 0, 2, 1000, 0))
-		qb.Enqueue(pkt.NewPacket(2, i, 1, 2, 1000, 0))
+		qa.Enqueue(pkt.NewPool().Packet(1, i, 0, 2, 1000, 0))
+		qb.Enqueue(pkt.NewPool().Packet(2, i, 1, 2, 1000, 0))
 	}
 	eng.Run(60 * sim.Second)
 	if got[0] == 0 || got[1] == 0 {
@@ -297,8 +294,8 @@ func TestHigherCWGetsLessAccess(t *testing.T) {
 	qa.SetCWmin(256)
 	qb := b.NewQueue(2)
 	for i := uint64(1); i <= 20000; i++ {
-		qa.Enqueue(pkt.NewPacket(1, i, 0, 2, 1000, 0))
-		qb.Enqueue(pkt.NewPacket(2, i, 1, 2, 1000, 0))
+		qa.Enqueue(pkt.NewPool().Packet(1, i, 0, 2, 1000, 0))
+		qb.Enqueue(pkt.NewPool().Packet(2, i, 1, 2, 1000, 0))
 	}
 	eng.Run(60 * sim.Second)
 	if got[0] == 0 {
@@ -317,7 +314,7 @@ func TestRTSCTSExchange(t *testing.T) {
 	b.OnDeliver(func(*pkt.Packet, pkt.NodeID) { delivered++ })
 	q := a.NewQueue(1)
 	for i := uint64(1); i <= 10; i++ {
-		q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0))
+		q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0))
 	}
 	eng.Run(10 * sim.Second)
 	if delivered != 10 {
@@ -364,9 +361,9 @@ func TestConfigDefaults(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ch := phy.NewChannel(eng, phy.DefaultConfig())
 	m := New(eng, ch, 0, phy.Position{}, Config{})
-	if m.Config().CWmin != DefaultCWmin || m.Config().RetryLimit != DefaultRetryLimit ||
-		m.Config().QueueCap != DefaultQueueCap {
-		t.Fatalf("zero config not defaulted: %+v", m.Config())
+	if m.cfg.CWmin != DefaultCWmin || m.cfg.RetryLimit != DefaultRetryLimit ||
+		m.cfg.QueueCap != DefaultQueueCap {
+		t.Fatalf("zero config not defaulted: %+v", m.cfg)
 	}
 	if m.ID() != 0 {
 		t.Fatal("ID")
@@ -420,7 +417,7 @@ func TestPropertyPacketConservation(t *testing.T) {
 		q := a.NewQueue(1)
 		accepted := 0
 		for i := uint64(1); i <= uint64(n); i++ {
-			if q.Enqueue(pkt.NewPacket(1, i, 0, 1, 1000, 0)) {
+			if q.Enqueue(pkt.NewPool().Packet(1, i, 0, 1, 1000, 0)) {
 				accepted++
 			}
 		}

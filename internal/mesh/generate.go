@@ -61,7 +61,7 @@ func Grid(eng *sim.Engine, w, h int, phyCfg phy.Config, macCfg mac.Config) *Mesh
 	return m
 }
 
-// DefaultDiskRadius returns the disk radius RandomDisk uses when the
+// DefaultDiskRadius returns the disk radius RandomDiskLossy uses when the
 // caller passes radius <= 0: (DefaultHopDist/2)·√n keeps the expected
 // node density — and with it the interference regime — constant as n
 // grows, and dense enough that a uniform placement is connected at the
@@ -70,11 +70,11 @@ func DefaultDiskRadius(n int) float64 {
 	return DefaultHopDist / 2 * math.Sqrt(float64(n))
 }
 
-// randomDiskAttempts bounds the resampling loop before RandomDisk gives
+// randomDiskAttempts bounds the resampling loop before RandomDiskLossy gives
 // up on finding a connected placement.
 const randomDiskAttempts = 256
 
-// RandomDisk builds an n-node deployment with the gateway N0 at the
+// RandomDiskLossy builds an n-node deployment with the gateway N0 at the
 // centre of a disk of the given radius (DefaultDiskRadius(n) if <= 0) and
 // nodes N1..N(n-1) placed uniformly at random from the given seed. The
 // placement is resampled until the transmission-range graph is connected
@@ -86,16 +86,12 @@ const randomDiskAttempts = 256
 //
 // The seed only shapes the topology; it is deliberately drawn from its
 // own generator so placement never perturbs the engine's event RNG.
-func RandomDisk(eng *sim.Engine, n int, radius float64, seed int64, phyCfg phy.Config, macCfg mac.Config) *Mesh {
-	return RandomDiskLossy(eng, n, radius, seed, 0, phyCfg, macCfg)
-}
-
-// RandomDiskLossy builds the same deployment as RandomDisk and
-// additionally calibrates an edge-of-range loss model over every link
-// (ApplyEdgeLoss with the given maximum probability): links near the
+//
+// A positive edgeLoss calibrates an edge-of-range loss model over every
+// link (ApplyEdgeLoss with that maximum probability): links near the
 // transmission-range limit erase with probability ramping up to edgeLoss,
-// the heterogeneous link quality a real deployment measures. edgeLoss 0
-// is exactly RandomDisk. The installed route is still the minimum-hop
+// the heterogeneous link quality a real deployment measures; 0 leaves
+// every link lossless. The installed route is still the minimum-hop
 // gateway path — a link-quality routing strategy (Config.Routing "etx")
 // recomputes it against the calibrated losses at wiring.
 func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLoss float64, phyCfg phy.Config, macCfg mac.Config) *Mesh {
@@ -175,7 +171,7 @@ func samplePositions(rng *rand.Rand, pos []phy.Position, radius float64) {
 // placementCheck decides whether a sampled placement's transmission-range
 // graph is connected: the answer routing.Connected(routing.GatewayTree)
 // gives, at a cost the resampling loop can afford on the many placements
-// it rejects. One check serves every attempt of a RandomDisk call:
+// it rejects. One check serves every attempt of a RandomDiskLossy call:
 //   - its cell grid covers the whole disk, so only the bucketing changes
 //     between attempts, and no buffer is allocated after the first;
 //   - it first looks for an isolated node, which most placements it

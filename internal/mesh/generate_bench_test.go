@@ -9,7 +9,8 @@ import (
 	"ezflow/internal/sim"
 )
 
-// BenchmarkRandomDiskBuild times RandomDisk at the DiskScaling sizes on a
+// BenchmarkRandomDiskBuild times RandomDiskLossy without edge loss at the
+// DiskScaling sizes on a
 // fixed rotation of placement seeds: connectivity resampling, the
 // accepted placement's gateway tree, node registration and route install.
 func BenchmarkRandomDiskBuild(b *testing.B) {
@@ -17,7 +18,7 @@ func BenchmarkRandomDiskBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				RandomDisk(sim.NewEngine(1), n, 0, int64(i%16), phy.DefaultConfig(), mac.DefaultConfig())
+				RandomDiskLossy(sim.NewEngine(1), n, 0, int64(i%16), 0, phy.DefaultConfig(), mac.DefaultConfig())
 			}
 		})
 	}

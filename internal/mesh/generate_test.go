@@ -69,7 +69,7 @@ func fingerprint(m *Mesh) string {
 
 func TestRandomDiskDeterminism(t *testing.T) {
 	build := func(seed int64) string {
-		return fingerprint(RandomDisk(sim.NewEngine(1), 16, 0, seed,
+		return fingerprint(RandomDiskLossy(sim.NewEngine(1), 16, 0, seed, 0,
 			phy.DefaultConfig(), mac.DefaultConfig()))
 	}
 	if build(7) != build(7) {
@@ -83,7 +83,7 @@ func TestRandomDiskDeterminism(t *testing.T) {
 func TestRandomDiskConnectivity(t *testing.T) {
 	cfg := phy.DefaultConfig()
 	for seed := int64(1); seed <= 20; seed++ {
-		m := RandomDisk(sim.NewEngine(1), 12, 0, seed, cfg, mac.DefaultConfig())
+		m := RandomDiskLossy(sim.NewEngine(1), 12, 0, seed, 0, cfg, mac.DefaultConfig())
 		route := m.Route(1)
 		if len(route) < 2 {
 			t.Fatalf("seed %d: flow 1 has no multi-hop route", seed)

@@ -124,16 +124,6 @@ func (n *Node) InjectQueue(flow pkt.FlowID) *mac.Queue {
 // Queues returns every MAC queue of the node.
 func (n *Node) Queues() []*mac.Queue { return n.MAC.Queues() }
 
-// RelayDepth reports the total number of packets waiting in forwarding
-// queues (the paper's b_k for relay k).
-func (n *Node) RelayDepth() int {
-	d := 0
-	for _, q := range n.fwdQ {
-		d += q.Len()
-	}
-	return d
-}
-
 // Mesh is the whole backhaul: channel, nodes, flows, and sinks.
 type Mesh struct {
 	Eng *sim.Engine
@@ -156,6 +146,9 @@ type Mesh struct {
 	// (the flow kept its broken route) — the non-panicking half of the
 	// route-validity contract; see CheckRoutes.
 	rerouteFailures uint64
+	// noRoute counts, per flow, the packets dropped on arrival at a node
+	// that no route of their flow leaves; nil until the first such drop.
+	noRoute map[pkt.FlowID]uint64
 	// repairHooks run after every Repair round, in registration order.
 	repairHooks []func()
 }
@@ -287,24 +280,6 @@ func (m *Mesh) RelaySet() map[pkt.NodeID]bool {
 		}
 	}
 	return rs
-}
-
-// NextHop reports the successor of node on flow, with ok=false at (or off)
-// the destination.
-func (m *Mesh) NextHop(flow pkt.FlowID, node pkt.NodeID) (pkt.NodeID, bool) {
-	if n := m.nodes[node]; n != nil {
-		if h := n.hopFor(flow); h != nil {
-			return h.next, true
-		}
-	}
-	return 0, false
-}
-
-// Successor reports the node the given node forwards flow traffic to —
-// identical to NextHop but reads naturally at EZ-Flow call sites
-// (N_{k+1} of the paper).
-func (m *Mesh) Successor(flow pkt.FlowID, node pkt.NodeID) (pkt.NodeID, bool) {
-	return m.NextHop(flow, node)
 }
 
 // Inject enqueues a freshly generated packet at the source of its flow
@@ -456,6 +431,12 @@ func (m *Mesh) reroute(g *routing.Graph, flow pkt.FlowID) bool {
 // gauge, so a silently-stalled flow is visible without a debugger.
 func (m *Mesh) RerouteFailures() uint64 { return m.rerouteFailures }
 
+// NoRouteDrops reports how many packets of flow were dropped on arrival at
+// a node that no route of the flow leaves: packets sent toward a hop
+// before a repair moved the route away. The observability layer exports
+// the sum over flows as the mesh.drops_noroute gauge.
+func (m *Mesh) NoRouteDrops(flow pkt.FlowID) uint64 { return m.noRoute[flow] }
+
 // RecomputeRoutes reruns the active strategy over every installed flow
 // (ascending id order) at the current connectivity, replacing each route
 // that changed. Endpoints are preserved. Wiring calls it when a
@@ -506,7 +487,11 @@ func (m *Mesh) arrive(n *Node, p *pkt.Packet) {
 	h := n.hopFor(p.Flow)
 	if h == nil {
 		// No route of the flow leaves this node, as for a packet sent
-		// before a repair moved the route away. Drop silently.
+		// before a repair moved the route away: drop and count it.
+		if m.noRoute == nil {
+			m.noRoute = make(map[pkt.FlowID]uint64)
+		}
+		m.noRoute[p.Flow]++
 		return
 	}
 	if h.src {

@@ -31,10 +31,10 @@ func TestChainTopology(t *testing.T) {
 			t.Fatalf("link %d-%d out of range", i, i+1)
 		}
 	}
-	if m.Ch.InCSRange(0, 3) {
+	if inCSRange(m, 0, 3) {
 		t.Fatal("nodes 3 hops apart should be hidden (outside CS range)")
 	}
-	if !m.Ch.InCSRange(0, 2) {
+	if !inCSRange(m, 0, 2) {
 		t.Fatal("nodes 2 hops apart should sense each other")
 	}
 }
@@ -48,7 +48,7 @@ func TestNextHop(t *testing.T) {
 	if _, ok := m.NextHop(1, 3); ok {
 		t.Fatal("destination has a next hop")
 	}
-	if _, ok := m.Successor(1, 99); ok {
+	if _, ok := m.NextHop(1, 99); ok {
 		t.Fatal("off-route node has a successor")
 	}
 }
@@ -58,7 +58,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	var sank []*pkt.Packet
 	m.AddSink(func(p *pkt.Packet, at sim.Time) { sank = append(sank, p) })
 	for i := uint64(1); i <= 10; i++ {
-		if !m.Inject(pkt.NewPacket(1, i, 0, 3, 1028, m.Eng.Now())) {
+		if !m.Inject(pkt.NewPool().Packet(1, i, 0, 3, 1028, m.Eng.Now())) {
 			t.Fatalf("inject %d failed", i)
 		}
 	}
@@ -70,6 +70,29 @@ func TestEndToEndDelivery(t *testing.T) {
 		if p.Seq != uint64(i+1) {
 			t.Fatalf("out-of-order end-to-end delivery: %v", sank)
 		}
+	}
+}
+
+// TestNoRouteDropsCounted delivers a packet at a node its flow's route no
+// longer leaves: the mesh drops it and counts it for its flow. A static
+// chain's traffic counts none.
+func TestNoRouteDropsCounted(t *testing.T) {
+	m := newChain(t, 3)
+	for i := uint64(1); i <= 10; i++ {
+		m.Inject(pkt.NewPool().Packet(1, i, 0, 3, 1028, m.Eng.Now()))
+	}
+	m.Eng.Run(30 * sim.Second)
+	if n := m.NoRouteDrops(1); n != 0 {
+		t.Fatalf("static chain dropped %d packets for want of a route", n)
+	}
+	// The route moves off N2 while a packet is on its way there.
+	m.SetRoute(1, []pkt.NodeID{0, 1, 3})
+	m.arrive(m.Node(2), pkt.NewPool().Packet(1, 11, 0, 3, 1028, m.Eng.Now()))
+	if n := m.NoRouteDrops(1); n != 1 {
+		t.Fatalf("flow 1 no-route drops = %d, want 1", n)
+	}
+	if n := m.NoRouteDrops(2); n != 0 {
+		t.Fatalf("flow 2 no-route drops = %d, want 0", n)
 	}
 }
 
@@ -103,7 +126,7 @@ func TestRelayDepth(t *testing.T) {
 	if n1.RelayDepth() != 0 {
 		t.Fatal("fresh relay depth non-zero")
 	}
-	n1.ForwardQueue(2).Enqueue(pkt.NewPacket(1, 1, 0, 3, 100, 0))
+	n1.ForwardQueue(2).Enqueue(pkt.NewPool().Packet(1, 1, 0, 3, 100, 0))
 	if n1.RelayDepth() != 1 {
 		t.Fatal("relay depth after enqueue")
 	}
@@ -155,7 +178,7 @@ func TestInjectUnknownPanics(t *testing.T) {
 			t.Fatal("inject with no route did not panic")
 		}
 	}()
-	m.Inject(pkt.NewPacket(9, 1, 0, 2, 100, 0))
+	m.Inject(pkt.NewPool().Packet(9, 1, 0, 2, 100, 0))
 }
 
 func TestScenario1Topology(t *testing.T) {
@@ -198,7 +221,7 @@ func TestScenario2Topology(t *testing.T) {
 	}
 	// The defining hidden-node property: source of F2 (N10) is hidden
 	// from source of F1 (N0).
-	if m.Ch.InCSRange(0, 10) {
+	if inCSRange(m, 0, 10) {
 		t.Fatal("N10 must be hidden from N0 (Figure 9)")
 	}
 }
@@ -283,7 +306,7 @@ func TestHopTableMatchesRoutes(t *testing.T) {
 				}
 				// A packet of flow arriving at id, bound beyond every node.
 				seq++
-				p := pkt.NewPacket(flow, seq, 0, nodes, 100, 0)
+				p := pkt.NewPool().Packet(flow, seq, 0, nodes, 100, 0)
 				var fq *mac.Queue
 				before := make([]uint64, 0, len(n.Queues())+1)
 				if on {
@@ -308,4 +331,9 @@ func TestHopTableMatchesRoutes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// inCSRange reports whether b senses a's transmissions.
+func inCSRange(m *Mesh, a, b pkt.NodeID) bool {
+	return m.Ch.Position(a).Dist(m.Ch.Position(b)) <= m.Ch.Config().CSRange
 }

@@ -35,7 +35,7 @@ func TestMoveMatchesRebuild(t *testing.T) {
 func moveMatchesRebuild(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine(seed)
-	m := RandomDisk(eng, 40, 0, seed, phy.DefaultConfig(), mac.DefaultConfig())
+	m := RandomDiskLossy(eng, 40, 0, seed, 0, phy.DefaultConfig(), mac.DefaultConfig())
 	ids := m.Ch.NodeIDs()
 	usable := func(a, b pkt.NodeID) bool {
 		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
@@ -45,7 +45,7 @@ func moveMatchesRebuild(t *testing.T, seed int64) {
 	// flights, queues, and receptions live across the churn below.
 	pump := func() {
 		src := m.Route(1)[0]
-		p := pkt.NewPacket(1, 1, src, 0, 1028, eng.Now())
+		p := pkt.NewPool().Packet(1, 1, src, 0, 1028, eng.Now())
 		m.Inject(p)
 		p.Release()
 		eng.Run(eng.Now() + 20*sim.Millisecond)

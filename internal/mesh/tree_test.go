@@ -93,7 +93,7 @@ func TestTreeTrafficFlows(t *testing.T) {
 	for _, f := range m.Flows() {
 		r := m.Route(f)
 		for i := uint64(1); i <= 5; i++ {
-			m.Inject(pkt.NewPacket(f, i, r[0], r[len(r)-1], 1028, eng.Now()))
+			m.Inject(pkt.NewPool().Packet(f, i, r[0], r[len(r)-1], 1028, eng.Now()))
 		}
 	}
 	eng.Run(60 * sim.Second)

@@ -9,14 +9,6 @@ import (
 // path, and the disabled (nil-receiver) hooks are close to free. make
 // bench gates the alloc columns at zero.
 
-func BenchmarkObsCounterInc(b *testing.B) {
-	c := NewRegistry().Counter("bench.count")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkObsCounterVecInc(b *testing.B) {
 	cv := NewRegistry().CounterVec("bench.vec", []string{"a", "b", "c", "d"})
 	b.ReportAllocs()
@@ -46,14 +38,12 @@ func BenchmarkObsFlightRecord(b *testing.B) {
 // hot loops pay per event.
 func BenchmarkObsDisabledHooks(b *testing.B) {
 	var (
-		c  *Counter
 		cv *CounterVec
 		h  *Histogram
 		fr *FlightRecorder
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
 		cv.Inc(0)
 		h.Observe(1)
 		fr.Record(1, KindTxAttempt, CauseNone, 1, 2, 1, uint64(i))
@@ -65,13 +55,11 @@ func BenchmarkObsDisabledHooks(b *testing.B) {
 // not just make bench.
 func TestDisabledHooksDoNotAllocate(t *testing.T) {
 	var (
-		c  *Counter
 		cv *CounterVec
 		h  *Histogram
 		fr *FlightRecorder
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
 		cv.Inc(0)
 		h.Observe(1)
 		fr.Record(1, KindTxAttempt, CauseNone, 1, 2, 1, 0)
@@ -85,7 +73,6 @@ func TestDisabledHooksDoNotAllocate(t *testing.T) {
 // registered, increments and ring records never allocate.
 func TestEnabledHooksDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("alloc.count")
 	cv := r.CounterVec("alloc.vec", []string{"a", "b"})
 	h := r.Histogram("alloc.hist", []float64{1, 10})
 	fr := NewFlightRecorder(64)
@@ -93,7 +80,6 @@ func TestEnabledHooksDoNotAllocate(t *testing.T) {
 		fr.Record(1, KindEnqueue, CauseNone, 1, 2, 1, uint64(i))
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
 		cv.Inc(1)
 		h.Observe(5)
 		fr.Record(1, KindTxAttempt, CauseNone, 1, 2, 1, 0)

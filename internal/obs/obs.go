@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the simulator: a zero-alloc
-// metrics registry (counters, dense-slot counter families, probe gauges,
+// metrics registry (dense-slot counter families, probe gauges,
 // fixed-bucket histograms) snapshot-able at any simulation time into a
 // deterministic ordered document, a ring-buffered packet flight recorder
 // that captures every lifecycle event of every packet (enqueue, dequeue,

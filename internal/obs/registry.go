@@ -1,7 +1,7 @@
-// The metric registry: named counters, dense-slot counter families,
-// probe-backed gauges and fixed-bucket histograms. Registration allocates;
-// the increment paths do not, and every increment method is safe on a nil
-// receiver so disabled observability costs one predictable branch.
+// The metric registry: dense-slot counter families, probe-backed gauges
+// and fixed-bucket histograms. Registration allocates; the increment paths
+// do not, and every increment method is safe on a nil receiver so disabled
+// observability costs one predictable branch.
 package obs
 
 import (
@@ -9,43 +9,15 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing metric. The zero-cost contract:
-// Inc/Add on a nil *Counter are no-ops, so hot paths hold a possibly-nil
-// pointer and call unconditionally (or guard with != nil where the call
-// sits inside a loop worth saving the call for).
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Inc increments the counter by one. No-op on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value reports the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// CounterVec is a dense-slot family of counters sharing one name prefix —
-// the pkt.NodeIndex pattern applied to metrics. The caller addresses
-// members by a small integer slot (a PHY station slot, a node index), so
-// the hot-path increment is a bounds-checked array write: no map lookup,
-// no hashing, no allocation. Snapshot emits one metric per slot, named
-// "<prefix>.<label>".
+// CounterVec is a dense-slot family of monotonically increasing counters
+// sharing one name prefix — the pkt.NodeIndex pattern applied to metrics.
+// The caller addresses members by a small integer slot (a PHY station
+// slot, a node index), so the hot-path increment is a bounds-checked array
+// write: no map lookup, no hashing, no allocation. Inc on a nil
+// *CounterVec is a no-op, so hot paths hold a possibly-nil pointer and
+// call unconditionally (or guard with != nil where the call sits inside a
+// loop worth saving the call for). Snapshot emits one metric per slot,
+// named "<prefix>.<label>".
 type CounterVec struct {
 	prefix string
 	labels []string
@@ -57,29 +29,6 @@ func (cv *CounterVec) Inc(slot int) {
 	if cv != nil {
 		cv.v[slot]++
 	}
-}
-
-// Add increments slot's counter by n. No-op on a nil receiver.
-func (cv *CounterVec) Add(slot int, n uint64) {
-	if cv != nil {
-		cv.v[slot] += n
-	}
-}
-
-// Value reports slot's count (0 on a nil receiver).
-func (cv *CounterVec) Value(slot int) uint64 {
-	if cv == nil {
-		return 0
-	}
-	return cv.v[slot]
-}
-
-// Len reports the number of slots (0 on a nil receiver).
-func (cv *CounterVec) Len() int {
-	if cv == nil {
-		return 0
-	}
-	return len(cv.v)
 }
 
 // gauge is a read-only probe evaluated at snapshot time on the simulation
@@ -117,33 +66,16 @@ func (h *Histogram) Observe(x float64) {
 	h.n++
 }
 
-// Count reports the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum reports the sum of all observations (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Registry holds one scenario's metrics. It is not safe for concurrent
 // use: registration and every increment happen on the simulation
 // goroutine, exactly like the rest of a scenario's state. Live servers
 // never touch a Registry — they read immutable Snapshots published
 // through an atomic pointer.
 type Registry struct {
-	counters []*Counter
-	vecs     []*CounterVec
-	gauges   []gauge
-	hists    []*Histogram
-	names    map[string]bool
+	vecs   []*CounterVec
+	gauges []gauge
+	hists  []*Histogram
+	names  map[string]bool
 }
 
 // NewRegistry creates an empty registry.
@@ -160,22 +92,11 @@ func (r *Registry) reserve(name string) {
 	r.names[name] = true
 }
 
-// Counter registers and returns a named counter. A nil registry returns a
-// nil counter, whose methods are no-ops — callers can thread the result
-// into hot paths without caring whether metrics are enabled.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.reserve(name)
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
-}
-
 // CounterVec registers a dense-slot counter family: one counter per
 // label, addressed by the label's index. Snapshot names each member
-// "<prefix>.<label>". A nil registry returns nil (all methods no-ops).
+// "<prefix>.<label>". A nil registry returns nil, whose Inc is a no-op —
+// callers can thread the result into hot paths without caring whether
+// metrics are enabled.
 func (r *Registry) CounterVec(prefix string, labels []string) *CounterVec {
 	if r == nil {
 		return nil

@@ -46,7 +46,7 @@ func TestServer(t *testing.T) {
 
 	// Publish a snapshot and progress; both round-trip through HTTP.
 	r := NewRegistry()
-	r.Counter("served.count").Add(12)
+	r.Gauge("served.count", func() float64 { return 12 })
 	s.PublishSnapshot(r.Snapshot(0))
 	s.PublishProgress(Progress{Done: 2, Total: 5, SimSeconds: 30, HorizonSeconds: 600})
 

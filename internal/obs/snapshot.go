@@ -6,7 +6,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -44,9 +43,6 @@ func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 		return nil
 	}
 	s := &Snapshot{AtSec: at.Seconds()}
-	for _, c := range r.counters {
-		s.Metrics = append(s.Metrics, Metric{Name: c.name, Value: float64(c.v)})
-	}
 	for _, cv := range r.vecs {
 		for i, l := range cv.labels {
 			s.Metrics = append(s.Metrics, Metric{Name: cv.prefix + "." + l, Value: float64(cv.v[i])})
@@ -71,50 +67,9 @@ func (r *Registry) Snapshot(at sim.Time) *Snapshot {
 	return s
 }
 
-// Get reports the value of the named metric and whether it exists.
-func (s *Snapshot) Get(name string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	i := sort.Search(len(s.Metrics), func(i int) bool { return s.Metrics[i].Name >= name })
-	if i < len(s.Metrics) && s.Metrics[i].Name == name {
-		return s.Metrics[i].Value, true
-	}
-	return 0, false
-}
-
-// Sum adds up every metric whose name starts with prefix — the way to
-// aggregate a CounterVec family ("phy.collisions.") back into one number.
-func (s *Snapshot) Sum(prefix string) float64 {
-	if s == nil {
-		return 0
-	}
-	var sum float64
-	i := sort.Search(len(s.Metrics), func(i int) bool { return s.Metrics[i].Name >= prefix })
-	for ; i < len(s.Metrics) && len(s.Metrics[i].Name) >= len(prefix) &&
-		s.Metrics[i].Name[:len(prefix)] == prefix; i++ {
-		sum += s.Metrics[i].Value
-	}
-	return sum
-}
-
 // WriteJSON marshals the snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText renders the snapshot as sorted "name value" lines for quick
-// terminal inspection.
-func (s *Snapshot) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# snapshot at %.3fs (%d metrics)\n", s.AtSec, len(s.Metrics)); err != nil {
-		return err
-	}
-	for _, m := range s.Metrics {
-		if _, err := fmt.Fprintf(w, "%s %g\n", m.Name, m.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

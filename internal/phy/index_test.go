@@ -147,7 +147,7 @@ func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 		for _, src := range []pkt.NodeID{10, 40, 75, 110} {
 			f := ch.Pool().Frame()
 			f.Type, f.TxSrc, f.TxDst = pkt.FrameData, src, src+1
-			ch.Transmit(src, f)
+			transmit(ch, src, f)
 		}
 		type state struct {
 			sensed int32
@@ -269,7 +269,7 @@ func TestIndexRebuildMigratesEventState(t *testing.T) {
 	}
 	f := ch.Pool().Frame()
 	f.Type, f.TxSrc, f.TxDst = pkt.FrameData, 10, 11
-	ch.Transmit(10, f)
+	transmit(ch, 10, f)
 	if !ch.Busy(11) {
 		t.Fatal("neighbor not busy during flight")
 	}

@@ -134,18 +134,29 @@ func (r *refChannel) finish() sim.Time {
 	return f.end
 }
 
+// counts snapshots reg into a name -> value map.
+func counts(reg *obs.Registry) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, m := range reg.Snapshot(0).Metrics {
+		out[m.Name] = uint64(m.Value)
+	}
+	return out
+}
+
 // check compares the channel's reception state, counters and flight
-// order with the reference.
-func (r *refChannel) check(t *testing.T, ch *Channel, k Counters, when string) {
+// order with the reference. reg holds the channel's "collisions" and
+// "captures" families, labelled by station slot.
+func (r *refChannel) check(t *testing.T, ch *Channel, reg *obs.Registry, when string) {
 	t.Helper()
 	var coll, capt uint64
+	c := counts(reg)
 	for j := range r.pos {
 		coll += r.collisions[j]
 		capt += r.captures[j]
-		if got, want := k.Collisions.Value(j), r.collisions[j]; got != want {
+		if got, want := c[fmt.Sprint("collisions.", j)], r.collisions[j]; got != want {
 			t.Fatalf("%s: station %d collisions %d, want %d", when, j, got, want)
 		}
-		if got, want := k.Captures.Value(j), r.captures[j]; got != want {
+		if got, want := c[fmt.Sprint("captures.", j)], r.captures[j]; got != want {
 			t.Fatalf("%s: station %d captures %d, want %d", when, j, got, want)
 		}
 		if ch.sensed[j] != r.sensed[j] || ch.busyTx[j] != r.busyTx[j] {
@@ -203,11 +214,10 @@ func TestInterferenceMatchesBruteForce(t *testing.T) {
 			sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
 		}
 		reg := obs.NewRegistry()
-		k := Counters{
+		ch.SetCounters(Counters{
 			Collisions: reg.CounterVec("collisions", labels),
 			Captures:   reg.CounterVec("captures", labels),
-		}
-		ch.SetCounters(k)
+		})
 		ref := newRefChannel(cfg, pos)
 
 		maxFlights, moves := 0, 0
@@ -226,7 +236,7 @@ func TestInterferenceMatchesBruteForce(t *testing.T) {
 					ref.pos[i] = p
 					moves++
 				}
-				ref.check(t, ch, k, when+" after moves")
+				ref.check(t, ch, reg, when+" after moves")
 				continue
 			}
 			if len(ref.flight) > 0 && rng.Intn(5) < 2 {
@@ -234,18 +244,18 @@ func TestInterferenceMatchesBruteForce(t *testing.T) {
 				if at := ref.finish(); at != eng.Now() {
 					t.Fatalf("%s: finish at %v, reference %v", when, eng.Now(), at)
 				}
-				ref.check(t, ch, k, when+" finish")
+				ref.check(t, ch, reg, when+" finish")
 				continue
 			}
 			src := rng.Intn(n)
 			if ref.busyTx[src] {
 				continue
 			}
-			p := pkt.NewPacket(1, uint64(step), pkt.NodeID(src), 0, 1+rng.Intn(4)*300, 0)
+			p := pkt.NewPool().Packet(1, uint64(step), pkt.NodeID(src), 0, 1+rng.Intn(4)*300, 0)
 			end := ch.TransmitFrom(sts[src], &pkt.Frame{Type: pkt.FrameData, TxSrc: pkt.NodeID(src), Payload: p})
 			ref.transmit(src, end)
 			maxFlights = max(maxFlights, len(ref.flight))
-			ref.check(t, ch, k, when+" transmit")
+			ref.check(t, ch, reg, when+" transmit")
 		}
 		if maxFlights < 5 || moves == 0 || ch.Stats.Collisions == 0 || ch.Stats.Captures == 0 {
 			t.Fatalf("seed %d: stream too tame: at most %d flights, %d moves, %d collisions, %d captures",
@@ -286,14 +296,13 @@ func TestNoiseLockTakesNoInterference(t *testing.T) {
 			}
 			reg := obs.NewRegistry()
 			labels := []string{"a", "d", "n", "i"}
-			k := Counters{Collisions: reg.CounterVec("collisions", labels), Captures: reg.CounterVec("captures", labels)}
-			ch.SetCounters(k)
+			ch.SetCounters(Counters{Collisions: reg.CounterVec("collisions", labels), Captures: reg.CounterVec("captures", labels)})
 			if tc.iFirst {
-				ch.Transmit(i, frame(i, a))
-				ch.Transmit(a, frame(a, d))
+				transmit(ch, i, frame(i, a))
+				transmit(ch, a, frame(a, d))
 			} else {
-				ch.Transmit(a, frame(a, d))
-				ch.Transmit(i, frame(i, a))
+				transmit(ch, a, frame(a, d))
+				transmit(ch, i, frame(i, a))
 			}
 			if ch.rx[n].tx == nil || ch.rx[n].decodable || ch.rx[n].corrupted {
 				t.Fatalf("N's reception %+v, want an uncorrupted noise lock", ch.rx[n])
@@ -306,10 +315,11 @@ func TestNoiseLockTakesNoInterference(t *testing.T) {
 				t.Fatalf("collisions/captures %d/%d, want %d/%d",
 					ch.Stats.Collisions, ch.Stats.Captures, tc.collisions, tc.captures)
 			}
-			if k.Collisions.Value(d) != tc.collisions || k.Captures.Value(d) != tc.captures ||
-				k.Collisions.Value(n) != 0 || k.Captures.Value(n) != 0 {
+			c := counts(reg)
+			if c["collisions.d"] != tc.collisions || c["captures.d"] != tc.captures ||
+				c["collisions.n"] != 0 || c["captures.n"] != 0 {
 				t.Fatalf("per-station collisions D %d N %d, captures D %d N %d",
-					k.Collisions.Value(d), k.Collisions.Value(n), k.Captures.Value(d), k.Captures.Value(n))
+					c["collisions.d"], c["collisions.n"], c["captures.d"], c["captures.n"])
 			}
 			wantErr, wantRx := 0, 1
 			if tc.collisions > 0 {

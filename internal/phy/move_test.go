@@ -162,7 +162,7 @@ func TestMoveNodeFirstMoveIsFarJump(t *testing.T) {
 	for i, p := range diskPositions(200, 1) {
 		ch.AddNode(pkt.NodeID(i), p, nil)
 	}
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	for eng.RunStep() {
 	}
 	if len(ch.station(9).nbrs) <= 8 {
@@ -185,7 +185,7 @@ func TestMoveNodeBeforeIndexBuilds(t *testing.T) {
 	if ch.MoveNode(2, Position{X: 390}) {
 		t.Fatal("move within decode range should not report membership change")
 	}
-	ch.Transmit(1, frame(1, 2))
+	transmit(ch, 1, frame(1, 2))
 	eng.Run(sim.Second)
 	if err := ch.VerifyIndex(); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestMoveNodeBeforeIndexBuilds(t *testing.T) {
 // the transmission's completion leaves the sense accounting balanced.
 func TestMoveReceiverOutMidFlight(t *testing.T) {
 	eng, ch, radios := setup(t, Position{}, Position{X: 200})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Millisecond) // mid-flight (1028-byte frame ≈ 8.4 ms)
 	if !ch.Busy(1) {
 		t.Fatal("receiver should sense the flight before moving")
@@ -229,7 +229,7 @@ func TestMoveReceiverOutMidFlight(t *testing.T) {
 // transmitter within CS range preserves the lock and the delivery.
 func TestMoveReceiverWithinRangeMidFlight(t *testing.T) {
 	eng, ch, radios := setup(t, Position{}, Position{X: 200})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Millisecond)
 	ch.MoveNode(1, Position{X: 240})
 	eng.Run(sim.Second)
@@ -247,7 +247,7 @@ func TestMoveReceiverWithinRangeMidFlight(t *testing.T) {
 // balanced when the flight ends.
 func TestMoveIntoFlightNoLock(t *testing.T) {
 	eng, ch, radios := setup(t, Position{}, Position{X: 2000})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Millisecond)
 	ch.MoveNode(1, Position{X: 200})
 	if !ch.Busy(1) {
@@ -269,7 +269,7 @@ func TestMoveIntoFlightNoLock(t *testing.T) {
 // Transmitting.
 func TestMoveWhileTransmittingPanics(t *testing.T) {
 	eng, ch, _ := setup(t, Position{}, Position{X: 200})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	if !ch.Transmitting(0) {
 		t.Fatal("node 0 should be transmitting")
 	}

@@ -391,36 +391,8 @@ func (c *Channel) InTxRange(a, b pkt.NodeID) bool {
 	return na.pos.Dist(nb.pos) <= c.cfg.TxRange
 }
 
-// InCSRange reports whether b senses a's transmissions.
-func (c *Channel) InCSRange(a, b pkt.NodeID) bool {
-	na, nb := c.station(a), c.station(b)
-	return na.pos.Dist(nb.pos) <= c.cfg.CSRange
-}
-
-// Busy reports whether the medium is sensed busy at node id, either because
-// a neighbour within carrier-sense range is transmitting or because the node
-// itself is.
-func (c *Channel) Busy(id pkt.NodeID) bool {
-	if !c.indexed {
-		c.buildIndex()
-	}
-	n := c.station(id)
-	return c.sensed[n.slot] > 0 || c.busyTx[n.slot]
-}
-
 // AirTime exposes the frame air time for the channel's bit rate.
 func (c *Channel) AirTime(bytes int) sim.Time { return c.cfg.AirTime(bytes) }
-
-// Transmit puts a frame on the air from src, resolving the station by
-// id. Callers on the per-frame path hold the *Station from AddNode and
-// use TransmitFrom directly.
-func (c *Channel) Transmit(src pkt.NodeID, f *pkt.Frame) sim.Time {
-	sn := c.station(src)
-	if sn == nil {
-		panic(fmt.Sprintf("phy: transmit from unknown node %v", src))
-	}
-	return c.TransmitFrom(sn, f)
-}
 
 // TransmitFrom puts a frame on the air from the given station. The caller
 // (MAC) is responsible for having respected CSMA rules; the channel

@@ -26,7 +26,7 @@ func (r *fakeRadio) Overhear(f *pkt.Frame, _ pkt.CaptureInfo) {
 }
 
 func frame(src, dst pkt.NodeID) *pkt.Frame {
-	p := pkt.NewPacket(1, 1, src, dst, 1000, 0)
+	p := pkt.NewPool().Packet(1, 1, src, dst, 1000, 0)
 	return &pkt.Frame{Type: pkt.FrameData, TxSrc: src, TxDst: dst, Payload: p}
 }
 
@@ -53,7 +53,7 @@ func TestAirTime(t *testing.T) {
 
 func TestBasicDelivery(t *testing.T) {
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 1 {
 		t.Fatalf("receiver got %d frames, want 1", len(radios[1].received))
@@ -68,7 +68,7 @@ func TestBasicDelivery(t *testing.T) {
 
 func TestOutOfRangeNoDelivery(t *testing.T) {
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 300})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 0 {
 		t.Fatal("out-of-range node decoded a frame")
@@ -80,7 +80,7 @@ func TestOverhearNotAddressed(t *testing.T) {
 	// node 2 must overhear but not Receive — the broadcast-nature property
 	// EZ-Flow is built on.
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200}, Position{X: 100, Y: 100})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Second)
 	if len(radios[2].received) != 0 {
 		t.Fatal("third party Received an addressed frame")
@@ -95,7 +95,7 @@ func TestCarrierSense(t *testing.T) {
 	if ch.Busy(1) {
 		t.Fatal("medium busy before any transmission")
 	}
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	if !ch.Busy(1) {
 		t.Fatal("node within CS range does not sense the transmission")
 	}
@@ -122,8 +122,8 @@ func TestHiddenTerminalCollision(t *testing.T) {
 	// arrives 16x stronger — but under lock-first semantics node 1 cannot
 	// decode it.
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200}, Position{X: 600})
-	ch.Transmit(2, frame(2, 1))
-	eng.Schedule(sim.Millisecond, func() { ch.Transmit(0, frame(0, 1)) })
+	transmit(ch, 2, frame(2, 1))
+	eng.Schedule(sim.Millisecond, func() { transmit(ch, 0, frame(0, 1)) })
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 0 {
 		t.Fatal("frame decoded despite noise lock from a hidden terminal")
@@ -134,8 +134,8 @@ func TestCaptureStrongerFirst(t *testing.T) {
 	// Node 0's frame (200 m) locks node 1 first; node 2's interference
 	// from 400 m is 16x weaker (12 dB > 10 dB threshold): captured over.
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200}, Position{X: 600})
-	ch.Transmit(0, frame(0, 1))
-	eng.Schedule(sim.Millisecond, func() { ch.Transmit(2, frame(2, 1)) })
+	transmit(ch, 0, frame(0, 1))
+	eng.Schedule(sim.Millisecond, func() { transmit(ch, 2, frame(2, 1)) })
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 1 {
 		t.Fatal("capture failed: stronger first frame was not decoded")
@@ -147,8 +147,8 @@ func TestEqualPowerCollision(t *testing.T) {
 	// capture, both lost; the receiver reports a receive error (EIFS).
 	eng, ch, radios := setup(t,
 		Position{X: 0}, Position{X: 200}, Position{X: 400})
-	ch.Transmit(0, frame(0, 1))
-	eng.Schedule(sim.Millisecond, func() { ch.Transmit(2, frame(2, 1)) })
+	transmit(ch, 0, frame(0, 1))
+	eng.Schedule(sim.Millisecond, func() { transmit(ch, 2, frame(2, 1)) })
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 0 {
 		t.Fatal("equal-power collision decoded a frame")
@@ -163,8 +163,8 @@ func TestEqualPowerCollision(t *testing.T) {
 
 func TestHalfDuplex(t *testing.T) {
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200})
-	ch.Transmit(1, frame(1, 0)) // node 1 is transmitting...
-	ch.Transmit(0, frame(0, 1)) // ...so it cannot receive this
+	transmit(ch, 1, frame(1, 0)) // node 1 is transmitting...
+	transmit(ch, 0, frame(0, 1)) // ...so it cannot receive this
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 0 {
 		t.Fatal("half-duplex violation: node received while transmitting")
@@ -174,7 +174,7 @@ func TestHalfDuplex(t *testing.T) {
 func TestLinkLossErasure(t *testing.T) {
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200})
 	ch.SetLinkLoss(0, 1, 1.0)
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	eng.Run(sim.Second)
 	if len(radios[1].received) != 0 {
 		t.Fatal("frame delivered across a 100%-loss link")
@@ -190,7 +190,7 @@ func TestLinkLossErasure(t *testing.T) {
 func TestLinkLossIsDirectional(t *testing.T) {
 	eng, ch, radios := setup(t, Position{X: 0}, Position{X: 200})
 	ch.SetLinkLoss(0, 1, 1.0)
-	ch.Transmit(1, frame(1, 0)) // reverse direction unaffected
+	transmit(ch, 1, frame(1, 0)) // reverse direction unaffected
 	eng.Run(sim.Second)
 	if len(radios[0].received) != 1 {
 		t.Fatal("reverse direction affected by forward loss")
@@ -199,13 +199,13 @@ func TestLinkLossIsDirectional(t *testing.T) {
 
 func TestTransmitWhileTransmittingPanics(t *testing.T) {
 	_, ch, _ := setup(t, Position{X: 0}, Position{X: 200})
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double transmit did not panic")
 		}
 	}()
-	ch.Transmit(0, frame(0, 1))
+	transmit(ch, 0, frame(0, 1))
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
@@ -251,7 +251,7 @@ func TestPropertyDeliveryByRange(t *testing.T) {
 		r := &fakeRadio{}
 		ch.AddNode(0, Position{X: 0}, &fakeRadio{})
 		ch.AddNode(1, Position{X: d}, r)
-		ch.Transmit(0, frame(0, 1))
+		transmit(ch, 0, frame(0, 1))
 		eng.Run(sim.Second)
 		got := len(r.received) == 1
 		want := d <= DefaultConfig().TxRange
@@ -282,7 +282,7 @@ func TestPropertySenseBalanced(t *testing.T) {
 				// A node may legitimately still be transmitting from
 				// a previous schedule entry; skip those.
 				defer func() { _ = recover() }()
-				ch.Transmit(src, frame(src, (src+1)%pkt.NodeID(n)))
+				transmit(ch, src, frame(src, (src+1)%pkt.NodeID(n)))
 			})
 		}
 		eng.Run(10 * sim.Second)

@@ -11,9 +11,9 @@ package pkt
 
 import "slices"
 
-// NodeIndex maps a sorted set of NodeIDs to dense slots 0..Len()-1 and
+// NodeIndex maps a sorted set of NodeIDs to dense slots 0..len(IDs())-1 and
 // back. The zero value is an empty, usable index. Slots are assigned in
-// ascending id order, so iterating slots 0..Len()-1 visits nodes in the
+// ascending id order, so iterating the slots in order visits nodes in the
 // same order as iterating sorted ids — inserting a new id therefore
 // shifts the slots of every larger id (Add returns the insertion slot so
 // callers can keep parallel slices aligned).
@@ -21,14 +21,8 @@ type NodeIndex struct {
 	ids []NodeID
 }
 
-// Len reports the number of indexed ids.
-func (x *NodeIndex) Len() int { return len(x.ids) }
-
 // IDs returns the backing sorted id slice. Callers must not modify it.
 func (x *NodeIndex) IDs() []NodeID { return x.ids }
-
-// ID returns the id at the given slot.
-func (x *NodeIndex) ID(slot int) NodeID { return x.ids[slot] }
 
 // Slot returns the dense slot of id, or ok=false if id is not indexed.
 func (x *NodeIndex) Slot(id NodeID) (slot int, ok bool) {

@@ -16,12 +16,12 @@ func TestNodeIndexAddSlotOrder(t *testing.T) {
 	if _, ok := x.Add(4); ok {
 		t.Error("duplicate Add(4) accepted")
 	}
-	if x.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", x.Len())
+	if len(x.ids) != 4 {
+		t.Fatalf("Len = %d, want 4", len(x.ids))
 	}
 	want := []NodeID{2, 4, 7, 9}
 	for slot, id := range want {
-		if got := x.ID(slot); got != id {
+		if got := x.ids[slot]; got != id {
 			t.Errorf("ID(%d) = %v, want %v", slot, got, id)
 		}
 		if got, ok := x.Slot(id); !ok || got != slot {

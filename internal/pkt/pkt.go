@@ -99,16 +99,6 @@ type Packet struct {
 	pool    *Pool    // owning pool, nil for hand-built packets
 }
 
-// NewPacket builds a stand-alone (unpooled) packet and precomputes its
-// checksum identifier. The traffic and transport layers use Pool.Packet
-// instead so steady-state forwarding does not allocate.
-func NewPacket(flow FlowID, seq uint64, src, dst NodeID, bytes int, created sim.Time) *Packet {
-	p := &Packet{Flow: flow, Seq: seq, Src: src, Dst: dst, Bytes: bytes, Created: created, refs: 1}
-	p.checks = p.computeChecksum()
-	p.hasSum = true
-	return p
-}
-
 // Checksum16 returns the packet's 16-bit transport-style identifier: the
 // one's-complement sum of the 16-bit words of a synthetic UDP-like header
 // (source, destination, flow, length, and sequence split in two words).

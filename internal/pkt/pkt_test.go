@@ -9,12 +9,12 @@ import (
 )
 
 func TestChecksumDeterministic(t *testing.T) {
-	a := NewPacket(1, 42, 0, 5, 1028, 0)
-	b := NewPacket(1, 42, 0, 5, 1028, 7*sim.Second)
+	a := NewPool().Packet(1, 42, 0, 5, 1028, 0)
+	b := NewPool().Packet(1, 42, 0, 5, 1028, 7*sim.Second)
 	if a.Checksum16() != b.Checksum16() {
 		t.Fatal("checksum must not depend on creation time")
 	}
-	c := NewPacket(1, 43, 0, 5, 1028, 0)
+	c := NewPool().Packet(1, 43, 0, 5, 1028, 0)
 	if a.Checksum16() == c.Checksum16() {
 		t.Fatal("consecutive sequence numbers should differ in checksum")
 	}
@@ -22,7 +22,7 @@ func TestChecksumDeterministic(t *testing.T) {
 
 func TestChecksumLazy(t *testing.T) {
 	p := &Packet{Flow: 2, Seq: 9, Src: 1, Dst: 3, Bytes: 100}
-	want := NewPacket(2, 9, 1, 3, 100, 0).Checksum16()
+	want := NewPool().Packet(2, 9, 1, 3, 100, 0).Checksum16()
 	if p.Checksum16() != want {
 		t.Fatal("lazy checksum differs from precomputed")
 	}
@@ -32,8 +32,8 @@ func TestChecksumLazy(t *testing.T) {
 // within 16 bits (trivially true by type, but exercise the folding).
 func TestPropertyChecksumPure(t *testing.T) {
 	f := func(flow uint8, seq uint32, src, dst uint8, size uint16) bool {
-		p1 := NewPacket(FlowID(flow), uint64(seq), NodeID(src), NodeID(dst), int(size), 0)
-		p2 := NewPacket(FlowID(flow), uint64(seq), NodeID(src), NodeID(dst), int(size), 123)
+		p1 := NewPool().Packet(FlowID(flow), uint64(seq), NodeID(src), NodeID(dst), int(size), 0)
+		p2 := NewPool().Packet(FlowID(flow), uint64(seq), NodeID(src), NodeID(dst), int(size), 123)
 		return p1.Checksum16() == p2.Checksum16()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -48,7 +48,7 @@ func TestChecksumCollisionsExist(t *testing.T) {
 	seen := make(map[uint16]uint64)
 	collisions := 0
 	for seq := uint64(0); seq < 200000; seq++ {
-		ck := NewPacket(1, seq, 0, 9, 1028, 0).Checksum16()
+		ck := NewPool().Packet(1, seq, 0, 9, 1028, 0).Checksum16()
 		if _, dup := seen[ck]; dup {
 			collisions++
 		}
@@ -60,7 +60,7 @@ func TestChecksumCollisionsExist(t *testing.T) {
 }
 
 func TestFrameBytes(t *testing.T) {
-	p := NewPacket(1, 1, 0, 2, 1028, 0)
+	p := NewPool().Packet(1, 1, 0, 2, 1028, 0)
 	cases := []struct {
 		f    Frame
 		want int
@@ -95,7 +95,7 @@ func TestStringers(t *testing.T) {
 			t.Errorf("frame type stringer %v", ft)
 		}
 	}
-	p := NewPacket(1, 7, 0, 4, 1028, 0)
+	p := NewPool().Packet(1, 7, 0, 4, 1028, 0)
 	f := Frame{Type: FrameData, TxSrc: 0, TxDst: 1, Payload: p}
 	if f.String() == "" || p.String() == "" {
 		t.Error("empty stringer output")

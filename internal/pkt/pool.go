@@ -95,7 +95,7 @@ func (pl *Pool) PutFrame(f *Frame) {
 func (p *Packet) Retain() { p.refs++ }
 
 // Release drops one reference. When the count reaches zero a pooled packet
-// returns to its pool; a hand-built packet (NewPacket) is left to the
+// returns to its pool; a hand-built packet (a &Packet literal) is left to the
 // garbage collector. Releasing below zero panics: it means an ownership
 // bug that would otherwise surface as silent packet aliasing.
 func (p *Packet) Release() {
@@ -110,6 +110,3 @@ func (p *Packet) Release() {
 		p.pool.packets = append(p.pool.packets, p)
 	}
 }
-
-// Refs reports the current reference count (for tests).
-func (p *Packet) Refs() int32 { return p.refs }

@@ -5,8 +5,8 @@ import "testing"
 func TestPacketPoolReuse(t *testing.T) {
 	pl := NewPool()
 	p1 := pl.Packet(1, 7, 0, 4, 1000, 0)
-	if p1.Refs() != 1 {
-		t.Fatalf("fresh packet refs = %d, want 1", p1.Refs())
+	if p1.refs != 1 {
+		t.Fatalf("fresh packet refs = %d, want 1", p1.refs)
 	}
 	sum1 := p1.Checksum16()
 	p1.Release()
@@ -51,7 +51,7 @@ func TestReleaseBelowZeroPanics(t *testing.T) {
 }
 
 func TestUnpooledPacketSafe(t *testing.T) {
-	p := NewPacket(1, 1, 0, 2, 1000, 0)
+	p := &Packet{Flow: 1, Seq: 1, Dst: 2, Bytes: 1000, refs: 1}
 	p.Retain()
 	p.Release()
 	p.Release() // back to zero references: must not panic or pool

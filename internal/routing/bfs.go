@@ -126,7 +126,7 @@ func (g *Graph) bfsTree(src int32) []int32 {
 // Topology builders use it to draw initial gateway-bound routes
 // (following the parent chain from a node yields its minimum-hop path to
 // the gateway); with Connected it is also the reference connectivity
-// test. mesh.RandomDisk builds this tree for its first draw and for the
+// test. mesh.RandomDiskLossy builds this tree for its first draw and for the
 // placement it accepts, and screens the draws in between with a cheaper
 // unordered check.
 //

@@ -95,15 +95,6 @@ func (t Timer) Pending() bool {
 	return e != nil && e.gen == t.gen && e.index != notQueued
 }
 
-// At reports when the event fires; the second result is false if the event
-// already fired or was cancelled.
-func (t Timer) At() (Time, bool) {
-	if !t.Pending() {
-		return 0, false
-	}
-	return t.ev.at, true
-}
-
 // Cancel prevents a pending event from firing. Cancelling an event that has
 // already fired or been cancelled — or a zero Timer — is a no-op, even if
 // the engine has recycled the event's storage for a newer schedule.
@@ -364,17 +355,12 @@ func (en *Engine) ScheduleFuncFixed(delay Time, fn func()) {
 	en.scheduleFixed(delay, fn)
 }
 
-// Stop halts the run loop after the currently executing event completes.
-// It must be called from the simulation goroutine (an event callback);
-// use StopOn to stop a run from another goroutine.
-func (en *Engine) Stop() { en.halted = true }
-
 // StopOn attaches flag as a stop request that any goroutine may raise
 // with flag.Store(true). Run reads it on entry, so a request raised
 // before Run starts is honoured, and then once every 4096 fired events,
 // so a running loop ends within a few thousand events of the request.
-// Either way the run halts as if Stop were called: the clock stays where
-// the loop stopped. The poll schedules no event, draws no random value
+// Either way the run halts after the event in progress: the clock stays
+// where the loop stopped. The poll schedules no event, draws no random value
 // and allocates nothing, so a run whose flag is never raised fires
 // exactly the events it would without one. A nil flag detaches it.
 func (en *Engine) StopOn(flag *atomic.Bool) { en.stop = flag }
@@ -382,8 +368,8 @@ func (en *Engine) StopOn(flag *atomic.Bool) { en.stop = flag }
 // stopRequested reports whether the StopOn flag is raised.
 func (en *Engine) stopRequested() bool { return en.stop != nil && en.stop.Load() }
 
-// Run executes events until the queue is empty, until is reached, or Stop is
-// called (or the StopOn flag is raised). It returns the virtual time at which
+// Run executes events until the queue is empty, until is reached, or the
+// StopOn flag is raised. It returns the virtual time at which
 // the loop stopped.
 func (en *Engine) Run(until Time) Time {
 	en.halted = en.stopRequested()

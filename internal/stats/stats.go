@@ -26,9 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N reports the sample count.
-func (w *Welford) N() uint64 { return w.n }
-
 // Mean reports the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -285,13 +282,6 @@ func (f *FlowMeter) Close(now sim.Time) {
 	for f.curStart+f.bin <= now {
 		f.flushBin()
 	}
-}
-
-// MeanThroughputKbps reports the average goodput in kb/s between from and
-// to, computed from totals rather than bins for accuracy.
-func (f *FlowMeter) MeanThroughputKbps(from, to sim.Time) float64 {
-	w := f.Throughput.Window(from, to)
-	return w.Mean()
 }
 
 // Periodic probe sampling lives in internal/trace (Recorder), which

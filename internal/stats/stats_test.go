@@ -14,7 +14,7 @@ func TestWelford(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 {
+	if w.n != 8 {
 		t.Fatal("N")
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
@@ -255,8 +255,8 @@ func TestWelfordMergeIdentity(t *testing.T) {
 			b.Add(x)
 		}
 		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("cut %d: N = %d, want %d", cut, a.N(), whole.N())
+		if a.n != whole.n {
+			t.Fatalf("cut %d: N = %d, want %d", cut, a.n, whole.n)
 		}
 		if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
 			t.Errorf("cut %d: mean %v, want %v", cut, a.Mean(), whole.Mean())
@@ -278,9 +278,9 @@ func TestWelfordMergeManyShards(t *testing.T) {
 		shard.Add(x)
 		merged.Merge(shard)
 	}
-	if merged.N() != whole.N() || math.Abs(merged.Var()-whole.Var()) > 1e-12 {
+	if merged.n != whole.n || math.Abs(merged.Var()-whole.Var()) > 1e-12 {
 		t.Fatalf("sharded merge: n=%d var=%v, want n=%d var=%v",
-			merged.N(), merged.Var(), whole.N(), whole.Var())
+			merged.n, merged.Var(), whole.n, whole.Var())
 	}
 	// Identity element: merging a zero accumulator changes nothing.
 	before := merged

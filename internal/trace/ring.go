@@ -30,9 +30,6 @@ func NewRing(size int) *Ring {
 	return &Ring{buf: make([]stats.Point, size)}
 }
 
-// Len reports the number of buffered samples.
-func (r *Ring) Len() int { return r.n }
-
 // Full reports whether the next Append would overflow.
 func (r *Ring) Full() bool { return r.n == len(r.buf) }
 

@@ -18,8 +18,8 @@ func TestRingBatchFlush(t *testing.T) {
 		t.Fatal("ring should be full after cap appends")
 	}
 	r.FlushTo(&s)
-	if r.Len() != 0 || s.Len() != 4 {
-		t.Fatalf("after flush: ring %d, series %d; want 0, 4", r.Len(), s.Len())
+	if r.n != 0 || s.Len() != 4 {
+		t.Fatalf("after flush: ring %d, series %d; want 0, 4", r.n, s.Len())
 	}
 	r.Append(9*sim.Second, 9)
 	r.FlushTo(&s)

@@ -20,7 +20,6 @@ type Source struct {
 	bytes   int
 	period  sim.Time // CBR inter-packet gap; 0 disables CBR
 	poisson bool
-	rateBps float64
 
 	seq    uint64
 	active bool
@@ -45,7 +44,7 @@ func NewCBR(m *mesh.Mesh, flow pkt.FlowID, rateBps float64, bytes int) *Source {
 	}
 	s := &Source{
 		m: m, node: m.Node(route[0]), flow: flow, dst: route[len(route)-1],
-		bytes: bytes, period: cbrGap(bytes, rateBps), rateBps: rateBps,
+		bytes: bytes, period: cbrGap(bytes, rateBps),
 	}
 	s.emitFn = s.emit
 	return s
@@ -58,12 +57,6 @@ func NewPoisson(m *mesh.Mesh, flow pkt.FlowID, rateBps float64, bytes int) *Sour
 	return s
 }
 
-// Flow reports the source's flow id.
-func (s *Source) Flow() pkt.FlowID { return s.flow }
-
-// RateBps reports the source's configured rate in bit/s.
-func (s *Source) RateBps() float64 { return s.rateBps }
-
 // SetRate changes the source's rate in bit/s — the traffic-dynamics knob
 // (rate steps and surges) of the dynamics layer. The new inter-packet gap
 // applies from the next emission; an emission already scheduled fires at
@@ -73,7 +66,6 @@ func (s *Source) SetRate(rateBps float64) {
 		panic("traffic: SetRate with non-positive rate")
 	}
 	s.period = cbrGap(s.bytes, rateBps)
-	s.rateBps = rateBps
 }
 
 // cbrGap is the inter-packet gap that produces rateBps with the given
@@ -85,9 +77,6 @@ func cbrGap(bytes int, rateBps float64) sim.Time {
 	}
 	return gap
 }
-
-// Active reports whether the source is currently generating.
-func (s *Source) Active() bool { return s.active }
 
 // StartAt schedules the source to begin at time at.
 func (s *Source) StartAt(at sim.Time) {

@@ -108,9 +108,6 @@ func New(m *mesh.Mesh, flow pkt.FlowID, cfg Config) *Conn {
 	return c
 }
 
-// Cwnd reports the current congestion window.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
-
 // InFlight reports the number of unacknowledged packets.
 func (c *Conn) InFlight() uint64 { return c.nextSeq - c.sendBase }
 
@@ -121,12 +118,6 @@ func (c *Conn) Start() {
 	}
 	c.running = true
 	c.pump()
-}
-
-// Stop halts the sender. In-flight packets keep travelling.
-func (c *Conn) Stop() {
-	c.running = false
-	c.rtoTimer.Cancel()
 }
 
 // pump injects new data while the window allows.

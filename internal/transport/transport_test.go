@@ -45,8 +45,8 @@ func TestWindowGrowsOnCleanLink(t *testing.T) {
 	eng, _, c := newChainConn(t, 1, DefaultConfig())
 	c.Start()
 	eng.Run(30 * sim.Second)
-	if c.Cwnd() <= DefaultConfig().InitWindow {
-		t.Fatalf("cwnd %.1f never grew", c.Cwnd())
+	if c.cwnd <= DefaultConfig().InitWindow {
+		t.Fatalf("cwnd %.1f never grew", c.cwnd)
 	}
 	if len(c.WindowTrace) == 0 {
 		t.Fatal("no window trace")
@@ -86,8 +86,8 @@ func TestWindowBounds(t *testing.T) {
 	eng, _, c := newChainConn(t, 1, cfg)
 	c.Start()
 	eng.Run(120 * sim.Second)
-	if c.Cwnd() > 8 {
-		t.Fatalf("cwnd %.1f above MaxWindow", c.Cwnd())
+	if c.cwnd > 8 {
+		t.Fatalf("cwnd %.1f above MaxWindow", c.cwnd)
 	}
 	for _, w := range c.WindowTrace {
 		if w.Cwnd < 1 || w.Cwnd > 8 {

@@ -87,6 +87,15 @@ func (sc *Scenario) registerMetrics(reg *obs.Registry) {
 	// connectivity returns). Non-zero here is the signature of a
 	// partitioned network, surfaced without a debugger.
 	reg.Gauge("mesh.reroute_failures", func() float64 { return float64(m.RerouteFailures()) })
+	// Packets that arrived at a node their flow's route no longer leaves
+	// (in flight while a repair moved the route) and were dropped there.
+	reg.Gauge("mesh.drops_noroute", func() float64 {
+		var n uint64
+		for _, f := range m.Flows() {
+			n += m.NoRouteDrops(f)
+		}
+		return float64(n)
+	})
 	ids := ch.NodeIDs()
 	labels := make([]string, len(ids))
 	for i, id := range ids {

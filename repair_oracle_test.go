@@ -9,6 +9,7 @@ import (
 	"ezflow/internal/dynamics"
 	"ezflow/internal/mesh"
 	"ezflow/internal/mobility"
+	"ezflow/internal/obs"
 )
 
 // legacyRoute is the per-flow repair search the mesh ran before route
@@ -208,4 +209,35 @@ func TestRepairMatchesLegacySearch(t *testing.T) {
 		}
 		t.Logf("%d rounds, %d route changes, %d events, %d failed repairs", o.rounds, o.changed, len(sc.Dyn.Log), m.RerouteFailures())
 	})
+}
+
+// TestNoRouteDropsGauge checks the mesh.drops_noroute gauge: zero on a
+// static chain, and on the mobile disk, where repairs move routes under
+// packets in flight, non-zero and the sum of the per-flow counts.
+func TestNoRouteDropsGauge(t *testing.T) {
+	gauge := func(sc *ezflow.Scenario) float64 {
+		t.Helper()
+		sc.EnableObs(obs.Config{Metrics: true})
+		for _, m := range sc.Run().Obs.Metrics {
+			if m.Name == "mesh.drops_noroute" {
+				return m.Value
+			}
+		}
+		t.Fatal("snapshot has no mesh.drops_noroute")
+		return 0
+	}
+	cfg := ezflow.DefaultConfig()
+	cfg.Duration = 20 * ezflow.Second
+	if got := gauge(ezflow.NewChain(4, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})); got != 0 {
+		t.Errorf("static chain: mesh.drops_noroute = %g, want 0", got)
+	}
+	sc := mobileDisk(1)
+	got := gauge(sc)
+	var want uint64
+	for _, f := range sc.Mesh.Flows() {
+		want += sc.Mesh.NoRouteDrops(f)
+	}
+	if got == 0 || got != float64(want) {
+		t.Errorf("mobile disk: mesh.drops_noroute = %g, per-flow sum %d; want equal and non-zero", got, want)
+	}
 }

@@ -1,9 +1,11 @@
-// Command lintdoc enforces the repository's godoc conventions without
-// external dependencies (the CI image is offline): every package must
-// carry a package-level doc comment, and every exported symbol of the
-// public root package (ezflow) and of every internal/... package must
-// have a doc comment. It exits non-zero with a file:line report when
-// either rule is violated.
+// Command lintdoc enforces the repository's godoc conventions and its
+// unused-export rule without external dependencies (the CI image is
+// offline): every package must carry a package-level doc comment, every
+// exported symbol of the public root package (ezflow) and of every
+// internal/... package must have a doc comment, and every exported
+// identifier under internal/ must have a use outside tests in the root
+// or bench/ module (see checkUnused). It exits non-zero with a file:line
+// report when any rule is violated.
 //
 // Usage (from the module root):
 //
@@ -13,57 +15,24 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// strict reports whether a package directory's exported symbols must all
-// be documented (not just the package clause): the public API at the root
-// and every internal package. Exported names inside internal/ are the
-// contract between the repository's layers; undocumented ones rot first.
-func strict(dir string) bool {
-	return dir == "." || dir == "internal" || strings.HasPrefix(dir, "internal/")
-}
-
 func main() {
-	dirs := map[string][]string{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(path)
-		dirs[dir] = append(dirs[dir], path)
-		return nil
-	})
+	m, err := load(".", "bench")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lintdoc: %v\n", err)
 		os.Exit(2)
 	}
-
-	var problems []string
-	names := make([]string, 0, len(dirs))
-	for dir := range dirs {
-		names = append(names, dir)
+	problems := checkDocs(m)
+	unused, err := checkUnused(m, allowed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lintdoc: %v\n", err)
+		os.Exit(2)
 	}
-	sort.Strings(names)
-	for _, dir := range names {
-		problems = append(problems, checkDir(dir, dirs[dir])...)
-	}
+	problems = append(problems, unused...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Println(p)
@@ -73,27 +42,24 @@ func main() {
 	}
 }
 
-// checkDir parses one package directory and returns its violations.
-func checkDir(dir string, files []string) []string {
-	fset := token.NewFileSet()
+// checkDocs returns the doc-comment violations of every package of m.
+// Every exported symbol must be documented in the public API at the root
+// and in every internal package: exported names inside internal/ are the
+// contract between the repository's layers; undocumented ones rot first.
+func checkDocs(m *modules) []string {
 	var problems []string
-	hasPkgDoc := false
-	sort.Strings(files)
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			problems = append(problems, fmt.Sprintf("%s: parse error: %v", path, err))
-			continue
+	for _, p := range m.pkgs {
+		strict := p.ImportPath == m.path || strings.HasPrefix(p.ImportPath, m.path+"/internal/")
+		hasPkgDoc := false
+		for _, f := range p.files {
+			hasPkgDoc = hasPkgDoc || f.Doc != nil
+			if strict {
+				problems = append(problems, checkExported(m.fset, f)...)
+			}
 		}
-		if f.Doc != nil {
-			hasPkgDoc = true
+		if !hasPkgDoc {
+			problems = append(problems, fmt.Sprintf("%s: package has no package-level doc comment", p.dir))
 		}
-		if strict(dir) {
-			problems = append(problems, checkExported(fset, f)...)
-		}
-	}
-	if !hasPkgDoc {
-		problems = append(problems, fmt.Sprintf("%s: package has no package-level doc comment", dir))
 	}
 	return problems
 }

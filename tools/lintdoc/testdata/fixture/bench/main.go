@@ -1,0 +1,10 @@
+// Command bench is the fixture's second module.
+package main
+
+import (
+	"os"
+
+	"fixture/internal/lib"
+)
+
+func main() { os.Exit(lib.BenchUsed() - 2) }

@@ -1,0 +1,238 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+// allowed names the exported identifiers under internal/ that are kept with
+// no use outside tests, each with the reason. Keys are relative to the
+// module's internal/ directory: "pkg.Name" or "pkg.Type.Method". An entry
+// that is gone, or that production code now uses, is itself reported.
+var allowed = map[string]string{
+	"phy.Channel.VerifyIndex": "oracle: mesh, mobility and root tests check the incremental neighbor index against a rebuild",
+	"mac.MAC.AddDropHook":     "oracle: the packet-path reference switch of TestOverflowFastPathMatchesPacketPath",
+}
+
+// modules is the non-test code of a main module and of the modules that
+// build on it, parsed, with the compiler's export data for every import.
+type modules struct {
+	path    string // the main module's path
+	fset    *token.FileSet
+	pkgs    []*listedPackage
+	exports map[string]string // import path -> export data file
+}
+
+// listedPackage is one package as `go list -json` reports it, plus its
+// parsed non-test files.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	DepOnly, Standard       bool
+	Module                  *struct{ Path string }
+
+	dir   string // Dir relative to the working directory
+	files []*ast.File
+}
+
+// load lists the packages of the module in each of dirs (the first is the
+// main module) with `go list -export -deps`, which builds what the build
+// cache lacks, and parses their non-test files.
+func load(dirs ...string) (*modules, error) {
+	m := &modules{fset: token.NewFileSet(), exports: map[string]string{}}
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	for _, dir := range dirs {
+		cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			p := &listedPackage{}
+			if err := dec.Decode(p); err != nil {
+				return nil, err
+			}
+			m.exports[p.ImportPath] = p.Export
+			if p.DepOnly || p.Standard {
+				continue
+			}
+			if m.path == "" && p.Module != nil {
+				m.path = p.Module.Path
+			}
+			if p.dir, err = filepath.Rel(wd, p.Dir); err != nil {
+				return nil, err
+			}
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(m.fset, filepath.Join(p.dir, name), nil, parser.ParseComments)
+				if err != nil {
+					return nil, err
+				}
+				p.files = append(p.files, f)
+			}
+			m.pkgs = append(m.pkgs, p)
+		}
+	}
+	if m.path == "" {
+		return nil, fmt.Errorf("%s: no packages of a module", dirs[0])
+	}
+	return m, nil
+}
+
+// checkUnused type-checks every package of m and reports each exported
+// identifier under the main module's internal/ tree that no package of m
+// uses. A method that some type selects to implement an interface needs
+// no caller, nor does the Unwrap, Is or As method of an error type (the
+// errors package asserts those). allow exempts deliberate test oracles.
+func checkUnused(m *modules, allow map[string]string) ([]string, error) {
+	prefix := m.path + "/internal/"
+	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(m.exports[path])
+	})
+	decls := map[string]types.Object{}
+	used := map[string]bool{}
+	var named []*types.Named
+	ifaces := []*types.Interface{errorType}
+	seen := map[*types.Package]bool{}
+	var reach func(pkg *types.Package)
+	reach = func(pkg *types.Package) { // collects the interfaces pkg reaches
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				if it, ok := n.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, dep := range pkg.Imports() {
+			reach(dep)
+		}
+	}
+	for _, p := range m.pkgs {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, p.files, info)
+		if err != nil {
+			return nil, err
+		}
+		for _, obj := range info.Uses {
+			used[objectKey(obj)] = true
+		}
+		reach(pkg)
+		internal := strings.HasPrefix(p.ImportPath, prefix)
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if internal && obj.Exported() {
+				decls[objectKey(obj)] = obj
+			}
+			n, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(n) {
+				continue
+			}
+			named = append(named, n)
+			for i := 0; internal && i < n.NumMethods(); i++ {
+				if f := n.Method(i); f.Exported() {
+					decls[objectKey(f)] = f
+				}
+			}
+		}
+	}
+
+	var problems []string
+	for k, obj := range decls {
+		name := strings.TrimPrefix(k, prefix)
+		if !used[k] && allow[name] == "" && !implements(obj, k, named, ifaces) {
+			problems = append(problems, fmt.Sprintf("%s: exported %s has no use outside tests", m.fset.Position(obj.Pos()), name))
+		}
+	}
+	for name := range allow {
+		if obj := decls[prefix+name]; obj == nil {
+			problems = append(problems, fmt.Sprintf("lintdoc: allowlist entry %s names no identifier", name))
+		} else if used[prefix+name] {
+			problems = append(problems, fmt.Sprintf("%s: allowlist entry %s has a use outside tests", m.fset.Position(obj.Pos()), name))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// errorType is the predeclared error interface.
+var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// objectKey names a package-level object or a method of a named type as
+// "path.Name" or "path.Type.Method", the same for an object checked from
+// source and for its copy read from export data. Fields, local objects
+// and methods of unnamed interfaces get "".
+func objectKey(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return ""
+	}
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				return f.Pkg().Path() + "." + n.Obj().Name() + "." + f.Name()
+			}
+			return ""
+		}
+	} else if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// implements reports whether obj, keyed k, is a method that some type of
+// named selects (perhaps promoted from an embedded field) to implement one
+// of ifaces, or the Unwrap, Is or As method of an error type.
+func implements(obj types.Object, k string, named []*types.Named, ifaces []*types.Interface) bool {
+	if f, ok := obj.(*types.Func); !ok || f.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		sel := types.NewMethodSet(ptr).Lookup(obj.Pkg(), obj.Name())
+		if sel == nil || objectKey(sel.Obj()) != k {
+			continue
+		}
+		switch obj.Name() {
+		case "Unwrap", "Is", "As":
+			if types.Implements(ptr, errorType) {
+				return true
+			}
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == obj.Name() && types.Implements(ptr, it) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
