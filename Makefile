@@ -40,8 +40,9 @@ fuzz:
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages) and
-# the unused-export rule (every exported identifier under internal/ has a
-# use outside tests in the root or bench/ module). Stdlib only, offline.
+# the unused-export rule (every exported identifier of the root package or
+# under internal/ has a use outside tests in the root or bench/ module).
+# Stdlib only, offline.
 lint:
 	$(GO) run ./tools/lintdoc
 

@@ -69,11 +69,14 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"ezflow"
 	"ezflow/internal/buildinfo"
@@ -83,7 +86,6 @@ import (
 	"ezflow/internal/routing"
 	"ezflow/internal/scenario"
 	"ezflow/internal/stats"
-	"ezflow/internal/trace"
 )
 
 // invocation is one ezsim command line resolved into a run.
@@ -360,37 +362,46 @@ func printPlots(res *ezflow.Result) {
 		plot.Options{YLabel: "kb/s"}, thr...))
 
 	if len(res.CWTraces) > 0 {
-		traces := make(map[string][]plot.CWPoint, len(res.CWTraces))
-		for key, tr := range res.CWTraces {
-			pts := make([]plot.CWPoint, len(tr))
-			for i, p := range tr {
-				pts[i] = plot.CWPoint{At: p.At, CW: p.CW}
-			}
-			traces[key] = pts
-		}
 		fmt.Print(plot.CWStaircase("\ncontention windows (cf. paper Figs. 8/11)",
-			plot.Options{}, traces))
+			plot.Options{}, res.CWTraces))
 	}
 }
 
+// writeTraces writes the run's traces into dir, one CSV file each:
+// queue_<node>.csv, throughput_<flow>.csv and delay_<flow>.csv as
+// "t_seconds,value", and cw_<node>_to_<successor>.csv as "t_seconds,cw".
 func writeTraces(res *ezflow.Result, dir string) error {
-	b := trace.NewBundle()
+	files := map[string]*bytes.Buffer{}
+	series := func(name string, s *stats.Series) {
+		b := bytes.NewBufferString("t_seconds,value\n")
+		for _, p := range s.Points {
+			fmt.Fprintf(b, "%.3f,%g\n", p.T.Seconds(), p.V)
+		}
+		files[name] = b
+	}
 	for n, s := range res.QueueTraces {
-		b.Series[fmt.Sprintf("queue_%v", n)] = s
+		series(fmt.Sprintf("queue_%v.csv", n), s)
 	}
 	for f, fr := range res.Flows {
-		b.Series[fmt.Sprintf("throughput_%v", f)] = fr.Throughput
-		b.Series[fmt.Sprintf("delay_%v", f)] = fr.Delay
+		series(fmt.Sprintf("throughput_%v.csv", f), fr.Throughput)
+		series(fmt.Sprintf("delay_%v.csv", f), fr.Delay)
 	}
 	for key, tr := range res.CWTraces {
-		pts := make([]trace.CWPoint, len(tr))
-		for i, p := range tr {
-			pts[i] = trace.CWPoint{At: p.At, CW: p.CW}
+		b := bytes.NewBufferString("t_seconds,cw\n")
+		for _, p := range tr {
+			fmt.Fprintf(b, "%.3f,%d\n", p.At.Seconds(), p.CW)
 		}
-		b.CW[key] = pts
+		files["cw_"+strings.ReplaceAll(key, "->", "_to_")+".csv"] = b
 	}
-	_, err := b.WriteDir(dir)
-	return err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o666); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

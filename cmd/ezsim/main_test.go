@@ -1,14 +1,20 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ezflow"
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/scenario"
+	"ezflow/internal/stats"
 )
 
 // writeSpec writes a scenario file into a test directory and returns its
@@ -185,4 +191,135 @@ func TestPenaltyFactorFlag(t *testing.T) {
 	if cw := sc.Mesh.Node(0).SourceQueue(1).CWmin(); cw != 16*32 {
 		t.Errorf("source window = %d, want %d", cw, 16*32)
 	}
+}
+
+// TestTraceDir pins the -trace-dir output: one CSV per series, named
+// after its node, flow or relay link, with "t_seconds,value" or
+// "t_seconds,cw" headers, times in milliseconds and values in %g.
+func TestTraceDir(t *testing.T) {
+	var q, thr, delay stats.Series
+	q.Add(ezflow.Second, 1.5)
+	q.Add(2*ezflow.Second, 2)
+	thr.Add(10*ezflow.Second, 259.8784)
+	res := &ezflow.Result{
+		QueueTraces: map[ezflow.NodeID]*stats.Series{1: &q},
+		Flows:       map[ezflow.FlowID]*ezflow.FlowResult{1: {Throughput: &thr, Delay: &delay}},
+		CWTraces:    map[string][]ez.CWPoint{"N0->N1": {{At: ezflow.Second, CW: 32}, {At: 90 * ezflow.Second, CW: 64}}},
+	}
+	dir := t.TempDir()
+	if err := writeTraces(res, dir); err != nil {
+		t.Fatal(err)
+	}
+	got := readDir(t, dir)
+	file := func(t *testing.T, name, want string) {
+		t.Helper()
+		if got[name] != want {
+			t.Fatalf("%s = %q, want %q", name, got[name], want)
+		}
+	}
+
+	t.Run("series", func(t *testing.T) {
+		file(t, "queue_N1.csv", "t_seconds,value\n1.000,1.5\n2.000,2\n")
+		file(t, "throughput_F1.csv", "t_seconds,value\n10.000,259.8784\n")
+		file(t, "delay_F1.csv", "t_seconds,value\n")
+	})
+
+	t.Run("cw", func(t *testing.T) {
+		file(t, "cw_N0_to_N1.csv", "t_seconds,cw\n1.000,32\n90.000,64\n")
+	})
+
+	t.Run("names", func(t *testing.T) {
+		var names []string
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		want := []string{"cw_N0_to_N1.csv", "delay_F1.csv", "queue_N1.csv", "throughput_F1.csv"}
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("trace files %v, want %v", names, want)
+		}
+	})
+
+	t.Run("bad_path", func(t *testing.T) {
+		if err := writeTraces(res, "/dev/null/impossible"); err == nil {
+			t.Fatal("no error for an impossible directory")
+		}
+	})
+
+	t.Run("chain", func(t *testing.T) {
+		res := runArgs(t, "-topology", "chain", "-hops", "3", "-mode", "ezflow", "-duration", "12")
+		dir := t.TempDir()
+		if err := writeTraces(res, dir); err != nil {
+			t.Fatal(err)
+		}
+		files := readDir(t, dir)
+		var names []string
+		for name := range files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		want := []string{"cw_N0_to_N1.csv", "cw_N1_to_N2.csv", "delay_F1.csv",
+			"queue_N0.csv", "queue_N1.csv", "queue_N2.csv", "queue_N3.csv", "throughput_F1.csv"}
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("trace files %v, want %v", names, want)
+		}
+		check := func(name, header string, ts []ezflow.Time, vs []float64) {
+			t.Helper()
+			lines := strings.Split(strings.TrimSuffix(files[name], "\n"), "\n")
+			if lines[0] != header || len(lines) != len(ts)+1 {
+				t.Fatalf("%s: header %q and %d rows; want %q and %d", name, lines[0], len(lines)-1, header, len(ts))
+			}
+			for i, line := range lines[1:] {
+				tv, vv, _ := strings.Cut(line, ",")
+				sec, err1 := strconv.ParseFloat(tv, 64)
+				v, err2 := strconv.ParseFloat(vv, 64)
+				if err1 != nil || err2 != nil || math.Abs(sec-ts[i].Seconds()) > 5e-4 || v != vs[i] {
+					t.Fatalf("%s row %d = %q, want t=%v v=%g", name, i, line, ts[i], vs[i])
+				}
+			}
+		}
+		series := func(name string, s *stats.Series) {
+			t.Helper()
+			var ts []ezflow.Time
+			var vs []float64
+			for _, p := range s.Points {
+				ts, vs = append(ts, p.T), append(vs, p.V)
+			}
+			check(name, "t_seconds,value", ts, vs)
+		}
+		for n, s := range res.QueueTraces {
+			if s.Len() != 12 {
+				t.Errorf("%v: %d queue samples, want 12", n, s.Len())
+			}
+			series(fmt.Sprintf("queue_%v.csv", n), s)
+		}
+		series("throughput_F1.csv", res.Flows[1].Throughput)
+		series("delay_F1.csv", res.Flows[1].Delay)
+		for key, tr := range res.CWTraces {
+			var ts []ezflow.Time
+			var vs []float64
+			for _, p := range tr {
+				ts, vs = append(ts, p.At), append(vs, float64(p.CW))
+			}
+			check("cw_"+strings.ReplaceAll(key, "->", "_to_")+".csv", "t_seconds,cw", ts, vs)
+		}
+	})
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }

@@ -47,7 +47,6 @@ import (
 	"ezflow/internal/routing"
 	"ezflow/internal/sim"
 	"ezflow/internal/stats"
-	"ezflow/internal/trace"
 	"ezflow/internal/traffic"
 )
 
@@ -60,8 +59,6 @@ type (
 	FlowID = pkt.FlowID
 	// Time is virtual simulation time in nanoseconds.
 	Time = sim.Time
-	// Position is a node location in metres.
-	Position = phy.Position
 )
 
 // Second is one simulated second.
@@ -242,9 +239,9 @@ type Scenario struct {
 	Mesh    *mesh.Mesh
 	Sources map[FlowID]*traffic.Source
 	Meters  map[FlowID]*stats.FlowMeter
-	// QueueTraces samples each relay's forwarded-traffic backlog,
-	// batching samples through preallocated rings.
-	QueueTraces map[NodeID]*trace.Recorder
+	// QueueTraces samples each node's total MAC backlog every
+	// Cfg.QueueSample.
+	QueueTraces map[NodeID]*stats.Series
 	// Ctl is the deployed congestion controller, non-nil whenever the
 	// scenario runs one (any mode or controller name except plain 802.11).
 	Ctl ctl.Instance
@@ -452,7 +449,7 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		Mesh:        m,
 		Sources:     make(map[FlowID]*traffic.Source),
 		Meters:      make(map[FlowID]*stats.FlowMeter),
-		QueueTraces: make(map[NodeID]*trace.Recorder),
+		QueueTraces: make(map[NodeID]*stats.Series),
 		specs:       flows,
 	}
 
@@ -501,15 +498,23 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		sc.Ctl = info.Deploy(m, cfg.Ctl)
 	}
 
-	// Queue traces at every node that relays for some flow. Each ring
-	// holds at most the samples the run can take, so a short run on a
-	// large mesh does not preallocate DefaultRingSize samples per node.
-	ring := min(trace.DefaultRingSize, int(cfg.Duration/cfg.QueueSample)+1)
+	// Queue traces at every node. A trace's storage, sized to every
+	// sample the run can take, is allocated at its first tick rather
+	// than here, so wiring a large mesh stays cheap.
+	period := cfg.QueueSample
+	samples := int(cfg.Duration/period) + 1
 	for _, n := range m.Nodes() {
-		nn := n
-		sc.QueueTraces[n.ID] = trace.NewRecorder(eng,
-			fmt.Sprintf("queue-%v", n.ID), cfg.QueueSample, ring,
-			func() float64 { return float64(nn.MAC.TotalQueued()) })
+		s := &stats.Series{Name: fmt.Sprintf("queue-%v", n.ID)}
+		sc.QueueTraces[n.ID] = s
+		var tick func()
+		tick = func() {
+			if s.Points == nil {
+				s.Points = make([]stats.Point, 0, samples)
+			}
+			s.Add(eng.Now(), float64(n.MAC.TotalQueued()))
+			eng.ScheduleFunc(period, tick)
+		}
+		eng.ScheduleFunc(period, tick)
 	}
 
 	// Perturbation timeline, scheduled up front so the run stays a pure
@@ -665,9 +670,8 @@ func (sc *Scenario) Run() *Result {
 	res.Fairness = stats.JainIndex(thr)
 
 	for id, s := range sc.QueueTraces {
-		s.Stop()
-		res.QueueTraces[id] = &s.Series
-		res.MeanQueue[id] = s.Series.Mean()
+		res.QueueTraces[id] = s
+		res.MeanQueue[id] = s.Mean()
 	}
 	if dep, ok := sc.Ctl.(*ctl.Deployment); ok {
 		for _, r := range dep.Relays {

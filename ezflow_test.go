@@ -5,6 +5,7 @@ import (
 
 	"ezflow/internal/ctl"
 	"ezflow/internal/mesh"
+	"ezflow/internal/phy"
 	"ezflow/internal/sim"
 )
 
@@ -160,13 +161,75 @@ func TestWindowHelpers(t *testing.T) {
 	}
 }
 
+// TestQueueSamplingAllocs pins where queue traces allocate: wiring
+// allocates no sample storage, the first tick allocates room for every
+// sample of the run, and no later tick allocates.
+func TestQueueSamplingAllocs(t *testing.T) {
+	cfg := quickCfg(Mode80211, 120*Second)
+	sc := NewScenario(cfg, func(eng *sim.Engine) *mesh.Mesh {
+		m := mesh.New(eng, cfg.PHY, cfg.MAC)
+		m.AddNode(0, phy.Position{X: 0})
+		m.AddNode(1, phy.Position{X: 200})
+		return m
+	})
+	s := sc.QueueTraces[1]
+	if s.Points != nil {
+		t.Fatal("wiring allocated sample storage")
+	}
+	want := int(cfg.Duration/cfg.QueueSample) + 1
+	sc.Eng.Run(cfg.QueueSample)
+	if len(s.Points) != 1 || cap(s.Points) != want {
+		t.Fatalf("after the first tick: %d samples, capacity %d; want 1, %d", len(s.Points), cap(s.Points), want)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		sc.Eng.Run(sc.Eng.Now() + cfg.QueueSample)
+	}); avg != 0 {
+		t.Fatalf("queue sampling allocates %.1f objects per tick, want 0", avg)
+	}
+	res := sc.Run()
+	if got := res.QueueTraces[1]; got != s || len(s.Points) != 120 || cap(s.Points) != want {
+		t.Fatalf("whole run: %d samples, capacity %d; want 120, %d in the same series", len(s.Points), cap(s.Points), want)
+	}
+}
+
+// TestQueueSampling pins what queue traces hold: one sample per node per
+// QueueSample period, taken at the period multiples, in the very series
+// that Run hands to Result.
+func TestQueueSampling(t *testing.T) {
+	cfg := quickCfg(Mode80211, 10*Second)
+	sc := NewScenario(cfg, func(eng *sim.Engine) *mesh.Mesh {
+		m := mesh.New(eng, cfg.PHY, cfg.MAC)
+		m.AddNode(0, phy.Position{X: 0})
+		m.AddNode(1, phy.Position{X: 200})
+		return m
+	})
+	traces := sc.QueueTraces
+	res := sc.Run()
+	if len(res.QueueTraces) != 2 {
+		t.Fatalf("%d queue traces, want one per node", len(res.QueueTraces))
+	}
+	for n, s := range res.QueueTraces {
+		if s != traces[n] {
+			t.Fatalf("%v: Result holds another series than the scenario sampled into", n)
+		}
+		if s.Len() != 10 {
+			t.Fatalf("%v: %d samples, want 10", n, s.Len())
+		}
+		for i, p := range s.Points {
+			if p.T != Time(i+1)*cfg.QueueSample {
+				t.Fatalf("%v: sample %d at %v, want %v", n, i, p.T, Time(i+1)*cfg.QueueSample)
+			}
+		}
+	}
+}
+
 func TestCustomScenarioBuilder(t *testing.T) {
 	cfg := quickCfg(Mode80211, 60*Second)
 	sc := NewScenario(cfg, func(eng *sim.Engine) *mesh.Mesh {
 		m := mesh.New(eng, cfg.PHY, cfg.MAC)
-		m.AddNode(0, Position{X: 0})
-		m.AddNode(1, Position{X: 200})
-		m.AddNode(2, Position{X: 400})
+		m.AddNode(0, phy.Position{X: 0})
+		m.AddNode(1, phy.Position{X: 200})
+		m.AddNode(2, phy.Position{X: 400})
 		m.SetRoute(7, []NodeID{0, 1, 2})
 		return m
 	}, FlowSpec{Flow: 7, RateBps: 5e5})

@@ -143,7 +143,7 @@ func TestApplyMobilityWorkload(t *testing.T) {
 		}
 	})
 	t.Run("clients-rewrites-file-workload", func(t *testing.T) {
-		w := runSpec(Spec{Scenario: file}, Point{Clients: 7}).WorkloadSpec()
+		w := runSpec(Spec{Scenario: file}, Point{Clients: 7}).Workload
 		if w == nil || w.Clients != 7 {
 			t.Fatalf("clients override: %+v", w)
 		}
@@ -152,7 +152,7 @@ func TestApplyMobilityWorkload(t *testing.T) {
 		}
 	})
 	t.Run("clients-synthesizes-without-file", func(t *testing.T) {
-		w := runSpec(Spec{}, Point{Topology: "grid", Hops: 3, RateBps: 2e6, Clients: 5}).WorkloadSpec()
+		w := runSpec(Spec{}, Point{Topology: "grid", Hops: 3, RateBps: 2e6, Clients: 5}).Workload
 		if w == nil || w.Clients != 5 || w.Kind != "" {
 			t.Errorf("synthesized workload: %+v", w)
 		}

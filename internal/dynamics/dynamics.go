@@ -61,32 +61,37 @@ const (
 	FlowRate
 )
 
+// kindNames holds the scenario-file spelling of each kind, indexed by
+// kind.
+var kindNames = [...]string{
+	LinkDown:      "link-down",
+	LinkUp:        "link-up",
+	LinkLoss:      "link-loss",
+	NodeDown:      "node-down",
+	NodeUp:        "node-up",
+	RegionLoss:    "region-loss",
+	RegionRestore: "region-restore",
+	FlowStart:     "flow-start",
+	FlowStop:      "flow-stop",
+	FlowRate:      "flow-rate",
+}
+
 // String returns the scenario-file spelling of the kind.
 func (k Kind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case LinkLoss:
-		return "link-loss"
-	case NodeDown:
-		return "node-down"
-	case NodeUp:
-		return "node-up"
-	case RegionLoss:
-		return "region-loss"
-	case RegionRestore:
-		return "region-restore"
-	case FlowStart:
-		return "flow-start"
-	case FlowStop:
-		return "flow-stop"
-	case FlowRate:
-		return "flow-rate"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
+}
+
+// ParseKind returns the kind whose scenario-file spelling is s.
+func ParseKind(s string) (Kind, bool) {
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), true
+		}
+	}
+	return 0, false
 }
 
 // Fault reports whether events of this kind perturb the network — the

@@ -8,6 +8,7 @@ import (
 	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 	"ezflow/internal/mac"
+	"ezflow/internal/phy"
 	"ezflow/internal/pkt"
 	"ezflow/internal/sim"
 )
@@ -210,7 +211,7 @@ func TestRegionLossAndRestore(t *testing.T) {
 
 	script := (&dynamics.Script{}).
 		Add(dynamics.Event{At: 1 * ezflow.Second, Kind: dynamics.RegionLoss,
-			Center: ezflow.Position{X: 2 * 200, Y: 0}, Radius: 250, Loss: 0.9}).
+			Center: phy.Position{X: 2 * 200, Y: 0}, Radius: 250, Loss: 0.9}).
 		Add(dynamics.Event{At: 3 * ezflow.Second, Kind: dynamics.RegionRestore})
 	if err := sc.AddDynamics(script); err != nil {
 		t.Fatal(err)

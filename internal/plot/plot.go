@@ -7,9 +7,10 @@ package plot
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
-	"ezflow/internal/sim"
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/stats"
 )
 
@@ -132,18 +133,13 @@ func Chart(title string, opts Options, series ...*stats.Series) string {
 
 // CWStaircase renders a contention-window trace as a log2 staircase, the
 // form of the paper's Figures 8 and 11.
-func CWStaircase(title string, opts Options, traces map[string][]CWPoint) string {
+func CWStaircase(title string, opts Options, traces map[string][]ez.CWPoint) string {
 	series := make([]*stats.Series, 0, len(traces))
 	names := make([]string, 0, len(traces))
 	for name := range traces {
 		names = append(names, name)
 	}
-	// Sorted for deterministic rendering.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names) // deterministic rendering
 	for _, name := range names {
 		s := &stats.Series{Name: name}
 		for _, p := range traces[name] {
@@ -155,10 +151,4 @@ func CWStaircase(title string, opts Options, traces map[string][]CWPoint) string
 		opts.YLabel = "log2(cw)"
 	}
 	return Chart(title, opts, series...)
-}
-
-// CWPoint mirrors a contention-window sample.
-type CWPoint struct {
-	At sim.Time
-	CW int
 }

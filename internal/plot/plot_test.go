@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/sim"
 	"ezflow/internal/stats"
 )
@@ -71,9 +72,9 @@ func TestChartSinglePoint(t *testing.T) {
 }
 
 func TestCWStaircase(t *testing.T) {
-	traces := map[string][]CWPoint{
-		"N0->N1": {{0, 32}, {100 * sim.Second, 64}, {200 * sim.Second, 128}},
-		"N1->N2": {{0, 32}},
+	traces := map[string][]ez.CWPoint{
+		"N0->N1": {{At: 0, CW: 32}, {At: 100 * sim.Second, CW: 64}, {At: 200 * sim.Second, CW: 128}},
+		"N1->N2": {{At: 0, CW: 32}},
 	}
 	out := CWStaircase("cw", Options{Width: 30, Height: 6}, traces)
 	if !strings.Contains(out, "log2(cw)") {
@@ -85,8 +86,8 @@ func TestCWStaircase(t *testing.T) {
 }
 
 func TestChartDeterministic(t *testing.T) {
-	traces := map[string][]CWPoint{
-		"b": {{0, 32}}, "a": {{0, 64}}, "c": {{0, 16}},
+	traces := map[string][]ez.CWPoint{
+		"b": {{At: 0, CW: 32}}, "a": {{At: 0, CW: 64}}, "c": {{At: 0, CW: 16}},
 	}
 	x := CWStaircase("t", Options{}, traces)
 	for i := 0; i < 5; i++ {

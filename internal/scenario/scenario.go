@@ -89,7 +89,7 @@ type Spec struct {
 	Mobility *Mobility `json:"mobility,omitempty"`
 	// Workload expands a gateway-scale client flow population in addition
 	// to Flows; see ezflow.WorkloadSpec.
-	Workload *Workload `json:"workload,omitempty"`
+	Workload *ezflow.WorkloadSpec `json:"workload,omitempty"`
 	// Dynamics is the perturbation timeline, in any order (events are
 	// scheduled by their at_sec).
 	Dynamics []Event `json:"dynamics,omitempty"`
@@ -115,27 +115,6 @@ type Mobility struct {
 	TraceFile string `json:"trace_file,omitempty"`
 	// Seed overrides the run seed for trajectory generation.
 	Seed int64 `json:"seed,omitempty"`
-}
-
-// Workload is the declarative form of ezflow.WorkloadSpec.
-type Workload struct {
-	// Kind: downlink (default) | uplink.
-	Kind string `json:"kind,omitempty"`
-	// Clients is the population size (required, > 0).
-	Clients int `json:"clients"`
-	// RateBps is the per-client rate while active (default 200 kb/s).
-	RateBps float64 `json:"rate_bps,omitempty"`
-	// Bytes is the packet size (default 1028).
-	Bytes int `json:"bytes,omitempty"`
-	// Gateway is the gateway node id (default 0).
-	Gateway int `json:"gateway,omitempty"`
-	// OnMeanSec/OffMeanSec select exponential on/off bursty clients.
-	OnMeanSec  float64 `json:"on_mean_sec,omitempty"`
-	OffMeanSec float64 `json:"off_mean_sec,omitempty"`
-	// ArrivalPerSec/HoldMeanSec select a Poisson arrival/departure
-	// population.
-	ArrivalPerSec float64 `json:"arrival_per_sec,omitempty"`
-	HoldMeanSec   float64 `json:"hold_mean_sec,omitempty"`
 }
 
 // Topology selects one of the repository's network builders.
@@ -205,20 +184,6 @@ type Event struct {
 	// Reroute triggers BFS route repair after the event applies. Only
 	// link-down/link-up/node-down/node-up accept it.
 	Reroute bool `json:"reroute,omitempty"`
-}
-
-// eventKinds maps scenario-file spellings to dynamics kinds.
-var eventKinds = map[string]dynamics.Kind{
-	"link-down":      dynamics.LinkDown,
-	"link-up":        dynamics.LinkUp,
-	"link-loss":      dynamics.LinkLoss,
-	"node-down":      dynamics.NodeDown,
-	"node-up":        dynamics.NodeUp,
-	"region-loss":    dynamics.RegionLoss,
-	"region-restore": dynamics.RegionRestore,
-	"flow-start":     dynamics.FlowStart,
-	"flow-stop":      dynamics.FlowStop,
-	"flow-rate":      dynamics.FlowRate,
 }
 
 // ParseMode maps the scenario-file and CLI spellings of the four control
@@ -467,7 +432,7 @@ func (s *Spec) Validate() error {
 		if w.Gateway < 0 {
 			return fmt.Errorf("scenario: workload gateway %d is negative", w.Gateway)
 		}
-		if err := w.spec().Validate(); err != nil {
+		if err := w.Validate(); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -476,7 +441,7 @@ func (s *Spec) Validate() error {
 		dur = ezflow.DefaultDuration.Seconds()
 	}
 	for i, ev := range s.Dynamics {
-		if _, ok := eventKinds[ev.Kind]; !ok {
+		if _, ok := dynamics.ParseKind(ev.Kind); !ok {
 			return fmt.Errorf("scenario: dynamics[%d]: unknown kind %q", i, ev.Kind)
 		}
 		if ev.AtSec < 0 {
@@ -496,9 +461,10 @@ func (s *Spec) Script() *dynamics.Script {
 	}
 	sc := &dynamics.Script{}
 	for _, ev := range s.Dynamics {
+		kind, _ := dynamics.ParseKind(ev.Kind) // Validate rejects unknown kinds
 		sc.Add(dynamics.Event{
 			At:      sim.FromSeconds(ev.AtSec),
-			Kind:    eventKinds[ev.Kind],
+			Kind:    kind,
 			A:       pkt.NodeID(ev.A),
 			B:       pkt.NodeID(ev.B),
 			Node:    pkt.NodeID(ev.Node),
@@ -512,29 +478,6 @@ func (s *Spec) Script() *dynamics.Script {
 		})
 	}
 	return sc
-}
-
-// spec converts the declarative workload block into the ezflow form.
-func (w *Workload) spec() *ezflow.WorkloadSpec {
-	return &ezflow.WorkloadSpec{
-		Kind:          w.Kind,
-		Clients:       w.Clients,
-		RateBps:       w.RateBps,
-		Bytes:         w.Bytes,
-		Gateway:       ezflow.NodeID(w.Gateway),
-		OnMeanSec:     w.OnMeanSec,
-		OffMeanSec:    w.OffMeanSec,
-		ArrivalPerSec: w.ArrivalPerSec,
-		HoldMeanSec:   w.HoldMeanSec,
-	}
-}
-
-// WorkloadSpec resolves the spec's workload block, nil when absent.
-func (s *Spec) WorkloadSpec() *ezflow.WorkloadSpec {
-	if s.Workload == nil {
-		return nil
-	}
-	return s.Workload.spec()
 }
 
 // MobilityConfig resolves the spec's mobility block into a runnable
@@ -659,7 +602,7 @@ func (s *Spec) SetMobility(model string) {
 // or synthesizes an always-on downlink population when the spec has no
 // workload block. Like SetMobility it copies the block.
 func (s *Spec) SetClients(n int) {
-	var w Workload
+	var w ezflow.WorkloadSpec
 	if s.Workload != nil {
 		w = *s.Workload
 	}
@@ -697,7 +640,7 @@ func (s *Spec) BuildWith(cfg ezflow.Config, flows []ezflow.FlowSpec) (sc *ezflow
 		cfg.Mobility = mc
 	}
 	if cfg.Workload == nil {
-		cfg.Workload = s.WorkloadSpec()
+		cfg.Workload = s.Workload
 	}
 	kind, err := Topologies.Lookup(s.Topology.Kind)
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/dynamics"
 	"ezflow/internal/scenario"
 )
 
@@ -99,6 +101,31 @@ func TestBuildAllTopologyKinds(t *testing.T) {
 		}
 		if len(sc.Mesh.Flows()) == 0 {
 			t.Errorf("%s: no default flows installed", kind)
+		}
+	}
+}
+
+// TestDynamicsKindSpellings parses every dynamics kind by the spelling
+// its String method prints, and rejects any other spelling with the
+// unknown-kind error.
+func TestDynamicsKindSpellings(t *testing.T) {
+	event := func(kind string) []byte {
+		return fmt.Appendf(nil, `{"topology": {"kind": "chain"}, "dynamics": [{"at_sec": 1, "kind": %q}]}`, kind)
+	}
+	for k := dynamics.LinkDown; k <= dynamics.FlowRate; k++ {
+		spec, err := scenario.Parse(event(k.String()))
+		if err != nil {
+			t.Errorf("%v: %v", k, err)
+			continue
+		}
+		if got := spec.Script().Events[0].Kind; got != k {
+			t.Errorf("%q parsed as %v", k.String(), got)
+		}
+	}
+	for _, bad := range []string{"meteor", "unknown", "", "Link-Down"} {
+		want := fmt.Sprintf("scenario: dynamics[0]: unknown kind %q", bad)
+		if _, err := scenario.Parse(event(bad)); err == nil || err.Error() != want {
+			t.Errorf("kind %q: error %v, want %s", bad, err, want)
 		}
 	}
 }
@@ -348,7 +375,7 @@ func TestSetMobilityAndClients(t *testing.T) {
 	}
 	s = scenario.Spec{}
 	s.SetClients(2)
-	if !reflect.DeepEqual(s.Workload, &scenario.Workload{Clients: 2}) {
+	if !reflect.DeepEqual(s.Workload, &ezflow.WorkloadSpec{Clients: 2}) {
 		t.Errorf("synthesized workload: %+v", s.Workload)
 	}
 	if !reflect.DeepEqual(orig, pristine) {

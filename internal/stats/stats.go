@@ -153,10 +153,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t sim.Time, v float64) { s.Points = append(s.Points, Point{t, v}) }
 
-// AddBatch appends a block of samples in one grow-and-copy step — the
-// flush path of trace.Ring.
-func (s *Series) AddBatch(pts []Point) { s.Points = append(s.Points, pts...) }
-
 // Len reports the number of points.
 func (s *Series) Len() int { return len(s.Points) }
 
@@ -283,8 +279,3 @@ func (f *FlowMeter) Close(now sim.Time) {
 		f.flushBin()
 	}
 }
-
-// Periodic probe sampling lives in internal/trace (Recorder), which
-// batches samples through a preallocated ring before they reach a
-// Series; the paper's queue-occupancy traces (Figs. 1 and 4) are built
-// that way.

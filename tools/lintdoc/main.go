@@ -3,8 +3,8 @@
 // offline): every package must carry a package-level doc comment, every
 // exported symbol of the public root package (ezflow) and of every
 // internal/... package must have a doc comment, and every exported
-// identifier under internal/ must have a use outside tests in the root
-// or bench/ module (see checkUnused). It exits non-zero with a file:line
+// identifier of the root package or under internal/ must have a use
+// outside tests in the root or bench/ module (see checkUnused). It exits non-zero with a file:line
 // report when any rule is violated.
 //
 // Usage (from the module root):

@@ -4,7 +4,8 @@ package main
 import (
 	"os"
 
+	"fixture"
 	"fixture/internal/lib"
 )
 
-func main() { os.Exit(lib.BenchUsed() - 2) }
+func main() { os.Exit(lib.BenchUsed() - fixture.Version) }

@@ -17,13 +17,15 @@ import (
 	"strings"
 )
 
-// allowed names the exported identifiers under internal/ that are kept with
-// no use outside tests, each with the reason. Keys are relative to the
-// module's internal/ directory: "pkg.Name" or "pkg.Type.Method". An entry
-// that is gone, or that production code now uses, is itself reported.
+// allowed names the exported identifiers of the root package and under
+// internal/ that are kept with no use outside tests, each with the reason.
+// Keys name the package relative to the module root, "internal/pkg.Name"
+// or "internal/pkg.Type.Method"; the root package keeps its own name,
+// "ezflow.Name". An entry that is gone, or that production code now uses,
+// is itself reported.
 var allowed = map[string]string{
-	"phy.Channel.VerifyIndex": "oracle: mesh, mobility and root tests check the incremental neighbor index against a rebuild",
-	"mac.MAC.AddDropHook":     "oracle: the packet-path reference switch of TestOverflowFastPathMatchesPacketPath",
+	"internal/phy.Channel.VerifyIndex": "oracle: mesh, mobility and root tests check the incremental neighbor index against a rebuild",
+	"internal/mac.MAC.AddDropHook":     "oracle: the packet-path reference switch of TestOverflowFastPathMatchesPacketPath",
 }
 
 // modules is the non-test code of a main module and of the modules that
@@ -97,12 +99,13 @@ func load(dirs ...string) (*modules, error) {
 }
 
 // checkUnused type-checks every package of m and reports each exported
-// identifier under the main module's internal/ tree that no package of m
-// uses. A method that some type selects to implement an interface needs
-// no caller, nor does the Unwrap, Is or As method of an error type (the
-// errors package asserts those). allow exempts deliberate test oracles.
+// identifier of the main module's root package or internal/ tree that no
+// package of m uses. A method that some type selects to implement an
+// interface needs no caller, nor does the Unwrap, Is or As method of an
+// error type (the errors package asserts those). allow exempts deliberate
+// test oracles.
 func checkUnused(m *modules, allow map[string]string) ([]string, error) {
-	prefix := m.path + "/internal/"
+	prefix := m.path + "/"
 	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(m.exports[path])
 	})
@@ -142,10 +145,10 @@ func checkUnused(m *modules, allow map[string]string) ([]string, error) {
 			used[objectKey(obj)] = true
 		}
 		reach(pkg)
-		internal := strings.HasPrefix(p.ImportPath, prefix)
+		checked := p.ImportPath == m.path || strings.HasPrefix(p.ImportPath, prefix+"internal/")
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
-			if internal && obj.Exported() {
+			if checked && obj.Exported() {
 				decls[objectKey(obj)] = obj
 			}
 			n, ok := obj.Type().(*types.Named)
@@ -153,7 +156,7 @@ func checkUnused(m *modules, allow map[string]string) ([]string, error) {
 				continue
 			}
 			named = append(named, n)
-			for i := 0; internal && i < n.NumMethods(); i++ {
+			for i := 0; checked && i < n.NumMethods(); i++ {
 				if f := n.Method(i); f.Exported() {
 					decls[objectKey(f)] = f
 				}

@@ -7,15 +7,16 @@ import (
 )
 
 // TestCheckUnused runs the unused-export check over the two-module fixture
-// in testdata/fixture. Exactly the dead export, the export only a test
-// calls and the allowlist entry that names nothing may be reported; the
-// interface implementation, the Unwrap method, the allowlisted oracle and
-// the export only the second module calls must pass.
+// in testdata/fixture. Exactly the dead exports of the root package and of
+// internal/lib, the export only a test calls and the allowlist entry that
+// names nothing may be reported; the interface implementation, the Unwrap
+// method, the allowlisted oracle and the exports only the second module
+// uses must pass.
 func TestCheckUnused(t *testing.T) {
 	root := filepath.Join("testdata", "fixture")
 	allow := map[string]string{
-		"lib.Oracle": "test oracle",
-		"lib.Gone":   "names an identifier that no longer exists",
+		"internal/lib.Oracle": "test oracle",
+		"internal/lib.Gone":   "names an identifier that no longer exists",
 	}
 	m, err := load(root, filepath.Join(root, "bench"))
 	if err != nil {
@@ -26,9 +27,10 @@ func TestCheckUnused(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"exported lib.Dead has no use outside tests",
-		"exported lib.TestOnly has no use outside tests",
-		"allowlist entry lib.Gone names no identifier",
+		"exported fixture.Unused has no use outside tests",
+		"exported internal/lib.Dead has no use outside tests",
+		"exported internal/lib.TestOnly has no use outside tests",
+		"allowlist entry internal/lib.Gone names no identifier",
 	}
 	if len(problems) != len(want) {
 		t.Fatalf("got %d problems, want %d:\n%s", len(problems), len(want), strings.Join(problems, "\n"))

@@ -44,23 +44,25 @@ const DefaultWorkloadRateBps = 200e3
 //     member; see traffic.ArrivalSchedule).
 type WorkloadSpec struct {
 	// Kind is WorkloadDownlink (default when empty) or WorkloadUplink.
-	Kind string
+	Kind string `json:"kind,omitempty"`
 	// Clients is the population size (required, > 0).
-	Clients int
+	Clients int `json:"clients"`
 	// RateBps is the per-client rate while active (default
 	// DefaultWorkloadRateBps).
-	RateBps float64
+	RateBps float64 `json:"rate_bps,omitempty"`
 	// Bytes is the packet size (default Config.PacketBytes).
-	Bytes int
+	Bytes int `json:"bytes,omitempty"`
 	// Gateway is the gateway node (default 0, every builder's gateway).
-	Gateway NodeID
+	Gateway NodeID `json:"gateway,omitempty"`
 	// OnMeanSec and OffMeanSec select on/off bursty clients: mean burst
 	// and mean silence in seconds. Set both or neither.
-	OnMeanSec, OffMeanSec float64
+	OnMeanSec  float64 `json:"on_mean_sec,omitempty"`
+	OffMeanSec float64 `json:"off_mean_sec,omitempty"`
 	// ArrivalPerSec and HoldMeanSec select a Poisson arrival/departure
 	// population: per-slot arrival rate and mean hold in seconds. Set
 	// both or neither, and not together with the on/off pair.
-	ArrivalPerSec, HoldMeanSec float64
+	ArrivalPerSec float64 `json:"arrival_per_sec,omitempty"`
+	HoldMeanSec   float64 `json:"hold_mean_sec,omitempty"`
 }
 
 // Validate checks the spec's internal consistency — the same check
