@@ -26,10 +26,11 @@ test:
 
 # fuzz is a short smoke over the hostile-input decoders: the scenario
 # JSON loader, the shard worker frame protocol (plus the chaos-spec
-# grammar), and the mobility trace-file parser; plus the event engine's
-# differential order check (heap and lanes against the heap-only
-# reference). Ten seconds each is enough to catch decode panics and
-# order slips in CI; crank FUZZTIME for a real soak.
+# grammar), and the mobility trace-file parser; plus two differential
+# checks: the event engine's order (heap and lanes against the
+# heap-only reference) and PHY batch moves (MoveNodes against the same
+# moves applied one at a time). Ten seconds each is enough to catch
+# decode panics and order slips in CI; crank FUZZTIME for a real soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/scenario
@@ -37,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility
 	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzMoveNodes$$' -fuzztime=$(FUZZTIME) ./internal/phy
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages) and
@@ -69,11 +71,12 @@ staticcheck:
 # routing strategies (pure route-computation cost per registry entry
 # plus the lossy-disk rerun per strategy), the fabric cache
 # (key derivation and a store Put+Get round trip — the fixed overhead
-# a cache hit pays to skip a simulation), the mobility path (a
-# single incremental phy.MoveNode re-index, pinned at zero steady-state
-# allocs, one mobility tick that steps all 200 stations of a disk, plus
-# a full 200-node waypoint disk run and one route-repair round over the
-# mobile workload's disk), and large-disk set-up
+# a cache hit pays to skip a simulation), the mobility path (one
+# phy.Channel.MoveNodes batch on a 200-node disk — a tick that steps all
+# 200 stations and a sparse one that moves 1, each one index rebuild,
+# pinned at zero steady-state allocs by TestMoveNodesSteadyStateAllocs —
+# plus a full 200-node waypoint disk run and one route-repair round over
+# the mobile workload's disk), and large-disk set-up
 # (mesh.RandomDiskLossy at 200 and 400 nodes with its connectivity
 # resampling, and one full PHY neighbor-index build) — gates them against
 # the committed baseline (BENCH_PR8.json; >25% allocs/op regression
@@ -87,7 +90,7 @@ bench:
 	    -benchmem -run='^$$' -benchtime=20x . | tee /tmp/bench.out
 	$(GO) test -bench='^BenchmarkEngine' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/sim | tee -a /tmp/bench.out
-	$(GO) test -bench='^BenchmarkChannelTransmit|^BenchmarkMoveNode$$|^BenchmarkBuildIndex$$' -benchmem -run='^$$' -benchtime=1s \
+	$(GO) test -bench='^BenchmarkChannelTransmit|^BenchmarkMoveNodes$$|^BenchmarkBuildIndex$$' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/phy | tee -a /tmp/bench.out
 	$(GO) test -bench='^BenchmarkRandomDiskBuild$$' -benchmem -run='^$$' -benchtime=20x \
 	    ./internal/mesh | tee -a /tmp/bench.out

@@ -32,8 +32,8 @@
 // run. -speed and -pause tune the model; -clients synthesizes a
 // gateway-centred downlink client population (or resizes a scenario
 // file's workload block). Node 0 (the gateway) never moves. Mobile runs
-// re-patch the PHY neighbor index incrementally on every position tick
-// and repair routes through the active routing strategy:
+// rebuild the PHY neighbor index once per position tick and repair
+// routes through the active routing strategy:
 //
 //	ezsim -topology grid -grid-w 4 -grid-h 4 -mobility waypoint -speed 3
 //	ezsim -scenario examples/mobility/waypoint.json

@@ -6,10 +6,11 @@
 // -scenario file.json` accepts — a 4x4 grid whose relays roam at 3 m/s
 // under the random-waypoint model while the gateway (mains-powered
 // street furniture) stays pinned, serving a bursty 8-client downlink
-// population. Every position tick re-patches the PHY neighbor index
-// incrementally (phy.MoveNode) and, whenever decode-range membership
-// changes, repairs every route through the active routing strategy —
-// the same repair path scripted link failures use. Runs are
+// population. Every position tick moves its stations in one batch,
+// rebuilding the PHY neighbor index once (phy.Channel.MoveNodes), and,
+// whenever decode-range membership changes, repairs every route through
+// the active routing strategy — the same repair path scripted link
+// failures use. Runs are
 // deterministic: the same file and seed reproduce every move, repair,
 // and delivery.
 //

@@ -173,8 +173,8 @@ type Config struct {
 
 	// Mobility, when non-nil and naming a model, attaches the
 	// position-update engine of internal/mobility: stations move on the
-	// simulation clock, the PHY neighbor index is re-patched
-	// incrementally (phy.MoveNode), and route maintenance is delegated
+	// simulation clock, each tick's moves rebuild the PHY neighbor index
+	// once (phy.Channel.MoveNodes), and route maintenance is delegated
 	// to the active routing strategy whenever decode-range link
 	// membership changes — through dynamics repair when a script is
 	// attached, the same reroute-all path otherwise. Zero-value fields

@@ -15,8 +15,8 @@ import (
 // crossing a pinned-static topology against the file's 8 m/s waypoint
 // commuters, under both control planes. The off column pins that a
 // mobile-capable campaign run with mobility off stays byte-identical
-// over time; the waypoint column pins every move, incremental re-index,
-// and strategy-driven repair of a mobile run.
+// over time; the waypoint column pins every move, index rebuild, and
+// strategy-driven repair of a mobile run.
 func goldenMobilitySpec(t *testing.T) Spec {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "golden_mobility_scenario.json"))
@@ -61,8 +61,8 @@ func runGoldenMobility(t *testing.T, parallel int) (js, cs []byte) {
 // TestGoldenMobilityCampaigns pins the mobility subsystem byte-for-byte
 // against committed goldens at several worker counts AND shard counts —
 // the acceptance test of the mobility tentpole. A single extra RNG
-// draw, a reordered position tick, or one link patched differently by
-// the incremental re-indexer changes delivered counts and fails this
+// draw, a reordered position tick, or one link built differently by
+// the per-tick index rebuild changes delivered counts and fails this
 // test at every concurrency level.
 //
 // Regenerate (only after an intentional behaviour change) with

@@ -14,8 +14,8 @@ import (
 // (gateway pinned — it is mains-powered street furniture), serves a
 // downlink client population in two shapes (steady CBR and bursty
 // on/off), and reruns the whole thing statically as the control column.
-// Every position tick re-patches the PHY neighbor index incrementally
-// (phy.MoveNode) and repairs routes through the active routing
+// Every position tick rebuilds the PHY neighbor index once for all its
+// moves (phy.Channel.MoveNodes) and repairs routes through the active routing
 // strategy — the same repair path scripted link failures use.
 
 // MobilitySpeedMps is the roaming speed: 3 m/s, a brisk pedestrian —

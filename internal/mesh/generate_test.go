@@ -59,7 +59,8 @@ func TestGridDegenerate(t *testing.T) {
 func fingerprint(m *Mesh) string {
 	s := ""
 	for _, n := range m.Nodes() {
-		s += fmt.Sprintf("%v(%.3f,%.3f);", n.ID, n.Pos.X, n.Pos.Y)
+		p := m.Ch.Position(n.ID)
+		s += fmt.Sprintf("%v(%.3f,%.3f);", n.ID, p.X, p.Y)
 	}
 	for _, f := range m.Flows() {
 		s += fmt.Sprintf("%v=%v;", f, m.Route(f))

@@ -21,7 +21,6 @@ import (
 // Node is one mesh station: a MAC plus the network-layer forwarding state.
 type Node struct {
 	ID  pkt.NodeID
-	Pos phy.Position
 	MAC *mac.MAC
 
 	mesh *Mesh
@@ -174,7 +173,6 @@ func (m *Mesh) AddNode(id pkt.NodeID, pos phy.Position) *Node {
 	}
 	n := &Node{
 		ID:   id,
-		Pos:  pos,
 		MAC:  mac.New(m.Eng, m.Ch, id, pos, m.macCfg),
 		mesh: m,
 		fwdQ: make(map[pkt.NodeID]*mac.Queue),
@@ -189,18 +187,12 @@ func (m *Mesh) AddNode(id pkt.NodeID, pos phy.Position) *Node {
 // Node returns the node with the given id, or nil.
 func (m *Mesh) Node(id pkt.NodeID) *Node { return m.nodes[id] }
 
-// MoveNode relocates a node, incrementally patching the PHY neighbor
-// index (phy.MoveNode). It reports whether decode-range link membership
-// changed — the mobility engine's cue to run route repair. The node must
-// not be mid-transmission; callers gate on Ch.Transmitting.
-func (m *Mesh) MoveNode(id pkt.NodeID, pos phy.Position) bool {
-	n := m.nodes[id]
-	if n == nil {
-		panic(fmt.Sprintf("mesh: MoveNode for unknown node %v", id))
-	}
-	n.Pos = pos
-	return m.Ch.MoveNode(id, pos)
-}
+// MoveNodes relocates nodes in the order given and rebuilds the PHY
+// neighbor index once (phy.Channel.MoveNodes). It reports whether
+// decode-range link membership changed — the mobility engine's cue to
+// run route repair. No node may be mid-transmission; callers gate on
+// Ch.Transmitting.
+func (m *Mesh) MoveNodes(moves []phy.Move) bool { return m.Ch.MoveNodes(moves) }
 
 // Pool returns the packet/frame pool shared by the mesh's whole stack.
 // Traffic generators draw packets from it and Release their reference

@@ -12,12 +12,12 @@ import (
 )
 
 // TestMoveMatchesRebuild is the mobility stress test: it interleaves
-// phy.MoveNode, SetLinkDown/SetLinkLoss, node churn (mac.SetDown), and
-// route repair through the active routing strategy on one random-disk
-// topology — with live traffic pumping through the stack between
-// operations — and pins after every operation that the incrementally
-// patched neighbor index is identical to a from-scratch rebuild
-// (phy.Channel.VerifyIndex is the oracle). Several instances run
+// batches of moves (MoveNodes), SetLinkDown/SetLinkLoss, node churn
+// (mac.SetDown), and route repair through the active routing strategy on
+// one random-disk topology — with live traffic pumping through the stack
+// between operations — and pins after every operation that the neighbor
+// index matches a from-scratch recomputation (phy.Channel.VerifyIndex is
+// the oracle). Several instances run
 // concurrently so `go test -race` interleaves independent engines, the
 // way campaign workers do.
 func TestMoveMatchesRebuild(t *testing.T) {
@@ -68,19 +68,24 @@ func moveMatchesRebuild(t *testing.T, seed int64) {
 			}
 		case 3: // route repair through the active strategy
 			m.RerouteFlow(1, usable)
-		default: // the common case: a node moves
-			if m.Ch.Transmitting(id) {
-				break // mobility engine defers these; so does the test
+		default: // the common case: a batch of nodes moves
+			var moves []phy.Move
+			for range 1 + rng.Intn(4) {
+				id := ids[rng.Intn(len(ids))]
+				if m.Ch.Transmitting(id) {
+					continue // mobility engine defers these; so does the test
+				}
+				p := m.Ch.Position(id)
+				moves = append(moves, phy.Move{ID: id, Pos: phy.Position{
+					X: p.X + rng.NormFloat64()*radius/4,
+					Y: p.Y + rng.NormFloat64()*radius/4,
+				}})
 			}
-			p := m.Ch.Position(id)
-			m.MoveNode(id, phy.Position{
-				X: p.X + rng.NormFloat64()*radius/4,
-				Y: p.Y + rng.NormFloat64()*radius/4,
-			})
+			m.MoveNodes(moves)
 		}
 		pump()
 		if err := m.Ch.VerifyIndex(); err != nil {
-			t.Errorf("seed %d step %d: incremental index diverged from rebuild: %v", seed, step, err)
+			t.Errorf("seed %d step %d: index diverged from its geometry: %v", seed, step, err)
 			return
 		}
 	}

@@ -55,8 +55,9 @@ func placementFingerprint(m *Mesh) string {
 		h.Write(buf[:])
 	}
 	for _, n := range m.Nodes() {
-		put(n.Pos.X)
-		put(n.Pos.Y)
+		p := m.Ch.Position(n.ID)
+		put(p.X)
+		put(p.Y)
 	}
 	pos := fmt.Sprintf("%x", h.Sum(nil)[:8])
 	h.Reset()

@@ -1,17 +1,20 @@
 // The position-update engine: a self-rescheduling tick on the
 // simulation clock that queries the active model for every mobile
 // node's position (ascending node id — the repository's deterministic
-// iteration convention), applies it through mesh.MoveNode's incremental
-// PHY re-indexing, and runs one mesh.Repair round whenever decode-range
-// link membership changed — the same repair round scripted faults run.
+// iteration convention), applies the tick's moves as one batch through
+// mesh.MoveNodes (one PHY neighbor-index rebuild per tick), and runs one
+// mesh.Repair round whenever decode-range link membership changed — the
+// same repair round scripted faults run.
 //
 // Tick-ordering determinism: ticks fire at fixed multiples of the tick
 // interval, so their (time, sequence) order against every other event
-// is reproducible; within a tick, nodes move in ascending id order; a
-// node caught mid-transmission is skipped and simply jumps to its
-// model position at the next tick (the PHY lags the model by at most
-// one tick for that node — a pure function of sim state, so replays
-// agree). Moves consume no engine randomness.
+// is reproducible; within a tick, nodes move in ascending id order (the
+// batch's mover order, which fixes its change report and carrier-sense
+// callbacks; see phy.Channel.MoveNodes); a node caught mid-transmission
+// is left out of the batch and simply jumps to its model position at the
+// next tick (the PHY lags the model by at most one tick for that node —
+// a pure function of sim state, so replays agree). Moves consume no
+// engine randomness.
 package mobility
 
 import (
@@ -55,7 +58,7 @@ type Config struct {
 type Stats struct {
 	// Ticks is the number of position-update rounds fired.
 	Ticks uint64
-	// Moves is the number of MoveNode applications.
+	// Moves is the number of node moves applied (paused nodes included).
 	Moves uint64
 	// Deferred counts moves skipped because the node was mid-frame.
 	Deferred uint64
@@ -72,6 +75,7 @@ type Engine struct {
 	until  sim.Time
 	ids    []pkt.NodeID
 	mobile []bool
+	moves  []phy.Move // the tick's batch, reused across ticks
 	tickFn func()
 
 	// Stats accumulates engine activity.
@@ -131,7 +135,7 @@ func Attach(m *mesh.Mesh, cfg Config) (*Engine, error) {
 // determinism rules).
 func (e *Engine) step() {
 	now := e.m.Eng.Now()
-	changed := false
+	moves := e.moves[:0]
 	for k, id := range e.ids {
 		if !e.mobile[k] {
 			continue
@@ -141,13 +145,12 @@ func (e *Engine) step() {
 			e.Stats.Deferred++
 			continue
 		}
-		e.Stats.Moves++
-		if e.m.MoveNode(id, p) {
-			changed = true
-		}
+		moves = append(moves, phy.Move{ID: id, Pos: p})
 	}
+	e.moves = moves
+	e.Stats.Moves += uint64(len(moves))
 	e.Stats.Ticks++
-	if changed {
+	if e.m.MoveNodes(moves) {
 		e.Stats.Repairs++
 		e.m.Repair()
 	}

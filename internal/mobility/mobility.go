@@ -2,8 +2,8 @@
 // behind a name registry that mirrors internal/ctl's controller registry
 // and internal/routing's strategy registry, driven by a position-update
 // engine (engine.go) that ticks on the simulation clock and relocates
-// stations through mesh.MoveNode / phy.MoveNode's incremental
-// neighbor-index patching.
+// each tick's stations in one batch through mesh.MoveNodes, which
+// rebuilds the PHY neighbor index once per tick (phy.Channel.MoveNodes).
 //
 // The paper's evaluation world is static relays; the meshes EZ-Flow
 // targets move. This package supplies the two standard evaluation

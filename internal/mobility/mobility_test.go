@@ -142,7 +142,7 @@ func buildMesh() (*sim.Engine, *mesh.Mesh) {
 
 // TestEngineMovesAndPinsFixed runs the waypoint engine over a grid and
 // checks: mobile nodes actually move, Fixed nodes never do, ticks stop
-// at the horizon, and the incremental index stays equal to the oracle.
+// at the horizon, and the rebuilt index stays equal to the oracle.
 func TestEngineMovesAndPinsFixed(t *testing.T) {
 	eng, m := buildMesh()
 	gwPos := m.Ch.Position(0)
@@ -164,12 +164,9 @@ func TestEngineMovesAndPinsFixed(t *testing.T) {
 		t.Fatalf("fixed gateway moved to %v", m.Ch.Position(0))
 	}
 	moved := false
-	for _, n := range m.Nodes() {
-		if n.ID != 0 && n.Pos != (phy.Position{X: float64(n.ID%3) * 200, Y: float64(n.ID/3) * 200}) {
+	for _, id := range m.Ch.NodeIDs() {
+		if id != 0 && m.Ch.Position(id) != (phy.Position{X: float64(id%3) * 200, Y: float64(id/3) * 200}) {
 			moved = true
-		}
-		if n.Pos != m.Ch.Position(n.ID) {
-			t.Fatalf("node %d: mesh position %v != channel position %v", n.ID, n.Pos, m.Ch.Position(n.ID))
 		}
 	}
 	if !moved {

@@ -5,21 +5,27 @@
 // spatially bounded deployment.
 package phy
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// SpatialGrid is a uniform spatial hash over a fixed slice of positions.
+// SpatialGrid is a uniform spatial hash over a slice of positions.
 // Cells are square with side equal to the query radius, so every point
 // within that radius of a probe lies in the probe's 3×3 cell
-// neighborhood. Within a cell, indices are stored ascending; Near
-// therefore returns candidates that are sorted per cell but not
-// globally — callers that need ascending order (the repository's
-// determinism convention for broadcast iteration) order the result
-// themselves (GatewayTree sorts, MoveNode reads a slot bitset back).
+// neighborhood. The cells share one flat index array, each cell a run of
+// ascending indices; Near therefore returns candidates that are sorted
+// per cell but not globally — callers that need ascending order (the
+// repository's determinism convention for broadcast iteration) order the
+// result themselves (GatewayTree sorts, buildIndex fills its lists in
+// slot order).
 type SpatialGrid struct {
 	cell       float64
 	minX, minY float64
 	cols, rows int
-	cells      [][]int32
+	// start[c] and start[c+1] bound cell c's run in idx.
+	start []int32
+	idx   []int32
 }
 
 // maxGridCellsPerAxis bounds grid memory when the deployment extent is
@@ -31,30 +37,50 @@ const maxGridCellsPerAxis = 1024
 // A non-positive or non-finite radius yields a single cell holding every
 // point (correct, no pruning).
 func NewSpatialGrid(pos []Position, radius float64) *SpatialGrid {
-	g := &SpatialGrid{cell: radius, cols: 1, rows: 1}
-	if len(pos) == 0 {
-		g.cells = make([][]int32, 1)
-		return g
+	g := &SpatialGrid{}
+	g.reset(pos, radius)
+	return g
+}
+
+// reset re-buckets g over pos for queries of the given radius, reusing
+// its storage: a counting sort of the indices by cell, so each cell's run
+// ascends.
+func (g *SpatialGrid) reset(pos []Position, radius float64) {
+	g.cell, g.cols, g.rows, g.minX, g.minY = radius, 1, 1, 0, 0
+	if len(pos) > 0 {
+		minX, minY := pos[0].X, pos[0].Y
+		maxX, maxY := minX, minY
+		for _, p := range pos[1:] {
+			minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
+			maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
+		}
+		g.minX, g.minY = minX, minY
+		if radius > 0 && !math.IsInf(radius, 1) {
+			g.cols = gridAxisCells(maxX-minX, radius)
+			g.rows = gridAxisCells(maxY-minY, radius)
+			// Honour the cap by coarsening the cells, never by dropping area.
+			g.cell = math.Max(radius, math.Max((maxX-minX)/float64(g.cols), (maxY-minY)/float64(g.rows))+1e-9)
+		}
 	}
-	minX, minY := pos[0].X, pos[0].Y
-	maxX, maxY := minX, minY
-	for _, p := range pos[1:] {
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
+	nc := g.cols * g.rows
+	g.start = slices.Grow(g.start[:0], nc+1)[:nc+1]
+	clear(g.start)
+	for _, p := range pos {
+		g.start[g.cellIndex(p)+1]++
 	}
-	g.minX, g.minY = minX, minY
-	if radius > 0 && !math.IsInf(radius, 1) {
-		g.cols = gridAxisCells(maxX-minX, radius)
-		g.rows = gridAxisCells(maxY-minY, radius)
-		// Honour the cap by coarsening the cells, never by dropping area.
-		g.cell = math.Max(radius, math.Max((maxX-minX)/float64(g.cols), (maxY-minY)/float64(g.rows))+1e-9)
+	for c := range nc {
+		g.start[c+1] += g.start[c]
 	}
-	g.cells = make([][]int32, g.cols*g.rows)
+	// Fill each cell at its cursor start[c], which leaves start[c] at the
+	// cell's end, the next cell's start; shifting restores the bounds.
+	g.idx = slices.Grow(g.idx[:0], len(pos))[:len(pos)]
 	for i, p := range pos {
 		c := g.cellIndex(p)
-		g.cells[c] = append(g.cells[c], int32(i))
+		g.idx[g.start[c]] = int32(i)
+		g.start[c]++
 	}
-	return g
+	copy(g.start[1:], g.start[:nc])
+	g.start[0] = 0
 }
 
 // gridAxisCells sizes one axis: enough cells of side `cell` to cover the
@@ -95,17 +121,21 @@ func (g *SpatialGrid) axisCell(d float64) int {
 // points lie in each other's 3×3 cell neighborhood: the pairs Near can
 // report, and so an upper bound on the pairs within the query radius.
 func (g *SpatialGrid) candidatePairs() int {
+	size := func(x, y int) int {
+		c := y*g.cols + x
+		return int(g.start[c+1] - g.start[c])
+	}
 	total := 0
 	for y := range g.rows {
 		for x := range g.cols {
-			k := len(g.cells[y*g.cols+x])
+			k := size(x, y)
 			if k == 0 {
 				continue
 			}
 			near := 0
 			for ny := max(y-1, 0); ny <= min(y+1, g.rows-1); ny++ {
 				for nx := max(x-1, 0); nx <= min(x+1, g.cols-1); nx++ {
-					near += len(g.cells[ny*g.cols+nx])
+					near += size(nx, ny)
 				}
 			}
 			total += k * (near - 1)
@@ -114,52 +144,17 @@ func (g *SpatialGrid) candidatePairs() int {
 	return total / 2
 }
 
-// Move re-buckets index i from its cell at `from` to its cell at `to`,
-// keeping cell contents ascending. Clamping makes the grid closed under
-// movement: a point that drifts outside the built extent lands in the
-// nearest edge cell, and because cellIndex is monotone and 1-Lipschitz
-// in cell units per axis, any probe within the query radius of the true
-// position still finds it in its 3×3 neighborhood. Cells only get less
-// selective (never incorrect) as points leave the original extent.
-func (g *SpatialGrid) Move(i int32, from, to Position) {
-	a, b := g.cellIndex(from), g.cellIndex(to)
-	if a == b {
-		return
-	}
-	ca := g.cells[a]
-	k := lowerBound32(ca, i)
-	if k >= len(ca) || ca[k] != i {
-		panic("phy: SpatialGrid.Move of unbucketed index")
-	}
-	copy(ca[k:], ca[k+1:])
-	g.cells[a] = ca[:len(ca)-1]
-	cb := append(g.cells[b], 0)
-	k = lowerBound32(cb[:len(cb)-1], i)
-	copy(cb[k+1:], cb[k:])
-	cb[k] = i
-	g.cells[b] = cb
-}
-
-// lowerBound32 returns the first index in the ascending slice s whose
-// value is >= v (len(s) when none is).
-func lowerBound32(s []int32, v int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Near appends to dst the indices of every stored position in the 3×3
 // cell neighborhood of p — a superset of the positions within the query
 // radius of p — and returns the extended slice. dst is reused across
 // calls to keep the build loop allocation-free after warmup.
 func (g *SpatialGrid) Near(p Position, dst []int32) []int32 {
+	return g.nearAbove(p, -1, dst)
+}
+
+// nearAbove is Near restricted to the indices above i: each cell's run
+// ascends, so a binary search skips the rest.
+func (g *SpatialGrid) nearAbove(p Position, i int32, dst []int32) []int32 {
 	cx := g.axisCell(p.X - g.minX)
 	cy := g.axisCell(p.Y - g.minY)
 	if cx >= g.cols {
@@ -178,7 +173,10 @@ func (g *SpatialGrid) Near(p Position, dst []int32) []int32 {
 			if x < 0 || x >= g.cols {
 				continue
 			}
-			dst = append(dst, g.cells[y*g.cols+x]...)
+			c := y*g.cols + x
+			run := g.idx[g.start[c]:g.start[c+1]]
+			k, _ := slices.BinarySearch(run, i+1)
+			dst = append(dst, run[k:]...)
 		}
 	}
 	return dst

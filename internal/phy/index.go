@@ -3,11 +3,11 @@
 // with per-pair math.Hypot/math.Pow and map lookups into an O(degree)
 // walk over flat, cache-resident link records.
 //
-// Geometry changes only through explicit position updates (phy.MoveNode,
-// driven by the mobility subsystem), so distances, received powers, and
-// the in-CS-range/in-Tx-range predicates are computed once, when the
-// first transmission freezes the topology, and thereafter patched
-// incrementally per move (move.go) instead of rebuilt. The other mutable
+// Geometry changes only through explicit position updates
+// (Channel.MoveNodes, driven by the mobility subsystem), so distances,
+// received powers, and the in-CS-range/in-Tx-range predicates are
+// computed when the first transmission freezes the topology and again
+// once per batch of moves, never per event. The other mutable
 // per-link state — erasure probability and severed flags, which the
 // dynamics subsystem toggles mid-run — is folded into the same records
 // and patched in place by SetLinkLoss/SetLinkDown, so the hot path never
@@ -32,6 +32,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -72,127 +73,149 @@ func (c Config) interferenceRange() float64 {
 	return c.CSRange * math.Pow(cr, 1/c.PathLossExp) * (1 + 1e-9)
 }
 
+// buildScratch holds buildIndex's working storage between builds, so a
+// rebuild over unchanged slots (every mobility tick's) allocates nothing
+// once the buffers have grown to the topology.
+type buildScratch struct {
+	grid  SpatialGrid
+	pos   []Position
+	cand  []int32
+	upper []int32 // pass 1's pairs: each pair's upper slot, grouped by lower slot
+	slots []buildSlot
+}
+
+// buildSlot is one station's bookkeeping during a build.
+type buildSlot struct {
+	upperEnd     int32 // the end of its pass-1 pairs in upper
+	n, cs        int32 // its records and in-CS records: counted, then written
+	base, csBase int32 // the offsets of its lists in the arenas
+}
+
 // buildIndex assigns dense slots in id order and computes every
 // station's neighbor list via a spatial hash, O(N·degree) for spatially
 // bounded deployments. Called lazily by the first transmission after a
-// topology change; it reads the loss/down maps so records are coherent
-// with mutations applied before the freeze. Dense per-slot event state
-// (sensed counts, busy flags, locked receptions) is migrated from the
-// previous slot assignment, so a rebuild between flights is transparent.
+// topology change, and by MoveNodes after each batch of moves; it reads
+// the loss/down maps so records are coherent with mutations applied
+// before the build. Dense per-slot event state (sensed counts, busy
+// flags, locked receptions) is migrated when AddNode has shifted the
+// slots since the last build and kept in place otherwise, so a rebuild
+// between or during flights is transparent.
 //
 // The lists are built in two passes and never sorted. Pass 1 finds every
-// in-range pair once, from its lower slot; counting each pair at both
-// ends gives every list's exact length, so the arenas are sized once.
-// Pass 1 keeps only each pair's upper slot, in a buffer sized up front
-// from the grid's cell populations, so the build allocates little beyond
-// the arenas it keeps. Pass 2 visits the stations y in ascending slot
-// order and appends y to the list of each of its neighbors, which leaves
-// every list ascending by slot. Distance is symmetric to the bit, so the
-// received power is computed once per pair and both directed records
-// carry the values a per-direction computation would give.
+// in-range pair once, from its lower slot, and keeps its upper slot;
+// counting each pair at both ends gives every list's exact length, so
+// the arenas are sized once. Its range tests read squared distances
+// (see reach), so it computes a distance only for the rare pair near a
+// range boundary. Pass 2 visits the stations y in ascending slot order,
+// computes each of y's pass-1 pairs' distance — once per pair — and
+// appends y to the list of each of its neighbors, which leaves every
+// list ascending by slot. Distance is symmetric to the bit, so both
+// directed records of a pair carry the values a per-direction
+// computation would give.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
-	r := c.radius
-	pos := make([]Position, n)
-	sensed := make([]int32, n)
-	busy := make([]bool, n)
-	rx := make([]reception, n)
-	for i, st := range c.order {
-		if st.slot >= 0 && int(st.slot) < len(c.sensed) {
-			sensed[i] = c.sensed[st.slot]
-			busy[i] = c.busyTx[st.slot]
-			rx[i] = c.rx[st.slot]
+	b := &c.build
+	if len(c.sensed) != n {
+		// AddNode has registered stations since the last build, so slots
+		// shifted: carry each station's event state to its new slot.
+		sensed := make([]int32, n)
+		busy := make([]bool, n)
+		rx := make([]reception, n)
+		for i, st := range c.order {
+			if st.slot >= 0 && int(st.slot) < len(c.sensed) {
+				sensed[i] = c.sensed[st.slot]
+				busy[i] = c.busyTx[st.slot]
+				rx[i] = c.rx[st.slot]
+			}
+			st.slot = int32(i)
 		}
-		st.slot = int32(i)
+		c.sensed, c.busyTx, c.rx = sensed, busy, rx
+	}
+	pos := slices.Grow(b.pos[:0], n)[:n]
+	for i, st := range c.order {
 		pos[i] = st.pos
 	}
-	c.sensed, c.busyTx, c.rx = sensed, busy, rx
+	b.pos = pos
 
-	g := NewSpatialGrid(pos, r)
-	c.grid = g
-	c.txListed = c.cfg.TxRange <= r
-	cand := c.scratch
+	g := &b.grid
+	g.reset(pos, c.nbrReach.lim)
+	c.txListed = c.cfg.TxRange <= c.nbrReach.lim
 
-	// Pass 1: the in-range pairs (i, j > i), grouped by i; count[i] and
-	// csCount[i] count i's neighbors and in-CS neighbors.
-	upper := make([]int32, 0, g.candidatePairs())
-	upperEnd := make([]int32, n)
-	count := make([]int32, n)
-	csCount := make([]int32, n)
-	for i := range pos {
-		cand = g.Near(pos[i], cand[:0])
+	// Pass 1: the in-range pairs (i, j > i), grouped by i; slots[i].n and
+	// slots[i].cs count i's neighbors and in-CS neighbors.
+	upper := slices.Grow(b.upper[:0], g.candidatePairs())
+	slots := slices.Grow(b.slots[:0], n)[:n]
+	clear(slots)
+	cand := b.cand
+	for i, p := range pos {
+		cand = g.nearAbove(p, int32(i), cand[:0])
+		si := &slots[i]
 		for _, j := range cand {
-			if int(j) <= i || c.beyond(pos[i], pos[j]) {
-				continue
-			}
-			d := pos[i].Dist(pos[j])
-			if d > r {
+			q := pos[j]
+			dx, dy := p.X-q.X, p.Y-q.Y
+			s := dx*dx + dy*dy
+			if !c.nbrReach.within(dx, dy, s) {
 				continue
 			}
 			upper = append(upper, j)
-			count[i]++
-			count[j]++
-			if d <= c.cfg.CSRange {
-				csCount[i]++
-				csCount[j]++
+			sj := &slots[j]
+			si.n++
+			sj.n++
+			if c.csReach.within(dx, dy, s) {
+				si.cs++
+				sj.cs++
 			}
 		}
-		upperEnd[i] = int32(len(upper))
+		si.upperEnd = int32(len(upper))
 	}
-	c.scratch = cand
+	b.cand, b.upper, b.slots = cand, upper, slots
 
 	// All per-station lists live in three shared arenas, sized exactly
 	// and sub-sliced per station: one allocation each instead of three
 	// per station, contiguous neighbor records, and — links being
 	// pointer-free — nothing for the garbage collector to scan or
 	// write-barrier.
-	var total, csTotal int
-	for i := range n {
-		total += int(count[i])
-		csTotal += int(csCount[i])
+	var total, csTotal int32
+	for i := range slots {
+		s := &slots[i]
+		s.base, s.csBase = total, csTotal
+		total += s.n
+		csTotal += s.cs
+		s.n, s.cs = 0, 0
 	}
-	c.linkArena = slices.Grow(c.linkArena[:0], total)[:total]
-	c.slotArena = slices.Grow(c.slotArena[:0], total)[:total]
-	c.csArena = slices.Grow(c.csArena[:0], csTotal)[:csTotal]
-	links, keys, cs := c.linkArena, c.slotArena, c.csArena
-	for i, st := range c.order {
-		k, ck := count[i], csCount[i]
-		st.nbrs, links = links[:k:k], links[k:]
-		st.nbrSlots, keys = keys[:k:k], keys[k:]
-		st.csNbrs, cs = cs[:ck:ck], cs[ck:]
-		st.nbrTwin = nil
-		st.owned = false
-	}
+	links := slices.Grow(c.linkArena[:0], int(total))[:total]
+	keys := slices.Grow(c.slotArena[:0], int(total))[:total]
+	cs := slices.Grow(c.csArena[:0], int(csTotal))[:csTotal]
+	c.linkArena, c.slotArena, c.csArena = links, keys, cs
 
-	// Pass 2: count[x] and csCount[x] now count the records written to
-	// x's lists. At y's turn, y's own list holds exactly its lower
+	// Pass 2: slots[x].n and slots[x].cs now count the records written
+	// to x's lists. At y's turn, y's own list holds exactly its lower
 	// neighbors (each appended y to it at its own turn), and its upper
 	// neighbors are its pass-1 pairs.
-	clear(count)
-	clear(csCount)
 	mutated := len(c.loss) > 0 || len(c.down) > 0
 	add := func(x, y int32, l link) {
-		st := c.order[x]
-		k := count[x]
-		count[x]++
+		s := &slots[x]
+		k := s.n
+		s.n++
 		if l.inCS {
-			st.csNbrs[csCount[x]] = k
-			csCount[x]++
+			cs[s.csBase+s.cs] = k
+			s.cs++
 		}
 		l.slot, l.down, l.loss = y, false, 0
 		if mutated {
-			key := linkKey{st.id, c.order[y].id}
+			key := linkKey{c.order[x].id, c.order[y].id}
 			l.down, l.loss = c.down[key], c.loss[key]
 		}
-		st.nbrs[k], st.nbrSlots[k] = l, y
+		links[s.base+k], keys[s.base+k] = l, y
 	}
 	var lo int32
-	for y, st := range c.order {
+	for y := range slots {
 		y := int32(y)
-		for _, l := range st.nbrs[:count[y]] {
+		s := &slots[y]
+		for _, l := range links[s.base : s.base+s.n] {
 			add(l.slot, y, l)
 		}
-		for _, j := range upper[lo:upperEnd[y]] {
+		for _, j := range upper[lo:s.upperEnd] {
 			d := pos[y].Dist(pos[j])
 			add(j, y, link{
 				inCS:  d <= c.cfg.CSRange,
@@ -200,31 +223,16 @@ func (c *Channel) buildIndex() {
 				power: c.cfg.power(d),
 			})
 		}
-		lo = upperEnd[y]
+		lo = s.upperEnd
 	}
-	c.indexed, c.twinned = true, false
-}
-
-// buildTwins fills every station's nbrTwin from a twin arena, in one
-// cursor pass over all records. Visiting the stations x in ascending
-// slot order meets the records toward any station y in the order y's
-// own list holds their reverse records (ascending by x), so a per-y
-// cursor walks y's list once. It runs on the first MoveNode after
-// buildIndex, while every list still lives in the build arenas.
-func (c *Channel) buildTwins() {
-	total := len(c.slotArena)
-	c.twinArena = slices.Grow(c.twinArena[:0], total)[:total]
-	twins := c.twinArena
-	cursor := make([]int32, len(c.order))
-	for _, st := range c.order {
-		k := len(st.nbrs)
-		st.nbrTwin, twins = twins[:k:k], twins[k:]
-		for i, y := range st.nbrSlots {
-			st.nbrTwin[i] = cursor[y]
-			cursor[y]++
-		}
+	for i, st := range c.order {
+		s := &slots[i]
+		end, csEnd := s.base+s.n, s.csBase+s.cs
+		st.nbrs = links[s.base:end:end]
+		st.nbrSlots = keys[s.base:end:end]
+		st.csNbrs = cs[s.csBase:csEnd:csEnd]
 	}
-	c.twinned = true
+	c.indexed = true
 }
 
 // neighbor returns the cached link record toward the station at the
@@ -292,6 +300,66 @@ func (c *Channel) cachedLink(a, b pkt.NodeID) *link {
 func (c *Channel) station(id pkt.NodeID) *Station {
 	if slot, ok := c.idx.Slot(id); ok {
 		return c.order[slot]
+	}
+	return nil
+}
+
+// VerifyIndex checks the neighbor index against a from-scratch
+// recomputation of the same geometry and link state, returning a
+// descriptive error on the first divergence (nil when the index is not
+// built: there is nothing to verify). It is O(N²) and allocates freely —
+// a correctness oracle for tests and stress harnesses, not a production
+// path.
+func (c *Channel) VerifyIndex() error {
+	if !c.indexed {
+		return nil
+	}
+	r := c.nbrReach.lim
+	for si, st := range c.order {
+		if st.slot != int32(si) {
+			return fmt.Errorf("station %v: slot %d, want %d", st.id, st.slot, si)
+		}
+		if len(st.nbrs) != len(st.nbrSlots) {
+			return fmt.Errorf("station %v: %d links vs %d slot keys", st.id, len(st.nbrs), len(st.nbrSlots))
+		}
+		// Expected neighbor list, straight from geometry and the maps.
+		var want []link
+		for oi, o := range c.order {
+			if oi == si {
+				continue
+			}
+			d := st.pos.Dist(o.pos)
+			if d > r {
+				continue
+			}
+			key := linkKey{st.id, o.id}
+			want = append(want, link{
+				slot:  int32(oi),
+				inCS:  d <= c.cfg.CSRange,
+				inTx:  d <= c.cfg.TxRange,
+				down:  c.down[key],
+				power: c.cfg.power(d),
+				loss:  c.loss[key],
+			})
+		}
+		if len(want) != len(st.nbrs) {
+			return fmt.Errorf("station %v: %d links, want %d", st.id, len(st.nbrs), len(want))
+		}
+		var cs []int32
+		for k := range want {
+			if got := st.nbrs[k]; got != want[k] {
+				return fmt.Errorf("station %v link %d: got %+v, want %+v", st.id, k, got, want[k])
+			}
+			if st.nbrSlots[k] != want[k].slot {
+				return fmt.Errorf("station %v slot key %d: got %d, want %d", st.id, k, st.nbrSlots[k], want[k].slot)
+			}
+			if want[k].inCS {
+				cs = append(cs, int32(k))
+			}
+		}
+		if !slices.Equal(cs, st.csNbrs) {
+			return fmt.Errorf("station %v: csNbrs %v, want %v", st.id, st.csNbrs, cs)
+		}
 	}
 	return nil
 }

@@ -388,7 +388,7 @@ func TestTxNeighborsMatchesInTxRange(t *testing.T) {
 		for step := range 1000 {
 			id := pkt.NodeID(rng.Intn(120))
 			p := ch.Position(id)
-			ch.MoveNode(id, Position{X: p.X + rng.NormFloat64()*extent/8, Y: p.Y + rng.NormFloat64()*extent/8})
+			ch.MoveNodes([]Move{{id, Position{X: p.X + rng.NormFloat64()*extent/8, Y: p.Y + rng.NormFloat64()*extent/8}}})
 			if step%50 == 49 {
 				check(t, ch, fmt.Sprintf("after %d moves", step+1))
 			}

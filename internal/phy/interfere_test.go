@@ -192,8 +192,8 @@ func (r *refChannel) check(t *testing.T, ch *Channel, reg *obs.Registry, when st
 // overlapping flights against the receiver-major reference, checking
 // after every start and finish the receptions, Stats.Collisions and
 // Stats.Captures, and the per-station obs counters. Between bursts, with
-// the air clear, random stations move through MoveNode, so the scan also
-// runs over incrementally patched neighbor lists.
+// the air clear, random stations move through MoveNodes, so the scan also
+// runs over neighbor lists rebuilt after moves.
 func TestInterferenceMatchesBruteForce(t *testing.T) {
 	cfg := DefaultConfig()
 	for seed := int64(1); seed <= 6; seed++ {
@@ -232,7 +232,7 @@ func TestInterferenceMatchesBruteForce(t *testing.T) {
 				for range 1 + rng.Intn(3) {
 					i := rng.Intn(n)
 					p := place()
-					ch.MoveNode(pkt.NodeID(i), p)
+					ch.MoveNodes([]Move{{pkt.NodeID(i), p}})
 					ref.pos[i] = p
 					moves++
 				}

@@ -138,20 +138,10 @@ type Station struct {
 	// interference range ascending by slot; nbrSlots mirrors their slots
 	// in a flat array for cache-dense binary search; csNbrs indexes the
 	// subsequence of nbrs within carrier-sense range (the only stations
-	// finish can owe a sensed-- or a delivery to). nbrTwin[k], once
-	// Channel.twinned is set, is the position of the reverse record in
-	// the list of the station at nbrs[k].slot, so MoveNode patches and
-	// removes reverse records without searching for them.
+	// finish can owe a sensed-- or a delivery to).
 	nbrs     []link
 	nbrSlots []int32
 	csNbrs   []int32
-	nbrTwin  []int32
-	// owned marks the four lists as station-private storage rather than
-	// arena sub-slices: MoveNode detaches a station (copy-on-write) the
-	// first time its list has to grow or shrink, so incremental resizes
-	// can never bleed into the neighbor packed after it in the arena. A
-	// full rebuild re-points everything at the arenas and clears it.
-	owned bool
 }
 
 // reception is the state of a receiver locked onto one frame. ns-2
@@ -185,37 +175,19 @@ type Channel struct {
 	// indexed marks the neighbor lists as built; AddNode clears it and
 	// the next transmission rebuilds (see index.go).
 	indexed bool
-	// twinned marks every station's nbrTwin as built for the current
-	// index. buildIndex clears it; the first MoveNode after a build sets
-	// it (see buildTwins), so runs that never move a node never pay for
-	// the twin arena.
-	twinned bool
-	scratch []int32 // candidate buffer reused across index builds
-	// radius is the neighbor-list radius (Config.interferenceRange, fixed
-	// at construction); radius2 is its square with a relative margin far
-	// wider than the rounding error of a sum of two squares, so a pair
-	// whose squared distance exceeds it is beyond radius whatever
-	// math.Hypot returns, and math.Hypot decides every other pair.
-	radius, radius2 float64
-	// grid is the spatial hash the last buildIndex bucketed the stations
-	// into, kept alive so MoveNode can re-bucket a moving station without
-	// rebuilding; moveBuf and twinBuf are MoveNode's reusable staging
-	// buffers for the new list and its twins, candBits its slot bitset
-	// for ordering grid candidates.
-	grid     *SpatialGrid
-	moveBuf  []link
-	twinBuf  []int32
-	candBits []uint64
+	// The neighbor-list radius (Config.interferenceRange), the
+	// carrier-sense range and the decode range, with their squared bounds.
+	nbrReach, csReach, txReach reach
+	build                      buildScratch // buildIndex's storage, kept between builds
+	moved                      []mover      // MoveNodes' applied moves, reused per batch
 	// txListed marks TxRange as within the neighbor-list radius, so every
 	// decodable pair has a record and TxNeighbors can walk the lists.
 	txListed bool
 	// Arenas backing every station's neighbor lists (sub-sliced by
-	// buildIndex, and by buildTwins for the twins); pointer-free, so
-	// invisible to the garbage collector.
+	// buildIndex); pointer-free, so invisible to the garbage collector.
 	linkArena []link
 	slotArena []int32
 	csArena   []int32
-	twinArena []int32
 	// Dense per-slot event state: the number of in-flight transmissions
 	// each station senses, whether it is itself transmitting, and the
 	// reception it is locked onto (rx[slot].tx == nil when idle). For
@@ -285,25 +257,40 @@ type linkKey struct{ a, b pkt.NodeID }
 
 // NewChannel creates an empty channel over the given engine.
 func NewChannel(eng *sim.Engine, cfg Config) *Channel {
-	r := cfg.interferenceRange()
 	return &Channel{
-		cfg:     cfg,
-		eng:     eng,
-		radius:  r,
-		radius2: r * r * (1 + 1e-9),
-		loss:    make(map[linkKey]float64),
-		down:    make(map[linkKey]bool),
-		pool:    pkt.NewPool(),
+		cfg:      cfg,
+		eng:      eng,
+		nbrReach: newReach(cfg.interferenceRange()),
+		csReach:  newReach(cfg.CSRange),
+		txReach:  newReach(cfg.TxRange),
+		loss:     make(map[linkKey]float64),
+		down:     make(map[linkKey]bool),
+		pool:     pkt.NewPool(),
 	}
 }
 
-// beyond reports whether p and q are certainly farther apart than the
-// neighbor-list radius, from their squared distance alone (see radius2).
-// A false result decides nothing: the caller still tests math.Hypot.
-func (c *Channel) beyond(p, q Position) bool {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx+dy*dy > c.radius2
+// reach is a distance limit with bounds on its square: a squared
+// distance below lo is certainly within the limit, and one above hi
+// certainly beyond it, whatever math.Hypot rounds the distance to. The
+// relative margin is far wider than the rounding error of a sum of two
+// squares; math.Hypot decides the pairs between the bounds.
+type reach struct{ lim, lo, hi float64 }
+
+func newReach(lim float64) reach {
+	return reach{lim, lim * lim * (1 - 1e-9), lim * lim * (1 + 1e-9)}
 }
+
+// within reports whether math.Hypot(dx, dy) <= lim, given s = dx²+dy².
+// It inlines into the pair loops; only boundary pairs make a call.
+func (r reach) within(dx, dy, s float64) bool {
+	return s < r.lo || s <= r.hi && r.hypotWithin(dx, dy)
+}
+
+// hypotWithin is within's exact test, kept out of line so within stays
+// cheap enough to inline.
+//
+//go:noinline
+func (r reach) hypotWithin(dx, dy float64) bool { return math.Hypot(dx, dy) <= r.lim }
 
 // Config returns the channel configuration.
 func (c *Channel) Config() Config { return c.cfg }
@@ -516,8 +503,8 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 // and Captures come out the same although both depend on that order.
 // The interferer's power is read from its source's record of the
 // receiver rather than the receiver's record of the source; the two are
-// equal to the bit, because distance is symmetric and buildIndex and
-// MoveNode write both records of a pair from one computation.
+// equal to the bit, because distance is symmetric and buildIndex writes
+// both records of a pair from one computation.
 func (c *Channel) interfere(locked []int32) {
 	cr := c.cfg.CaptureRatio
 	for _, other := range c.flight[:len(c.flight)-1] {

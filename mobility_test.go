@@ -51,7 +51,7 @@ func TestMobilityOffByteIdentical(t *testing.T) {
 
 // TestMobilityEndToEnd runs waypoint mobility through the full public
 // API and checks the engine actually drove the mesh: ticks fired, nodes
-// moved, the pinned gateway did not, repairs happened, the incremental
+// moved, the pinned gateway did not, repairs happened, the rebuilt
 // index still matches the oracle, and traffic kept flowing.
 func TestMobilityEndToEnd(t *testing.T) {
 	sc := NewGrid(3, 3, mobileGridConfig("waypoint"))
@@ -208,7 +208,8 @@ func TestMobileWorkloadCombined(t *testing.T) {
 // BenchmarkWaypointDisk200 is the bench-gate entry for mobility at
 // gateway scale: a 200-node random disk with waypoint movement and the
 // default rim flow, 2 simulated seconds per iteration. It exercises
-// MoveNode, grid re-bucketing, and repair on a realistic topology.
+// batched moves with their index rebuilds, and repair on a realistic
+// topology.
 func BenchmarkWaypointDisk200(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,14 @@
-// Command lintdoc enforces the repository's godoc conventions and its
-// unused-export rule without external dependencies (the CI image is
-// offline): every package must carry a package-level doc comment, every
-// exported symbol of the public root package (ezflow) and of every
-// internal/... package must have a doc comment, and every exported
-// identifier of the root package or under internal/ must have a use
-// outside tests in the root or bench/ module (see checkUnused). It exits non-zero with a file:line
-// report when any rule is violated.
+// Command lintdoc enforces the repository's godoc conventions, its
+// unused-export rule and its doc references without external
+// dependencies (the CI image is offline): every package must carry a
+// package-level doc comment, every exported symbol of the public root
+// package (ezflow) and of every internal/... package must have a doc
+// comment, every exported identifier of the root package or under
+// internal/ must have a use outside tests in the root or bench/ module
+// (see checkUnused), and every relative link, backticked repository path
+// and backticked pkg.Ident or pkg.Type.Method in README.md, docs/*.md and
+// bench/README.md must resolve (see checkDocRefs). It exits non-zero with
+// a file:line report when any rule is violated.
 //
 // Usage (from the module root):
 //
@@ -26,13 +29,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintdoc: %v\n", err)
 		os.Exit(2)
 	}
-	problems := checkDocs(m)
-	unused, err := checkUnused(m, allowed)
+	problems := append(checkDocs(m), checkUnused(m, allowed)...)
+	refs, err := checkDocRefs(".", m)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lintdoc: %v\n", err)
 		os.Exit(2)
 	}
-	problems = append(problems, unused...)
+	problems = append(problems, refs...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Println(p)

@@ -24,7 +24,7 @@ import (
 // "ezflow.Name". An entry that is gone, or that production code now uses,
 // is itself reported.
 var allowed = map[string]string{
-	"internal/phy.Channel.VerifyIndex": "oracle: mesh, mobility and root tests check the incremental neighbor index against a rebuild",
+	"internal/phy.Channel.VerifyIndex": "oracle: phy, mesh, mobility and root tests check the neighbor index against a from-scratch recomputation",
 	"internal/mac.MAC.AddDropHook":     "oracle: the packet-path reference switch of TestOverflowFastPathMatchesPacketPath",
 }
 
@@ -47,11 +47,13 @@ type listedPackage struct {
 
 	dir   string // Dir relative to the working directory
 	files []*ast.File
+	types *types.Package
+	uses  map[*ast.Ident]types.Object
 }
 
 // load lists the packages of the module in each of dirs (the first is the
 // main module) with `go list -export -deps`, which builds what the build
-// cache lacks, and parses their non-test files.
+// cache lacks, and parses and type-checks their non-test files.
 func load(dirs ...string) (*modules, error) {
 	m := &modules{fset: token.NewFileSet(), exports: map[string]string{}}
 	wd, err := os.Getwd()
@@ -95,20 +97,26 @@ func load(dirs ...string) (*modules, error) {
 	if m.path == "" {
 		return nil, fmt.Errorf("%s: no packages of a module", dirs[0])
 	}
-	return m, nil
-}
-
-// checkUnused type-checks every package of m and reports each exported
-// identifier of the main module's root package or internal/ tree that no
-// package of m uses. A method that some type selects to implement an
-// interface needs no caller, nor does the Unwrap, Is or As method of an
-// error type (the errors package asserts those). allow exempts deliberate
-// test oracles.
-func checkUnused(m *modules, allow map[string]string) ([]string, error) {
-	prefix := m.path + "/"
 	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(m.exports[path])
 	})
+	for _, p := range m.pkgs {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		if p.types, err = (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, p.files, info); err != nil {
+			return nil, err
+		}
+		p.uses = info.Uses
+	}
+	return m, nil
+}
+
+// checkUnused reports each exported identifier of the main module's root
+// package or internal/ tree that no package of m uses. A method that some
+// type selects to implement an interface needs no caller, nor does the
+// Unwrap, Is or As method of an error type (the errors package asserts
+// those). allow exempts deliberate test oracles.
+func checkUnused(m *modules, allow map[string]string) []string {
+	prefix := m.path + "/"
 	decls := map[string]types.Object{}
 	used := map[string]bool{}
 	var named []*types.Named
@@ -136,12 +144,8 @@ func checkUnused(m *modules, allow map[string]string) ([]string, error) {
 		}
 	}
 	for _, p := range m.pkgs {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, p.files, info)
-		if err != nil {
-			return nil, err
-		}
-		for _, obj := range info.Uses {
+		pkg := p.types
+		for _, obj := range p.uses {
 			used[objectKey(obj)] = true
 		}
 		reach(pkg)
@@ -179,7 +183,7 @@ func checkUnused(m *modules, allow map[string]string) ([]string, error) {
 		}
 	}
 	sort.Strings(problems)
-	return problems, nil
+	return problems
 }
 
 // errorType is the predeclared error interface.
