@@ -64,7 +64,7 @@
 // field: the topology flags, -mode, -controller, -routing, -mobility,
 // -speed, -pause, -clients, -seed, -duration, -cap and -rate (which sets
 // every declared flow's rate). -q always sets the penalty factor
-// (Config.Ctl.Penalty.Q, in (0,1]). Runs with faults print recovery
+// (Config.Ctl.PenaltyQ, in (0,1]). Runs with faults print recovery
 // metrics and the applied-event log.
 package main
 
@@ -208,9 +208,12 @@ func parseArgs(args []string) (*invocation, error) {
 
 // build wires the resolved spec into a runnable scenario.
 func (inv *invocation) build() (*ezflow.Scenario, error) {
-	cfg := inv.spec.Config()
-	cfg.Ctl.Penalty.Q = inv.penaltyQ
-	return inv.spec.BuildWith(cfg, inv.spec.FlowSpecs())
+	cfg, err := inv.spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Ctl.PenaltyQ = inv.penaltyQ
+	return inv.spec.BuildWith(cfg)
 }
 
 func main() {

@@ -185,8 +185,8 @@ func TestPenaltyFactorFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := sc.Cfg.Ctl.Penalty.Q; q != 0.03125 {
-		t.Errorf("Config.Ctl.Penalty.Q = %v, want 0.03125", q)
+	if q := sc.Cfg.Ctl.PenaltyQ; q != 0.03125 {
+		t.Errorf("Config.Ctl.PenaltyQ = %v, want 0.03125", q)
 	}
 	if cw := sc.Mesh.Node(0).SourceQueue(1).CWmin(); cw != 16*32 {
 		t.Errorf("source window = %d, want %d", cw, 16*32)

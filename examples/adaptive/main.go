@@ -21,8 +21,7 @@ import (
 func run(label string, mutate func(*ezflow.Config)) {
 	cfg := ezflow.DefaultConfig()
 	cfg.Duration = 900 * ezflow.Second
-	cfg.Ctl.Penalty.Q = 1.0 / 128 // the hand-tuned value of [9]
-	cfg.Ctl.Penalty.RelayCW = 16
+	cfg.Ctl.PenaltyQ = 1.0 / 128 // the hand-tuned value of [9]
 	mutate(&cfg)
 
 	sc := ezflow.NewChain(5, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})

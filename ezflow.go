@@ -78,7 +78,7 @@ const (
 	// ModeEZFlow deploys the paper's BOE+CAA controller at every relay.
 	ModeEZFlow
 	// ModePenalty applies the static penalty scheme of [9] with factor
-	// Config.Ctl.Penalty.Q.
+	// Config.Ctl.PenaltyQ.
 	ModePenalty
 	// ModeDiffQ deploys the DiffQ-style differential-backlog controller,
 	// which piggybacks queue sizes on data frames (message passing).
@@ -139,9 +139,8 @@ type Config struct {
 	// building.
 	Controller string
 	// Ctl is the one place a run tunes its controller: EZ-Flow's CAA
-	// thresholds and sniff loss, the penalty factor and relay window, and
-	// the staticcap/backpressure/feedback parameters. Zero values select
-	// each family's defaults (ctl.FillDefaults).
+	// thresholds and sniff loss, and the penalty factor. Zero values
+	// select each family's defaults (ctl.FillDefaults).
 	Ctl ctl.Options
 
 	// Routing selects a routing strategy from the internal/routing
@@ -188,19 +187,8 @@ type Config struct {
 	// explicitly passed flows.
 	Workload *WorkloadSpec
 
-	// Obs, when non-nil, enables the observability layer (metric
-	// registry, packet flight recorder; see internal/obs) at wiring.
-	// Observability never perturbs a run: results are byte-identical with
-	// it on or off. Library callers can instead call Scenario.EnableObs
-	// on a built scenario.
-	Obs *obs.Config
-
-	// PacketBytes is the network packet size (default 1028).
-	PacketBytes int
 	// Bin is the width of throughput bins (default 10 s).
 	Bin Time
-	// QueueSample is the period of queue-occupancy sampling (default 1 s).
-	QueueSample Time
 	// WarmupSkip excludes an initial interval from summary statistics.
 	WarmupSkip Time
 }
@@ -208,21 +196,24 @@ type Config struct {
 // DefaultConfig returns the paper's simulation settings.
 func DefaultConfig() Config {
 	return Config{
-		Seed:        1,
-		Duration:    DefaultDuration,
-		Mode:        Mode80211,
-		PHY:         phy.DefaultConfig(),
-		MAC:         mac.DefaultConfig(),
-		Ctl:         ctl.DefaultOptions(),
-		PacketBytes: pkt.DefaultPayloadBytes,
-		Bin:         10 * Second,
-		QueueSample: 1 * Second,
+		Seed:     1,
+		Duration: DefaultDuration,
+		Mode:     Mode80211,
+		PHY:      phy.DefaultConfig(),
+		MAC:      mac.DefaultConfig(),
+		Ctl:      ctl.DefaultOptions(),
+		Bin:      10 * Second,
 	}
 }
 
+// queueSample is the period of the per-node queue-occupancy traces.
+const queueSample = 1 * Second
+
 // FlowSpec describes one flow's traffic: CBR at RateBps from Start to Stop
-// (Stop = 0 means the whole run). Poisson selects Poisson arrivals instead
-// of CBR.
+// (Stop = 0 means the whole run; a positive Stop must come after Start).
+// Bytes is the packet size (0 selects 1028). Poisson selects Poisson
+// arrivals instead of CBR. Wiring panics on a negative Start, Stop or
+// Bytes.
 type FlowSpec struct {
 	Flow    FlowID
 	RateBps float64
@@ -239,8 +230,7 @@ type Scenario struct {
 	Mesh    *mesh.Mesh
 	Sources map[FlowID]*traffic.Source
 	Meters  map[FlowID]*stats.FlowMeter
-	// QueueTraces samples each node's total MAC backlog every
-	// Cfg.QueueSample.
+	// QueueTraces samples each node's total MAC backlog every second.
 	QueueTraces map[NodeID]*stats.Series
 	// Ctl is the deployed congestion controller, non-nil whenever the
 	// scenario runs one (any mode or controller name except plain 802.11).
@@ -252,7 +242,7 @@ type Scenario struct {
 	// model; its Stats land in the Result.
 	Mob *mobility.Engine
 	// Obs is the attached observability state, non-nil once enabled
-	// (Config.Obs or EnableObs); see internal/obs.
+	// (EnableObs); see internal/obs.
 	Obs *obs.Set
 
 	specs []FlowSpec
@@ -282,14 +272,8 @@ func fillDefaults(cfg *Config) {
 		cfg.MAC = def
 	}
 	ctl.FillDefaults(&cfg.Ctl)
-	if cfg.PacketBytes <= 0 {
-		cfg.PacketBytes = pkt.DefaultPayloadBytes
-	}
 	if cfg.Bin <= 0 {
 		cfg.Bin = 10 * Second
-	}
-	if cfg.QueueSample <= 0 {
-		cfg.QueueSample = 1 * Second
 	}
 	if cfg.RecoveryTolerance <= 0 || cfg.RecoveryTolerance >= 1 {
 		cfg.RecoveryTolerance = 0.2
@@ -422,7 +406,7 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		if err != nil {
 			panic("ezflow: " + err.Error())
 		}
-		m.SetStrategy(info.New(routing.DefaultOptions()))
+		m.SetStrategy(info.New())
 		if !routing.IsDefault(name) {
 			if err := m.RecomputeRoutes(); err != nil {
 				panic(fmt.Sprintf("ezflow: %v", err))
@@ -465,15 +449,15 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 
 	// Sources with schedules.
 	for _, fs := range flows {
-		bytes := fs.Bytes
-		if bytes <= 0 {
-			bytes = cfg.PacketBytes
+		if fs.Start < 0 || fs.Stop < 0 || fs.Bytes < 0 || (fs.Stop > 0 && fs.Stop <= fs.Start) {
+			panic(fmt.Sprintf("ezflow: flow %d: start %v, stop %v, bytes %d: want non-negative values and a stop after the start",
+				int(fs.Flow), fs.Start, fs.Stop, fs.Bytes))
 		}
 		var src *traffic.Source
 		if fs.Poisson {
-			src = traffic.NewPoisson(m, fs.Flow, fs.RateBps, bytes)
+			src = traffic.NewPoisson(m, fs.Flow, fs.RateBps, fs.Bytes)
 		} else {
-			src = traffic.NewCBR(m, fs.Flow, fs.RateBps, bytes)
+			src = traffic.NewCBR(m, fs.Flow, fs.RateBps, fs.Bytes)
 		}
 		if segs, ok := wlSched[fs.Flow]; ok {
 			src.ApplySchedule(segs)
@@ -501,8 +485,7 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// Queue traces at every node. A trace's storage, sized to every
 	// sample the run can take, is allocated at its first tick rather
 	// than here, so wiring a large mesh stays cheap.
-	period := cfg.QueueSample
-	samples := int(cfg.Duration/period) + 1
+	samples := int(cfg.Duration/queueSample) + 1
 	for _, n := range m.Nodes() {
 		s := &stats.Series{Name: fmt.Sprintf("queue-%v", n.ID)}
 		sc.QueueTraces[n.ID] = s
@@ -512,9 +495,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 				s.Points = make([]stats.Point, 0, samples)
 			}
 			s.Add(eng.Now(), float64(n.MAC.TotalQueued()))
-			eng.ScheduleFunc(period, tick)
+			eng.ScheduleFunc(queueSample, tick)
 		}
-		eng.ScheduleFunc(period, tick)
+		eng.ScheduleFunc(queueSample, tick)
 	}
 
 	// Perturbation timeline, scheduled up front so the run stays a pure
@@ -546,12 +529,6 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 			panic(fmt.Sprintf("ezflow: %v", err))
 		}
 		sc.Mob = mob
-	}
-
-	// Observability, when the config asks for it (never perturbs the run;
-	// see EnableObs).
-	if cfg.Obs != nil {
-		sc.EnableObs(*cfg.Obs)
 	}
 	return sc
 }
@@ -618,7 +595,7 @@ type Result struct {
 	// deferrals, repairs); non-nil only when a mobility model ran.
 	MobilityStats *mobility.Stats
 	// Obs is the final metrics snapshot, non-nil only when the scenario
-	// ran with metrics enabled (Config.Obs or EnableObs).
+	// ran with metrics enabled (EnableObs).
 	Obs *obs.Snapshot
 }
 

@@ -94,8 +94,7 @@ func TestEZFlowStabilizesChain(t *testing.T) {
 
 func TestPenaltyMode(t *testing.T) {
 	cfg := quickCfg(ModePenalty, 300*Second)
-	cfg.Ctl.Penalty.Q = 1.0 / 64
-	cfg.Ctl.Penalty.RelayCW = 16
+	cfg.Ctl.PenaltyQ = 1.0 / 64
 	res := NewChain(4, cfg, FlowSpec{Flow: 1, RateBps: 2e6}).Run()
 	plain := NewChain(4, quickCfg(Mode80211, 300*Second),
 		FlowSpec{Flow: 1, RateBps: 2e6}).Run()
@@ -176,13 +175,13 @@ func TestQueueSamplingAllocs(t *testing.T) {
 	if s.Points != nil {
 		t.Fatal("wiring allocated sample storage")
 	}
-	want := int(cfg.Duration/cfg.QueueSample) + 1
-	sc.Eng.Run(cfg.QueueSample)
+	want := int(cfg.Duration/queueSample) + 1
+	sc.Eng.Run(queueSample)
 	if len(s.Points) != 1 || cap(s.Points) != want {
 		t.Fatalf("after the first tick: %d samples, capacity %d; want 1, %d", len(s.Points), cap(s.Points), want)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		sc.Eng.Run(sc.Eng.Now() + cfg.QueueSample)
+		sc.Eng.Run(sc.Eng.Now() + queueSample)
 	}); avg != 0 {
 		t.Fatalf("queue sampling allocates %.1f objects per tick, want 0", avg)
 	}
@@ -193,7 +192,7 @@ func TestQueueSamplingAllocs(t *testing.T) {
 }
 
 // TestQueueSampling pins what queue traces hold: one sample per node per
-// QueueSample period, taken at the period multiples, in the very series
+// queueSample period, taken at the period multiples, in the very series
 // that Run hands to Result.
 func TestQueueSampling(t *testing.T) {
 	cfg := quickCfg(Mode80211, 10*Second)
@@ -216,8 +215,8 @@ func TestQueueSampling(t *testing.T) {
 			t.Fatalf("%v: %d samples, want 10", n, s.Len())
 		}
 		for i, p := range s.Points {
-			if p.T != Time(i+1)*cfg.QueueSample {
-				t.Fatalf("%v: sample %d at %v, want %v", n, i, p.T, Time(i+1)*cfg.QueueSample)
+			if p.T != Time(i+1)*queueSample {
+				t.Fatalf("%v: sample %d at %v, want %v", n, i, p.T, Time(i+1)*queueSample)
 			}
 		}
 	}

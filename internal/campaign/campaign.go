@@ -773,7 +773,10 @@ func assemble(spec Spec, points []Point, reps int, runs []RunResult) *Result {
 func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunResult {
 	seed := DeriveSeed(spec.BaseSeed, p.Label, rep)
 	s := runSpec(spec, p)
-	cfg := s.Config()
+	cfg, err := s.Config()
+	if err != nil {
+		panic(err)
+	}
 	// Random placements are seeded by the replication's run seed, so each
 	// replication samples a fresh connected deployment while staying fully
 	// reproducible.
@@ -783,7 +786,7 @@ func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunR
 	if s.DurationSec <= 0 {
 		cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
 	}
-	sc, err := s.BuildWith(cfg, s.FlowSpecs())
+	sc, err := s.BuildWith(cfg)
 	if err != nil {
 		panic(err)
 	}

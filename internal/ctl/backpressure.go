@@ -5,30 +5,15 @@ import (
 	"ezflow/internal/pkt"
 )
 
-// BackpressureConfig parameterises the queue-differential controller.
-type BackpressureConfig struct {
-	// RefWindow is the admission window at a backlog differential of one
-	// packet; the window scales as RefWindow/diff (default 512).
-	RefWindow int
-	// MinWindow bounds how aggressive a large differential may make the
-	// relay (default 16).
-	MinWindow int
-	// MaxWindow is the hold-back window used when the successor's backlog
-	// matches or exceeds ours (default 2048).
-	MaxWindow int
-}
-
-func (c *BackpressureConfig) fillDefaults() {
-	if c.RefWindow <= 0 {
-		c.RefWindow = 512
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 16
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 2048
-	}
-}
+// The backpressure controller's window map: a backlog differential of
+// diff > 0 packets selects bpRefWindow/diff, floored at bpMinWindow (it
+// never reaches bpMaxWindow, since bpRefWindow is smaller); a
+// non-positive differential holds back at bpMaxWindow.
+const (
+	bpRefWindow = 512
+	bpMinWindow = 16
+	bpMaxWindow = 2048
+)
 
 // backpressure implements queue-differential (backpressure) scheduling
 // with real message passing: every data frame carries the transmitter's
@@ -42,7 +27,6 @@ func (c *BackpressureConfig) fillDefaults() {
 // paper's EZ-Flow claims to match without any of these bytes.
 type backpressure struct {
 	NopHooks
-	cfg BackpressureConfig
 }
 
 // bpState is the per-relay state: the successor's most recently overheard
@@ -83,15 +67,9 @@ func (b *backpressure) OnDequeue(r *Relay, _ *pkt.Packet) {
 // retune maps the backlog differential to the admission window.
 func (b *backpressure) retune(r *Relay, st *bpState) {
 	diff := r.MAC.QueuedTo(r.Successor) - st.succLen
-	w := b.cfg.MaxWindow
+	w := bpMaxWindow
 	if diff > 0 {
-		w = b.cfg.RefWindow / diff
-		if w < b.cfg.MinWindow {
-			w = b.cfg.MinWindow
-		}
-		if w > b.cfg.MaxWindow {
-			w = b.cfg.MaxWindow
-		}
+		w = max(bpRefWindow/diff, bpMinWindow)
 	}
 	r.Caps.SetWindow(w)
 }
@@ -134,9 +112,9 @@ func init() {
 	Register(Info{
 		Name:    "backpressure",
 		Summary: "queue-differential scheduling; piggybacks backlogs on data frames",
-		Deploy: func(m *mesh.Mesh, opts Options) Instance {
+		Deploy: func(m *mesh.Mesh, _ Options) Instance {
 			b := &BPInstance{
-				Deployment: Deploy(m, &backpressure{cfg: opts.Backpressure}, 0),
+				Deployment: Deploy(m, &backpressure{}, 0),
 				stamped:    make(map[pkt.NodeID]bool),
 			}
 			b.Extend(m)

@@ -25,13 +25,8 @@ func deployOnChain(t *testing.T, hops int, name string, opts ctl.Options) (*sim.
 	return eng, m, info.Deploy(m, opts)
 }
 
-// penaltyOpts tunes only the penalty controller.
-func penaltyOpts(q float64, relayCW int) ctl.Options {
-	return ctl.Options{Penalty: ctl.PenaltyConfig{Q: q, RelayCW: relayCW}}
-}
-
 func TestPenaltySetsWindows(t *testing.T) {
-	_, m, _ := deployOnChain(t, 4, "penalty", penaltyOpts(1.0/8, 16))
+	_, m, _ := deployOnChain(t, 4, "penalty", ctl.Options{PenaltyQ: 1.0 / 8})
 	// Source queue cw = 16/(1/8) = 128; relays = 16.
 	if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 128 {
 		t.Fatalf("source cw = %d, want 128", cw)
@@ -46,9 +41,9 @@ func TestPenaltySetsWindows(t *testing.T) {
 }
 
 func TestPenaltyDegeneratesToPlain(t *testing.T) {
-	_, m, _ := deployOnChain(t, 3, "penalty", penaltyOpts(1, 32))
-	if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 32 {
-		t.Fatalf("q=1 source cw = %d, want 32", cw)
+	_, m, _ := deployOnChain(t, 3, "penalty", ctl.Options{PenaltyQ: 1})
+	if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 16 {
+		t.Fatalf("q=1 source cw = %d, want the relay window 16", cw)
 	}
 }
 
@@ -56,7 +51,7 @@ func TestPenaltyDegeneratesToPlain(t *testing.T) {
 // applied: the controller falls back to the default 1/128.
 func TestPenaltyRejectsBadQ(t *testing.T) {
 	for _, q := range []float64{0, -0.5, 1.5} {
-		_, m, _ := deployOnChain(t, 3, "penalty", penaltyOpts(q, 16))
+		_, m, _ := deployOnChain(t, 3, "penalty", ctl.Options{PenaltyQ: q})
 		if cw := m.Node(0).SourceQueue(1).CWmin(); cw != 16*128 {
 			t.Errorf("q=%v: source cw = %d, want the default factor's %d", q, cw, 16*128)
 		}
@@ -66,7 +61,7 @@ func TestPenaltyRejectsBadQ(t *testing.T) {
 func TestPenaltyStabilizesChain(t *testing.T) {
 	// The scheme of [9] with a strong penalty must keep the first relay's
 	// queue from saturating on a 4-hop chain.
-	eng, m, _ := deployOnChain(t, 4, "penalty", penaltyOpts(1.0/32, 16))
+	eng, m, _ := deployOnChain(t, 4, "penalty", ctl.Options{PenaltyQ: 1.0 / 32})
 	traffic.NewCBR(m, 1, 2e6, 1028).Start()
 	eng.Run(600 * sim.Second)
 	if d := m.Node(1).ForwardQueue(2).Len(); d > 40 {

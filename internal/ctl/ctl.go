@@ -30,8 +30,11 @@
 //   - staticcap: a fixed per-hop admission window, the degenerate control.
 //
 // Plain 802.11 deploys no controller at all (IsNone). The legacy
-// ezflow.Mode values are thin wrappers naming ezflow, penalty or diffq,
-// and ezflow.Config.Ctl (Options) is the only place a run tunes them.
+// ezflow.Mode values are thin wrappers naming ezflow, penalty or diffq.
+// ezflow.Config.Ctl (Options) is the only place a run tunes a controller,
+// and it tunes two: EZ-Flow (CAA thresholds, sniff loss) and the penalty
+// factor q. The other families run with fixed parameters, constants in
+// their own files.
 //
 // Outgoing-frame hooks are MAC stamps that declare the on-air bytes they
 // may add, so an RTS reserves them in its NAV: OnTransmit declares none,

@@ -15,57 +15,30 @@ import (
 // visible only as airtime and overhead bytes.
 const FeedbackFlow = pkt.FlowID(-1)
 
-// FeedbackConfig parameterises the explicit rate-feedback controller.
-type FeedbackConfig struct {
-	// Period is the feedback interval: every Period each relay advertises
-	// the admission window its upstream hops should use (default 250 ms).
-	Period sim.Time
-	// TargetQueue is the backlog the relay regulates toward, in packets
-	// (default 8): above it the advertised window doubles, at or below
-	// half of it the window halves.
-	TargetQueue int
-	// PayloadBytes is the network-layer size of one feedback message
-	// (default 16) — charged on the air like any data packet, plus the
-	// MAC header and the ACK it elicits.
-	PayloadBytes int
-	// MinWindow and MaxWindow bound the advertised window
-	// (defaults 16 and 8192). The window rides in a 16-bit field of the
-	// control frame, so MaxWindow is clamped to the MAC's absolute bound
-	// 2^15, which fits.
-	MinWindow int
-	// MaxWindow bounds how far upstream hops can be throttled.
-	MaxWindow int
-}
-
-func (c *FeedbackConfig) fillDefaults() {
-	if c.Period <= 0 {
-		c.Period = 250 * sim.Millisecond
-	}
-	if c.TargetQueue <= 0 {
-		c.TargetQueue = 8
-	}
-	if c.PayloadBytes <= 0 {
-		c.PayloadBytes = 16
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 16
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 8192
-	}
-	// The on-air encoding is 16-bit; the MAC clamps windows to 2^15
-	// anyway, so clamping here loses nothing and can never truncate.
-	if c.MaxWindow > mac.AbsoluteCWmax {
-		c.MaxWindow = mac.AbsoluteCWmax
-	}
-	if c.MinWindow > c.MaxWindow {
-		c.MinWindow = c.MaxWindow
-	}
-}
+// The feedback controller's fixed parameters.
+const (
+	// fbPeriod is the feedback interval: every fbPeriod each relay
+	// advertises the admission window its upstream hops should use.
+	fbPeriod = 250 * sim.Millisecond
+	// fbTargetQueue is the backlog the relay regulates toward, in
+	// packets: above it the advertised window doubles, at or below half
+	// of it the window halves.
+	fbTargetQueue = 8
+	// fbPayloadBytes is the network-layer size of one feedback message,
+	// charged on the air like any data packet, plus the MAC header and
+	// the ACK it elicits.
+	fbPayloadBytes = 16
+	// fbMinWindow and fbMaxWindow bound the advertised window. The
+	// window rides in a 16-bit field of the control frame, which
+	// fbMaxWindow fits; it is also below the MAC's bound
+	// mac.AbsoluteCWmax = 2^15, so the MAC applies it unclamped.
+	fbMinWindow = 16
+	fbMaxWindow = 8192
+)
 
 // feedback implements explicit per-hop rate feedback — the
 // message-passing end of the design space the paper argues against. Every
-// Period each relay compares its backlog to the target and unicasts the
+// fbPeriod each relay compares its backlog to the target and unicasts the
 // resulting admission window to each upstream hop as an injected control
 // frame (a real data frame on a dedicated control queue: it contends,
 // consumes airtime, and is ACKed). Upstream relays overhear feedback
@@ -73,7 +46,6 @@ func (c *FeedbackConfig) fillDefaults() {
 // coordination costs bytes on the air; OverheadBytes reports them.
 type feedback struct {
 	NopHooks
-	cfg FeedbackConfig
 }
 
 // fbState is the per-relay state: the window currently advertised
@@ -132,13 +104,13 @@ func (fb *feedback) OnTick(r *Relay) {
 	st := r.State.(*fbState)
 	qlen := r.Caps.Len()
 	switch {
-	case qlen > fb.cfg.TargetQueue:
-		if st.window *= 2; st.window > fb.cfg.MaxWindow {
-			st.window = fb.cfg.MaxWindow
+	case qlen > fbTargetQueue:
+		if st.window *= 2; st.window > fbMaxWindow {
+			st.window = fbMaxWindow
 		}
-	case qlen*2 <= fb.cfg.TargetQueue:
-		if st.window /= 2; st.window < fb.cfg.MinWindow {
-			st.window = fb.cfg.MinWindow
+	case qlen*2 <= fbTargetQueue:
+		if st.window /= 2; st.window < fbMinWindow {
+			st.window = fbMinWindow
 		}
 	}
 	now := r.Eng.Now()
@@ -148,10 +120,10 @@ func (fb *feedback) OnTick(r *Relay) {
 		}
 		st.seq++
 		p := r.Pool.Packet(FeedbackFlow, st.seq<<16|uint64(st.window),
-			r.Node, q.NextHop(), fb.cfg.PayloadBytes, now)
+			r.Node, q.NextHop(), fbPayloadBytes, now)
 		q.Enqueue(p)
 		p.Release()
-		r.Dep.AddOverhead(pkt.MACHeaderBytes + fb.cfg.PayloadBytes + pkt.AckBytes)
+		r.Dep.AddOverhead(pkt.MACHeaderBytes + fbPayloadBytes + pkt.AckBytes)
 	}
 }
 
@@ -190,9 +162,9 @@ func init() {
 	Register(Info{
 		Name:    "feedback",
 		Summary: "explicit per-hop rate feedback via injected control frames",
-		Deploy: func(m *mesh.Mesh, opts Options) Instance {
-			fb := &feedback{cfg: opts.Feedback}
-			return &FBInstance{Deployment: Deploy(m, fb, fb.cfg.Period), fb: fb}
+		Deploy: func(m *mesh.Mesh, _ Options) Instance {
+			fb := &feedback{}
+			return &FBInstance{Deployment: Deploy(m, fb, fbPeriod), fb: fb}
 		},
 	})
 }

@@ -24,8 +24,8 @@ type goldenCase struct {
 }
 
 // goldenCases covers every way a run selects or tunes its controller:
-// each registered name, each legacy Mode, and non-default tunables for
-// every family.
+// each registered name, each legacy Mode, and non-default values of every
+// tunable in ctl.Options.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, name := range ctl.Controllers.Names() {
@@ -39,13 +39,13 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{name: "mode=" + m.String(), set: func(cfg *ezflow.Config) { cfg.Mode = m }})
 	}
 	return append(cases,
-		goldenCase{name: "penalty q=1/32 relay=32", set: func(cfg *ezflow.Config) {
+		goldenCase{name: "penalty q=1/32", set: func(cfg *ezflow.Config) {
 			cfg.Mode = ezflow.ModePenalty
-			cfg.Ctl.Penalty.Q, cfg.Ctl.Penalty.RelayCW = 1.0/32, 32
+			cfg.Ctl.PenaltyQ = 1.0 / 32
 		}},
 		goldenCase{name: "penalty q=1.5 (default)", set: func(cfg *ezflow.Config) {
 			cfg.Controller = "penalty"
-			cfg.Ctl.Penalty.Q = 1.5
+			cfg.Ctl.PenaltyQ = 1.5
 		}},
 		goldenCase{name: "ezflow window=25 bmax=10", set: func(cfg *ezflow.Config) {
 			cfg.Mode = ezflow.ModeEZFlow
@@ -54,18 +54,6 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "ezflow sniff-loss=0.5", set: func(cfg *ezflow.Config) {
 			cfg.Controller = "ezflow"
 			cfg.Ctl.EZ.SniffLoss = 0.5
-		}},
-		goldenCase{name: "staticcap window=64", set: func(cfg *ezflow.Config) {
-			cfg.Controller = "staticcap"
-			cfg.Ctl.Static.Window = 64
-		}},
-		goldenCase{name: "backpressure ref=256", set: func(cfg *ezflow.Config) {
-			cfg.Controller = "backpressure"
-			cfg.Ctl.Backpressure.RefWindow = 256
-		}},
-		goldenCase{name: "feedback period=100ms target=4", set: func(cfg *ezflow.Config) {
-			cfg.Controller = "feedback"
-			cfg.Ctl.Feedback.Period, cfg.Ctl.Feedback.TargetQueue = 100*ezflow.Second/1000, 4
 		}},
 		rtsCase("ezflow"), rtsCase("backpressure"), rtsCase("staticcap"), rtsCase("feedback"),
 	)

@@ -8,25 +8,22 @@ import (
 	"ezflow/internal/registry"
 )
 
-// Options carries every controller family's tunables; ezflow.Config.Ctl
+// Options carries the controller tunables a run may set; ezflow.Config.Ctl
 // is the one place a run sets them. Zero values select the documented
 // defaults (FillDefaults); a scenario passes one Options to whichever
 // controller it deploys, so sweeping controllers never changes anything
-// but the controller.
+// but the controller. The other baselines' parameters are fixed
+// constants in their controllers' files.
 type Options struct {
 	// EZ configures the ezflow controller (CAA thresholds, sniff loss).
 	EZ ez.Options
-	// Penalty configures the static penalty baseline of [9].
-	Penalty PenaltyConfig
-	// Static configures the staticcap controller.
-	Static StaticConfig
-	// Backpressure configures the queue-differential controller.
-	Backpressure BackpressureConfig
-	// Feedback configures the explicit rate-feedback controller.
-	Feedback FeedbackConfig
+	// PenaltyQ is the penalty controller's topology-dependent throttling
+	// factor in (0, 1]; a value outside that range selects 1/128, the
+	// hand-tuned value of [9].
+	PenaltyQ float64
 }
 
-// DefaultOptions returns every family's defaults.
+// DefaultOptions returns every tunable at its default.
 func DefaultOptions() Options {
 	var o Options
 	FillDefaults(&o)
@@ -39,10 +36,9 @@ func FillDefaults(o *Options) {
 	if o.EZ.CAA.Window == 0 {
 		o.EZ.CAA = ez.DefaultCAAConfig()
 	}
-	o.Penalty.fillDefaults()
-	o.Static.fillDefaults()
-	o.Backpressure.fillDefaults()
-	o.Feedback.fillDefaults()
+	if o.PenaltyQ <= 0 || o.PenaltyQ > 1 {
+		o.PenaltyQ = defaultPenaltyQ
+	}
 }
 
 // Instance is a controller installed over one scenario's mesh.

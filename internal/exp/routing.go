@@ -103,7 +103,7 @@ func Routing(o Options) *RoutingResult {
 			// here, so PathCost reports the calibrated (not measured) ETX and
 			// every strategy is judged against the same yardstick.
 			path := sc.Mesh.Route(1)
-			metric := &routing.ETX{MinAcked: routing.DefaultOptions().MinAcked}
+			metric := &routing.ETX{MinAcked: routing.DefaultMinAcked}
 			cost := metric.PathCost(sc.Mesh.RoutingGraph(nil), path)
 			res := sc.Run()
 			return RoutingRun{

@@ -19,7 +19,7 @@ func strategyOf(t *testing.T, name string) routing.Strategy {
 	if !ok {
 		t.Fatalf("strategy %q not registered", name)
 	}
-	return info.New(routing.DefaultOptions())
+	return info.New()
 }
 
 // TestStrategyLazyDefault checks an untouched mesh routes with the

@@ -11,7 +11,7 @@ func init() {
 	Register(Info{
 		Name:    "bfs",
 		Summary: "minimum-hop breadth-first search, lowest-id tie-break (the paper's static agent; default)",
-		New:     func(Options) Strategy { return BFS{} },
+		New:     func() Strategy { return BFS{} },
 	})
 }
 

@@ -6,11 +6,16 @@ import (
 	"ezflow/internal/pkt"
 )
 
+// DefaultMinAcked is the measured-sample floor of the registered etx
+// strategy: 8 acked packets, so a handful of lucky deliveries cannot
+// outvote the calibration.
+const DefaultMinAcked = 8
+
 func init() {
 	Register(Info{
 		Name:    "etx",
 		Summary: "minimum expected-transmission-count (ETX) over calibrated loss, measured MAC counters once links carry traffic",
-		New:     func(opts Options) Strategy { FillDefaults(&opts); return &ETX{MinAcked: opts.MinAcked} },
+		New:     func() Strategy { return &ETX{MinAcked: DefaultMinAcked} },
 	})
 }
 
@@ -32,7 +37,9 @@ func init() {
 // neighbours relaxed in ascending id order with strict improvement, so
 // equal-cost ties always resolve toward the path found first in id order.
 type ETX struct {
-	// MinAcked is the measured-sample floor (see Options.MinAcked).
+	// MinAcked is the per-link sample floor below which measured MAC
+	// counters are ignored in favour of the calibrated loss (the
+	// registered strategy uses DefaultMinAcked).
 	MinAcked uint64
 }
 

@@ -4,11 +4,15 @@ import (
 	"ezflow/internal/pkt"
 )
 
+// defaultK is the number of alternative paths the registered kshortest
+// strategy ranks.
+const defaultK = 4
+
 func init() {
 	Register(Info{
 		Name:    "kshortest",
 		Summary: "deterministic Yen k-shortest multipath, flows spread over the alternatives round-robin",
-		New:     func(opts Options) Strategy { FillDefaults(&opts); return &KShortest{K: opts.K} },
+		New:     func() Strategy { return &KShortest{K: defaultK} },
 	})
 }
 
@@ -24,7 +28,8 @@ func init() {
 // lexicographic node-id sequence), so the ranking — and with it every
 // flow's selection — is a pure function of the graph.
 type KShortest struct {
-	// K is the number of alternative paths ranked (see Options.K).
+	// K is the number of alternative paths ranked; zero or less ranks
+	// defaultK.
 	K int
 }
 
@@ -50,7 +55,7 @@ func (s *KShortest) Route(g *Graph, flow pkt.FlowID, src, dst pkt.NodeID) ([]pkt
 func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 	k := s.K
 	if k <= 0 {
-		k = DefaultOptions().K
+		k = defaultK
 	}
 	first, ok := BFS{}.Route(g, 0, src, dst)
 	if !ok {

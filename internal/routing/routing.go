@@ -112,48 +112,15 @@ type Strategy interface {
 	Route(g *Graph, flow pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool)
 }
 
-// Options carries every strategy family's tunables, mirroring
-// ctl.Options: zero values select the documented defaults (FillDefaults),
-// and a scenario passes one Options to whichever strategy it selects, so
-// sweeping strategies never changes anything but the strategy.
-type Options struct {
-	// K is the number of alternative paths the kshortest strategy ranks
-	// (default 4).
-	K int
-	// MinAcked is the per-link sample floor below which the etx strategy
-	// ignores measured MAC counters and falls back to the calibrated loss
-	// (default 8 acked packets — a handful of lucky deliveries must not
-	// outvote the calibration).
-	MinAcked uint64
-}
-
-// DefaultOptions returns every strategy family's defaults.
-func DefaultOptions() Options {
-	var o Options
-	FillDefaults(&o)
-	return o
-}
-
-// FillDefaults replaces zero values with each family's defaults, leaving
-// caller-set fields alone.
-func FillDefaults(o *Options) {
-	if o.K <= 0 {
-		o.K = 4
-	}
-	if o.MinAcked == 0 {
-		o.MinAcked = 8
-	}
-}
-
 // Info describes one registered routing strategy.
 type Info struct {
 	// Name is the registry key ("bfs", "etx", "kshortest").
 	Name string
 	// Summary is the one-line description CLI usage strings embed.
 	Summary string
-	// New creates a strategy instance. Implementations fill their own
-	// Options defaults, so callers may pass a zero Options.
-	New func(opts Options) Strategy
+	// New creates a strategy instance with the family's fixed
+	// parameters.
+	New func() Strategy
 }
 
 // Strategies is the routing-strategy registry, keyed by Info.Name.
@@ -192,5 +159,5 @@ func Default() Strategy {
 	if !ok {
 		panic("routing: default strategy " + DefaultName + " is not registered")
 	}
-	return info.New(DefaultOptions())
+	return info.New()
 }

@@ -44,7 +44,7 @@ func TestRegistryContents(t *testing.T) {
 		if !ok {
 			t.Fatalf("strategy %q not registered", name)
 		}
-		s := info.New(Options{})
+		s := info.New()
 		if s.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, s.Name())
 		}
@@ -83,7 +83,7 @@ func TestRegisterRejectsBadInfo(t *testing.T) {
 		}()
 		Register(info)
 	}
-	newS := func(Options) Strategy { return BFS{} }
+	newS := func() Strategy { return BFS{} }
 	mustPanic("empty name", Info{Name: "", New: newS})
 	mustPanic("nil New", Info{Name: "zz-test-nil"})
 	mustPanic("duplicate", Info{Name: "bfs", New: newS})
@@ -238,16 +238,16 @@ func TestGatewayTree(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the documented zero-value behaviour.
-func TestOptionsDefaults(t *testing.T) {
-	o := DefaultOptions()
-	if o.K != 4 || o.MinAcked != 8 {
-		t.Errorf("DefaultOptions() = %+v, want K=4 MinAcked=8", o)
+// TestRegistryDefaults pins the fixed parameters the registry builds its
+// strategies with.
+func TestRegistryDefaults(t *testing.T) {
+	etx, _ := Strategies.ByName("etx")
+	if s, ok := etx.New().(*ETX); !ok || s.MinAcked != 8 {
+		t.Errorf("registry etx = %#v, want MinAcked 8", etx.New())
 	}
-	set := Options{K: 9, MinAcked: 2}
-	FillDefaults(&set)
-	if set.K != 9 || set.MinAcked != 2 {
-		t.Errorf("FillDefaults clobbered caller values: %+v", set)
+	ks, _ := Strategies.ByName("kshortest")
+	if s, ok := ks.New().(*KShortest); !ok || s.K != 4 {
+		t.Errorf("registry kshortest = %#v, want K 4", ks.New())
 	}
 }
 

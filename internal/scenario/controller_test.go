@@ -40,8 +40,8 @@ func TestControllerField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := spec.Config(); cfg.Controller != "backpressure" {
-		t.Errorf("Config().Controller = %q, want backpressure", cfg.Controller)
+	if cfg, err := spec.Config(); err != nil || cfg.Controller != "backpressure" {
+		t.Errorf("Config() = controller %q, %v; want backpressure", cfg.Controller, err)
 	}
 	sc, err := spec.Build()
 	if err != nil {

@@ -18,8 +18,8 @@ func TestRoutingField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := spec.Config(); cfg.Routing != "etx" {
-		t.Errorf("Config().Routing = %q, want etx", cfg.Routing)
+	if cfg, err := spec.Config(); err != nil || cfg.Routing != "etx" {
+		t.Errorf("Config() = routing %q, %v; want etx", cfg.Routing, err)
 	}
 	sc, err := spec.Build()
 	if err != nil {

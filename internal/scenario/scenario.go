@@ -149,7 +149,8 @@ type Flow struct {
 	RateBps float64 `json:"rate_bps,omitempty"`
 	// Bytes is the packet size (default 1028).
 	Bytes int `json:"bytes,omitempty"`
-	// StartSec/StopSec bound the source's activity (StopSec 0 = whole run).
+	// StartSec/StopSec bound the source's activity (StopSec 0 = whole
+	// run); a positive StopSec must come after StartSec.
 	StartSec float64 `json:"start_sec,omitempty"`
 	StopSec  float64 `json:"stop_sec,omitempty"`
 	// Poisson selects Poisson arrivals instead of CBR.
@@ -403,8 +404,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: duplicate flow id %d", f.ID)
 		}
 		seen[f.ID] = true
-		if f.RateBps < 0 {
-			return fmt.Errorf("scenario: flow %d: negative rate_bps", f.ID)
+		if f.RateBps < 0 || f.Bytes < 0 || f.StartSec < 0 || f.StopSec < 0 {
+			return fmt.Errorf("scenario: flow %d: negative rate_bps, bytes, start_sec or stop_sec", f.ID)
+		}
+		if f.StopSec > 0 && f.StopSec <= f.StartSec {
+			return fmt.Errorf("scenario: flow %d: stop_sec %g not after start_sec %g", f.ID, f.StopSec, f.StartSec)
 		}
 	}
 	if m := s.Mobility; m != nil && !mobility.IsOff(m.Model) {
@@ -454,8 +458,8 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Script converts the spec's dynamics timeline into a dynamics script.
-func (s *Spec) Script() *dynamics.Script {
+// script converts the spec's dynamics timeline into a dynamics script.
+func (s *Spec) script() *dynamics.Script {
 	if len(s.Dynamics) == 0 {
 		return nil
 	}
@@ -480,12 +484,10 @@ func (s *Spec) Script() *dynamics.Script {
 	return sc
 }
 
-// MobilityConfig resolves the spec's mobility block into a runnable
+// mobilityConfig resolves the spec's mobility block into a runnable
 // configuration, loading the trace file when the trace model is
-// selected. It returns nil for a static spec. Build and BuildWith call
-// it whenever the caller's config leaves Mobility nil, mirroring the
-// dynamics timeline.
-func (s *Spec) MobilityConfig() (*mobility.Config, error) {
+// selected. It returns nil for a static spec.
+func (s *Spec) mobilityConfig() (*mobility.Config, error) {
 	m := s.Mobility
 	if m == nil || mobility.IsOff(m.Model) {
 		return nil, nil
@@ -516,12 +518,12 @@ func (s *Spec) MobilityConfig() (*mobility.Config, error) {
 	return cfg, nil
 }
 
-// Config resolves the spec's shared run parameters into an ezflow.Config.
-// The mobility and workload blocks are NOT resolved here — Build and
-// BuildWith attach them (trace-file loading can fail, and the campaign
-// layer assembles its own config) — so callers composing a config by
-// hand should go through BuildWith.
-func (s *Spec) Config() ezflow.Config {
+// Config resolves the spec into the ezflow.Config it runs with: the
+// shared run parameters, the dynamics timeline, the mobility block (its
+// trace file loaded) and the workload block. Callers may adjust the
+// result (the campaign layer sets each replication's seed) before
+// passing it to BuildWith.
+func (s *Spec) Config() (ezflow.Config, error) {
 	cfg := ezflow.DefaultConfig()
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
@@ -535,28 +537,14 @@ func (s *Spec) Config() ezflow.Config {
 	cfg.MAC.HardwareCWCap = s.CWCap
 	cfg.WarmupSkip = sim.FromSeconds(s.WarmupSec)
 	cfg.RecoveryTolerance = s.RecoveryTolerance
-	cfg.Dynamics = s.Script()
-	return cfg
-}
-
-// FlowSpecs converts the spec's flows into ezflow flow specs.
-func (s *Spec) FlowSpecs() []ezflow.FlowSpec {
-	out := make([]ezflow.FlowSpec, 0, len(s.Flows))
-	for _, f := range s.Flows {
-		rate := f.RateBps
-		if rate == 0 {
-			rate = 2e6
-		}
-		out = append(out, ezflow.FlowSpec{
-			Flow:    ezflow.FlowID(f.ID),
-			RateBps: rate,
-			Bytes:   f.Bytes,
-			Start:   sim.FromSeconds(f.StartSec),
-			Stop:    sim.FromSeconds(f.StopSec),
-			Poisson: f.Poisson,
-		})
+	cfg.Dynamics = s.script()
+	mc, err := s.mobilityConfig()
+	if err != nil {
+		return ezflow.Config{}, err
 	}
-	return out
+	cfg.Mobility = mc
+	cfg.Workload = s.Workload
+	return cfg, nil
 }
 
 // SetRate puts rateBps on every declared flow, first declaring the
@@ -614,39 +602,44 @@ func (s *Spec) SetClients(n int) {
 // panics (disconnected placements, routes through unknown nodes, dynamics
 // events naming absent nodes) are converted into errors.
 func (s *Spec) Build() (*ezflow.Scenario, error) {
-	return s.BuildWith(s.Config(), s.FlowSpecs())
+	cfg, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	return s.BuildWith(cfg)
 }
 
-// BuildWith wires the spec's topology around a caller-resolved config and
-// flow list — the campaign layer uses it to sweep its axes over one
-// scenario file or a built-in topology. The spec's own
-// mode/seed/duration fields are ignored in favour of cfg; its dynamics
-// timeline still applies whenever the caller left cfg.Dynamics nil. An
-// empty flow list selects the kind's default flows at 2 Mb/s.
-func (s *Spec) BuildWith(cfg ezflow.Config, flows []ezflow.FlowSpec) (sc *ezflow.Scenario, err error) {
+// BuildWith wires the spec's topology and flows around cfg, the spec's
+// Config as the caller adjusted it — the campaign layer uses it to sweep
+// its axes over one scenario file or a built-in topology. A spec without
+// flows runs the kind's default flows at 2 Mb/s. Panics are converted
+// into errors as in Build.
+func (s *Spec) BuildWith(cfg ezflow.Config) (sc *ezflow.Scenario, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sc, err = nil, fmt.Errorf("scenario: building %q: %v", s.Topology.Kind, r)
 		}
 	}()
-	if cfg.Dynamics == nil {
-		cfg.Dynamics = s.Script()
-	}
-	if cfg.Mobility == nil {
-		mc, merr := s.MobilityConfig()
-		if merr != nil {
-			return nil, merr
-		}
-		cfg.Mobility = mc
-	}
-	if cfg.Workload == nil {
-		cfg.Workload = s.Workload
-	}
 	kind, err := Topologies.Lookup(s.Topology.Kind)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	t := s.Topology.withDefaults()
+	flows := make([]ezflow.FlowSpec, 0, len(s.Flows))
+	for _, f := range s.Flows {
+		rate := f.RateBps
+		if rate == 0 {
+			rate = 2e6
+		}
+		flows = append(flows, ezflow.FlowSpec{
+			Flow:    ezflow.FlowID(f.ID),
+			RateBps: rate,
+			Bytes:   f.Bytes,
+			Start:   sim.FromSeconds(f.StartSec),
+			Stop:    sim.FromSeconds(f.StopSec),
+			Poisson: f.Poisson,
+		})
+	}
 	if len(flows) == 0 {
 		for _, id := range kind.flows(t) {
 			flows = append(flows, ezflow.FlowSpec{Flow: ezflow.FlowID(id), RateBps: 2e6})

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -118,7 +119,11 @@ func TestDynamicsKindSpellings(t *testing.T) {
 			t.Errorf("%v: %v", k, err)
 			continue
 		}
-		if got := spec.Script().Events[0].Kind; got != k {
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Dynamics.Events[0].Kind; got != k {
 			t.Errorf("%q parsed as %v", k.String(), got)
 		}
 	}
@@ -148,6 +153,40 @@ func TestParseErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := scenario.Parse([]byte(src)); err == nil {
 			t.Errorf("%s: accepted %s", name, src)
+		}
+	}
+}
+
+// TestFlowScheduleValidation pins that a flow whose stop_sec does not
+// follow its start_sec, or with a negative start, stop or size, is
+// rejected with an error naming the flow, both by Parse and, for a spec
+// that skipped validation, by Build. Such a flow used to parse, and a
+// stop before the start was ignored: the source ran to the end of the run.
+func TestFlowScheduleValidation(t *testing.T) {
+	bad := map[string]scenario.Flow{
+		"stop before start": {ID: 1, StartSec: 40, StopSec: 20},
+		"stop at start":     {ID: 1, StartSec: 40, StopSec: 40},
+		"negative start":    {ID: 1, StartSec: -1},
+		"negative stop":     {ID: 1, StopSec: -1},
+		"negative bytes":    {ID: 1, Bytes: -1},
+	}
+	for name, f := range bad {
+		spec := scenario.Spec{Topology: scenario.Topology{Kind: "chain", Hops: 2}, DurationSec: 60, Flows: []scenario.Flow{f}}
+		src, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scenario.Parse(src); err == nil || !strings.Contains(err.Error(), "flow 1") {
+			t.Errorf("%s: Parse error %v, want one naming flow 1", name, err)
+		}
+		if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "flow 1") {
+			t.Errorf("%s: Build error %v, want one naming flow 1", name, err)
+		}
+	}
+	for _, f := range []scenario.Flow{{ID: 1, StartSec: 40}, {ID: 1, StartSec: 20, StopSec: 40}} {
+		spec := scenario.Spec{Topology: scenario.Topology{Kind: "chain", Hops: 2}, DurationSec: 60, Flows: []scenario.Flow{f}}
+		if _, err := spec.Build(); err != nil {
+			t.Errorf("start %g stop %g rejected: %v", f.StartSec, f.StopSec, err)
 		}
 	}
 }

@@ -26,8 +26,8 @@ var delayBucketsSec = []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
 // returns its Set (idempotent: a second call returns the first Set). It
 // may be called any time between wiring and Run — metric gauges read
 // state lazily at snapshot time, so nothing is lost by attaching late.
-// Config.Obs does this automatically at wiring for library users; the
-// CLIs call it to honour their -obs/-flightrec flags.
+// The CLIs call it to honour their -obs/-flightrec flags, and campaigns
+// when their spec asks for metrics.
 func (sc *Scenario) EnableObs(ocfg obs.Config) *obs.Set {
 	if sc.ran {
 		panic("ezflow: EnableObs after Run")

@@ -133,7 +133,7 @@ func routingStrategy(b *testing.B, name string) routing.Strategy {
 	if !ok {
 		b.Fatalf("strategy %q not registered", name)
 	}
-	return info.New(routing.DefaultOptions())
+	return info.New()
 }
 
 // benchRouteBuild measures one strategy's route-computation cost on a

@@ -50,7 +50,7 @@ type WorkloadSpec struct {
 	// RateBps is the per-client rate while active (default
 	// DefaultWorkloadRateBps).
 	RateBps float64 `json:"rate_bps,omitempty"`
-	// Bytes is the packet size (default Config.PacketBytes).
+	// Bytes is the packet size (default 1028).
 	Bytes int `json:"bytes,omitempty"`
 	// Gateway is the gateway node (default 0, every builder's gateway).
 	Gateway NodeID `json:"gateway,omitempty"`
