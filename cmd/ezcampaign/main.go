@@ -1,10 +1,9 @@
 // Command ezcampaign runs a declarative experiment campaign: the
-// cartesian product of swept parameters (every axis of campaign.AxisNames:
-// topology, mode, controller, routing, hops, rate, cap, nodes, flap,
-// churn, mobility, speed, pause, clients) with independently seeded
-// replications per grid point, fanned out across a worker pool, then
-// aggregated into mean / std / 95% CI per point and emitted through the
-// chosen sinks. `ezcampaign -h` lists the axes with their values.
+// cartesian product of swept parameters (the rows of the campaign
+// package's axis table; `ezcampaign -h` lists them with their values)
+// with independently seeded replications per grid point, fanned out
+// across a worker pool, then aggregated into mean / std / 95% CI per
+// point and emitted through the chosen sinks.
 //
 // Usage:
 //
@@ -23,21 +22,13 @@
 //	           -reps 5
 //	ezcampaign -sweep hops=2..8 -reps 10 -cache -shards 4 -json out.json
 //
-// The controller axis sweeps the congestion-controller registry
-// (internal/ctl) head to head — any registered name plus 802.11 for the
-// raw baseline; it subsumes (and is mutually exclusive with) the mode
-// axis. `ezcampaign -h` enumerates the registered controllers.
-//
-// The routing axis sweeps the routing-strategy registry
-// (internal/routing) the same way: bfs (minimum hop count, the default),
-// etx (link-quality cost over the calibrated per-link losses), kshortest
-// (deterministic multipath spreading). Strategies other than bfs
-// recompute every route at wiring and drive route repair under dynamics.
-//
-// The fault-injection axes flap and churn (values 0|1) sever the first
+// The controller axis (any registered controller, or 802.11 for the raw
+// baseline) subsumes and is mutually exclusive with the mode axis. The
+// fault-injection axes flap and churn (values 0|1) sever the first
 // flow's middle link, respectively halt its middle relay, from 40% to 50%
 // of each run, with BFS route repair; runs with faults additionally
-// report recovery time and post-fault tail queue statistics.
+// report recovery time and post-fault tail queue statistics. The axes
+// that apply to a scenario file are also ezsim's flags of the same names.
 //
 // Every run is built from a scenario.Spec: built-in points synthesize one
 // from their topology, hops and nodes values, and -scenario runs every

@@ -80,36 +80,9 @@ func main() {
 
 	if *foster && *k == 4 {
 		fmt.Println("Foster condition (6), stabilising cw = [2^11, 16, 16, 16]:")
-		var regions []string
-		for r := range markov.FosterK {
-			regions = append(regions, r)
-		}
-		sort.Strings(regions)
-		for _, region := range regions {
-			kk := markov.FosterK[region]
-			wf := markov.NewWalk(markov.Config{
-				K: 4, InitCW: 32, EZEnabled: false,
-				BMin: 0.05, BMax: 20, MinCW: 16, MaxCW: 1 << 15,
-			}, rng.Float64)
-			copy(wf.CW, []int{1 << 11, 16, 16, 16})
-			switch region {
-			case "B":
-				wf.B[1] = 2
-			case "C":
-				wf.B[2] = 2
-			case "D":
-				wf.B[3] = 2
-			case "E":
-				wf.B[1], wf.B[2] = 2, 2
-			case "F":
-				wf.B[1], wf.B[3] = 2, 2
-			case "G":
-				wf.B[2], wf.B[3] = 2, 2
-			case "H":
-				wf.B[1], wf.B[2], wf.B[3] = 2, 2, 2
-			}
-			d := wf.DriftK(kk, 20000, rng.Float64)
-			fmt.Printf("  region %s (k=%2d): drift %+.4f\n", region, kk, d)
+		for _, region := range markov.FosterRegions() {
+			d := markov.FosterDrift(region, 20000, rng.Float64)
+			fmt.Printf("  region %s (k=%2d): drift %+.4f\n", region, markov.FosterK[region], d)
 		}
 	}
 }

@@ -15,37 +15,17 @@
 //
 // Topologies: chain (with -hops), testbed, scenario1, scenario2, tree,
 // grid (with -grid-w/-grid-h), random (with -nodes/-radius; placement is
-// seeded by -seed). Modes: 802.11, ezflow, penalty, diffq.
+// seeded by -seed).
 //
-// -controller selects any congestion controller registered in
-// internal/ctl by name, overriding -mode; `ezsim -h` enumerates the
-// registry. The four head-to-head families are ezflow (passive,
-// message-free), backpressure (piggybacked queue differentials), feedback
-// (explicit rate-feedback control frames), and staticcap (fixed per-hop
-// window).
-//
-// -mobility selects a mobility model from the internal/mobility
-// registry: waypoint (random-waypoint commuters over the deployment's
-// bounding box) or trace (scripted positions from a file — scenario
-// files only, via the mobility block's trace_file). `-mobility off`
-// pins a scenario file's mobile nodes in place for a static control
-// run. -speed and -pause tune the model; -clients synthesizes a
-// gateway-centred downlink client population (or resizes a scenario
-// file's workload block). Node 0 (the gateway) never moves. Mobile runs
-// rebuild the PHY neighbor index once per position tick and repair
-// routes through the active routing strategy:
+// The flags that share a name with a campaign sweep axis (the control
+// plane, routing, rate, window cap, mobility and workload flags) are
+// declared from the rows of the campaign package's axis table: each takes
+// the values of its axis and writes the scenario spec as a campaign point
+// sweeping it does. `ezsim -h` lists them with their values:
 //
 //	ezsim -topology grid -grid-w 4 -grid-h 4 -mobility waypoint -speed 3
-//	ezsim -scenario examples/mobility/waypoint.json
 //	ezsim -scenario examples/mobility/waypoint.json -mobility off
 //	ezsim -topology grid -mobility waypoint -clients 8
-//
-// -routing selects a routing strategy from the internal/routing registry:
-// bfs (minimum hop count, the default — byte-identical to the builder's
-// installed routes), etx (expected-transmission-count link quality over
-// the calibrated per-link losses), or kshortest (deterministic k-shortest
-// multipath with per-flow path spreading). Non-default strategies
-// recompute every route at wiring and drive route repair under dynamics.
 //
 // Observability (see internal/obs and "Inspecting a run" in README.md):
 // -obs serves live metrics, progress and pprof over HTTP while the run
@@ -61,11 +41,10 @@
 // channel degradation, traffic steps) — and without it the topology and
 // run flags describe the spec, defaults included. Either way, every
 // run-shaping flag passed explicitly then overrides the matching spec
-// field: the topology flags, -mode, -controller, -routing, -mobility,
-// -speed, -pause, -clients, -seed, -duration, -cap and -rate (which sets
-// every declared flow's rate). -q always sets the penalty factor
-// (Config.Ctl.PenaltyQ, in (0,1]). Runs with faults print recovery
-// metrics and the applied-event log.
+// field: the topology flags, -seed, -duration and the axis flags above
+// (-rate sets every declared flow's rate). -q always sets the penalty
+// factor (Config.Ctl.PenaltyQ, in (0,1]). Runs with faults print
+// recovery metrics and the applied-event log.
 package main
 
 import (
@@ -80,10 +59,8 @@ import (
 
 	"ezflow"
 	"ezflow/internal/buildinfo"
-	"ezflow/internal/ctl"
-	"ezflow/internal/mobility"
+	"ezflow/internal/campaign"
 	"ezflow/internal/plot"
-	"ezflow/internal/routing"
 	"ezflow/internal/scenario"
 	"ezflow/internal/stats"
 )
@@ -113,18 +90,12 @@ func parseArgs(args []string) (*invocation, error) {
 		nodes    = fs.Int("nodes", 12, "node count for -topology random")
 		radius   = fs.Float64("radius", 0, "disk radius in metres for -topology random (0 = auto)")
 		edgeLoss = fs.Float64("edge-loss", 0, "edge-of-range loss ceiling in [0,1) for -topology random (0 = loss-free links)")
-		mode     = fs.String("mode", "ezflow", "802.11|ezflow|penalty|diffq")
-		ctlName  = fs.String("controller", "", "congestion controller from the registry, overriding -mode: "+ctl.Controllers.NamesList()+" (or 802.11 for none); registered controllers:\n"+ctl.Controllers.Usage())
-		routName = fs.String("routing", "", "routing strategy from the registry: "+routing.Strategies.NamesList()+" (empty = bfs, the builder's minimum-hop routes); registered strategies:\n"+routing.Strategies.Usage())
-		mobName  = fs.String("mobility", "", "mobility model from the registry: "+mobility.Models.NamesList()+" (off pins a scenario file's mobile nodes); registered models:\n"+mobility.Models.Usage())
-		speed    = fs.Float64("speed", 0, "mobile node speed in m/s (needs -mobility or a scenario mobility block)")
-		pause    = fs.Float64("pause", 0, "waypoint dwell seconds at each destination (needs -mobility or a scenario mobility block)")
-		clients  = fs.Int("clients", 0, "gateway client population size (synthesizes a downlink workload, or resizes a scenario file's)")
 		duration = fs.Float64("duration", 600, "simulated seconds")
 		seed     = fs.Int64("seed", 1, "random seed")
-		rate     = fs.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
-		cwCap    = fs.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
 	)
+	// The run-shaping flags a scenario-file campaign may sweep come from
+	// its axis table, parsed and applied exactly as the axis is.
+	applyAxes := campaign.SpecFlags(fs, map[string]string{"mode": "ezflow", "rate": "2e6", "cap": "0"})
 	fs.Float64Var(&inv.penaltyQ, "q", 1.0/128, "penalty factor in (0,1] for -mode penalty")
 	fs.StringVar(&inv.traceDir, "trace-dir", "", "write CSV traces into this directory")
 	fs.BoolVar(&inv.plot, "plot", false, "render ASCII charts of queues, throughput and cw")
@@ -161,40 +132,15 @@ func parseArgs(args []string) (*invocation, error) {
 		"nodes":     func() { t.Nodes = *nodes },
 		"radius":    func() { t.Radius = *radius },
 		"edge-loss": func() { t.EdgeLoss = *edgeLoss },
-		"routing":   func() { spec.Routing = *routName },
 		"seed":      func() { spec.Seed = *seed },
 		"duration":  func() { spec.DurationSec = *duration },
-		"cap":       func() { spec.CWCap = *cwCap },
 	} {
 		if set[name] {
 			apply()
 		}
 	}
-	if set["mode"] {
-		spec.Mode, spec.Controller = *mode, ""
-	}
-	if set["controller"] {
-		spec.Mode, spec.Controller = "", *ctlName
-	}
-	if set["mobility"] {
-		spec.SetMobility(*mobName)
-	}
-	if set["speed"] || set["pause"] {
-		if spec.Mobility == nil {
-			return nil, errors.New("-speed/-pause need a mobility model (-mobility, or a -scenario file with a mobility block)")
-		}
-		if set["speed"] {
-			spec.Mobility.SpeedMps = *speed
-		}
-		if set["pause"] {
-			spec.Mobility.PauseSec = *pause
-		}
-	}
-	if set["clients"] {
-		spec.SetClients(*clients)
-	}
-	if set["rate"] {
-		spec.SetRate(*rate)
+	if err := applyAxes(spec, set); err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -114,9 +114,11 @@ func TestScenarioFlagOverrides(t *testing.T) {
 		// Flags at their default values still override when passed.
 		{[]string{"-seed", "1", "-duration", "600"}, func(s *scenario.Spec) { s.Seed, s.DurationSec = 1, 600 }},
 		{[]string{"-cap", "0", "-routing", "bfs"}, func(s *scenario.Spec) { s.CWCap, s.Routing = 0, "bfs" }},
-		{[]string{"-mode", "802.11"}, func(s *scenario.Spec) { s.Mode = "802.11" }},
+		// The campaign axis rows canonicalise spellings: the 802.11 mode is
+		// no wrapper controller at all, and every none spelling is 802.11.
+		{[]string{"-mode", "802.11"}, func(s *scenario.Spec) { s.Mode = "" }},
 		{[]string{"-controller", "backpressure"}, func(s *scenario.Spec) { s.Mode, s.Controller = "", "backpressure" }},
-		{[]string{"-controller", "off"}, func(s *scenario.Spec) { s.Mode, s.Controller = "", "off" }},
+		{[]string{"-controller", "off"}, func(s *scenario.Spec) { s.Mode, s.Controller = "", "802.11" }},
 		{[]string{"-mobility", "off"}, func(s *scenario.Spec) { s.Mobility = nil }},
 		{[]string{"-speed", "4", "-pause", "1"}, func(s *scenario.Spec) { s.Mobility.SpeedMps, s.Mobility.PauseSec = 4, 1 }},
 		{[]string{"-clients", "7"}, func(s *scenario.Spec) { s.Workload.Clients = 7 }},
@@ -154,7 +156,11 @@ func TestHostileFlags(t *testing.T) {
 		{[]string{"-mobility", "bogus"}, `unknown mobility model "bogus" (registered: off|`},
 		{[]string{"-topology", "torus"}, `unknown topology kind "torus" (registered: `},
 		{[]string{"-mode", "tcp"}, `unknown mode "tcp"`},
-		{[]string{"-speed", "3"}, "-speed/-pause need a mobility model"},
+		{[]string{"-speed", "3"}, "speed and pause need a mobility model"},
+		{[]string{"-mobility", "waypoint", "-speed", "0"}, `bad speed "0"`},
+		{[]string{"-rate", "0"}, `bad rate "0"`},
+		{[]string{"-rate", "-1"}, `bad rate "-1"`},
+		{[]string{"-cap", "-5"}, `bad cw cap "-5"`},
 		{[]string{"-scenario", "/nonexistent/spec.json"}, "no such file"},
 		{[]string{"-mode", "penalty", "-q", "0"}, "-q 0 out of (0,1]"},
 		{[]string{"-mode", "penalty", "-q", "1.5"}, "-q 1.5 out of (0,1]"},
@@ -171,6 +177,33 @@ func TestHostileFlags(t *testing.T) {
 	}
 	if _, err := inv.build(); err == nil || !strings.Contains(err.Error(), "no connected") {
 		t.Errorf("impossible placement: error %v, want a build error", err)
+	}
+}
+
+// TestFlowsPastTheEnd pins that a flow starting at or after the run's
+// end, set by the file's duration or by -duration, fails the build naming
+// the flow instead of running silently at 0 kb/s.
+func TestFlowsPastTheEnd(t *testing.T) {
+	for _, c := range []struct {
+		start string
+		args  []string
+	}{
+		{"100", nil},
+		{"60", nil},
+		{"30", []string{"-duration", "20"}},
+	} {
+		file := writeSpec(t, `{"topology": {"kind": "chain", "hops": 2}, "duration_sec": 60, "flows": [{"id": 1, "start_sec": `+c.start+`}]}`)
+		inv, err := parseArgs(append([]string{"-scenario", file}, c.args...))
+		if err == nil {
+			_, err = inv.build()
+		}
+		if err == nil || !strings.Contains(err.Error(), "flow 1 starts at") {
+			t.Errorf("start_sec %s %v: error %v, want one naming flow 1", c.start, c.args, err)
+		}
+	}
+	if _, err := parseArgs([]string{"-scenario", writeSpec(t, `{"topology": {"kind": "chain", "hops": 2},
+	  "dynamics": [{"at_sec": 30, "kind": "link-down", "a": 1, "b": 2}]}`), "-duration", "20"}); err == nil {
+		t.Error("dynamics event at 30s accepted into a 20s run")
 	}
 }
 

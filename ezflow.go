@@ -453,6 +453,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 			panic(fmt.Sprintf("ezflow: flow %d: start %v, stop %v, bytes %d: want non-negative values and a stop after the start",
 				int(fs.Flow), fs.Start, fs.Stop, fs.Bytes))
 		}
+		if fs.Start >= cfg.Duration {
+			panic(fmt.Sprintf("ezflow: flow %d starts at %v, at or after the run's end %v", int(fs.Flow), fs.Start, cfg.Duration))
+		}
 		var src *traffic.Source
 		if fs.Poisson {
 			src = traffic.NewPoisson(m, fs.Flow, fs.RateBps, fs.Bytes)
@@ -503,6 +506,11 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// Perturbation timeline, scheduled up front so the run stays a pure
 	// function of (scenario, seed).
 	if cfg.Dynamics != nil && len(cfg.Dynamics.Events) > 0 {
+		for _, ev := range cfg.Dynamics.Events {
+			if ev.At > cfg.Duration {
+				panic(fmt.Sprintf("ezflow: %v event at %v is after the run's end %v", ev.Kind, ev.At, cfg.Duration))
+			}
+		}
 		if err := sc.AddDynamics(cfg.Dynamics); err != nil {
 			panic(fmt.Sprintf("ezflow: %v", err))
 		}

@@ -26,6 +26,7 @@ package campaign
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -184,28 +185,44 @@ type axisDef struct {
 	doc string
 	// set parses one value onto a grid point.
 	set func(p *Point, v string) error
+	// label, when non-nil, renders the point's value as the label fragment
+	// "name=value", or "" to leave it out. These rows postdate the label's
+	// fixed head and append only when a point sets them, so older labels
+	// (and with them DeriveSeed streams and cache keys) are untouched.
+	label func(p Point) string
+	// apply, when non-nil, writes the point's value onto the spec the
+	// point runs. The topology-shaped rows have none (they shape a built-in
+	// point's base spec), nor do flap and churn (post-build faults, see
+	// applyAxisFaults).
+	apply func(p Point, s *scenario.Spec) error
 }
 
 // axisTable lists every sweepable axis in usage order. ParseSweep accepts
-// exactly these names, SweepUsage documents them, and Point.set applies a
-// value through the row, so the three cannot drift apart.
+// exactly these names, SweepUsage documents them, Point.set parses a value
+// through the row, makeLabel appends the rows' fragments and runSpec and
+// ezsim's flags (SpecFlags) apply them, so none of these can drift apart.
 var axisTable = []axisDef{
-	{"topology", "built-in topology: " + scenario.Topologies.NamesList(), func(p *Point, v string) error {
+	{name: "topology", doc: "built-in topology: " + scenario.Topologies.NamesList(), set: func(p *Point, v string) error {
 		if _, err := scenario.Topologies.Lookup(v); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
 		p.Topology = v
 		return nil
 	}},
-	{"mode", "control mode: 802.11|ezflow|penalty|diffq", func(p *Point, v string) error {
+	{name: "mode", doc: "control mode: 802.11|ezflow|penalty|diffq", set: func(p *Point, v string) error {
 		m, err := scenario.ParseMode(v)
 		if err != nil {
 			return err
 		}
 		p.Mode = m
 		return nil
+	}, apply: func(p Point, s *scenario.Spec) error {
+		s.Mode, s.Controller = p.Mode.ControllerName(), ""
+		return nil
 	}},
-	{"controller", "registered controller, head to head: " + ctl.Controllers.NamesList() + "|802.11", func(p *Point, v string) error {
+	// A controller point pins its controller (802.11: none at all) over
+	// the mode row's wrapper controller.
+	{name: "controller", doc: "registered controller, head to head: " + ctl.Controllers.NamesList() + "|802.11", set: func(p *Point, v string) error {
 		v = strings.ToLower(v)
 		if ctl.IsNone(v) {
 			p.Controller = "802.11"
@@ -216,39 +233,42 @@ var axisTable = []axisDef{
 		}
 		p.Controller = v
 		return nil
+	}, apply: func(p Point, s *scenario.Spec) error {
+		if p.Controller != "" {
+			s.Mode, s.Controller = "", p.Controller
+		}
+		return nil
 	}},
-	{"routing", "registered routing strategy: " + routing.Strategies.NamesList(), func(p *Point, v string) error {
+	{name: "hops", doc: "chain length / grid side", set: func(p *Point, v string) error {
+		return parseInt(&p.Hops, v, 1, "hop count")
+	}},
+	{name: "nodes", doc: "random-disk size", set: func(p *Point, v string) error {
+		return parseInt(&p.Nodes, v, 2, "node count")
+	}},
+	// Built-in points always carry a rate; file points only when the rate
+	// axis is swept.
+	{name: "rate", doc: "per-flow rate in bit/s", set: func(p *Point, v string) error {
+		return parsePositive(&p.RateBps, v, "rate", "bit/s")
+	}, apply: func(p Point, s *scenario.Spec) error {
+		if p.RateBps > 0 {
+			s.SetRate(p.RateBps)
+		}
+		return nil
+	}},
+	{name: "routing", doc: "registered routing strategy: " + routing.Strategies.NamesList(), set: func(p *Point, v string) error {
 		v = strings.ToLower(v)
 		if _, err := routing.Strategies.Lookup(v); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
 		p.Routing = v
 		return nil
-	}},
-	{"hops", "chain length / grid side", func(p *Point, v string) error {
-		return parseInt(&p.Hops, v, 1, "hop count")
-	}},
-	{"rate", "per-flow rate in bit/s", func(p *Point, v string) error {
-		r, err := strconv.ParseFloat(v, 64)
-		if err != nil || r <= 0 {
-			return fmt.Errorf("campaign: bad rate %q", v)
-		}
-		p.RateBps = r
+	}, label: func(p Point) string { return p.Routing }, apply: func(p Point, s *scenario.Spec) error {
+		s.Routing = p.Routing
 		return nil
 	}},
-	{"cap", "hardware CWmin cap, 0 = none", func(p *Point, v string) error {
-		return parseInt(&p.CWCap, v, 0, "cw cap")
-	}},
-	{"nodes", "random-disk size", func(p *Point, v string) error {
-		return parseInt(&p.Nodes, v, 2, "node count")
-	}},
-	{"flap", "0|1 mid-run link failure", func(p *Point, v string) error {
-		return parseBool01(&p.Flap, v, "flap")
-	}},
-	{"churn", "0|1 mid-run relay outage", func(p *Point, v string) error {
-		return parseBool01(&p.Churn, v, "churn")
-	}},
-	{"mobility", "mobility model: " + mobility.Models.NamesList(), func(p *Point, v string) error {
+	// Points that set no mobility/workload field leave a file's blocks
+	// exactly as written.
+	{name: "mobility", doc: "mobility model: " + mobility.Models.NamesList(), set: func(p *Point, v string) error {
 		v = strings.ToLower(v)
 		if mobility.IsOff(v) {
 			p.Mobility = "off"
@@ -259,16 +279,42 @@ var axisTable = []axisDef{
 		}
 		p.Mobility = v
 		return nil
+	}, label: func(p Point) string { return p.Mobility }, apply: func(p Point, s *scenario.Spec) error {
+		if p.Mobility != "" {
+			s.SetMobility(p.Mobility)
+		}
+		return nil
 	}},
-	{"speed", "waypoint speed in m/s", func(p *Point, v string) error {
+	{name: "speed", doc: "waypoint speed in m/s", set: func(p *Point, v string) error {
 		return parsePositive(&p.SpeedMps, v, "speed", "m/s")
+	}, label: func(p Point) string { return positive(p.SpeedMps) }, apply: func(p Point, s *scenario.Spec) error {
+		return patchMobility(p, p.SpeedMps, s, func(m *scenario.Mobility) { m.SpeedMps = p.SpeedMps })
 	}},
-	{"pause", "waypoint dwell in seconds", func(p *Point, v string) error {
+	{name: "pause", doc: "waypoint dwell in seconds", set: func(p *Point, v string) error {
 		return parsePositive(&p.PauseSec, v, "pause", "seconds")
+	}, label: func(p Point) string { return positive(p.PauseSec) }, apply: func(p Point, s *scenario.Spec) error {
+		return patchMobility(p, p.PauseSec, s, func(m *scenario.Mobility) { m.PauseSec = p.PauseSec })
 	}},
-	{"clients", "gateway client population", func(p *Point, v string) error {
+	{name: "clients", doc: "gateway client population", set: func(p *Point, v string) error {
 		return parseInt(&p.Clients, v, 1, "client count")
+	}, label: func(p Point) string { return count(p.Clients) }, apply: func(p Point, s *scenario.Spec) error {
+		if p.Clients > 0 {
+			s.SetClients(p.Clients)
+		}
+		return nil
 	}},
+	{name: "cap", doc: "hardware CWmin cap, 0 = none", set: func(p *Point, v string) error {
+		return parseInt(&p.CWCap, v, 0, "cw cap")
+	}, label: func(p Point) string { return count(p.CWCap) }, apply: func(p Point, s *scenario.Spec) error {
+		s.CWCap = p.CWCap
+		return nil
+	}},
+	{name: "flap", doc: "0|1 mid-run link failure", set: func(p *Point, v string) error {
+		return parseBool01(&p.Flap, v, "flap")
+	}, label: func(p Point) string { return on(p.Flap) }},
+	{name: "churn", doc: "0|1 mid-run relay outage", set: func(p *Point, v string) error {
+		return parseBool01(&p.Churn, v, "churn")
+	}, label: func(p Point) string { return on(p.Churn) }},
 }
 
 // axisByName returns the named row of the axis table, nil when none.
@@ -341,6 +387,49 @@ func parseBool01(dst *bool, v, what string) error {
 	return nil
 }
 
+// positive renders a label value in %g, "" when it is not positive.
+func positive(f float64) string {
+	if f <= 0 {
+		return ""
+	}
+	return fmt.Sprintf("%g", f)
+}
+
+// count renders a label value in %d, "" when it is not positive.
+func count(n int) string {
+	if n <= 0 {
+		return ""
+	}
+	return strconv.Itoa(n)
+}
+
+// on renders a 0|1 axis's label value: "1", or "" when off.
+func on(b bool) string {
+	if b {
+		return "1"
+	}
+	return ""
+}
+
+// errNoMobility rejects speed or pause where no mobility model runs.
+var errNoMobility = errors.New("campaign: speed and pause need a mobility model (the mobility axis or flag, or a scenario file with a mobility block)")
+
+// patchMobility applies a set speed or pause (v > 0) through edit to a
+// copy of whichever mobility block is active: the point's model or the
+// scenario file's. A point that pins mobility off has none to patch.
+func patchMobility(p Point, v float64, s *scenario.Spec, edit func(m *scenario.Mobility)) error {
+	switch {
+	case v <= 0 || (s.Mobility == nil && p.Mobility == "off"):
+		return nil
+	case s.Mobility == nil:
+		return errNoMobility
+	}
+	m := *s.Mobility
+	edit(&m)
+	s.Mobility = &m
+	return nil
+}
+
 // topology synthesizes a built-in point's scenario topology. The hops
 // axis doubles as the side of a grid, clamped to 2 (a 1×1 "grid" has no
 // route to install). Label and scenario builder share this so the report
@@ -350,55 +439,32 @@ func (p Point) topology() scenario.Topology {
 	return scenario.Topology{Kind: p.Topology, Hops: p.Hops, Width: side, Height: side, Nodes: p.Nodes}
 }
 
+// makeLabel renders the point's label: its fixed head (topology or
+// scenario, control plane, a built-in point's shape, the rate), then the
+// fragment of every row that has one, in table order.
 func (p Point) makeLabel() string {
-	var b string
+	b := "topology=" + p.Topology
 	if p.Scenario != "" {
-		b = fmt.Sprintf("scenario=%s mode=%v", p.Scenario, p.Mode)
-		if p.Controller != "" {
-			b = fmt.Sprintf("scenario=%s ctl=%s", p.Scenario, p.Controller)
-		}
-		if p.RateBps > 0 { // only set when the rate axis is swept
-			b += fmt.Sprintf(" rate=%g", p.RateBps)
-		}
+		b = "scenario=" + p.Scenario
+	}
+	if p.Controller != "" {
+		b += " ctl=" + p.Controller
 	} else {
-		b = fmt.Sprintf("topology=%s mode=%v", p.Topology, p.Mode)
-		if p.Controller != "" {
-			b = fmt.Sprintf("topology=%s ctl=%s", p.Topology, p.Controller)
-		}
-		if shape := p.topology().Shape(); shape != "" {
-			b += " " + shape
-		}
+		b += " mode=" + p.Mode.String()
+	}
+	if shape := p.topology().Shape(); shape != "" { // file points have no kind
+		b += " " + shape
+	}
+	if p.Scenario == "" || p.RateBps > 0 {
 		b += fmt.Sprintf(" rate=%g", p.RateBps)
 	}
-	if p.Routing != "" {
-		// Only an explicitly swept/filed strategy reaches the label (and
-		// with it DeriveSeed) — points without one keep their pre-routing
-		// labels, so historical campaign seeds are unchanged.
-		b += fmt.Sprintf(" routing=%s", p.Routing)
-	}
-	// Like routing above, the mobility/workload fragments append only
-	// when a point sets them, so pre-mobility labels (and with them
-	// DeriveSeed streams and cache keys) are untouched.
-	if p.Mobility != "" {
-		b += fmt.Sprintf(" mobility=%s", p.Mobility)
-	}
-	if p.SpeedMps > 0 {
-		b += fmt.Sprintf(" speed=%g", p.SpeedMps)
-	}
-	if p.PauseSec > 0 {
-		b += fmt.Sprintf(" pause=%g", p.PauseSec)
-	}
-	if p.Clients > 0 {
-		b += fmt.Sprintf(" clients=%d", p.Clients)
-	}
-	if p.CWCap > 0 {
-		b += fmt.Sprintf(" cap=%d", p.CWCap)
-	}
-	if p.Flap {
-		b += " flap=1"
-	}
-	if p.Churn {
-		b += " churn=1"
+	for _, ax := range axisTable {
+		if ax.label == nil {
+			continue
+		}
+		if v := ax.label(p); v != "" {
+			b += " " + ax.name + "=" + v
+		}
 	}
 	return b
 }
@@ -418,33 +484,24 @@ func (s Spec) Enumerate() ([]Point, error) {
 	if s.sweeps("speed") || s.sweeps("pause") {
 		fileMobile := s.Scenario != nil && s.Scenario.Mobility != nil && !mobility.IsOff(s.Scenario.Mobility.Model)
 		if !s.sweeps("mobility") && !fileMobile {
-			return nil, fmt.Errorf("campaign: the speed/pause axes need a mobility model (sweep mobility, or attach a scenario file with a mobility block)")
+			return nil, errNoMobility
 		}
 	}
 	if s.Scenario != nil {
 		if err := s.Scenario.Validate(); err != nil {
 			return nil, err
 		}
-		// Trial-build once (no run): dynamics events naming nodes absent
-		// from the topology only surface at build time, and surfacing
+		// Trial-build once (no run) at the duration the runs get: dynamics
+		// events naming nodes absent from the topology, and flows or events
+		// that duration cuts off, only surface at build time, and surfacing
 		// them here as an error beats a raw panic inside a pool worker.
-		if _, err := s.Scenario.Build(); err != nil {
+		_, durSec := s.effective()
+		cfg, err := runConfig(s.Scenario, durSec)
+		if err != nil {
 			return nil, err
 		}
-		// The file's own Validate checks events against the file's
-		// duration; when the file leaves duration unset, the campaign's
-		// applies instead, and events scheduled past it would silently
-		// never fire — reject that here, where it can still be an error.
-		if s.Scenario.DurationSec <= 0 {
-			eff := s.DurationSec
-			if eff <= 0 {
-				eff = ezflow.DefaultDuration.Seconds()
-			}
-			for i, ev := range s.Scenario.Dynamics {
-				if ev.AtSec > eff {
-					return nil, fmt.Errorf("campaign: scenario dynamics[%d] at_sec %g is beyond the campaign duration %gs (the file sets no duration_sec)", i, ev.AtSec, eff)
-				}
-			}
+		if _, err := s.Scenario.BuildWith(cfg); err != nil {
+			return nil, err
 		}
 		for _, ax := range s.Axes {
 			switch ax.Name {
@@ -773,7 +830,7 @@ func assemble(spec Spec, points []Point, reps int, runs []RunResult) *Result {
 func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunResult {
 	seed := DeriveSeed(spec.BaseSeed, p.Label, rep)
 	s := runSpec(spec, p)
-	cfg, err := s.Config()
+	cfg, err := runConfig(s, durSec)
 	if err != nil {
 		panic(err)
 	}
@@ -781,11 +838,6 @@ func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunR
 	// replication samples a fresh connected deployment while staying fully
 	// reproducible.
 	cfg.Seed = seed
-	// The scenario file is the experiment definition: its duration wins
-	// over the campaign-level default when it sets one.
-	if s.DurationSec <= 0 {
-		cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
-	}
 	sc, err := s.BuildWith(cfg)
 	if err != nil {
 		panic(err)
@@ -834,46 +886,65 @@ func runOne(spec Spec, p Point, rep int, durSec float64, stop *atomic.Bool) RunR
 	return rr
 }
 
+// runConfig resolves a run's spec into its Config at the campaign's
+// duration. The scenario file is the experiment definition: its duration
+// wins over the campaign-level default when it sets one.
+func runConfig(s *scenario.Spec, durSec float64) (ezflow.Config, error) {
+	cfg, err := s.Config()
+	if s.DurationSec <= 0 {
+		cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
+	}
+	return cfg, err
+}
+
 // runSpec returns the scenario spec one grid point runs: a copy of the
 // campaign's scenario file, or one synthesized for a built-in point, with
-// the point's axes applied. Enumerate seeded file points' control plane,
-// routing and cap from the file. Built-in points always carry a rate;
-// file points only when the rate axis is swept, and points that set no
-// mobility/workload field leave the file's blocks exactly as written.
+// every row's apply run over it in table order. Enumerate seeded file
+// points' control plane, routing and cap from the file, and it rejects
+// the one apply error (speed or pause with no mobility model).
 func runSpec(spec Spec, p Point) *scenario.Spec {
 	s := scenario.Spec{Topology: p.topology()}
 	if spec.Scenario != nil {
 		s = *spec.Scenario
 	}
-	// A controller point pins its controller (802.11: none at all); other
-	// points deploy their mode's wrapper controller.
-	s.Mode, s.Controller = "", p.Controller
-	if p.Controller == "" {
-		s.Mode = p.Mode.ControllerName()
-	}
-	s.Routing, s.CWCap = p.Routing, p.CWCap
-	if p.RateBps > 0 {
-		s.SetRate(p.RateBps)
-	}
-	if p.Mobility != "" {
-		s.SetMobility(p.Mobility)
-	}
-	// Speed and pause patch whichever block is active: the swept model or
-	// the file's (Enumerate demands one of them).
-	if m := s.Mobility; m != nil && (p.SpeedMps > 0 || p.PauseSec > 0) {
-		c := *m
-		if p.SpeedMps > 0 {
-			c.SpeedMps = p.SpeedMps
+	for _, ax := range axisTable {
+		if ax.apply == nil {
+			continue
 		}
-		if p.PauseSec > 0 {
-			c.PauseSec = p.PauseSec
+		if err := ax.apply(p, &s); err != nil {
+			panic(err)
 		}
-		s.Mobility = &c
-	}
-	if p.Clients > 0 {
-		s.SetClients(p.Clients)
 	}
 	return &s
+}
+
+// SpecFlags declares on fs one string flag per axis row with an apply —
+// the axes a scenario-file campaign may sweep — with the row's doc as its
+// usage and defaults[name] as its value when not passed. The returned func
+// applies, in table order, each of these flags that set names onto s
+// through the row's parse and apply, just as a campaign point sweeping
+// that value would.
+func SpecFlags(fs *flag.FlagSet, defaults map[string]string) func(s *scenario.Spec, set map[string]bool) error {
+	vals := make(map[string]*string)
+	for _, ax := range axisTable {
+		if ax.apply != nil {
+			vals[ax.name] = fs.String(ax.name, defaults[ax.name], ax.doc)
+		}
+	}
+	return func(s *scenario.Spec, set map[string]bool) error {
+		var p Point
+		for _, ax := range axisTable {
+			if v, ok := vals[ax.name]; ok && set[ax.name] {
+				if err := ax.set(&p, *v); err != nil {
+					return err
+				}
+				if err := ax.apply(p, s); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 }
 
 // applyAxisFaults layers the flap/churn axes' perturbations onto a built

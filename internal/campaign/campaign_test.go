@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/scenario"
 )
 
 func TestRunAllOrderAndParallel(t *testing.T) {
@@ -64,13 +66,39 @@ func TestParseSweep(t *testing.T) {
 }
 
 // TestAxisTable pins that ParseSweep, its error message, the -sweep
-// usage text and Point.set all read the same axis list, and that every
-// listed axis applies a valid value.
+// usage text and Point.set all read the same axis list, that every
+// listed axis parses a valid value, and that each row which must render a
+// label fragment or apply to a spec does so with it.
 func TestAxisTable(t *testing.T) {
 	valid := map[string]string{
 		"topology": "grid", "mode": "ezflow", "controller": "feedback", "routing": "etx",
 		"hops": "3", "rate": "1e5", "cap": "64", "nodes": "9", "flap": "1", "churn": "1",
 		"mobility": "waypoint", "speed": "2", "pause": "1", "clients": "4",
+	}
+	labelled := map[string]bool{"routing": true, "mobility": true, "speed": true, "pause": true,
+		"clients": true, "cap": true, "flap": true, "churn": true}
+	applied := map[string]bool{"mode": true, "controller": true, "rate": true, "routing": true,
+		"mobility": true, "speed": true, "pause": true, "clients": true, "cap": true}
+	for _, ax := range axisTable {
+		var p Point
+		if err := ax.set(&p, valid[ax.name]); err != nil {
+			t.Errorf("%s: %v", ax.name, err)
+			continue
+		}
+		if labelled[ax.name] != (ax.label != nil) || (ax.label != nil && ax.label(p) == "") {
+			t.Errorf("%s: label fragment present %v, want %v, or empty for %s", ax.name, ax.label != nil, labelled[ax.name], valid[ax.name])
+		}
+		if applied[ax.name] != (ax.apply != nil) {
+			t.Errorf("%s: apply present %v, want %v", ax.name, ax.apply != nil, applied[ax.name])
+			continue
+		}
+		if ax.apply != nil {
+			s := scenario.Spec{Topology: scenario.Topology{Kind: "chain"}, Mobility: &scenario.Mobility{Model: "trace"}}
+			before := s
+			if err := ax.apply(p, &s); err != nil || reflect.DeepEqual(s, before) {
+				t.Errorf("%s: apply of %s = %v, left the spec as it was", ax.name, valid[ax.name], err)
+			}
+		}
 	}
 	_, err := ParseSweep("bogus=1")
 	if err == nil {
@@ -96,6 +124,60 @@ func TestAxisTable(t *testing.T) {
 	}
 	if len(valid) != len(AxisNames()) {
 		t.Errorf("axis list %v, test values for %d axes", AxisNames(), len(valid))
+	}
+}
+
+// TestSpecFlagsMatchRunSpec pins ezsim's run-shaping flags to the
+// campaign: for every row with an apply, the flag -<row> v over a
+// scenario file resolves to the very spec that a one-point campaign over
+// that file sweeping <row>=v runs.
+func TestSpecFlagsMatchRunSpec(t *testing.T) {
+	const file = `{
+	  "topology": {"kind": "grid", "width": 3, "height": 3},
+	  "mode": "ezflow", "routing": "bfs", "cw_cap": 256, "duration_sec": 10,
+	  "flows": [{"id": 1, "rate_bps": 4e5}],
+	  "mobility": {"model": "waypoint", "speed_mps": 9, "pause_sec": 3},
+	  "workload": {"clients": 3, "on_mean_sec": 2, "off_mean_sec": 2}
+	}`
+	values := map[string]string{"mode": "diffq", "controller": "backpressure", "rate": "1e5",
+		"routing": "etx", "mobility": "off", "speed": "4", "pause": "1", "clients": "6", "cap": "64"}
+	parse := func() *scenario.Spec {
+		s, err := scenario.Parse([]byte(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, ax := range axisTable {
+		if ax.apply == nil {
+			continue
+		}
+		v, ok := values[ax.name]
+		if !ok {
+			t.Errorf("%s: no test value", ax.name)
+			continue
+		}
+		spec := Spec{Scenario: parse(), Axes: []Axis{{Name: ax.name, Values: []string{v}}}}
+		pts, err := spec.Enumerate()
+		if err != nil {
+			t.Fatalf("%s=%s: %v", ax.name, v, err)
+		}
+		want := runSpec(spec, pts[0])
+
+		fs := flag.NewFlagSet("ezsim", flag.ContinueOnError)
+		apply := SpecFlags(fs, nil)
+		if err := fs.Parse([]string{"-" + ax.name, v}); err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		got := parse()
+		if err := apply(got, set); err != nil {
+			t.Fatalf("-%s %s: %v", ax.name, v, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-%s %s: spec\n%+v\ncampaign point runs\n%+v", ax.name, v, got, want)
+		}
 	}
 }
 

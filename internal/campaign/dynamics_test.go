@@ -122,6 +122,26 @@ func TestScenarioEventsBeyondCampaignDuration(t *testing.T) {
 	}
 }
 
+func TestScenarioFlowsBeyondCampaignDuration(t *testing.T) {
+	// Likewise a flow that starts at or after the campaign duration would
+	// run silently at 0 kb/s; the trial build at that duration rejects it.
+	s, err := scenario.Parse([]byte(`{
+	  "topology": {"kind": "chain", "hops": 3},
+	  "flows": [{"id": 1, "start_sec": 200}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Scenario: s, DurationSec: 120}
+	if _, err := spec.Enumerate(); err == nil || !strings.Contains(err.Error(), "flow 1 starts at") {
+		t.Errorf("flow starting at 200s in a 120s campaign: error %v", err)
+	}
+	spec.DurationSec = 300
+	if _, err := spec.Enumerate(); err != nil {
+		t.Errorf("flow starting at 200s rejected from a 300s campaign: %v", err)
+	}
+}
+
 func TestScenarioRejectsTopologyAxes(t *testing.T) {
 	s, err := scenario.Parse([]byte(flapScenarioJSON))
 	if err != nil {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math/rand"
-	"sort"
 
 	"ezflow/internal/markov"
 )
@@ -63,25 +62,14 @@ func Theorem1(o Options) *Theorem1Result {
 	if reps < 2000 {
 		reps = 2000
 	}
-	var fosterRegions []string
-	for region := range markov.FosterK {
-		fosterRegions = append(fosterRegions, region)
-	}
-	sort.Strings(fosterRegions)
+	fosterRegions := markov.FosterRegions()
 	regionIdx := make([]int, len(fosterRegions))
 	for i := range regionIdx {
 		regionIdx[i] = i
 	}
 	drifts := fanOut(o, regionIdx, func(i int) float64 {
-		region := fosterRegions[i]
 		rng := rand.New(rand.NewSource(o.Seed + 2 + int64(i)))
-		w := markov.NewWalk(markov.Config{
-			K: 4, InitCW: 32, EZEnabled: false,
-			BMin: 0.05, BMax: 20, MinCW: 16, MaxCW: 1 << 15,
-		}, rng.Float64)
-		copy(w.CW, []int{1 << 11, 16, 16, 16})
-		setRegionState(w, region)
-		return w.DriftK(markov.FosterK[region], reps, rng.Float64)
+		return markov.FosterDrift(fosterRegions[i], reps, rng.Float64)
 	})
 	for i, region := range fosterRegions {
 		r.DriftByRegion[region] = drifts[i]
@@ -92,33 +80,9 @@ func Theorem1(o Options) *Theorem1Result {
 	r.Report.addf("EZ-flow walk over %d slots:   max backlog %.0f, mean %.1f (stable, bounded)",
 		steps, r.EZMax, r.EZMean)
 	r.Report.addf("EZ-flow final cw: %v (source penalised, relays aggressive)", r.EZFinalCW)
-	var regions []string
-	for reg := range r.DriftByRegion {
-		regions = append(regions, reg)
-	}
-	sort.Strings(regions)
-	for _, reg := range regions {
+	for _, reg := range fosterRegions {
 		r.Report.addf("Foster drift, region %s (k=%d): %+.4f", reg,
 			markov.FosterK[reg], r.DriftByRegion[reg])
 	}
 	return r
-}
-
-func setRegionState(w *markov.Walk, region string) {
-	switch region {
-	case "B":
-		w.B[1], w.B[2], w.B[3] = 2, 0, 0
-	case "C":
-		w.B[1], w.B[2], w.B[3] = 0, 2, 0
-	case "D":
-		w.B[1], w.B[2], w.B[3] = 0, 0, 2
-	case "E":
-		w.B[1], w.B[2], w.B[3] = 2, 2, 0
-	case "F":
-		w.B[1], w.B[2], w.B[3] = 2, 0, 2
-	case "G":
-		w.B[1], w.B[2], w.B[3] = 0, 2, 2
-	case "H":
-		w.B[1], w.B[2], w.B[3] = 2, 2, 2
-	}
 }

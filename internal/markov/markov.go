@@ -17,7 +17,10 @@
 // parallel; hidden-terminal collisions corrupt overlapping receptions.
 package markov
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Walk is the random-walk model of a K-hop chain. Node 0 is the saturated
 // source (b0 = ∞), node K the sink (bK = 0 always); relay buffers are
@@ -333,6 +336,36 @@ func (w *Walk) Run(n int) RunStats {
 // backlogged, served almost never by a high-cw source) needs 25.
 var FosterK = map[string]int{
 	"B": 25, "C": 4, "D": 2, "E": 2, "F": 1, "G": 3, "H": 1,
+}
+
+// fosterState is a representative relay backlog (b1, b2, b3) of each
+// region of FosterK.
+var fosterState = map[string][3]int{
+	"B": {2, 0, 0}, "C": {0, 2, 0}, "D": {0, 0, 2}, "E": {2, 2, 0},
+	"F": {2, 0, 2}, "G": {0, 2, 2}, "H": {2, 2, 2},
+}
+
+// FosterRegions lists the regions of FosterK in sorted order.
+func FosterRegions() []string {
+	regions := make([]string, 0, len(FosterK))
+	for r := range FosterK {
+		regions = append(regions, r)
+	}
+	sort.Strings(regions)
+	return regions
+}
+
+// FosterDrift checks Foster's condition (6) in one region of a 4-hop
+// walk: the FosterK[region]-step drift (see DriftK, reps trajectories
+// drawn from rng) from the region's representative backlog, under fixed
+// windows at the stabilising vector [2^11, 16, 16, 16] that EZ-Flow
+// discovers.
+func FosterDrift(region string, reps int, rng func() float64) float64 {
+	w := NewWalk(Config{K: 4, InitCW: 32, BMin: 0.05, BMax: 20, MinCW: 16, MaxCW: 1 << 15}, rng)
+	copy(w.CW, []int{1 << 11, 16, 16, 16})
+	st := fosterState[region]
+	w.B[1], w.B[2], w.B[3] = st[0], st[1], st[2]
+	return w.DriftK(FosterK[region], reps, rng)
 }
 
 // DriftK estimates the k-step expected Lyapunov drift
