@@ -228,6 +228,7 @@ type Engine struct {
 	rng    *rand.Rand
 	halted bool
 	fired  uint64
+	print  uint64   // the event-order fingerprint; see Fingerprint
 	free   []*event // recycled events; Schedule pops here before allocating
 	lanes  [maxLanes]lane
 	live   int // events queued in lanes and not cancelled
@@ -256,6 +257,19 @@ func (en *Engine) Rand() *rand.Rand { return en.rng }
 
 // Fired reports how many events have executed so far.
 func (en *Engine) Fired() uint64 { return en.fired }
+
+// Fingerprint reports a hash of the (time, sequence) key of every event
+// fired so far, in firing order. The sequence number records the order
+// events were scheduled in, so two runs with equal fingerprints fired
+// the same events in the same order, up to hash collisions: a check that
+// a change to the simulator reorders nothing, where equal outputs would
+// miss two same-instant events that swapped.
+func (en *Engine) Fingerprint() uint64 { return en.print }
+
+// fingerprintMul is the odd multiplier of the fingerprint's fold (the
+// 64-bit FNV prime): Run and RunStep fold each fired event's key with
+// one xor-multiply-xor.
+const fingerprintMul = 0x100000001b3
 
 // Scheduled reports how many events have ever been scheduled (the
 // engine's monotone sequence counter).
@@ -381,6 +395,7 @@ func (en *Engine) Run(until Time) Time {
 		en.take(l)
 		en.now = e.at
 		en.fired++
+		en.print = (en.print^uint64(e.at))*fingerprintMul ^ e.seq
 		if en.fired&stopPollMask == 0 && en.stopRequested() {
 			en.halted = true // this event still fires; the loop ends after it
 		}
@@ -405,6 +420,7 @@ func (en *Engine) RunStep() bool {
 	en.take(l)
 	en.now = e.at
 	en.fired++
+	en.print = (en.print^uint64(e.at))*fingerprintMul ^ e.seq
 	fn := e.fn
 	en.release(e)
 	fn()

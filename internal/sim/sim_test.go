@@ -282,6 +282,34 @@ func TestRunStep(t *testing.T) {
 	}
 }
 
+// TestFingerprint checks that the fingerprint follows the fired keys:
+// Run and RunStep fold the same events alike, and the same instants
+// scheduled in the other order give another fingerprint.
+func TestFingerprint(t *testing.T) {
+	world := func(first, second Time) *Engine {
+		en := NewEngine(1)
+		en.Schedule(first, func() { en.ScheduleFixed(Microsecond, func() {}) })
+		en.Schedule(second, func() {})
+		return en
+	}
+	run, step := world(Microsecond, 2*Microsecond), world(Microsecond, 2*Microsecond)
+	run.Run(Second)
+	for step.RunStep() {
+	}
+	if run.Fingerprint() != step.Fingerprint() || run.Fired() != 3 || step.Fired() != 3 {
+		t.Fatalf("Run fired %d with fingerprint %#x, RunStep %d with %#x",
+			run.Fired(), run.Fingerprint(), step.Fired(), step.Fingerprint())
+	}
+	swapped := world(2*Microsecond, Microsecond)
+	swapped.Run(Second)
+	if swapped.Fingerprint() == run.Fingerprint() {
+		t.Fatal("a different schedule order left the fingerprint unchanged")
+	}
+	if NewEngine(1).Fingerprint() != 0 {
+		t.Fatal("an engine that fired nothing has a fingerprint")
+	}
+}
+
 func TestUniformBounds(t *testing.T) {
 	en := NewEngine(7)
 	for i := 0; i < 10000; i++ {

@@ -26,6 +26,7 @@ import (
 var allowed = map[string]string{
 	"internal/phy.Channel.VerifyIndex": "oracle: phy, mesh, mobility and root tests check the neighbor index against a from-scratch recomputation",
 	"internal/mac.MAC.AddDropHook":     "oracle: the packet-path reference switch of TestOverflowFastPathMatchesPacketPath",
+	"internal/sim.Engine.Fingerprint":  "oracle: TestEventOrderFingerprint pins each workload topology's event order with it",
 }
 
 // modules is the non-test code of a main module and of the modules that
