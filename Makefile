@@ -26,11 +26,14 @@ test:
 
 # fuzz is a short smoke over the hostile-input decoders: the scenario
 # JSON loader, the shard worker frame protocol (plus the chaos-spec
-# grammar), and the mobility trace-file parser; plus two differential
+# grammar), and the mobility trace-file parser; plus three differential
 # checks: the event engine's order (heap and lanes against the
-# heap-only reference) and PHY batch moves (MoveNodes against the same
-# moves applied one at a time). Ten seconds each is enough to catch
-# decode panics and order slips in CI; crank FUZZTIME for a real soak.
+# heap-only reference), PHY batch moves (MoveNodes against the same
+# moves applied one at a time), and PHY interference (the indexed
+# channel, far ring included, against a receiver-major reference over
+# fuzzed placements, capture ratios and schedules). Ten seconds each is
+# enough to catch decode panics and order slips in CI; crank FUZZTIME
+# for a real soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/scenario
@@ -39,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility
 	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzMoveNodes$$' -fuzztime=$(FUZZTIME) ./internal/phy
+	$(GO) test -run='^$$' -fuzz='^FuzzInterference$$' -fuzztime=$(FUZZTIME) ./internal/phy
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages) and

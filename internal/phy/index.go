@@ -5,30 +5,29 @@
 //
 // Geometry changes only through explicit position updates
 // (Channel.MoveNodes, driven by the mobility subsystem), so distances,
-// received powers, and the in-CS-range/in-Tx-range predicates are
-// computed when the first transmission freezes the topology and again
+// received powers, and the in-Tx-range predicate are computed when the
+// first transmission freezes the topology and again
 // once per batch of moves, never per event. The other mutable
 // per-link state — erasure probability and severed flags, which the
 // dynamics subsystem toggles mid-run — is folded into the same records
 // and patched in place by SetLinkLoss/SetLinkDown, so the hot path never
 // consults the loss/down maps.
 //
-// Correctness bound: a neighbor list must contain every station one
-// transmission can observably affect. Carrier sense and receiver locking
-// reach CSRange. Interference reaches farther: a station locked onto a
-// frame received at signal power S is corrupted by an interferer of
-// power p when S < CaptureRatio·p; the weakest lockable signal is
-// power(CSRange), so corruption is impossible beyond
+// Correctness bound: a neighbor list holds every station within CSRange,
+// the reach of carrier sense, locking and delivery. Interference reaches
+// farther: a lock at signal power S is corrupted by an interferer of
+// power p when S < CaptureRatio·p, and the weakest lockable signal is
+// power(CSRange), so nothing is corrupted beyond the interference radius
 //
 //	CSRange · max(1, CaptureRatio)^(1/PathLossExp)
 //
-// which is the neighbor-list radius (≈978 m for the default 550 m /
-// 10 dB / d⁻⁴ model). Stations beyond it are provably untouched by the
-// event, so skipping them is behaviour-preserving — the indexed walk
-// visits the exact subsequence of the old all-stations id-ordered loop
-// that had any effect, in the same order, and therefore consumes the
-// engine's RNG stream identically (the byte-identity pin the golden
-// campaign tests enforce).
+// (≈978 m for the default 550 m / 10 dB / d⁻⁴ model). The far ring
+// between the two radii matters only at a decodable lock; each flight
+// lists its own (transmission.rcv), and the channel settles those pairs
+// from the built positions as buildIndex would. So the walk visits the
+// exact subsequence of the old id-ordered all-stations loop that had any
+// effect, in order, and consumes the engine's RNG stream identically (the
+// byte-identity pin the golden campaign tests enforce).
 package phy
 
 import (
@@ -39,29 +38,27 @@ import (
 	"ezflow/internal/pkt"
 )
 
-// link is the cached record of one directed neighbor pair: the constant
-// geometry (received power, range predicates) plus the mutable dynamics
-// state (severed flag, erasure probability) of the link from the owning
-// station to the station at slot. It is deliberately pointer-free — the
+// link is the cached record of one directed pair within CS range: the
+// constant geometry (received power, decode-range predicate) plus the
+// mutable dynamics state (severed flag, erasure probability) of the link
+// from the owning station to the station at slot. It is deliberately
+// pointer-free — the
 // whole index is backed by shared arenas the garbage collector never has
 // to scan; the rare transitions that need the neighbor's radio resolve
 // it through Channel.order.
 type link struct {
 	slot  int32 // the neighbor's dense slot; neighbor lists are sorted by it
-	inCS  bool  // within carrier-sense range
 	inTx  bool  // within decode range
 	down  bool  // severed by dynamics (SetLinkDown)
 	power float64
 	loss  float64 // erasure probability (SetLinkLoss)
 }
 
-// interferenceRange is the neighbor-list radius: the distance beyond
-// which a transmission can neither be sensed nor corrupt any reception
-// (see the package comment for the derivation). The tiny relative margin
-// guards the float boundary of the closed-form inversion; a degenerate
-// path-loss exponent (<= 0) makes received power distance-independent,
-// so every station interferes with every other and the index degrades to
-// full lists.
+// interferenceRange is the distance beyond which a transmission can
+// corrupt no reception (see the package comment for the derivation). The
+// tiny relative margin guards the float boundary of the closed-form
+// inversion; a degenerate path-loss exponent (<= 0) makes received power
+// distance-independent, so every station interferes with every other.
 func (c Config) interferenceRange() float64 {
 	if c.PathLossExp <= 0 {
 		return math.Inf(1)
@@ -86,9 +83,9 @@ type buildScratch struct {
 
 // buildSlot is one station's bookkeeping during a build.
 type buildSlot struct {
-	upperEnd     int32 // the end of its pass-1 pairs in upper
-	n, cs        int32 // its records and in-CS records: counted, then written
-	base, csBase int32 // the offsets of its lists in the arenas
+	upperEnd int32 // the end of its pass-1 pairs in upper
+	n        int32 // its records: counted, then written
+	base     int32 // the offset of its list in the arenas
 }
 
 // buildIndex assigns dense slots in id order and computes every
@@ -97,9 +94,9 @@ type buildSlot struct {
 // topology change, and by MoveNodes after each batch of moves; it reads
 // the loss/down maps so records are coherent with mutations applied
 // before the build. Dense per-slot event state (sensed counts, busy
-// flags, locked receptions) is migrated when AddNode has shifted the
-// slots since the last build and kept in place otherwise, so a rebuild
-// between or during flights is transparent.
+// flags, locked receptions, the flights' rcv slots) is migrated when
+// AddNode has shifted the slots since the last build and kept in place
+// otherwise, so a rebuild between or during flights is transparent.
 //
 // The lists are built in two passes and never sorted. Pass 1 finds every
 // in-range pair once, from its lower slot, and keeps its upper slot;
@@ -121,15 +118,22 @@ func (c *Channel) buildIndex() {
 		sensed := make([]int32, n)
 		busy := make([]bool, n)
 		rx := make([]reception, n)
+		slot := make([]int32, len(c.sensed)) // old slot -> new
 		for i, st := range c.order {
 			if st.slot >= 0 && int(st.slot) < len(c.sensed) {
 				sensed[i] = c.sensed[st.slot]
 				busy[i] = c.busyTx[st.slot]
 				rx[i] = c.rx[st.slot]
+				slot[st.slot] = int32(i)
 			}
 			st.slot = int32(i)
 		}
 		c.sensed, c.busyTx, c.rx = sensed, busy, rx
+		for _, f := range c.flight { // id order is kept: rcv stays ascending
+			for k, s := range f.rcv {
+				f.rcv[k] = slot[s]
+			}
+		}
 	}
 	pos := slices.Grow(b.pos[:0], n)[:n]
 	for i, st := range c.order {
@@ -138,11 +142,11 @@ func (c *Channel) buildIndex() {
 	b.pos = pos
 
 	g := &b.grid
-	g.reset(pos, c.nbrReach.lim)
-	c.txListed = c.cfg.TxRange <= c.nbrReach.lim
+	g.reset(pos, c.csReach.lim)
+	c.txListed = c.cfg.TxRange <= c.csReach.lim
 
-	// Pass 1: the in-range pairs (i, j > i), grouped by i; slots[i].n and
-	// slots[i].cs count i's neighbors and in-CS neighbors.
+	// Pass 1: the in-range pairs (i, j > i), grouped by i; slots[i].n
+	// counts i's neighbors.
 	upper := slices.Grow(b.upper[:0], g.candidatePairs())
 	slots := slices.Grow(b.slots[:0], n)[:n]
 	clear(slots)
@@ -154,53 +158,42 @@ func (c *Channel) buildIndex() {
 			q := pos[j]
 			dx, dy := p.X-q.X, p.Y-q.Y
 			s := dx*dx + dy*dy
-			if !c.nbrReach.within(dx, dy, s) {
+			if !c.csReach.within(dx, dy, s) {
 				continue
 			}
 			upper = append(upper, j)
-			sj := &slots[j]
 			si.n++
-			sj.n++
-			if c.csReach.within(dx, dy, s) {
-				si.cs++
-				sj.cs++
-			}
+			slots[j].n++
 		}
 		si.upperEnd = int32(len(upper))
 	}
 	b.cand, b.upper, b.slots = cand, upper, slots
 
-	// All per-station lists live in three shared arenas, sized exactly
-	// and sub-sliced per station: one allocation each instead of three
-	// per station, contiguous neighbor records, and — links being
+	// All per-station lists live in two shared arenas, sized exactly and
+	// sub-sliced per station: one allocation each instead of two per
+	// station, contiguous neighbor records, and — links being
 	// pointer-free — nothing for the garbage collector to scan or
 	// write-barrier.
-	var total, csTotal int32
+	var total int32
 	for i := range slots {
 		s := &slots[i]
-		s.base, s.csBase = total, csTotal
+		s.base = total
 		total += s.n
-		csTotal += s.cs
-		s.n, s.cs = 0, 0
+		s.n = 0
 	}
 	links := slices.Grow(c.linkArena[:0], int(total))[:total]
 	keys := slices.Grow(c.slotArena[:0], int(total))[:total]
-	cs := slices.Grow(c.csArena[:0], int(csTotal))[:csTotal]
-	c.linkArena, c.slotArena, c.csArena = links, keys, cs
+	c.linkArena, c.slotArena = links, keys
 
-	// Pass 2: slots[x].n and slots[x].cs now count the records written
-	// to x's lists. At y's turn, y's own list holds exactly its lower
-	// neighbors (each appended y to it at its own turn), and its upper
-	// neighbors are its pass-1 pairs.
+	// Pass 2: slots[x].n now counts the records written to x's list. At
+	// y's turn, y's own list holds exactly its lower neighbors (each
+	// appended y to it at its own turn), and its upper neighbors are its
+	// pass-1 pairs.
 	mutated := len(c.loss) > 0 || len(c.down) > 0
 	add := func(x, y int32, l link) {
 		s := &slots[x]
 		k := s.n
 		s.n++
-		if l.inCS {
-			cs[s.csBase+s.cs] = k
-			s.cs++
-		}
 		l.slot, l.down, l.loss = y, false, 0
 		if mutated {
 			key := linkKey{c.order[x].id, c.order[y].id}
@@ -217,28 +210,23 @@ func (c *Channel) buildIndex() {
 		}
 		for _, j := range upper[lo:s.upperEnd] {
 			d := pos[y].Dist(pos[j])
-			add(j, y, link{
-				inCS:  d <= c.cfg.CSRange,
-				inTx:  d <= c.cfg.TxRange,
-				power: c.cfg.power(d),
-			})
+			add(j, y, link{inTx: d <= c.cfg.TxRange, power: c.cfg.power(d)})
 		}
 		lo = s.upperEnd
 	}
 	for i, st := range c.order {
 		s := &slots[i]
-		end, csEnd := s.base+s.n, s.csBase+s.cs
+		end := s.base + s.n
 		st.nbrs = links[s.base:end:end]
 		st.nbrSlots = keys[s.base:end:end]
-		st.csNbrs = cs[s.csBase:csEnd:csEnd]
 	}
 	c.indexed = true
 }
 
 // neighbor returns the cached link record toward the station at the
-// given dense slot, or nil when it is beyond interference range. A
+// given dense slot, or nil when it is beyond carrier-sense range. A
 // binary search over the flat slot-key array — no hashing, no
-// allocation, and the keys for a ~100-neighbor list fit in a handful of
+// allocation, and the keys of a few dozen neighbors fit in a couple of
 // cache lines.
 func (s *Station) neighbor(slot int32) *link {
 	keys := s.nbrSlots
@@ -260,8 +248,8 @@ func (s *Station) neighbor(slot int32) *link {
 // TxNeighbors calls yield(b) for every station b != a with
 // InTxRange(a, b), in ascending id order. Once the index is built it
 // walks a's cached records with inTx set, O(degree); before the first
-// build, or when TxRange reaches past the interference radius (so the
-// lists can miss decodable stations), it scans every station with the
+// build, or when TxRange reaches past CSRange (so the lists can miss
+// decodable stations), it scans every station with the
 // same distance test InTxRange makes. Both paths yield the same set in
 // the same order. Route repair enumerates candidate next hops with it.
 func (c *Channel) TxNeighbors(a pkt.NodeID, yield func(b pkt.NodeID)) {
@@ -282,9 +270,9 @@ func (c *Channel) TxNeighbors(a pkt.NodeID, yield func(b pkt.NodeID)) {
 }
 
 // cachedLink returns the mutable record of the directed link a->b, or
-// nil when the index is not built or the pair is beyond interference
-// range (in which case no cached state exists to patch — the rebuild
-// folds the maps back in).
+// nil when the index is not built or the pair is beyond CS range (in
+// which case no cached state exists to patch — the rebuild folds the
+// maps back in).
 func (c *Channel) cachedLink(a, b pkt.NodeID) *link {
 	if !c.indexed {
 		return nil
@@ -314,7 +302,6 @@ func (c *Channel) VerifyIndex() error {
 	if !c.indexed {
 		return nil
 	}
-	r := c.nbrReach.lim
 	for si, st := range c.order {
 		if st.slot != int32(si) {
 			return fmt.Errorf("station %v: slot %d, want %d", st.id, st.slot, si)
@@ -329,13 +316,12 @@ func (c *Channel) VerifyIndex() error {
 				continue
 			}
 			d := st.pos.Dist(o.pos)
-			if d > r {
+			if d > c.cfg.CSRange {
 				continue
 			}
 			key := linkKey{st.id, o.id}
 			want = append(want, link{
 				slot:  int32(oi),
-				inCS:  d <= c.cfg.CSRange,
 				inTx:  d <= c.cfg.TxRange,
 				down:  c.down[key],
 				power: c.cfg.power(d),
@@ -345,7 +331,6 @@ func (c *Channel) VerifyIndex() error {
 		if len(want) != len(st.nbrs) {
 			return fmt.Errorf("station %v: %d links, want %d", st.id, len(st.nbrs), len(want))
 		}
-		var cs []int32
 		for k := range want {
 			if got := st.nbrs[k]; got != want[k] {
 				return fmt.Errorf("station %v link %d: got %+v, want %+v", st.id, k, got, want[k])
@@ -353,12 +338,6 @@ func (c *Channel) VerifyIndex() error {
 			if st.nbrSlots[k] != want[k].slot {
 				return fmt.Errorf("station %v slot key %d: got %d, want %d", st.id, k, st.nbrSlots[k], want[k].slot)
 			}
-			if want[k].inCS {
-				cs = append(cs, int32(k))
-			}
-		}
-		if !slices.Equal(cs, st.csNbrs) {
-			return fmt.Errorf("station %v: csNbrs %v, want %v", st.id, st.csNbrs, cs)
 		}
 	}
 	return nil

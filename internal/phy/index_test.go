@@ -25,14 +25,14 @@ func newIndexedChannel(t *testing.T, pos []Position) *Channel {
 }
 
 // checkIndexBruteForce checks every cached record of ch against a direct
-// O(N²) recomputation: membership (exactly the pairs within interference
-// range), order (ascending slot), the cached power and range predicates,
+// O(N²) recomputation: membership (exactly the pairs within carrier-sense
+// range), order (ascending slot), the cached power and range predicate,
 // which must be bit-identical to the closed-form model — the hot path
 // substitutes these values for live math.Hypot/math.Pow calls — and the
 // directed loss and severed state of the owner->neighbor link.
 func checkIndexBruteForce(t *testing.T, ch *Channel) {
 	t.Helper()
-	r := ch.cfg.interferenceRange()
+	r := ch.cfg.CSRange
 	for i, st := range ch.order {
 		if st.slot != int32(i) {
 			t.Fatalf("station %d has slot %d", i, st.slot)
@@ -43,7 +43,7 @@ func checkIndexBruteForce(t *testing.T, ch *Channel) {
 			d := st.pos.Dist(o.pos)
 			if j == i || d > r {
 				if lk := st.neighbor(int32(j)); lk != nil && j != i {
-					t.Errorf("%v lists %v (d=%.1f) beyond interference range %.1f", st.id, o.id, d, r)
+					t.Errorf("%v lists %v (d=%.1f) beyond carrier-sense range %.1f", st.id, o.id, d, r)
 				}
 				continue
 			}
@@ -55,8 +55,8 @@ func checkIndexBruteForce(t *testing.T, ch *Channel) {
 			if lk.power != ch.cfg.power(d) {
 				t.Errorf("%v->%v cached power %v != %v", st.id, o.id, lk.power, ch.cfg.power(d))
 			}
-			if lk.inCS != (d <= ch.cfg.CSRange) || lk.inTx != (d <= ch.cfg.TxRange) {
-				t.Errorf("%v->%v range flags inCS=%v inTx=%v at d=%.1f", st.id, o.id, lk.inCS, lk.inTx, d)
+			if lk.inTx != (d <= ch.cfg.TxRange) {
+				t.Errorf("%v->%v range flag inTx=%v at d=%.1f", st.id, o.id, lk.inTx, d)
 			}
 			if lk.loss != ch.LinkLoss(st.id, o.id) || lk.down != ch.down[linkKey{st.id, o.id}] {
 				t.Errorf("%v->%v cached loss=%v down=%v, want loss=%v down=%v", st.id, o.id,
@@ -69,19 +69,6 @@ func checkIndexBruteForce(t *testing.T, ch *Channel) {
 		}
 		if len(st.nbrs) != want {
 			t.Errorf("%v has %d neighbors, want %d", st.id, len(st.nbrs), want)
-		}
-		// csNbrs must index exactly the in-CS subsequence.
-		cs := 0
-		for k := range st.nbrs {
-			if st.nbrs[k].inCS {
-				if cs >= len(st.csNbrs) || st.csNbrs[cs] != int32(k) {
-					t.Fatalf("%v csNbrs misses entry %d", st.id, k)
-				}
-				cs++
-			}
-		}
-		if cs != len(st.csNbrs) {
-			t.Errorf("%v csNbrs has %d extra entries", st.id, len(st.csNbrs)-cs)
 		}
 	}
 	if err := ch.VerifyIndex(); err != nil {
@@ -339,7 +326,8 @@ func TestSpatialGridCandidatePairs(t *testing.T) {
 // b != a with InTxRange(a, b) in ascending id order, on both of its
 // paths: the all-stations scan before the first build, the index walk
 // after it and through 1,000 random moves, and the scan again when
-// TxRange reaches past the neighbor-list radius.
+// TxRange reaches past the neighbor-list radius (CSRange), whether or
+// not it also reaches past the interference radius.
 func TestTxNeighborsMatchesInTxRange(t *testing.T) {
 	check := func(t *testing.T, ch *Channel, when string) {
 		t.Helper()
@@ -407,5 +395,18 @@ func TestTxNeighborsMatchesInTxRange(t *testing.T) {
 			t.Fatal("want a built index whose lists stop short of TxRange")
 		}
 		check(t, ch, "TxRange past the list radius")
+	})
+
+	// The lists end at CSRange, so a TxRange short of the interference
+	// radius can still reach past them.
+	t.Run("tx-between-cs-and-interference", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.TxRange = (cfg.CSRange + cfg.interferenceRange()) / 2
+		ch, eng := build(cfg, 120)
+		transmit(ch, eng)
+		if !ch.indexed || ch.txListed {
+			t.Fatal("want a built index whose lists stop short of TxRange")
+		}
+		check(t, ch, "TxRange between CSRange and the interference radius")
 	})
 }

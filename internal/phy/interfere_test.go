@@ -134,6 +134,23 @@ func (r *refChannel) finish() sim.Time {
 	return f.end
 }
 
+// move relocates station j by MoveNodes' rules: its sensed count is
+// recounted against the flights at its new position, a lock survives
+// only while its transmitter stays within CSRange, and no lock is
+// gained mid-flight.
+func (r *refChannel) move(j int, p Position) {
+	r.pos[j] = p
+	r.sensed[j] = 0
+	for _, f := range r.flight {
+		if f.src != j && p.Dist(r.pos[f.src]) <= r.cfg.CSRange {
+			r.sensed[j]++
+		}
+	}
+	if f := r.rx[j].flight; f != nil && p.Dist(r.pos[f.src]) > r.cfg.CSRange {
+		r.rx[j] = refReception{}
+	}
+}
+
 // counts snapshots reg into a name -> value map.
 func counts(reg *obs.Registry) map[string]uint64 {
 	out := map[string]uint64{}
@@ -332,5 +349,217 @@ func TestNoiseLockTakesNoInterference(t *testing.T) {
 				t.Fatalf("N: %d receive errors, %d frames, %d overheard, want none", r.errors, len(r.received), len(r.overheard))
 			}
 		})
+	}
+}
+
+// TestFarRingInterference places an interferer I in D's far ring —
+// beyond carrier-sense range, so neither lists the other — while D holds
+// a decodable lock on A's frame from 200 m. I starts after D locked (the
+// far ring reached through A's flight's receivers) or is already on the
+// air when D locks (interfere settling a pair missing from I's list).
+// The power ratio at D, (d/200)⁴ for I at d metres, falls on either side
+// of the capture ratio, or on it (so the outcome is settled from the
+// powers themselves: equal is a capture); past the interference radius I
+// adds no count.
+func TestFarRingInterference(t *testing.T) {
+	const a, d, i = 0, 1, 2
+	for _, tc := range []struct {
+		name                 string
+		captureRatio, dist   float64 // I's distance from D
+		collisions, captures uint64
+	}{
+		{"collision", 100, 600, 1, 0}, // ratio 81 < 100
+		{"capture", 100, 900, 0, 1},   // ratio 410 >= 100
+		{"capture at 10 dB", 10, 600, 0, 1},
+		{"capture at the threshold", 81, 600, 0, 1},
+		{"beyond the interference radius", 10, 1000, 0, 0},
+	} {
+		for _, iFirst := range []bool{false, true} {
+			order := "I after the lock"
+			if iFirst {
+				order = "I on the air first"
+			}
+			t.Run(tc.name+"/"+order, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.CaptureRatio = tc.captureRatio
+				pos := []Position{{X: 0}, {X: 200}, {X: 200 + tc.dist}}
+				eng, ch, radios := setupConfig(t, cfg, pos...)
+				if r := cfg.interferenceRange(); tc.dist <= cfg.CSRange || (tc.dist <= r) != (tc.collisions+tc.captures > 0) {
+					t.Fatalf("placement: I at %.0f m from D, CS range %.0f m, interference radius %.0f m", tc.dist, cfg.CSRange, r)
+				}
+				if iFirst {
+					transmit(ch, i, frame(i, a))
+					transmit(ch, a, frame(a, d))
+				} else {
+					transmit(ch, a, frame(a, d))
+					transmit(ch, i, frame(i, a))
+				}
+				if ch.rx[d].tx == nil || ch.rx[d].tx.srcn.id != a || !ch.rx[d].decodable {
+					t.Fatalf("D's reception %+v, want a decodable lock on A", ch.rx[d])
+				}
+				if ch.Stats.Collisions != tc.collisions || ch.Stats.Captures != tc.captures {
+					t.Fatalf("collisions/captures %d/%d, want %d/%d",
+						ch.Stats.Collisions, ch.Stats.Captures, tc.collisions, tc.captures)
+				}
+				eng.Run(sim.Second)
+				wantErr, wantRx := 0, 1
+				if tc.collisions > 0 {
+					wantErr, wantRx = 1, 0
+				}
+				if radios[d].errors != wantErr || len(radios[d].received) != wantRx {
+					t.Fatalf("D: %d receive errors, %d frames, want %d and %d",
+						radios[d].errors, len(radios[d].received), wantErr, wantRx)
+				}
+			})
+		}
+	}
+}
+
+// TestFarRingAfterAddNode registers a station with a lower id while D
+// holds a decodable lock on A's frame, which shifts every slot, and then
+// starts I in D's far ring. The rebuild must carry A's flight's list of
+// decodable receivers over to the new slots, or I's energy misses D.
+func TestFarRingAfterAddNode(t *testing.T) {
+	const a, d, i = 10, 11, 12
+	cfg := DefaultConfig()
+	cfg.CaptureRatio = 100 // I at 600 m from D's 200-m lock: ratio 81
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, cfg)
+	rd := &fakeRadio{}
+	ch.AddNode(a, Position{X: 0}, nil)
+	ch.AddNode(d, Position{X: 200}, rd)
+	ch.AddNode(i, Position{X: 800}, nil)
+	transmit(ch, a, frame(a, d))
+	ch.AddNode(1, Position{X: -1e5}, nil)
+	transmit(ch, i, frame(i, a))
+	if err := ch.VerifyIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if ch.Stats.Collisions != 1 || ch.Stats.Captures != 0 {
+		t.Fatalf("collisions/captures %d/%d, want 1/0", ch.Stats.Collisions, ch.Stats.Captures)
+	}
+	eng.Run(sim.Second)
+	if rd.errors != 1 || len(rd.received) != 0 {
+		t.Fatalf("D: %d receive errors, %d frames, want 1 and 0", rd.errors, len(rd.received))
+	}
+}
+
+// FuzzInterference runs the channel and the receiver-major reference
+// through a fuzzed placement, capture ratio and schedule, checking after
+// every step the receptions, Stats.Collisions and Stats.Captures, and the
+// per-station obs counters. Each schedule byte names a station (its low
+// six bits, modulo the station count) and an action (its top two bits):
+// start a flight from it, end the next flight, or move it to a random
+// spot. Moves happen with flights on the air, so locks are kept or lost
+// mid-flight and the flights' receiver lists go stale. Schedules are cut
+// at 128 steps: every step runs the full check, and a short input keeps
+// the fuzzer's minimization quick.
+func FuzzInterference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		n         uint8
+		side, cr  float64
+		scheduleN int
+	}{{12, 600, 10, 128}, {40, 1500, 10, 128}, {30, 2500, 100, 128}, {20, 900, 0.5, 100}, {25, 1800, 1000, 128}} {
+		schedule := make([]byte, tc.scheduleN)
+		rng.Read(schedule)
+		f.Add(rng.Int63(), tc.n, tc.side, tc.cr, schedule)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, side, cr float64, schedule []byte) {
+		if n < 2 || n > 64 || !(side >= 10 && side <= 1e4) || !(cr >= 0.1 && cr <= 1e4) {
+			t.Skip()
+		}
+		schedule = schedule[:min(len(schedule), 128)]
+		cfg := DefaultConfig()
+		cfg.CaptureRatio = cr
+		rng := rand.New(rand.NewSource(seed))
+		place := func() Position { return Position{X: rng.Float64() * side, Y: rng.Float64() * side} }
+		pos := make([]Position, n)
+		labels := make([]string, n)
+		for i := range pos {
+			pos[i] = place()
+			labels[i] = fmt.Sprint(i)
+		}
+		eng := sim.NewEngine(seed)
+		ch := NewChannel(eng, cfg)
+		sts := make([]*Station, n)
+		for i, p := range pos {
+			sts[i] = ch.AddNode(pkt.NodeID(i), p, nil)
+		}
+		reg := obs.NewRegistry()
+		ch.SetCounters(Counters{
+			Collisions: reg.CounterVec("collisions", labels),
+			Captures:   reg.CounterVec("captures", labels),
+		})
+		ref := newRefChannel(cfg, pos)
+		pool := pkt.NewPool()
+		for step, b := range schedule {
+			when := fmt.Sprintf("step %d", step)
+			j := int(b&63) % int(n)
+			switch b >> 6 {
+			case 0, 1:
+				if ref.busyTx[j] {
+					continue
+				}
+				p := pool.Packet(1, uint64(step), pkt.NodeID(j), 0, 1+rng.Intn(4)*300, 0)
+				end := ch.TransmitFrom(sts[j], &pkt.Frame{Type: pkt.FrameData, TxSrc: pkt.NodeID(j), Payload: p})
+				ref.transmit(j, end)
+				when += " transmit"
+			case 2:
+				if len(ref.flight) == 0 {
+					continue
+				}
+				eng.RunStep()
+				if at := ref.finish(); at != eng.Now() {
+					t.Fatalf("%s: finish at %v, reference %v", when, eng.Now(), at)
+				}
+				when += " finish"
+			case 3:
+				if ref.busyTx[j] {
+					continue
+				}
+				p := place()
+				ch.MoveNodes([]Move{{pkt.NodeID(j), p}})
+				ref.move(j, p)
+				when += " move"
+			}
+			if ch.indexed { // a move before the first flight only adopts the position
+				ref.check(t, ch, reg, when)
+			}
+		}
+		for len(ref.flight) > 0 {
+			eng.RunStep()
+			ref.finish()
+		}
+		if ch.indexed {
+			ref.check(t, ch, reg, "drained")
+		}
+	})
+}
+
+// TestFarRingSkipsStaleReceivers moves R, locked decodably onto A's
+// frame, out of A's carrier-sense range mid-flight, which drops the lock
+// but leaves R listed among A's flight's receivers, and locks R onto B's
+// frame instead. C then starts in R's far ring: R must take C's energy
+// once, for B's frame, and not again through A's stale list.
+func TestFarRingSkipsStaleReceivers(t *testing.T) {
+	const a, r, b, c = 0, 1, 2, 3
+	eng, ch, radios := setup(t, Position{}, Position{X: 200}, Position{X: 2200}, Position{X: 2000, Y: 700})
+	transmit(ch, a, frame(a, r))
+	ch.MoveNodes([]Move{{r, Position{X: 2000}}})
+	if ch.rx[r].tx != nil {
+		t.Fatal("R kept its lock on A after leaving A's carrier-sense range")
+	}
+	transmit(ch, b, frame(b, r))
+	transmit(ch, c, frame(c, b))
+	if ch.rx[r].tx == nil || ch.rx[r].tx.srcn.id != b || ch.rx[r].corrupted {
+		t.Fatalf("R's reception %+v, want an intact lock on B", ch.rx[r])
+	}
+	if ch.Stats.Collisions != 0 || ch.Stats.Captures != 1 {
+		t.Fatalf("collisions/captures %d/%d, want 0/1", ch.Stats.Collisions, ch.Stats.Captures)
+	}
+	eng.Run(sim.Second)
+	if len(radios[r].received) != 1 || radios[r].received[0].TxSrc != b {
+		t.Fatalf("R received %d frames, want B's", len(radios[r].received))
 	}
 }

@@ -112,13 +112,16 @@ type Radio interface {
 // channel; finishFn is built once per pooled object so completing a flight
 // schedules no new closure. srcn caches the transmitter's station and
 // flightIdx its position in the flight list, so completing a flight does
-// neither a map lookup nor a linear scan.
+// neither a map lookup nor a linear scan. rcv holds, ascending, the slots
+// that locked decodably onto the frame, including any a move has since
+// unlocked: readers check the lock.
 type transmission struct {
 	srcn      *Station
 	frame     *pkt.Frame
 	start     sim.Time
 	end       sim.Time
 	flightIdx int
+	rcv       []int32
 	finishFn  func()
 }
 
@@ -135,13 +138,10 @@ type Station struct {
 	radio Radio
 	slot  int32 // dense index (position in Channel.order); -1 until indexed
 	// Neighbor index (built in index.go): nbrs lists every station within
-	// interference range ascending by slot; nbrSlots mirrors their slots
-	// in a flat array for cache-dense binary search; csNbrs indexes the
-	// subsequence of nbrs within carrier-sense range (the only stations
-	// finish can owe a sensed-- or a delivery to).
+	// carrier-sense range ascending by slot; nbrSlots mirrors their slots
+	// in a flat array for cache-dense binary search.
 	nbrs     []link
 	nbrSlots []int32
-	csNbrs   []int32
 }
 
 // reception is the state of a receiver locked onto one frame. ns-2
@@ -175,9 +175,10 @@ type Channel struct {
 	// indexed marks the neighbor lists as built; AddNode clears it and
 	// the next transmission rebuilds (see index.go).
 	indexed bool
-	// The neighbor-list radius (Config.interferenceRange), the
-	// carrier-sense range and the decode range, with their squared bounds.
-	nbrReach, csReach, txReach reach
+	// The interference radius (Config.interferenceRange), the
+	// carrier-sense (neighbor-list) range and the decode range, with
+	// their squared bounds.
+	farReach, csReach, txReach reach
 	build                      buildScratch // buildIndex's storage, kept between builds
 	moved                      []mover      // MoveNodes' applied moves, reused per batch
 	// txListed marks TxRange as within the neighbor-list radius, so every
@@ -187,7 +188,6 @@ type Channel struct {
 	// buildIndex); pointer-free, so invisible to the garbage collector.
 	linkArena []link
 	slotArena []int32
-	csArena   []int32
 	// Dense per-slot event state: the number of in-flight transmissions
 	// each station senses, whether it is itself transmitting, and the
 	// reception it is locked onto (rx[slot].tx == nil when idle). For
@@ -199,10 +199,6 @@ type Channel struct {
 	loss   map[linkKey]float64 // per directed link erasure probability
 	down   map[linkKey]bool    // severed directed links (dynamics overrides)
 	flight []*transmission
-	// locked collects, during one TransmitFrom walk, the slots of the
-	// receivers that locked decodably onto the new frame; reused across
-	// calls.
-	locked []int32
 	pool   *pkt.Pool       // packet/frame pool shared by the whole stack
 	freeTx []*transmission // recycled transmissions
 
@@ -260,7 +256,7 @@ func NewChannel(eng *sim.Engine, cfg Config) *Channel {
 	return &Channel{
 		cfg:      cfg,
 		eng:      eng,
-		nbrReach: newReach(cfg.interferenceRange()),
+		farReach: newReach(cfg.interferenceRange()),
 		csReach:  newReach(cfg.CSRange),
 		txReach:  newReach(cfg.TxRange),
 		loss:     make(map[linkKey]float64),
@@ -386,19 +382,19 @@ func (c *Channel) AirTime(bytes int) sim.Time { return c.cfg.AirTime(bytes) }
 // faithfully models the consequences either way (collisions at
 // receivers). The returned time is when the transmission ends.
 //
-// This is the PHY hot path: it walks only the transmitter's neighbor
-// list (every station beyond interference range is provably unaffected)
-// and does no distance/path-loss math, no map lookups and no neighbor
-// searches per event. The walk raises carrier sense, applies the new
-// energy at receivers already locked onto a decodable frame, and locks
-// idle ones; the flights already on the air then reach the newly and
-// decodably locked receivers flight by flight (interfere), not receiver
-// by receiver. That split changes no outcome: each receiver's state
-// depends only on its own record and the flights, and the
-// CarrierBusy(true) callbacks made during the walk (the MAC freezing its
-// backoff) read neither the receptions nor Stats. Noise locks, most of a
-// station's carrier-sense area, skip interference altogether (see
-// reception).
+// This is the PHY hot path: no map lookups and no neighbor searches per
+// event. The walk over the transmitter's neighbor list (CSRange) raises
+// carrier sense, applies the new energy at its cached power to receivers
+// already locked onto a decodable frame, and locks idle ones. Beyond
+// CSRange the frame can only corrupt a decodable lock within the
+// interference radius, so the far ring is reached through the older
+// flights' receivers (rcv, farHit); the older flights then reach the
+// newly and decodably locked receivers flight by flight (interfere).
+// That split changes no outcome: a receiver takes at most one hit per
+// transmission, its state depends only on its own geometry and the
+// flights, and the walk's CarrierBusy(true) callbacks (the MAC freezing
+// its backoff) read neither the receptions nor Stats. Noise locks skip
+// interference altogether (see reception).
 func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 	if !c.indexed {
 		c.buildIndex()
@@ -425,22 +421,20 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 		f.Payload.Retain()
 	}
 
-	// Raise carrier sense at every neighbor in CS range; lock idle
-	// receivers onto the new frame; apply capture at already-locked
-	// receivers. Neighbor lists ascend by slot (= id), preserving the
-	// deterministic iteration order of the old all-stations loop.
+	// Raise carrier sense at every neighbor; lock idle receivers onto the
+	// new frame; apply capture at already-locked receivers. Neighbor
+	// lists ascend by slot (= id), preserving the deterministic iteration
+	// order of the old all-stations loop.
 	cr := c.cfg.CaptureRatio
-	locked := c.locked[:0]
+	rcv := tx.rcv[:0]
 	nbrs := sn.nbrs
 	for i := range nbrs {
 		lk := &nbrs[i]
 		slot := lk.slot
-		if lk.inCS {
-			c.sensed[slot]++
-			if c.sensed[slot] == 1 && !c.busyTx[slot] {
-				if r := c.order[slot].radio; r != nil {
-					r.CarrierBusy(true)
-				}
+		c.sensed[slot]++
+		if c.sensed[slot] == 1 && !c.busyTx[slot] {
+			if r := c.order[slot].radio; r != nil {
+				r.CarrierBusy(true)
 			}
 		}
 		switch {
@@ -448,44 +442,83 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 			// Half-duplex: a transmitting node ignores arrivals.
 		case c.rx[slot].tx != nil:
 			// Locked on another frame: the new energy is interference.
-			// A decodable frame survives only if it is CaptureRatio
-			// stronger (ns-2 capture); the receiver never re-locks.
-			rx := &c.rx[slot]
-			switch {
-			case !rx.decodable || rx.corrupted:
-				// A noise lock or a destroyed frame: nothing to count.
-			case rx.signal < cr*lk.power:
-				rx.corrupted = true
-				c.Stats.Collisions++
-				if c.obs.Collisions != nil {
-					c.obs.Collisions.Inc(int(slot))
-				}
-			default:
-				// The locked frame rides out the new interference: the
-				// capture effect the paper's ns-2 model (CPThresh) allows.
-				c.Stats.Captures++
-				if c.obs.Captures != nil {
-					c.obs.Captures.Inc(int(slot))
-				}
+			if rx := &c.rx[slot]; rx.decodable && !rx.corrupted {
+				c.hit(slot, rx.signal < cr*lk.power)
 			}
-		case lk.inCS:
+		default:
 			// Idle receiver locks onto the first frame it senses, even
 			// one too weak to decode (noise lock). For a decodable lock,
 			// energy already in flight from other transmitters counts as
 			// interference, applied by interfere below.
 			c.rx[slot] = reception{tx: tx, signal: lk.power, decodable: lk.inTx}
 			if lk.inTx {
-				locked = append(locked, slot)
+				rcv = append(rcv, slot)
 			}
 		}
 	}
-	if len(locked) > 0 && len(c.flight) > 1 {
-		c.interfere(locked)
+	tx.rcv = rcv
+	if len(c.flight) > 1 {
+		// The far ring: decodable locks on older flights beyond CSRange.
+		pos := c.build.pos
+		from := pos[sn.slot]
+		for _, other := range c.flight[:len(c.flight)-1] {
+			for _, slot := range other.rcv {
+				if rx := &c.rx[slot]; rx.tx != other || rx.corrupted || c.busyTx[slot] {
+					continue
+				}
+				dx, dy := from.X-pos[slot].X, from.Y-pos[slot].Y
+				if s := dx*dx + dy*dy; s >= c.csReach.lo && s <= c.farReach.hi {
+					c.farHit(dx, dy, s, slot)
+				}
+			}
+		}
+		if len(rcv) > 0 {
+			c.interfere(rcv)
+		}
 	}
-	c.locked = locked[:0]
 
 	c.eng.ScheduleFuncFixed(dur, tx.finishFn)
 	return tx.end
+}
+
+// hit counts interference at the decodable, intact reception at slot: a
+// collision, which destroys the frame, or a capture (ns-2's CPThresh:
+// the frame is CaptureRatio stronger and rides it out).
+func (c *Channel) hit(slot int32, collide bool) {
+	if collide {
+		c.rx[slot].corrupted = true
+		c.Stats.Collisions++
+		if c.obs.Collisions != nil {
+			c.obs.Collisions.Inc(int(slot))
+		}
+		return
+	}
+	c.Stats.Captures++
+	if c.obs.Captures != nil {
+		c.obs.Captures.Inc(int(slot))
+	}
+}
+
+// farHit applies interference from offset (dx, dy), s = dx²+dy², to the
+// decodable, intact reception at slot, for a pair no list holds. Callers
+// first drop, inline, the pairs s certainly places within CSRange or
+// beyond the interference radius (see reach). The pair then collides when
+// rx.signal < CaptureRatio·power(Hypot(dx, dy)), the power a list would
+// cache; under the d⁻⁴ law (1 <= s < 2⁵⁰⁰) that power is 1/s² within a
+// few ulps, so rx.signal·s² settles every pair outside a 1e-9 band
+// around the capture ratio with no square root or division.
+func (c *Channel) farHit(dx, dy, s float64, slot int32) {
+	if c.csReach.within(dx, dy, s) || !c.farReach.within(dx, dy, s) {
+		return
+	}
+	signal, cr := c.rx[slot].signal, c.cfg.CaptureRatio
+	if t := signal * s * s; c.cfg.PathLossExp == 4 && 1 <= s && s < 0x1p500 {
+		if t < cr*(1-1e-9) || t > cr*(1+1e-9) {
+			c.hit(slot, t < cr)
+			return
+		}
+	}
+	c.hit(slot, signal < cr*c.cfg.power(math.Hypot(dx, dy)))
 }
 
 // interfere applies the energy of every flight already on the air to the
@@ -493,10 +526,11 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 // decodable frame, given by slot in ascending order. Each older flight
 // is taken in c.flight order and its source's slot-sorted neighbor list
 // merge-joined against the locked slots, so the neighbor records are
-// read in order and never searched. A locked frame is corrupted by the
-// first flight it is not CaptureRatio stronger than, and rides out (is
-// captured over) each flight before that; once corrupted, later flights
-// cannot touch it.
+// read in order and never searched; a locked slot missing from the list
+// is beyond the source's CSRange and settled by farHit. A locked frame
+// is corrupted by the first flight it is not CaptureRatio stronger than,
+// and rides out (is captured over) each flight before that; once
+// corrupted, later flights cannot touch it.
 //
 // This visits the flights of each receiver in the order a per-receiver
 // loop over c.flight would, stopping at the same flight, so Collisions
@@ -507,34 +541,24 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 // both records of a pair from one computation.
 func (c *Channel) interfere(locked []int32) {
 	cr := c.cfg.CaptureRatio
+	pos := c.build.pos
 	for _, other := range c.flight[:len(c.flight)-1] {
 		on := other.srcn
+		from := pos[on.slot]
 		keys := on.nbrSlots
 		k := 0
 		for _, slot := range locked {
 			for k < len(keys) && keys[k] < slot {
 				k++
 			}
-			if k == len(keys) {
-				break
-			}
-			if keys[k] != slot {
-				continue // beyond interference range: cannot corrupt
-			}
-			rx := &c.rx[slot]
-			if rx.corrupted {
-				continue
-			}
-			if rx.signal < cr*on.nbrs[k].power {
-				rx.corrupted = true
-				c.Stats.Collisions++
-				if c.obs.Collisions != nil {
-					c.obs.Collisions.Inc(int(slot))
-				}
-			} else {
-				c.Stats.Captures++
-				if c.obs.Captures != nil {
-					c.obs.Captures.Inc(int(slot))
+			switch rx := &c.rx[slot]; {
+			case rx.corrupted:
+			case k < len(keys) && keys[k] == slot:
+				c.hit(slot, rx.signal < cr*on.nbrs[k].power)
+			default:
+				dx, dy := from.X-pos[slot].X, from.Y-pos[slot].Y
+				if s := dx*dx + dy*dy; s >= c.csReach.lo && s <= c.farReach.hi {
+					c.farHit(dx, dy, s, slot)
 				}
 			}
 		}
@@ -550,12 +574,9 @@ func (c *Channel) finish(tx *transmission) {
 	sn := tx.srcn
 	c.busyTx[sn.slot] = false
 
-	// Only carrier-sense-range neighbors can owe a sensed decrement, and
-	// only they can have locked onto this frame, so the walk covers the
-	// csNbrs subsequence (ascending slot order, like the full list).
 	nbrs := sn.nbrs
-	for _, k := range sn.csNbrs {
-		lk := &nbrs[k]
+	for i := range nbrs {
+		lk := &nbrs[i]
 		slot := lk.slot
 		c.sensed[slot]--
 		if c.sensed[slot] == 0 && !c.busyTx[slot] {

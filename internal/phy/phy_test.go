@@ -32,8 +32,14 @@ func frame(src, dst pkt.NodeID) *pkt.Frame {
 
 func setup(t *testing.T, positions ...Position) (*sim.Engine, *Channel, []*fakeRadio) {
 	t.Helper()
+	return setupConfig(t, DefaultConfig(), positions...)
+}
+
+// setupConfig is setup over a channel with the given configuration.
+func setupConfig(t *testing.T, cfg Config, positions ...Position) (*sim.Engine, *Channel, []*fakeRadio) {
+	t.Helper()
 	eng := sim.NewEngine(1)
-	ch := NewChannel(eng, DefaultConfig())
+	ch := NewChannel(eng, cfg)
 	radios := make([]*fakeRadio, len(positions))
 	for i, pos := range positions {
 		radios[i] = &fakeRadio{}
