@@ -33,16 +33,18 @@ test:
 # channel, far ring included, against a receiver-major reference over
 # fuzzed placements, capture ratios and schedules). Ten seconds each is
 # enough to catch decode panics and order slips in CI; crank FUZZTIME
-# for a real soak.
+# for a real soak. A worker stops fuzzing while it minimizes a new input,
+# for up to a minute by default, so minimization is capped at 2 s to
+# leave the smoke its mutated inputs.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/scenario
-	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) ./internal/campaign
-	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) ./internal/campaign
-	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility
-	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run='^$$' -fuzz='^FuzzMoveNodes$$' -fuzztime=$(FUZZTIME) ./internal/phy
-	$(GO) test -run='^$$' -fuzz='^FuzzInterference$$' -fuzztime=$(FUZZTIME) ./internal/phy
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/mobility
+	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzMoveNodes$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/phy
+	$(GO) test -run='^$$' -fuzz='^FuzzInterference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/phy
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages) and

@@ -166,7 +166,9 @@ func New(eng *sim.Engine, phyCfg phy.Config, macCfg mac.Config) *Mesh {
 	}
 }
 
-// AddNode creates a station at pos.
+// AddNode creates a station at pos. Stations register before the run:
+// once the PHY neighbor index is built (the first transmission or
+// routing query), adding one panics (phy.Channel.AddNode).
 func (m *Mesh) AddNode(id pkt.NodeID, pos phy.Position) *Node {
 	if _, dup := m.nodes[id]; dup {
 		panic(fmt.Sprintf("mesh: duplicate node %v", id))

@@ -3,15 +3,16 @@
 // with per-pair math.Hypot/math.Pow and map lookups into an O(degree)
 // walk over flat, cache-resident link records.
 //
-// Geometry changes only through explicit position updates
-// (Channel.MoveNodes, driven by the mobility subsystem), so distances,
-// received powers, and the in-Tx-range predicate are computed when the
-// first transmission freezes the topology and again
-// once per batch of moves, never per event. The other mutable
-// per-link state — erasure probability and severed flags, which the
-// dynamics subsystem toggles mid-run — is folded into the same records
-// and patched in place by SetLinkLoss/SetLinkDown, so the hot path never
-// consults the loss/down maps.
+// Stations register before the run, and geometry then changes only
+// through explicit position updates (Channel.MoveNodes, driven by the
+// mobility subsystem), so distances, received powers, and the
+// in-Tx-range predicate are computed when the first transmission (or
+// TxNeighbors call) builds the index and again once per batch of moves,
+// never per event. The other mutable per-link state — erasure
+// probability and severed flags, which the dynamics subsystem toggles
+// mid-run — is folded into the same records and patched in place by
+// SetLinkLoss/SetLinkDown, so the hot path never consults the loss/down
+// maps.
 //
 // Correctness bound: a neighbor list holds every station within CSRange,
 // the reach of carrier sense, locking and delivery. Interference reaches
@@ -88,15 +89,15 @@ type buildSlot struct {
 	base     int32 // the offset of its list in the arenas
 }
 
-// buildIndex assigns dense slots in id order and computes every
-// station's neighbor list via a spatial hash, O(N·degree) for spatially
-// bounded deployments. Called lazily by the first transmission after a
-// topology change, and by MoveNodes after each batch of moves; it reads
+// buildIndex computes every station's neighbor list via a spatial hash,
+// O(N·degree) for spatially bounded deployments. The first build, made
+// lazily by the first transmission or TxNeighbors call, assigns the
+// dense slots in id order and allocates the per-slot event state; after
+// it no station joins (AddNode panics), so MoveNodes' rebuild after each
+// batch of moves keeps the slots, and the sensed counts, busy flags,
+// locked receptions and the flights' rcv slots stay in place. It reads
 // the loss/down maps so records are coherent with mutations applied
-// before the build. Dense per-slot event state (sensed counts, busy
-// flags, locked receptions, the flights' rcv slots) is migrated when
-// AddNode has shifted the slots since the last build and kept in place
-// otherwise, so a rebuild between or during flights is transparent.
+// before the build.
 //
 // The lists are built in two passes and never sorted. Pass 1 finds every
 // in-range pair once, from its lower slot, and keeps its upper slot;
@@ -112,28 +113,13 @@ type buildSlot struct {
 func (c *Channel) buildIndex() {
 	n := len(c.order)
 	b := &c.build
-	if len(c.sensed) != n {
-		// AddNode has registered stations since the last build, so slots
-		// shifted: carry each station's event state to its new slot.
-		sensed := make([]int32, n)
-		busy := make([]bool, n)
-		rx := make([]reception, n)
-		slot := make([]int32, len(c.sensed)) // old slot -> new
+	if !c.indexed {
+		// The first build: AddNode refuses stations from here on, so the
+		// slots and the dense event state are fixed for the run.
 		for i, st := range c.order {
-			if st.slot >= 0 && int(st.slot) < len(c.sensed) {
-				sensed[i] = c.sensed[st.slot]
-				busy[i] = c.busyTx[st.slot]
-				rx[i] = c.rx[st.slot]
-				slot[st.slot] = int32(i)
-			}
 			st.slot = int32(i)
 		}
-		c.sensed, c.busyTx, c.rx = sensed, busy, rx
-		for _, f := range c.flight { // id order is kept: rcv stays ascending
-			for k, s := range f.rcv {
-				f.rcv[k] = slot[s]
-			}
-		}
+		c.sensed, c.busyTx, c.rx = make([]int32, n), make([]bool, n), make([]reception, n)
 	}
 	pos := slices.Grow(b.pos[:0], n)[:n]
 	for i, st := range c.order {
@@ -143,7 +129,6 @@ func (c *Channel) buildIndex() {
 
 	g := &b.grid
 	g.reset(pos, c.csReach.lim)
-	c.txListed = c.cfg.TxRange <= c.csReach.lim
 
 	// Pass 1: the in-range pairs (i, j > i), grouped by i; slots[i].n
 	// counts i's neighbors.
@@ -246,25 +231,19 @@ func (s *Station) neighbor(slot int32) *link {
 }
 
 // TxNeighbors calls yield(b) for every station b != a with
-// InTxRange(a, b), in ascending id order. Once the index is built it
-// walks a's cached records with inTx set, O(degree); before the first
-// build, or when TxRange reaches past CSRange (so the lists can miss
-// decodable stations), it scans every station with the
-// same distance test InTxRange makes. Both paths yield the same set in
-// the same order. Route repair enumerates candidate next hops with it.
+// InTxRange(a, b), in ascending id order, by walking a's cached records
+// with inTx set, O(degree): NewChannel's TxRange <= CSRange rule puts
+// every decodable pair on the lists. Like TransmitFrom, it builds the
+// index on first use. Route repair enumerates candidate next hops with
+// it.
 func (c *Channel) TxNeighbors(a pkt.NodeID, yield func(b pkt.NodeID)) {
-	st := c.station(a)
-	if c.indexed && c.txListed {
-		for i := range st.nbrs {
-			if st.nbrs[i].inTx {
-				yield(c.order[st.nbrs[i].slot].id)
-			}
-		}
-		return
+	if !c.indexed {
+		c.buildIndex()
 	}
-	for _, o := range c.order {
-		if o != st && st.pos.Dist(o.pos) <= c.cfg.TxRange {
-			yield(o.id)
+	st := c.station(a)
+	for i := range st.nbrs {
+		if st.nbrs[i].inTx {
+			yield(c.order[st.nbrs[i].slot].id)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"ezflow/internal/pkt"
@@ -12,7 +13,8 @@ import (
 )
 
 // newIndexedChannel builds a channel over the given positions and forces
-// the neighbor index (normally built by the first transmission).
+// the neighbor index (normally built by the first transmission or
+// TxNeighbors call).
 func newIndexedChannel(t *testing.T, pos []Position) *Channel {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -78,8 +80,7 @@ func checkIndexBruteForce(t *testing.T, ch *Channel) {
 
 // TestNeighborIndexMatchesBruteForce checks the built index against the
 // O(N²) recomputation on a 120-node and a 400-node default-density disk,
-// with asymmetric link state applied before the freeze, and after a
-// rebuild forced mid-flight by a new station.
+// and with asymmetric link state applied before the freeze.
 func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 	t.Run("disk120", func(t *testing.T) {
 		checkIndexBruteForce(t, newIndexedChannel(t, diskPositions(120, 7)))
@@ -119,67 +120,6 @@ func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 		}
 		ch.buildIndex()
 		checkIndexBruteForce(t, ch)
-	})
-
-	// A station registered mid-flight renumbers every slot; the rebuild
-	// must carry each station's sensed count, busy flag and locked
-	// reception over to its new slot.
-	t.Run("rebuild-after-AddNode", func(t *testing.T) {
-		pos := diskPositions(120, 9)
-		eng := sim.NewEngine(1)
-		ch := NewChannel(eng, DefaultConfig())
-		for i, p := range pos {
-			ch.AddNode(pkt.NodeID(i+10), p, nil)
-		}
-		for _, src := range []pkt.NodeID{10, 40, 75, 110} {
-			f := ch.Pool().Frame()
-			f.Type, f.TxSrc, f.TxDst = pkt.FrameData, src, src+1
-			transmit(ch, src, f)
-		}
-		type state struct {
-			sensed int32
-			busy   bool
-			rx     reception
-		}
-		snapshot := func() map[pkt.NodeID]state {
-			m := map[pkt.NodeID]state{}
-			for _, st := range ch.order {
-				m[st.id] = state{ch.sensed[st.slot], ch.busyTx[st.slot], ch.rx[st.slot]}
-			}
-			return m
-		}
-		before := snapshot()
-		busy, locked := 0, 0
-		for _, s := range before {
-			if s.sensed > 0 {
-				busy++
-			}
-			if s.rx.tx != nil {
-				locked++
-			}
-		}
-		if busy == 0 || locked == 0 {
-			t.Fatalf("flights left %d stations sensing and %d locked; want some of each", busy, locked)
-		}
-		ch.AddNode(pkt.NodeID(1), Position{X: -1e5}, nil)
-		ch.buildIndex()
-		after := snapshot()
-		for id, s := range before {
-			if after[id] != s {
-				t.Errorf("%v: state %+v before the rebuild, %+v after", id, s, after[id])
-			}
-		}
-		if s := after[1]; s != (state{}) {
-			t.Errorf("new station starts with state %+v", s)
-		}
-		checkIndexBruteForce(t, ch)
-		for eng.RunStep() {
-		}
-		for id, s := range snapshot() {
-			if s.sensed != 0 || s.busy || s.rx.tx != nil {
-				t.Errorf("%v: state %+v after every flight ended", id, s)
-			}
-		}
 	})
 }
 
@@ -233,42 +173,15 @@ func TestIndexPatchOnLinkMutation(t *testing.T) {
 		t.Errorf("map loss %v, want 0.5", got)
 	}
 
-	// A rebuild (here: forced by a new station) folds the maps back in.
+	// A rebuild (here: forced by a move that brings N5 within N0's CS
+	// range) folds the maps back in, the loss set beyond range included.
 	ch.SetLinkLoss(0, 2, 0.75)
-	ch.AddNode(pkt.NodeID(9), Position{X: 900}, nil)
-	if ch.indexed {
-		t.Fatal("AddNode did not invalidate the index")
-	}
-	ch.buildIndex()
-	if lk := ch.station(0).neighbor(2); lk == nil || lk.loss != 0.75 {
+	ch.MoveNodes([]Move{{5, Position{X: 500, Y: 100}}})
+	if lk := st.neighbor(2); lk == nil || lk.loss != 0.75 {
 		t.Errorf("rebuild lost the configured loss: %+v", lk)
 	}
-}
-
-// TestIndexRebuildMigratesEventState pins the slot-state migration: state
-// accumulated under one slot assignment (here: an in-flight transmission
-// raising carrier sense) must survive a rebuild that renumbers slots.
-func TestIndexRebuildMigratesEventState(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ch := NewChannel(eng, DefaultConfig())
-	for i, p := range chainPositions(3) {
-		ch.AddNode(pkt.NodeID(i+10), p, nil)
-	}
-	f := ch.Pool().Frame()
-	f.Type, f.TxSrc, f.TxDst = pkt.FrameData, 10, 11
-	transmit(ch, 10, f)
-	if !ch.Busy(11) {
-		t.Fatal("neighbor not busy during flight")
-	}
-	// Register a smaller id mid-flight: every existing slot shifts up.
-	ch.AddNode(pkt.NodeID(1), Position{X: -5000}, nil)
-	if !ch.Busy(11) || ch.Busy(1) {
-		t.Error("carrier-sense state lost across slot renumbering")
-	}
-	for eng.RunStep() {
-	}
-	if ch.Busy(11) {
-		t.Error("carrier sense stuck after flight completion")
+	if lk := st.neighbor(5); lk == nil || lk.loss != 0.5 {
+		t.Errorf("rebuild lost the loss set beyond range: %+v", lk)
 	}
 }
 
@@ -322,55 +235,50 @@ func TestSpatialGridCandidatePairs(t *testing.T) {
 	}
 }
 
-// TestTxNeighborsMatchesInTxRange pins TxNeighbors to its contract, every
-// b != a with InTxRange(a, b) in ascending id order, on both of its
-// paths: the all-stations scan before the first build, the index walk
-// after it and through 1,000 random moves, and the scan again when
-// TxRange reaches past the neighbor-list radius (CSRange), whether or
-// not it also reaches past the interference radius.
+// checkTxNeighbors checks TxNeighbors against its contract, every b != a
+// with InTxRange(a, b) in ascending id order, for every station a.
+func checkTxNeighbors(t *testing.T, ch *Channel, when string) {
+	t.Helper()
+	ids := ch.NodeIDs()
+	var got, want []pkt.NodeID
+	for _, a := range ids {
+		got, want = got[:0], want[:0]
+		ch.TxNeighbors(a, func(b pkt.NodeID) { got = append(got, b) })
+		for _, b := range ids {
+			if b != a && ch.InTxRange(a, b) {
+				want = append(want, b)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: TxNeighbors(%v) = %v, want %v", when, a, got, want)
+		}
+	}
+}
+
+// newDiskChannel registers an n-station disk on a fresh channel with cfg.
+func newDiskChannel(cfg Config, n int) (*Channel, *sim.Engine) {
+	eng := sim.NewEngine(1)
+	ch := NewChannel(eng, cfg)
+	for i, p := range diskPositions(n, 5) {
+		ch.AddNode(pkt.NodeID(i), p, nil)
+	}
+	return ch, eng
+}
+
+// TestTxNeighborsMatchesInTxRange pins TxNeighbors to its contract on
+// its first call, which builds the index, after a transmission, and
+// through 1,000 random moves.
 func TestTxNeighborsMatchesInTxRange(t *testing.T) {
-	check := func(t *testing.T, ch *Channel, when string) {
-		t.Helper()
-		ids := ch.NodeIDs()
-		var got, want []pkt.NodeID
-		for _, a := range ids {
-			got, want = got[:0], want[:0]
-			ch.TxNeighbors(a, func(b pkt.NodeID) { got = append(got, b) })
-			for _, b := range ids {
-				if b != a && ch.InTxRange(a, b) {
-					want = append(want, b)
-				}
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: TxNeighbors(%v) = %v, want %v", when, a, got, want)
-			}
+	t.Run("index", func(t *testing.T) {
+		ch, eng := newDiskChannel(DefaultConfig(), 120)
+		checkTxNeighbors(t, ch, "on first use")
+		if !ch.indexed {
+			t.Fatal("the first TxNeighbors call did not build the index")
 		}
-	}
-	build := func(cfg Config, n int) (*Channel, *sim.Engine) {
-		eng := sim.NewEngine(1)
-		ch := NewChannel(eng, cfg)
-		for i, p := range diskPositions(n, 5) {
-			ch.AddNode(pkt.NodeID(i), p, nil)
-		}
-		return ch, eng
-	}
-	transmit := func(ch *Channel, eng *sim.Engine) {
-		f := ch.Pool().Frame()
-		f.Type = pkt.FrameData
-		f.TxSrc, f.TxDst = 0, 1
-		ch.TransmitFrom(ch.station(0), f)
+		transmit(ch, 0, frame(0, 1))
 		for eng.RunStep() {
 		}
-	}
-
-	t.Run("index", func(t *testing.T) {
-		ch, eng := build(DefaultConfig(), 120)
-		check(t, ch, "before the build")
-		transmit(ch, eng)
-		if !ch.indexed || !ch.txListed {
-			t.Fatal("the first transmission did not build a list covering TxRange")
-		}
-		check(t, ch, "after the build")
+		checkTxNeighbors(t, ch, "after a transmission")
 		rng := rand.New(rand.NewSource(3))
 		extent := 100 * math.Sqrt(120)
 		for step := range 1000 {
@@ -378,35 +286,47 @@ func TestTxNeighborsMatchesInTxRange(t *testing.T) {
 			p := ch.Position(id)
 			ch.MoveNodes([]Move{{id, Position{X: p.X + rng.NormFloat64()*extent/8, Y: p.Y + rng.NormFloat64()*extent/8}}})
 			if step%50 == 49 {
-				check(t, ch, fmt.Sprintf("after %d moves", step+1))
+				checkTxNeighbors(t, ch, fmt.Sprintf("after %d moves", step+1))
 			}
 		}
 		if err := ch.VerifyIndex(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
 
-	t.Run("tx-beyond-lists", func(t *testing.T) {
+// TestNewChannelTxRangeWithinCSRange pins NewChannel's range rule. The
+// neighbor lists end at CSRange, so a TxRange past it, whether or not it
+// also reaches past the interference radius, would offer links that
+// never deliver: NewChannel refuses it, naming both ranges. TxRange equal
+// to CSRange is the largest it accepts, and every decodable pair is then
+// listed.
+func TestNewChannelTxRangeWithinCSRange(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		txRange func(Config) float64
+	}{
+		{"tx-beyond-lists", func(c Config) float64 { return 2 * c.interferenceRange() }},
+		{"tx-between-cs-and-interference", func(c Config) float64 { return (c.CSRange + c.interferenceRange()) / 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.TxRange = tc.txRange(cfg)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, r := range []float64{cfg.TxRange, cfg.CSRange} {
+					if !strings.Contains(msg, fmt.Sprint(r)) {
+						t.Fatalf("NewChannel with TxRange %g > CSRange %g: panic %q does not name %g", cfg.TxRange, cfg.CSRange, msg, r)
+					}
+				}
+			}()
+			NewChannel(sim.NewEngine(1), cfg)
+		})
+	}
+	t.Run("tx-equals-cs", func(t *testing.T) {
 		cfg := DefaultConfig()
-		cfg.TxRange = 2 * cfg.interferenceRange()
-		ch, eng := build(cfg, 120)
-		transmit(ch, eng)
-		if !ch.indexed || ch.txListed {
-			t.Fatal("want a built index whose lists stop short of TxRange")
-		}
-		check(t, ch, "TxRange past the list radius")
-	})
-
-	// The lists end at CSRange, so a TxRange short of the interference
-	// radius can still reach past them.
-	t.Run("tx-between-cs-and-interference", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.TxRange = (cfg.CSRange + cfg.interferenceRange()) / 2
-		ch, eng := build(cfg, 120)
-		transmit(ch, eng)
-		if !ch.indexed || ch.txListed {
-			t.Fatal("want a built index whose lists stop short of TxRange")
-		}
-		check(t, ch, "TxRange between CSRange and the interference radius")
+		cfg.TxRange = cfg.CSRange
+		ch, _ := newDiskChannel(cfg, 120)
+		checkTxNeighbors(t, ch, "TxRange equal to CSRange")
 	})
 }

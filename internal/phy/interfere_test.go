@@ -415,35 +415,6 @@ func TestFarRingInterference(t *testing.T) {
 	}
 }
 
-// TestFarRingAfterAddNode registers a station with a lower id while D
-// holds a decodable lock on A's frame, which shifts every slot, and then
-// starts I in D's far ring. The rebuild must carry A's flight's list of
-// decodable receivers over to the new slots, or I's energy misses D.
-func TestFarRingAfterAddNode(t *testing.T) {
-	const a, d, i = 10, 11, 12
-	cfg := DefaultConfig()
-	cfg.CaptureRatio = 100 // I at 600 m from D's 200-m lock: ratio 81
-	eng := sim.NewEngine(1)
-	ch := NewChannel(eng, cfg)
-	rd := &fakeRadio{}
-	ch.AddNode(a, Position{X: 0}, nil)
-	ch.AddNode(d, Position{X: 200}, rd)
-	ch.AddNode(i, Position{X: 800}, nil)
-	transmit(ch, a, frame(a, d))
-	ch.AddNode(1, Position{X: -1e5}, nil)
-	transmit(ch, i, frame(i, a))
-	if err := ch.VerifyIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if ch.Stats.Collisions != 1 || ch.Stats.Captures != 0 {
-		t.Fatalf("collisions/captures %d/%d, want 1/0", ch.Stats.Collisions, ch.Stats.Captures)
-	}
-	eng.Run(sim.Second)
-	if rd.errors != 1 || len(rd.received) != 0 {
-		t.Fatalf("D: %d receive errors, %d frames, want 1 and 0", rd.errors, len(rd.received))
-	}
-}
-
 // FuzzInterference runs the channel and the receiver-major reference
 // through a fuzzed placement, capture ratio and schedule, checking after
 // every step the receptions, Stats.Collisions and Stats.Captures, and the

@@ -64,8 +64,8 @@ func (c *Channel) Transmitting(id pkt.NodeID) bool {
 // (see the package comment for the determinism rules). It reports
 // whether decode-range (TxRange) link membership changed at any mover's
 // turn — the signal the mobility engine uses to trigger route repair.
-// Before the first transmission has built the index, it only adopts the
-// positions; the build reads them.
+// Before the first transmission or TxNeighbors call has built the
+// index, it only adopts the positions; the build reads them.
 //
 // Every station must be registered and none may be transmitting (see
 // Transmitting): moving a transmitter mid-frame would falsify the

@@ -5,10 +5,15 @@
 // node decodes a frame if the transmitter is within the transmission range
 // (250 m) and no other transmission overlaps the reception at the listener
 // within its interference range; a node senses the channel busy whenever any
-// transmitter within the carrier-sense range (550 m) is active. Because the
-// medium is broadcast, every completed reception is delivered not only to
-// the addressed MAC but also to every promiscuous tap in range — this is the
-// "free" information EZ-Flow's Buffer Occupancy Estimator lives on.
+// transmitter within the carrier-sense range (550 m) is active. The decode
+// range never exceeds the carrier-sense range (TxRange <= CSRange;
+// NewChannel panics otherwise), so a node that can decode a transmitter
+// also senses it. As in ns-2, the topology is fixed before the run: every
+// station registers before the first transmission or routing query
+// (TxNeighbors), and none joins after. Because the medium is broadcast,
+// every completed reception is delivered not only to the addressed MAC
+// but also to every promiscuous tap in range — this is the "free"
+// information EZ-Flow's Buffer Occupancy Estimator lives on.
 //
 // Per-link erasure probabilities model the heterogeneous link qualities of
 // the paper's real testbed (Table 1): a loss applies to one receiver of one
@@ -35,7 +40,7 @@ func (p Position) Dist(q Position) float64 {
 // Config holds the channel parameters. The zero value is not useful; use
 // DefaultConfig.
 type Config struct {
-	TxRange    float64  // decode range in metres
+	TxRange    float64  // decode range in metres; at most CSRange
 	CSRange    float64  // carrier-sense range in metres
 	BitRate    float64  // channel bit rate in bit/s
 	PreambleNS sim.Time // PLCP preamble+header duration
@@ -136,7 +141,7 @@ type Station struct {
 	id    pkt.NodeID
 	pos   Position
 	radio Radio
-	slot  int32 // dense index (position in Channel.order); -1 until indexed
+	slot  int32 // dense index (position in Channel.order); -1 until the first index build fixes it
 	// Neighbor index (built in index.go): nbrs lists every station within
 	// carrier-sense range ascending by slot; nbrSlots mirrors their slots
 	// in a flat array for cache-dense binary search.
@@ -172,8 +177,8 @@ type Channel struct {
 	// resolves stations by slot instead of hashing a map.
 	idx   pkt.NodeIndex
 	order []*Station
-	// indexed marks the neighbor lists as built; AddNode clears it and
-	// the next transmission rebuilds (see index.go).
+	// indexed marks the neighbor lists as built (see index.go); from
+	// then on AddNode panics.
 	indexed bool
 	// The interference radius (Config.interferenceRange), the
 	// carrier-sense (neighbor-list) range and the decode range, with
@@ -181,9 +186,6 @@ type Channel struct {
 	farReach, csReach, txReach reach
 	build                      buildScratch // buildIndex's storage, kept between builds
 	moved                      []mover      // MoveNodes' applied moves, reused per batch
-	// txListed marks TxRange as within the neighbor-list radius, so every
-	// decodable pair has a record and TxNeighbors can walk the lists.
-	txListed bool
 	// Arenas backing every station's neighbor lists (sub-sliced by
 	// buildIndex); pointer-free, so invisible to the garbage collector.
 	linkArena []link
@@ -251,8 +253,13 @@ func (c *Channel) SetCounters(k Counters) { c.obs = k }
 
 type linkKey struct{ a, b pkt.NodeID }
 
-// NewChannel creates an empty channel over the given engine.
+// NewChannel creates an empty channel over the given engine. It panics
+// when cfg.TxRange exceeds cfg.CSRange: the neighbor lists end at
+// CSRange, and a link beyond it could be routed over but never deliver.
 func NewChannel(eng *sim.Engine, cfg Config) *Channel {
+	if cfg.TxRange > cfg.CSRange {
+		panic(fmt.Sprintf("phy: decode range TxRange %g m exceeds carrier-sense range CSRange %g m", cfg.TxRange, cfg.CSRange))
+	}
 	return &Channel{
 		cfg:      cfg,
 		eng:      eng,
@@ -310,10 +317,13 @@ func (c *Channel) getTx() *transmission {
 }
 
 // AddNode registers a station at pos with its MAC-layer radio and returns
-// its handle for TransmitFrom. Adding the same id twice panics:
-// topologies are static for the lifetime of a run. Registering a station
-// invalidates the neighbor index; the next transmission rebuilds it.
+// its handle for TransmitFrom. Stations register before the run: adding
+// one after the neighbor index is built (by the first TransmitFrom or
+// TxNeighbors call) panics, as does adding the same id twice.
 func (c *Channel) AddNode(id pkt.NodeID, pos Position, r Radio) *Station {
+	if c.indexed {
+		panic(fmt.Sprintf("phy: node %v added after the neighbor index was built", id))
+	}
 	at, ok := c.idx.Add(id)
 	if !ok {
 		panic(fmt.Sprintf("phy: duplicate node %v", id))
@@ -322,7 +332,6 @@ func (c *Channel) AddNode(id pkt.NodeID, pos Position, r Radio) *Station {
 	c.order = append(c.order, nil)
 	copy(c.order[at+1:], c.order[at:])
 	c.order[at] = st
-	c.indexed = false
 	return st
 }
 

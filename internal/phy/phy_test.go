@@ -224,6 +224,42 @@ func TestDuplicateNodePanics(t *testing.T) {
 	ch.AddNode(0, Position{X: 1}, &fakeRadio{})
 }
 
+// TestAddNodeAfterBuildPanics pins the channel's lifecycle: stations
+// register, then the first TransmitFrom or TxNeighbors call builds the
+// neighbor index, and from then on AddNode panics and registers nothing,
+// also after a MoveNodes rebuild. Moves before the build only adopt
+// positions and leave registration open.
+func TestAddNodeAfterBuildPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(eng *sim.Engine, ch *Channel)
+	}{
+		{"after TransmitFrom", func(_ *sim.Engine, ch *Channel) { transmit(ch, 0, frame(0, 1)) }},
+		{"after TxNeighbors", func(_ *sim.Engine, ch *Channel) { ch.TxNeighbors(0, func(pkt.NodeID) {}) }},
+		{"after a post-build MoveNodes", func(eng *sim.Engine, ch *Channel) {
+			transmit(ch, 0, frame(0, 1))
+			eng.Run(sim.Second)
+			ch.MoveNodes([]Move{{1, Position{X: 150}}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ch, _ := setup(t, Position{X: 0}, Position{X: 200})
+			ch.MoveNodes([]Move{{1, Position{X: 210}}})
+			ch.AddNode(2, Position{X: 400}, &fakeRadio{}) // before the build: accepted
+			tc.build(eng, ch)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("AddNode after the index was built did not panic")
+				}
+				if n := len(ch.NodeIDs()); n != 3 {
+					t.Fatalf("the refused AddNode left %d stations, want 3", n)
+				}
+			}()
+			ch.AddNode(3, Position{X: 600}, &fakeRadio{})
+		})
+	}
+}
+
 func TestRangePredicates(t *testing.T) {
 	_, ch, _ := setup(t, Position{X: 0}, Position{X: 200}, Position{X: 400}, Position{X: 600})
 	if !ch.InTxRange(0, 1) || ch.InTxRange(0, 2) {

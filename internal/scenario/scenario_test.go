@@ -205,6 +205,25 @@ func TestBuildRejectsUnknownDynamicsNode(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsTxRangePastCSRange builds every topology kind with a
+// decode range beyond the carrier-sense range. The PHY's neighbor lists
+// end at CSRange, so such a run would route over links that never
+// deliver; set-up must fail instead, naming both ranges.
+func TestBuildRejectsTxRangePastCSRange(t *testing.T) {
+	for _, kind := range scenario.Topologies.Names() {
+		spec := &scenario.Spec{Topology: scenario.Topology{Kind: kind}, DurationSec: 1}
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		cfg.PHY.TxRange = 700 // CSRange stays 550
+		_, err = spec.BuildWith(cfg)
+		if err == nil || !strings.Contains(err.Error(), "TxRange 700") || !strings.Contains(err.Error(), "CSRange 550") {
+			t.Errorf("%s: BuildWith error = %v, want one naming TxRange 700 and CSRange 550", kind, err)
+		}
+	}
+}
+
 const mobileSpec = `{
   "name": "grid-waypoint-downlink",
   "topology": {"kind": "grid", "width": 3, "height": 3},
