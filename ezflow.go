@@ -490,7 +490,7 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// than here, so wiring a large mesh stays cheap.
 	samples := int(cfg.Duration/queueSample) + 1
 	for _, n := range m.Nodes() {
-		s := &stats.Series{Name: fmt.Sprintf("queue-%v", n.ID)}
+		s := &stats.Series{Name: "queue-" + n.ID.String()}
 		sc.QueueTraces[n.ID] = s
 		var tick func()
 		tick = func() {

@@ -103,29 +103,21 @@ func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLos
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]phy.Position, n)
-	var parent []int
-	var check *placementCheck
-	for try := 0; try < randomDiskAttempts && parent == nil; try++ {
+	check := newPlacementCheck(n, radius, phyCfg.TxRange)
+	connected := false
+	for try := 0; try < randomDiskAttempts && !connected; try++ {
 		samplePositions(rng, pos, radius)
-		// A small disk usually connects on the first draw, so that draw's
-		// gateway tree doubles as its connectivity check. Once a draw has
-		// failed, later ones are screened by the cheaper placementCheck,
-		// and only the accepted one pays for a tree.
-		if try > 0 {
-			if check == nil {
-				check = newPlacementCheck(n, radius, phyCfg.TxRange)
-			}
-			if !check.connected(pos) {
-				continue
-			}
-		}
-		if parent = routing.GatewayTree(pos, phyCfg.TxRange); !routing.Connected(parent) {
-			parent = nil
-		}
+		connected = check.connected(pos)
 	}
-	if parent == nil {
+	if !connected {
 		panic(fmt.Sprintf("mesh: no connected %d-node placement within radius %.0f m after %d attempts (radius too large for the %g m range?)",
 			n, radius, randomDiskAttempts, phyCfg.TxRange))
+	}
+	// Every draw is screened by placementCheck; only the accepted one
+	// pays for the deterministic tree its route is read from.
+	parent := routing.GatewayTree(pos, phyCfg.TxRange)
+	if !routing.Connected(parent) {
+		panic("mesh: placementCheck accepted a placement the gateway tree does not connect")
 	}
 
 	m := New(eng, phyCfg, macCfg)
@@ -159,12 +151,14 @@ func RandomDiskLossy(eng *sim.Engine, n int, radius float64, seed int64, edgeLos
 
 // samplePositions fills pos with the gateway at the origin plus len(pos)-1
 // points uniform over the disk (r = R·√u gives an area-uniform radius).
+// math.Sincos gives, bit for bit, the math.Cos and math.Sin of the angle
+// at about three quarters of their cost (TestSincosMatchesSinCos).
 func samplePositions(rng *rand.Rand, pos []phy.Position, radius float64) {
 	pos[0] = phy.Position{}
 	for i := 1; i < len(pos); i++ {
 		r := radius * math.Sqrt(rng.Float64())
-		theta := 2 * math.Pi * rng.Float64()
-		pos[i] = phy.Position{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
+		sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
+		pos[i] = phy.Position{X: r * cos, Y: r * sin}
 	}
 }
 
@@ -175,13 +169,16 @@ func samplePositions(rng *rand.Rand, pos []phy.Position, radius float64) {
 //   - its cell grid covers the whole disk, so only the bucketing changes
 //     between attempts, and no buffer is allocated after the first;
 //   - it first looks for an isolated node, which most placements it
-//     rejects have (about four in five of the rejected 400-node draws);
+//     rejects have (about four in five of the rejected 400-node draws),
+//     scanning each node's own cell before the eight around it;
 //   - its search visits nodes in whatever order the cells yield them,
 //     builds no tree and sorts nothing, swaps each reached node out of
 //     its cell so later scans see only unreached candidates, and stops
-//     as soon as the last node is reached.
+//     as soon as the last node is reached;
+//   - its range test is the builders' phy.Reach, which settles all but
+//     the boundary pairs on squared distances.
 type placementCheck struct {
-	txRange      float64
+	reach        phy.Reach
 	radius, cell float64 // the disk's radius and the cell side (> txRange)
 	side         int     // cells per axis over the disk's bounding square
 	// Cell c's unreached nodes are items[start[c]:end[c]]; node i sits in
@@ -198,7 +195,7 @@ type placementCheck struct {
 // would number more than about 4n. A degenerate radius or range gets one
 // cell.
 func newPlacementCheck(n int, radius, txRange float64) *placementCheck {
-	pc := &placementCheck{txRange: txRange, radius: radius, cell: 1, side: 1}
+	pc := &placementCheck{reach: phy.NewReach(txRange), radius: radius, cell: 1, side: 1}
 	span := 2 * radius
 	if txRange > 0 && span > 0 && !math.IsInf(span, 1) && !math.IsInf(txRange, 1) {
 		pc.side = min(int(span/txRange)+1, 2*int(math.Sqrt(float64(n)))+1)
@@ -264,7 +261,7 @@ func (pc *placementCheck) connected(pos []phy.Position) bool {
 		for _, c := range pc.around(u, cells[:0]) {
 			for k := pc.start[c]; k < pc.end[c]; {
 				v := pc.items[k]
-				if u.Dist(pos[v]) > pc.txRange {
+				if !pc.reach.Within(u, pos[v]) {
 					k++
 					continue
 				}
@@ -278,12 +275,26 @@ func (pc *placementCheck) connected(pos []phy.Position) bool {
 }
 
 // hasNeighbor reports whether node i at u has any other node in range.
+// Its own cell, which most nodes share with a neighbor, is scanned first.
 func (pc *placementCheck) hasNeighbor(i int32, u phy.Position, pos []phy.Position, cells []int) bool {
+	own := int(pc.cellOf[i])
+	if pc.cellHasNeighbor(own, i, u, pos) {
+		return true
+	}
 	for _, c := range pc.around(u, cells) {
-		for _, v := range pc.items[pc.start[c]:pc.end[c]] {
-			if v != i && u.Dist(pos[v]) <= pc.txRange {
-				return true
-			}
+		if c != own && pc.cellHasNeighbor(c, i, u, pos) {
+			return true
+		}
+	}
+	return false
+}
+
+// cellHasNeighbor reports whether cell c holds a node other than i within
+// range of u.
+func (pc *placementCheck) cellHasNeighbor(c int, i int32, u phy.Position, pos []phy.Position) bool {
+	for _, v := range pc.items[pc.start[c]:pc.end[c]] {
+		if v != i && pc.reach.Within(u, pos[v]) {
+			return true
 		}
 	}
 	return false

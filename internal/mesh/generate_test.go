@@ -155,7 +155,12 @@ func TestPlacementCheckMatchesGatewayTree(t *testing.T) {
 
 // TestPlacementCheckRangeBoundary pins the check's range predicate at the
 // float boundary: a pair exactly TxRange apart is linked, a pair one ulp
-// beyond it is not, whichever way the pair is oriented.
+// beyond it is not, whichever way the pair is oriented. It then runs a
+// table of pairs at the limit, one ulp either side of it and at
+// limit·(1 ± 1e-10), along the axes and diagonals and away from the
+// origin, through every build-time range test (phy.Reach itself, the
+// check, routing.GatewayTree and phy.Channel.InTxRange), and holds each
+// to math.Hypot(dx, dy) <= limit.
 func TestPlacementCheckRangeBoundary(t *testing.T) {
 	r := phy.DefaultConfig().TxRange
 	beyond := math.Nextafter(r, math.Inf(1))
@@ -176,6 +181,75 @@ func TestPlacementCheckRangeBoundary(t *testing.T) {
 		}
 		if got := newPlacementCheck(len(tc.pos), 2*r, r).connected(tc.pos); got != tc.want {
 			t.Errorf("%s: check says connected=%v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	var in, out int
+	for _, lim := range []float64{r, 100.3, 1000.0 / 3} {
+		cfg := phy.DefaultConfig()
+		cfg.TxRange = lim
+		dists := map[string]float64{
+			"at":         lim,
+			"ulp-inside": math.Nextafter(lim, 0),
+			"ulp-beyond": math.Nextafter(lim, math.Inf(1)),
+			"1e-10-in":   lim * (1 - 1e-10),
+			"1e-10-out":  lim * (1 + 1e-10),
+		}
+		dirs := map[string][2]float64{
+			"+x": {1, 0}, "-x": {-1, 0}, "+y": {0, 1}, "-y": {0, -1},
+			"3-4-5":  {0.6, 0.8},
+			"-4-3-5": {-0.8, 0.6},
+			"45°":    {math.Sqrt2 / 2, math.Sqrt2 / 2},
+			"-45°":   {math.Sqrt2 / 2, -math.Sqrt2 / 2},
+			"1 rad":  {math.Cos(1), math.Sin(1)},
+		}
+		for _, base := range []phy.Position{{}, {X: 1234.5, Y: -987.25}, {X: -0.1, Y: 0.3}} {
+			for dn, d := range dists {
+				for on, u := range dirs {
+					pos := []phy.Position{base, {X: base.X + d*u[0], Y: base.Y + d*u[1]}}
+					name := fmt.Sprintf("lim %v, %s, %s from %v", lim, dn, on, base)
+					want := math.Hypot(pos[0].X-pos[1].X, pos[0].Y-pos[1].Y) <= lim
+					if want {
+						in++
+					} else {
+						out++
+					}
+					if got := phy.NewReach(lim).Within(pos[0], pos[1]); got != want {
+						t.Errorf("%s: Reach.Within = %v, Hypot says %v", name, got, want)
+					}
+					radius := 2*lim + math.Hypot(base.X, base.Y)
+					if got := newPlacementCheck(2, radius, lim).connected(pos); got != want {
+						t.Errorf("%s: check says connected=%v, Hypot says %v", name, got, want)
+					}
+					if got := routing.Connected(routing.GatewayTree(pos, lim)); got != want {
+						t.Errorf("%s: gateway tree says connected=%v, Hypot says %v", name, got, want)
+					}
+					m := New(sim.NewEngine(1), cfg, mac.DefaultConfig())
+					m.AddNode(0, pos[0])
+					m.AddNode(1, pos[1])
+					if got := m.Ch.InTxRange(0, 1); got != want {
+						t.Errorf("%s: InTxRange = %v, Hypot says %v", name, got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("edge table: %d pairs within, %d beyond", in, out)
+	if in == 0 || out == 0 {
+		t.Errorf("edge table one-sided: %d pairs within, %d beyond", in, out)
+	}
+}
+
+// TestSincosMatchesSinCos pins samplePositions' one trig call to the two
+// it replaced: math.Sincos must give math.Sin and math.Cos of the angle
+// bit for bit, or every random-disk placement would move.
+func TestSincosMatchesSinCos(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := range 1 << 20 {
+		theta := 2 * math.Pi * rng.Float64()
+		sin, cos := math.Sincos(theta)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(theta)) || math.Float64bits(cos) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("draw %d, θ=%v: Sincos = (%v, %v), Sin, Cos = (%v, %v)", i, theta, sin, cos, math.Sin(theta), math.Cos(theta))
 		}
 	}
 }

@@ -129,8 +129,8 @@ type Mesh struct {
 	Ch  *phy.Channel
 
 	nodes map[pkt.NodeID]*Node
-	// ids caches the node ids in ascending order for RoutingGraph; AddNode
-	// clears it.
+	// ids caches the node ids in ascending order for Nodes and
+	// RoutingGraph (see sortedIDs); AddNode clears it.
 	ids []pkt.NodeID
 	// routes[flow] is the full node path source..destination; each
 	// node's hops entry for the flow holds its successor on it.
@@ -202,14 +202,27 @@ func (m *Mesh) MoveNodes(moves []phy.Move) bool { return m.Ch.MoveNodes(moves) }
 // path has let go.
 func (m *Mesh) Pool() *pkt.Pool { return m.Ch.Pool() }
 
-// Nodes returns all nodes sorted by id.
+// Nodes returns all nodes sorted by id, in a fresh slice.
 func (m *Mesh) Nodes() []*Node {
-	out := make([]*Node, 0, len(m.nodes))
-	for _, n := range m.nodes {
-		out = append(out, n)
+	ids := m.sortedIDs()
+	out := make([]*Node, len(ids))
+	for i, id := range ids {
+		out[i] = m.nodes[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// sortedIDs returns the node ids in ascending order, from the cache
+// AddNode clears. Callers must not modify the slice.
+func (m *Mesh) sortedIDs() []pkt.NodeID {
+	if m.ids == nil {
+		m.ids = make([]pkt.NodeID, 0, len(m.nodes))
+		for id := range m.nodes {
+			m.ids = append(m.ids, id)
+		}
+		slices.Sort(m.ids)
+	}
+	return m.ids
 }
 
 // AddSink registers an observer of packets reaching their destination.
@@ -311,18 +324,11 @@ func (m *Mesh) Strategy() routing.Strategy {
 // phy.Channel.TxNeighbors. The Graph is one routing round's snapshot
 // (see routing.Graph); build a new one after the topology changes.
 func (m *Mesh) RoutingGraph(usable func(a, b pkt.NodeID) bool) *routing.Graph {
-	if m.ids == nil {
-		m.ids = make([]pkt.NodeID, 0, len(m.nodes))
-		for id := range m.nodes {
-			m.ids = append(m.ids, id)
-		}
-		slices.Sort(m.ids)
-	}
 	if usable == nil {
 		usable = m.Ch.InTxRange
 	}
 	return &routing.Graph{
-		IDs:       m.ids,
+		IDs:       m.sortedIDs(),
 		Neighbors: m.Ch.TxNeighbors,
 		Usable:    usable,
 		LinkLoss:  m.Ch.LinkLoss,

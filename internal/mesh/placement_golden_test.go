@@ -23,11 +23,14 @@ type placementCase struct {
 	edgeLoss float64
 }
 
+// hardPlacementSeeds are 400-node placement seeds that need 118, 149 and
+// 189 draws before one connects.
+var hardPlacementSeeds = []int64{8656488335957430954, 6874497842853893210, 8840730191007823537}
+
 // placementCases spans small disks that usually connect on the first
-// draw up to 400-node disks near the connectivity threshold. The last
-// three 400-node seeds are placements that need 118, 149 and 189
-// resamples before they connect, so the golden also pins which attempt
-// the resampling loop accepts.
+// draw up to 400-node disks near the connectivity threshold. The
+// hardPlacementSeeds are among them, so the golden also pins which
+// attempt the resampling loop accepts.
 func placementCases() []placementCase {
 	var cs []placementCase
 	for _, n := range []int{12, 50, 200, 400} {
@@ -35,7 +38,7 @@ func placementCases() []placementCase {
 			cs = append(cs, placementCase{n: n, seed: seed})
 		}
 	}
-	for _, seed := range []int64{8656488335957430954, 6874497842853893210, 8840730191007823537} {
+	for _, seed := range hardPlacementSeeds {
 		cs = append(cs, placementCase{n: 400, seed: seed})
 	}
 	// Edge-of-range loss calibration on top of the placement.

@@ -7,8 +7,7 @@ import (
 
 // InCSRange reports whether b senses a's transmissions.
 func (c *Channel) InCSRange(a, b pkt.NodeID) bool {
-	na, nb := c.station(a), c.station(b)
-	return na.pos.Dist(nb.pos) <= c.cfg.CSRange
+	return c.csReach.Within(c.station(a).pos, c.station(b).pos)
 }
 
 // Busy reports whether the medium is sensed busy at node id, either because

@@ -103,7 +103,7 @@ type buildSlot struct {
 // in-range pair once, from its lower slot, and keeps its upper slot;
 // counting each pair at both ends gives every list's exact length, so
 // the arenas are sized once. Its range tests read squared distances
-// (see reach), so it computes a distance only for the rare pair near a
+// (see Reach), so it computes a distance only for the rare pair near a
 // range boundary. Pass 2 visits the stations y in ascending slot order,
 // computes each of y's pass-1 pairs' distance — once per pair — and
 // appends y to the list of each of its neighbors, which leaves every

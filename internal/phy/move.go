@@ -107,8 +107,8 @@ func (c *Channel) MoveNodes(moves []Move) (changed bool) {
 
 // decodeFlip reports whether moving st to p flips its decode-range
 // membership against any other station where that station stands now.
-// Squared distances settle every pair clear of the range boundary (see
-// reach); math.Hypot, which InTxRange uses, decides the others.
+// It tests decode range through the txReach InTxRange reads, so the two
+// agree on every pair.
 func (c *Channel) decodeFlip(st *Station, p Position) bool {
 	from := st.pos
 	for _, o := range c.order {
@@ -138,13 +138,13 @@ func (c *Channel) moveFlightState(st *Station, pos Position) {
 	wasBusy := c.sensed[st.slot] > 0
 	var n int32
 	for _, f := range c.flight {
-		if f.srcn != st && pos.Dist(f.srcn.pos) <= c.cfg.CSRange {
+		if f.srcn != st && c.csReach.Within(pos, f.srcn.pos) {
 			n++
 		}
 	}
 	c.sensed[st.slot] = n
 	if rx := &c.rx[st.slot]; rx.tx != nil {
-		if pos.Dist(rx.tx.srcn.pos) > c.cfg.CSRange {
+		if !c.csReach.Within(pos, rx.tx.srcn.pos) {
 			// The locked energy faded out mid-frame: the reception is
 			// silently aborted. The transmitter's finish no longer visits
 			// this station (it left the CS list), so clearing here is the

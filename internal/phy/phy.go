@@ -183,7 +183,7 @@ type Channel struct {
 	// The interference radius (Config.interferenceRange), the
 	// carrier-sense (neighbor-list) range and the decode range, with
 	// their squared bounds.
-	farReach, csReach, txReach reach
+	farReach, csReach, txReach Reach
 	build                      buildScratch // buildIndex's storage, kept between builds
 	moved                      []mover      // MoveNodes' applied moves, reused per batch
 	// Arenas backing every station's neighbor lists (sub-sliced by
@@ -263,29 +263,40 @@ func NewChannel(eng *sim.Engine, cfg Config) *Channel {
 	return &Channel{
 		cfg:      cfg,
 		eng:      eng,
-		farReach: newReach(cfg.interferenceRange()),
-		csReach:  newReach(cfg.CSRange),
-		txReach:  newReach(cfg.TxRange),
+		farReach: NewReach(cfg.interferenceRange()),
+		csReach:  NewReach(cfg.CSRange),
+		txReach:  NewReach(cfg.TxRange),
 		loss:     make(map[linkKey]float64),
 		down:     make(map[linkKey]bool),
 		pool:     pkt.NewPool(),
 	}
 }
 
-// reach is a distance limit with bounds on its square: a squared
+// Reach is a distance limit with bounds on its square: a squared
 // distance below lo is certainly within the limit, and one above hi
 // certainly beyond it, whatever math.Hypot rounds the distance to. The
 // relative margin is far wider than the rounding error of a sum of two
-// squares; math.Hypot decides the pairs between the bounds.
-type reach struct{ lim, lo, hi float64 }
+// squares, fused or not; math.Hypot decides the pairs between the
+// bounds. Every range test over positions, in the PHY and in the
+// builders that screen placements and draw routes, goes through a Reach,
+// so they all draw the boundary where Position.Dist does.
+type Reach struct{ lim, lo, hi float64 }
 
-func newReach(lim float64) reach {
-	return reach{lim, lim * lim * (1 - 1e-9), lim * lim * (1 + 1e-9)}
+// NewReach returns the Reach of the distance limit lim.
+func NewReach(lim float64) Reach {
+	return Reach{lim, lim * lim * (1 - 1e-9), lim * lim * (1 + 1e-9)}
+}
+
+// Within reports whether p.Dist(q) <= lim, exactly, computing a distance
+// only for the rare pair near the limit.
+func (r Reach) Within(p, q Position) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return r.within(dx, dy, dx*dx+dy*dy)
 }
 
 // within reports whether math.Hypot(dx, dy) <= lim, given s = dx²+dy².
 // It inlines into the pair loops; only boundary pairs make a call.
-func (r reach) within(dx, dy, s float64) bool {
+func (r Reach) within(dx, dy, s float64) bool {
 	return s < r.lo || s <= r.hi && r.hypotWithin(dx, dy)
 }
 
@@ -293,7 +304,7 @@ func (r reach) within(dx, dy, s float64) bool {
 // cheap enough to inline.
 //
 //go:noinline
-func (r reach) hypotWithin(dx, dy float64) bool { return math.Hypot(dx, dy) <= r.lim }
+func (r Reach) hypotWithin(dx, dy float64) bool { return math.Hypot(dx, dy) <= r.lim }
 
 // Config returns the channel configuration.
 func (c *Channel) Config() Config { return c.cfg }
@@ -379,8 +390,7 @@ func (c *Channel) Position(id pkt.NodeID) Position { return c.station(id).pos }
 
 // InTxRange reports whether b can decode a's transmissions.
 func (c *Channel) InTxRange(a, b pkt.NodeID) bool {
-	na, nb := c.station(a), c.station(b)
-	return na.pos.Dist(nb.pos) <= c.cfg.TxRange
+	return c.txReach.Within(c.station(a).pos, c.station(b).pos)
 }
 
 // AirTime exposes the frame air time for the channel's bit rate.
@@ -511,7 +521,7 @@ func (c *Channel) hit(slot int32, collide bool) {
 // farHit applies interference from offset (dx, dy), s = dx²+dy², to the
 // decodable, intact reception at slot, for a pair no list holds. Callers
 // first drop, inline, the pairs s certainly places within CSRange or
-// beyond the interference radius (see reach). The pair then collides when
+// beyond the interference radius (see Reach). The pair then collides when
 // rx.signal < CaptureRatio·power(Hypot(dx, dy)), the power a list would
 // cache; under the d⁻⁴ law (1 <= s < 2⁵⁰⁰) that power is 1/s² within a
 // few ulps, so rx.signal·s² settles every pair outside a 1e-9 band

@@ -283,6 +283,72 @@ func TestPositionDist(t *testing.T) {
 	}
 }
 
+// TestReachWithinMatchesHypot pins Reach.Within to its definition,
+// math.Hypot(dx, dy) <= lim, on a seeded sweep of pairs placed within a
+// few ulps and within 1e-10 (relative) of the limit, where the squared
+// screen must hand the pair to math.Hypot, plus pairs clear of it and
+// non-finite ones.
+func TestReachWithinMatchesHypot(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(lim float64, p, q Position) {
+		t.Helper()
+		want := math.Hypot(p.X-q.X, p.Y-q.Y) <= lim
+		if got := NewReach(lim).Within(p, q); got != want {
+			t.Fatalf("lim %v, %v to %v: Within = %v, Hypot says %v", lim, p, q, got, want)
+		}
+	}
+	var in, out, band int
+	for range 200000 {
+		lim := 1000 * rng.Float64()
+		p := Position{X: 4000 * (rng.Float64() - 0.5), Y: 4000 * (rng.Float64() - 0.5)}
+		d := lim
+		switch rng.Intn(4) {
+		case 0: // up to two ulps either side
+			steps := rng.Intn(5) - 2
+			toward := math.Copysign(math.Inf(1), float64(steps))
+			for range max(steps, -steps) {
+				d = math.Nextafter(d, toward)
+			}
+		case 1:
+			d *= 1 + 2e-10*(rng.Float64()-0.5)
+		case 2:
+			d *= 2 * rng.Float64()
+		}
+		sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
+		q := Position{X: p.X + d*cos, Y: p.Y + d*sin}
+		check(lim, p, q)
+		dx, dy := p.X-q.X, p.Y-q.Y
+		if r, s := NewReach(lim), dx*dx+dy*dy; s >= r.lo && s <= r.hi {
+			band++
+		}
+		if math.Hypot(dx, dy) <= lim {
+			in++
+		} else {
+			out++
+		}
+	}
+	if in < 50000 || out < 50000 || band < 100000 {
+		t.Errorf("sweep not concentrated at the limit: %d within, %d beyond, %d in the exact band", in, out, band)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		lim  float64
+		p, q Position
+	}{
+		{0, Position{}, Position{}},
+		{0, Position{}, Position{X: 5e-324}},
+		{inf, Position{}, Position{X: 1e300, Y: 1e300}},
+		{inf, Position{}, Position{X: inf}},
+		{250, Position{}, Position{X: inf}},
+		{250, Position{}, Position{Y: nan}},
+		{250, Position{X: inf}, Position{X: inf}},
+		{nan, Position{}, Position{}},
+		{250, Position{}, Position{X: 1e200}},
+	} {
+		check(c.lim, c.p, c.q)
+	}
+}
+
 // Property: delivery is monotone in distance — if a frame is decoded at
 // distance d with no interference, it is decoded at any smaller distance.
 func TestPropertyDeliveryByRange(t *testing.T) {

@@ -12,6 +12,7 @@ package pkt
 
 import (
 	"fmt"
+	"strconv"
 
 	"ezflow/internal/sim"
 )
@@ -27,7 +28,7 @@ func (n NodeID) String() string {
 	if n == Broadcast {
 		return "bcast"
 	}
-	return fmt.Sprintf("N%d", int(n))
+	return "N" + strconv.Itoa(int(n))
 }
 
 // FlowID identifies an end-to-end flow.

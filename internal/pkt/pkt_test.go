@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,21 @@ func TestFrameBytes(t *testing.T) {
 	for _, c := range cases {
 		if got := c.f.Bytes(); got != c.want {
 			t.Errorf("%v: bytes = %d, want %d", c.f.Type, got, c.want)
+		}
+	}
+}
+
+// TestNodeIDString pins the node names that label traces and reports:
+// the strconv spelling must stay byte-identical to fmt's "N%d".
+func TestNodeIDString(t *testing.T) {
+	for id, want := range map[NodeID]string{0: "N0", 7: "N7", 399: "N399", Broadcast: "bcast"} {
+		if got := id.String(); got != want {
+			t.Errorf("NodeID(%d).String() = %q, want %q", int(id), got, want)
+		}
+	}
+	for id := NodeID(-3); id <= 1000; id++ {
+		if id != Broadcast && id.String() != fmt.Sprintf("N%d", int(id)) {
+			t.Errorf("NodeID(%d).String() = %q, want fmt's %q", int(id), id.String(), fmt.Sprintf("N%d", int(id)))
 		}
 	}
 }

@@ -126,9 +126,8 @@ func (g *Graph) bfsTree(src int32) []int32 {
 // Topology builders use it to draw initial gateway-bound routes
 // (following the parent chain from a node yields its minimum-hop path to
 // the gateway); with Connected it is also the reference connectivity
-// test. mesh.RandomDiskLossy builds this tree for its first draw and for the
-// placement it accepts, and screens the draws in between with a cheaper
-// unordered check.
+// test. mesh.RandomDiskLossy screens every draw with a cheaper unordered
+// check and builds this tree only for the placement it accepts.
 //
 // Candidates come from the same spatial hash the PHY neighbor index is
 // built with, so a pass is O(N·degree) instead of O(N²). The nodes a
@@ -142,6 +141,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 		parent[i] = -1
 	}
 	parent[0] = 0
+	reach := phy.NewReach(txRange)
 	g := phy.NewSpatialGrid(pos, txRange)
 	queue := make([]int, 0, n)
 	queue = append(queue, 0)
@@ -153,7 +153,7 @@ func GatewayTree(pos []phy.Position, txRange float64) []int {
 		fresh := len(queue)
 		for _, v32 := range cand {
 			v := int(v32)
-			if parent[v] < 0 && pos[u].Dist(pos[v]) <= txRange {
+			if parent[v] < 0 && reach.Within(pos[u], pos[v]) {
 				parent[v] = u
 				queue = append(queue, v)
 			}
