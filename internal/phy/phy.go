@@ -277,9 +277,9 @@ func NewChannel(eng *sim.Engine, cfg Config) *Channel {
 // certainly beyond it, whatever math.Hypot rounds the distance to. The
 // relative margin is far wider than the rounding error of a sum of two
 // squares, fused or not; math.Hypot decides the pairs between the
-// bounds. Every range test over positions, in the PHY and in the
-// builders that screen placements and draw routes, goes through a Reach,
-// so they all draw the boundary where Position.Dist does.
+// bounds. The PHY's range tests and the builders' (placement screens and
+// gateway trees) all go through a Reach, so they draw the boundary where
+// Position.Dist does.
 type Reach struct{ lim, lo, hi float64 }
 
 // NewReach returns the Reach of the distance limit lim.
