@@ -9,13 +9,16 @@ PROFILE_DIR ?= profiles
 
 .PHONY: check test lint staticcheck fuzz bench bench-all profile clean
 
-# check is the tier-1 gate: format, vet, doc lint, staticcheck, build,
-# race tests.
+# check is the tier-1 gate and CI's test job: format, vet, doc lint,
+# staticcheck, build, race tests, and the vet and tests of bench/ (its
+# own Go module, which the root `./...` never reaches).
 check: lint staticcheck
 	test -z "$$($(GO)fmt -l .)" || { $(GO)fmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # bench/ is its own Go module, so the root `go test ./...` never reaches
 # ezperf's self-test (phase-split digests against plain runs, per workload).
@@ -35,16 +38,21 @@ test:
 # enough to catch decode panics and order slips in CI; crank FUZZTIME
 # for a real soak. A worker stops fuzzing while it minimizes a new input,
 # for up to a minute by default, so minimization is capped at 2 s to
-# leave the smoke its mutated inputs.
+# leave the smoke its mutated inputs. Each target prints its last
+# progress line, whose execs: count says how many inputs it tried, or
+# its whole output when it fails. sh has no pipefail, so the output is
+# held in a variable and the failing target's exit status kept by hand.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/scenario
-	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
-	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/campaign
-	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/mobility
-	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sim
-	$(GO) test -run='^$$' -fuzz='^FuzzMoveNodes$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/phy
-	$(GO) test -run='^$$' -fuzz='^FuzzInterference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/phy
+	@for t in FuzzParse:./internal/scenario FuzzWorkerFrames:./internal/campaign \
+	    FuzzParseChaos:./internal/campaign FuzzParseMobilityTrace:./internal/mobility \
+	    FuzzEngineOrder:./internal/sim FuzzMoveNodes:./internal/phy FuzzInterference:./internal/phy; do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		out=$$($(GO) test -run='^$$' -fuzz="^$${name}\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s $$pkg 2>&1); \
+		status=$$?; \
+		if [ $$status -ne 0 ]; then printf '%s\n' "$$out"; exit $$status; fi; \
+		printf '%s %s\n' "$$name" "$$(printf '%s\n' "$$out" | grep 'execs:' | tail -n 1)"; \
+	done
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages) and

@@ -148,10 +148,10 @@ func (o *obsOpts) publishPeriodically(sc *ezflow.Scenario, set *obs.Set, srv *ob
 			HorizonSeconds: horizon.Seconds(),
 		})
 		if sc.Eng.Now() < horizon {
-			sc.Eng.ScheduleFunc(period, tick)
+			sc.Eng.Schedule(period, tick)
 		}
 	}
-	sc.Eng.ScheduleFunc(period, tick)
+	sc.Eng.Schedule(period, tick)
 }
 
 // dumpFlight writes the filtered flight record as JSONL.

@@ -447,7 +447,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		}
 	})
 
-	// Sources with schedules.
+	// Sources, each armed by one activity schedule: a workload flow's
+	// generated segments, or an explicit flow's single segment from Start
+	// to Stop (the run's end when unset).
 	for _, fs := range flows {
 		if fs.Start < 0 || fs.Stop < 0 || fs.Bytes < 0 || (fs.Stop > 0 && fs.Stop <= fs.Start) {
 			panic(fmt.Sprintf("ezflow: flow %d: start %v, stop %v, bytes %d: want non-negative values and a stop after the start",
@@ -462,16 +464,15 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 		} else {
 			src = traffic.NewCBR(m, fs.Flow, fs.RateBps, fs.Bytes)
 		}
-		if segs, ok := wlSched[fs.Flow]; ok {
-			src.ApplySchedule(segs)
-		} else {
-			src.StartAt(fs.Start)
+		segs, ok := wlSched[fs.Flow]
+		if !ok {
 			stop := fs.Stop
 			if stop <= 0 {
 				stop = cfg.Duration
 			}
-			src.StopAt(stop)
+			segs = []traffic.Segment{{Start: fs.Start, Stop: stop}}
 		}
+		src.ApplySchedule(segs)
 		sc.Sources[fs.Flow] = src
 	}
 
@@ -498,9 +499,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 				s.Points = make([]stats.Point, 0, samples)
 			}
 			s.Add(eng.Now(), float64(n.MAC.TotalQueued()))
-			eng.ScheduleFunc(queueSample, tick)
+			eng.Schedule(queueSample, tick)
 		}
-		eng.ScheduleFunc(queueSample, tick)
+		eng.Schedule(queueSample, tick)
 	}
 
 	// Perturbation timeline, scheduled up front so the run stays a pure

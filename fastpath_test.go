@@ -192,8 +192,8 @@ func TestOverflowFastPathMatchesPacketPath(t *testing.T) {
 		prepare := func(sc *ezflow.Scenario) {
 			last = sc
 			rx := func() uint64 { return sc.Mesh.Node(6).MAC.RxData + sc.Mesh.Node(3).MAC.RxData }
-			sc.Eng.ScheduleFuncAt(at(12)+1, func() { rxOff[0] = rx() })
-			sc.Eng.ScheduleFuncAt(at(29), func() { rxOff[1] = rx() })
+			sc.Eng.ScheduleAt(at(12)+1, func() { rxOff[0] = rx() })
+			sc.Eng.ScheduleAt(at(29), func() { rxOff[1] = rx() })
 		}
 		compareFastPaths(t, build, prepare)
 		if got, want := last.Mesh.Route(1), []ezflow.NodeID{8, 5, 2, 1, 0}; !slices.Equal(got, want) {
@@ -219,11 +219,11 @@ func TestOverflowFastPathMatchesPacketPath(t *testing.T) {
 					f()
 				}
 			}
-			sc.Eng.ScheduleFuncAt(at(5), check(func() { src.SetRate(1.5e6) }))
-			sc.Eng.ScheduleFuncAt(at(9)+123, check(func() { src.SetRate(3e6) }))
-			sc.Eng.ScheduleFuncAt(at(13), check(src.Stop))
-			sc.Eng.ScheduleFuncAt(at(13)+7, check(src.Start))
-			sc.Eng.ScheduleFuncAt(at(20)+1, check(src.Stop))
+			sc.Eng.ScheduleAt(at(5), check(func() { src.SetRate(1.5e6) }))
+			sc.Eng.ScheduleAt(at(9)+123, check(func() { src.SetRate(3e6) }))
+			sc.Eng.ScheduleAt(at(13), check(src.Stop))
+			sc.Eng.ScheduleAt(at(13)+7, check(src.Start))
+			sc.Eng.ScheduleAt(at(20)+1, check(src.Stop))
 		}
 		compareFastPaths(t, func() *ezflow.Scenario { return chain(cfgFor(ezflow.ModeEZFlow)) }, prepare)
 		if full != 10 {

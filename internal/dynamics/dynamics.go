@@ -275,7 +275,7 @@ func (e *Engine) Append(script *Script) error {
 	}
 	for _, ev := range script.Events {
 		ev := ev
-		e.m.Eng.ScheduleFuncAt(ev.At, func() { e.apply(ev) })
+		e.m.Eng.ScheduleAt(ev.At, func() { e.apply(ev) })
 	}
 	return nil
 }

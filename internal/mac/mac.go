@@ -514,7 +514,7 @@ func (m *MAC) SetDown(down bool) {
 		return
 	}
 	if m.eng.Now() < m.txEnd {
-		m.eng.ScheduleFuncAt(m.txEnd, m.kickFn)
+		m.eng.ScheduleAt(m.txEnd, m.kickFn)
 		return
 	}
 	m.kick()
@@ -658,7 +658,7 @@ func (m *MAC) rxCTS(f *pkt.Frame) {
 	m.timer.Cancel()
 	// Send the data frame after SIFS.
 	m.state = stTxCtl // transiently; sendData moves us to stTxData
-	m.eng.ScheduleFuncFixed(SIFS, m.sendDataFn)
+	m.eng.ScheduleFixed(SIFS, m.sendDataFn)
 }
 
 // scheduleCtl queues a control response (ACK or CTS) to go out after SIFS.
@@ -669,7 +669,7 @@ func (m *MAC) scheduleCtl(f *pkt.Frame) {
 		m.pool.PutFrame(m.pendingCtl)
 	}
 	m.pendingCtl = f
-	m.eng.ScheduleFuncFixed(SIFS, m.sendCtlFn)
+	m.eng.ScheduleFixed(SIFS, m.sendCtlFn)
 }
 
 // sendCtl fires SIFS after a control response was queued and puts it on
@@ -695,7 +695,7 @@ func (m *MAC) sendCtl() {
 	m.state = stTxCtl
 	end := m.ch.TransmitFrom(m.st, ctl)
 	m.txEnd = end
-	m.eng.ScheduleFuncFixed(end-m.eng.Now(), m.ctlDoneFn)
+	m.eng.ScheduleFixed(end-m.eng.Now(), m.ctlDoneFn)
 }
 
 // ctlDone restores the pre-response state once the control frame has left
@@ -852,7 +852,7 @@ func (m *MAC) sendData() {
 	m.txEnd = end
 	air := end - m.eng.Now()
 	timeout := air + SIFS + m.ch.AirTime(pkt.AckBytes) + SlotTime
-	m.eng.ScheduleFuncFixed(air, m.dataEndFn)
+	m.eng.ScheduleFixed(air, m.dataEndFn)
 	m.timer = m.eng.ScheduleFixed(timeout, m.ackTimeoutFn)
 }
 
@@ -871,7 +871,7 @@ func (m *MAC) sendRTS() {
 	m.txEnd = end
 	air := end - m.eng.Now()
 	timeout := air + SIFS + m.ch.AirTime(pkt.CTSBytes) + SlotTime
-	m.eng.ScheduleFuncFixed(air, m.rtsEndFn)
+	m.eng.ScheduleFixed(air, m.rtsEndFn)
 	m.timer = m.eng.ScheduleFixed(timeout, m.ackTimeoutFn)
 }
 

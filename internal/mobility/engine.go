@@ -44,9 +44,6 @@ type Config struct {
 	// Fixed pins nodes in place regardless of the model — typically the
 	// gateway, which is mains-powered street furniture, not a commuter.
 	Fixed []pkt.NodeID
-	// Bounds overrides the roaming area (default: the deployment's
-	// bounding box).
-	Bounds *Bounds
 	// Seed is the run seed the model derives per-node randomness from.
 	Seed int64
 	// UntilSec is the horizon after which no further ticks are
@@ -108,11 +105,7 @@ func Attach(m *mesh.Mesh, cfg Config) (*Engine, error) {
 	for i, id := range ids {
 		starts[i] = m.Ch.Position(id)
 	}
-	bounds := BoundsOf(starts)
-	if cfg.Bounds != nil {
-		bounds = *cfg.Bounds
-	}
-	if err := model.Init(ids, starts, bounds, cfg.Seed); err != nil {
+	if err := model.Init(ids, starts, BoundsOf(starts), cfg.Seed); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -127,7 +120,7 @@ func Attach(m *mesh.Mesh, cfg Config) (*Engine, error) {
 		e.mobile[i] = model.Mobile(i) && !slices.Contains(cfg.Fixed, id)
 	}
 	e.tickFn = e.step
-	m.Eng.ScheduleFuncAt(m.Eng.Now()+e.tick, e.tickFn)
+	m.Eng.ScheduleAt(m.Eng.Now()+e.tick, e.tickFn)
 	return e, nil
 }
 
@@ -155,6 +148,6 @@ func (e *Engine) step() {
 		e.m.Repair()
 	}
 	if next := now + e.tick; next <= e.until {
-		e.m.Eng.ScheduleFuncAt(next, e.tickFn)
+		e.m.Eng.ScheduleAt(next, e.tickFn)
 	}
 }

@@ -54,8 +54,8 @@ type Bounds struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// BoundsOf returns the bounding box of a deployment — the default
-// roaming area when the scenario does not name one.
+// BoundsOf returns the bounding box of a deployment — the roaming area
+// Attach gives every model.
 func BoundsOf(pos []phy.Position) Bounds {
 	if len(pos) == 0 {
 		return Bounds{}

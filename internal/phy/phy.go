@@ -496,7 +496,7 @@ func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
 		}
 	}
 
-	c.eng.ScheduleFuncFixed(dur, tx.finishFn)
+	c.eng.ScheduleFixed(dur, tx.finishFn)
 	return tx.end
 }
 

@@ -88,13 +88,13 @@ func (s *mixStation) arm() {
 }
 
 func (s *mixStation) won() {
-	s.en.ScheduleFuncFixed(mixAir, s.endFn)
+	s.en.ScheduleFixed(mixAir, s.endFn)
 	s.timeout = s.en.ScheduleFixed(mixTimeout, s.doneFn)
 }
 
-func (s *mixStation) end() { s.en.ScheduleFuncFixed(mixSIFS, s.ackFn) }
+func (s *mixStation) end() { s.en.ScheduleFixed(mixSIFS, s.ackFn) }
 
-func (s *mixStation) ack() { s.en.ScheduleFuncFixed(mixAckAir, s.doneFn) }
+func (s *mixStation) ack() { s.en.ScheduleFixed(mixAckAir, s.doneFn) }
 
 func (s *mixStation) done() {
 	s.timeout.Cancel()

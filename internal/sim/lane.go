@@ -58,9 +58,12 @@ func (en *Engine) laneFor(d Time) int {
 	return free
 }
 
-// scheduleFixed queues fn after delay in the delay's lane, or on the
-// heap when no lane is free for it.
-func (en *Engine) scheduleFixed(delay Time, fn func()) *event {
+// ScheduleFixed is Schedule for a caller whose delay is a per-run
+// constant, such as a frame's air time or a protocol timeout. The event
+// fires exactly when and in the order Schedule's would; it is queued in
+// the delay's lane, which costs no heap operation, whenever a lane is
+// free for that delay, and on the heap otherwise.
+func (en *Engine) ScheduleFixed(delay Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil callback")
 	}
@@ -73,7 +76,7 @@ func (en *Engine) scheduleFixed(delay Time, fn func()) *event {
 		l = en.laneFor(delay)
 	}
 	if l < 0 {
-		return en.schedule(at, fn)
+		return en.ScheduleAt(at, fn)
 	}
 	en.seq++
 	e := en.get()
@@ -89,7 +92,7 @@ func (en *Engine) scheduleFixed(delay Time, fn func()) *event {
 	if ln.n == 1 {
 		en.fronts[l] = laneKey{at, e.seq}
 	}
-	return e
+	return Timer{ev: e, gen: e.gen}
 }
 
 // grow doubles the ring, keeping the entries in order.

@@ -57,9 +57,9 @@ func TestLaneAckTimeoutBound(t *testing.T) {
 			armed.Cancel()
 		}
 		armed = en.ScheduleFixed(timeout, expire)
-		en.ScheduleFunc(period, tick)
+		en.Schedule(period, tick)
 	}
-	en.ScheduleFunc(0, tick)
+	en.Schedule(0, tick)
 	window := int(timeout/period) + 1
 	step := func() {
 		en.RunStep()
@@ -87,7 +87,7 @@ func TestLaneNeverDrainingDoesNotGrow(t *testing.T) {
 	for i := 0; i < sources; i++ {
 		var emit func()
 		emit = func() { en.ScheduleFixed(gap, emit) }
-		en.ScheduleFunc(Time(i)*Microsecond, emit)
+		en.Schedule(Time(i)*Microsecond, emit)
 	}
 	en.Run(Second)
 	ring := len(en.lanes[0].ring)
@@ -108,13 +108,13 @@ func TestLaneOverflowFallsBackToHeap(t *testing.T) {
 	var got []Time
 	rec := func() { got = append(got, en.Now()) }
 	for d := Time(1); d <= maxLanes+1; d++ {
-		en.ScheduleFuncFixed(d*Microsecond, rec)
+		en.ScheduleFixed(d*Microsecond, rec)
 	}
 	if en.nlanes != maxLanes || len(en.queue) != 1 {
 		t.Fatalf("lanes %d, heap %d; want %d lanes and the overflow on the heap", en.nlanes, len(en.queue), maxLanes)
 	}
 	en.RunStep() // drains the 1 µs lane
-	en.ScheduleFuncFixed(20*Microsecond, rec)
+	en.ScheduleFixed(20*Microsecond, rec)
 	if en.lanes[0].delay != 20*Microsecond || len(en.queue) != 1 {
 		t.Fatalf("lane 0 keyed to %v, heap %d; want the drained lane re-keyed to 20µs", en.lanes[0].delay, len(en.queue))
 	}

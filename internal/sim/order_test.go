@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -130,11 +132,12 @@ func (en *refEngine) runStep() bool {
 }
 
 // orderEngine is what the differential harness drives: Engine and
-// refEngine behind one interface. Handles are numbered in schedule
-// order; fixed says the delay is one of the lane delays.
+// refEngine behind one interface. fixed says the delay is one of the
+// lane delays; handle says whether the side keeps the returned Timer.
+// Kept handles are numbered in schedule order.
 type orderEngine interface {
 	now() Time
-	schedule(fixed, handle bool, delay Time, fn func()) // appends a handle when asked
+	schedule(fixed, handle bool, delay Time, fn func())
 	cancel(h int)
 	timer(h int) (Time, bool)
 	handles() int
@@ -151,15 +154,14 @@ type laneSide struct {
 
 func (s *laneSide) now() Time { return s.en.Now() }
 func (s *laneSide) schedule(fixed, handle bool, d Time, fn func()) {
-	switch {
-	case fixed && handle:
-		s.ts = append(s.ts, s.en.ScheduleFixed(d, fn))
-	case fixed:
-		s.en.ScheduleFuncFixed(d, fn)
-	case handle:
-		s.ts = append(s.ts, s.en.Schedule(d, fn))
-	default:
-		s.en.ScheduleFunc(d, fn)
+	var t Timer
+	if fixed {
+		t = s.en.ScheduleFixed(d, fn)
+	} else {
+		t = s.en.Schedule(d, fn)
+	}
+	if handle {
+		s.ts = append(s.ts, t)
 	}
 }
 func (s *laneSide) cancel(h int)             { s.ts[h].Cancel() }
@@ -280,6 +282,23 @@ func playOrder(en orderEngine, data []byte) []int64 {
 	return log
 }
 
+// orderMismatch plays data on the laned Engine and on the heap-only
+// reference and describes the first entry where their logs differ, or
+// returns "" when they agree.
+func orderMismatch(data []byte) string {
+	want := playOrder(&refSide{}, data)
+	got := playOrder(&laneSide{en: NewEngine(1)}, data)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("log entry %d: got %d, want %d\ngot  %v\nwant %v", i, got[i], want[i], got[:i+1], want[:i+1])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("got %d log entries, want %d", len(got), len(want))
+	}
+	return ""
+}
+
 // FuzzEngineOrder holds the laned Engine to the heap-only reference:
 // for any sequence of schedules (fixed and variable delays, zero delays,
 // same-instant ties), cancels, steps, bounded runs and stops, both fire
@@ -295,15 +314,35 @@ func FuzzEngineOrder(f *testing.F) {
 		if len(data) == 0 || len(data) > 256 {
 			return
 		}
-		want := playOrder(&refSide{}, data)
-		got := playOrder(&laneSide{en: NewEngine(1)}, data)
-		for i := range min(len(got), len(want)) {
-			if got[i] != want[i] {
-				t.Fatalf("log entry %d: got %d, want %d\ngot  %v\nwant %v", i, got[i], want[i], got[:i+1], want[:i+1])
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d log entries, want %d", len(got), len(want))
+		if msg := orderMismatch(data); msg != "" {
+			t.Fatal(msg)
 		}
 	})
+}
+
+// orderCases is how many generated schedules TestEngineOrderCases
+// plays, with seeds 1 to orderCases: about 2 s on a 2-vCPU host.
+const orderCases = 20000
+
+// orderCase generates the byte schedule of one seeded case: 1 to 256
+// uniform bytes, so each op, delay and reaction is as likely as any
+// other.
+func orderCase(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, 1+rng.Intn(256))
+	rng.Read(data)
+	return data
+}
+
+// TestEngineOrderCases runs FuzzEngineOrder's check over a fixed count
+// of seeded schedules, so every test run tries thousands of generated
+// inputs, not only the fuzz target's hand-written seeds. A failure names
+// its case seed; orderCase(seed) rebuilds the input, which then belongs
+// among FuzzEngineOrder's f.Add seeds.
+func TestEngineOrderCases(t *testing.T) {
+	for seed := int64(1); seed <= orderCases; seed++ {
+		if msg := orderMismatch(orderCase(seed)); msg != "" {
+			t.Fatalf("case seed %d: %s", seed, msg)
+		}
+	}
 }

@@ -118,9 +118,9 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state Schedule/Cancel allocates %.1f objects per op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		en.ScheduleFunc(Microsecond, fn)
+		en.ScheduleAt(en.Now()+Microsecond, fn)
 		en.RunStep()
 	}); avg != 0 {
-		t.Fatalf("steady-state ScheduleFunc/fire allocates %.1f objects per op, want 0", avg)
+		t.Fatalf("steady-state ScheduleAt/fire allocates %.1f objects per op, want 0", avg)
 	}
 }

@@ -11,14 +11,15 @@
 // recycled through a free list, so steady-state scheduling does not
 // allocate; Timer handles carry a generation counter, so a handle kept
 // past its event's lifetime can never cancel the event's next occupant.
-// Callers that never cancel should prefer the ScheduleFunc, ScheduleFuncAt
-// and ScheduleFuncFixed fast paths, which skip handle construction.
+// There is one call per timing kind: Schedule (a delay from now),
+// ScheduleAt (an absolute time) and ScheduleFixed (a delay that is
+// constant over a run). Each returns a Timer; a caller that never
+// cancels discards it, which costs nothing.
 //
-// Pending events wait in two kinds of queue. Schedule, ScheduleAt and
-// their Func forms put them on an inlined 4-ary heap. ScheduleFixed and
-// ScheduleFuncFixed, meant for delays that are constant over a run, put
-// them in a lane: a FIFO of the events scheduled with one delay (at most
-// eight lanes; when none is free for a delay, the heap takes the event). The clock never runs
+// Pending events wait in two kinds of queue. Schedule and ScheduleAt put
+// them on an inlined 4-ary heap. ScheduleFixed puts them in a lane: a
+// FIFO of the events scheduled with one delay (at most eight lanes; when
+// none is free for a delay, the heap takes the event). The clock never runs
 // backwards and every schedule takes the next sequence number, so events
 // scheduled with one delay join their lane already in (time, sequence)
 // order, and the lane keeps them sorted with no heap operation. Each step
@@ -304,9 +305,17 @@ func (en *Engine) release(e *event) {
 	en.free = append(en.free, e)
 }
 
-// schedule queues fn at absolute time at (clamped to the present) and
-// returns the backing event.
-func (en *Engine) schedule(at Time, fn func()) *event {
+// Schedule queues fn to run after delay and returns a cancellable handle.
+// A negative delay fires "now" (but still strictly after the currently
+// executing event returns): the clock is never negative, so now+delay
+// cannot overflow for delay < 0, and ScheduleAt clamps it to the present.
+func (en *Engine) Schedule(delay Time, fn func()) Timer {
+	return en.ScheduleAt(en.now+delay, fn)
+}
+
+// ScheduleAt queues fn to run at absolute time at and returns a cancellable
+// handle. Times in the past are clamped to the present.
+func (en *Engine) ScheduleAt(at Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil callback")
 	}
@@ -317,56 +326,7 @@ func (en *Engine) schedule(at Time, fn func()) *event {
 	e := en.get()
 	e.at, e.seq, e.fn = at, en.seq, fn
 	en.queue.push(e)
-	return e
-}
-
-// Schedule queues fn to run after delay and returns a cancellable handle.
-// A negative delay fires "now" (but still strictly after the currently
-// executing event returns).
-func (en *Engine) Schedule(delay Time, fn func()) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return en.ScheduleAt(en.now+delay, fn)
-}
-
-// ScheduleAt queues fn to run at absolute time at and returns a cancellable
-// handle. Times in the past are clamped to the present.
-func (en *Engine) ScheduleAt(at Time, fn func()) Timer {
-	e := en.schedule(at, fn)
 	return Timer{ev: e, gen: e.gen}
-}
-
-// ScheduleFunc queues fn to run after delay without returning a handle —
-// the fast path for fire-and-forget callbacks that are never cancelled
-// (PHY completions, periodic samplers, source start/stop).
-func (en *Engine) ScheduleFunc(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	en.schedule(en.now+delay, fn)
-}
-
-// ScheduleFuncAt queues fn to run at absolute time at without returning a
-// handle; see ScheduleFunc.
-func (en *Engine) ScheduleFuncAt(at Time, fn func()) {
-	en.schedule(at, fn)
-}
-
-// ScheduleFixed is Schedule for a caller whose delay is a per-run
-// constant, such as a frame's air time or a protocol timeout. The event
-// fires exactly when and in the order Schedule's would; it is queued in
-// the delay's lane, which costs no heap operation, whenever a lane is
-// free for that delay.
-func (en *Engine) ScheduleFixed(delay Time, fn func()) Timer {
-	e := en.scheduleFixed(delay, fn)
-	return Timer{ev: e, gen: e.gen}
-}
-
-// ScheduleFuncFixed is ScheduleFunc for a per-run constant delay; see
-// ScheduleFixed.
-func (en *Engine) ScheduleFuncFixed(delay Time, fn func()) {
-	en.scheduleFixed(delay, fn)
 }
 
 // StopOn attaches flag as a stop request that any goroutine may raise

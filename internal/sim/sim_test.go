@@ -130,9 +130,9 @@ func ticker(en *Engine, hook func()) {
 	var tick func()
 	tick = func() {
 		hook()
-		en.ScheduleFunc(Microsecond, tick)
+		en.Schedule(Microsecond, tick)
 	}
-	en.ScheduleFunc(0, tick)
+	en.Schedule(0, tick)
 }
 
 // TestStopOnFromAnotherGoroutine pins the cross-goroutine stop: a flag
@@ -200,7 +200,7 @@ func TestStopOnUnraisedIsInert(t *testing.T) {
 		en.StopOn(flag)
 		ticker(en, func() {
 			if en.Chance(0.5) {
-				en.ScheduleFunc(Time(en.Uniform(50))*Microsecond, func() {})
+				en.Schedule(Time(en.Uniform(50))*Microsecond, func() {})
 			}
 		})
 		end := en.Run(50 * Millisecond)

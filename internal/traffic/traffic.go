@@ -12,6 +12,9 @@ import (
 )
 
 // Source generates packets for one flow and injects them at its source node.
+// A new source is stopped. ApplySchedule puts its activity on the engine
+// clock, one start and one stop per segment; Start and Stop switch it
+// at once, as the dynamics layer's flow events do.
 type Source struct {
 	m       *mesh.Mesh
 	node    *mesh.Node // the source node, whose queue arrivals enter
@@ -76,16 +79,6 @@ func cbrGap(bytes int, rateBps float64) sim.Time {
 		gap = sim.Nanosecond
 	}
 	return gap
-}
-
-// StartAt schedules the source to begin at time at.
-func (s *Source) StartAt(at sim.Time) {
-	s.m.Eng.ScheduleFuncAt(at, s.Start)
-}
-
-// StopAt schedules the source to stop at time at.
-func (s *Source) StopAt(at sim.Time) {
-	s.m.Eng.ScheduleFuncAt(at, s.Stop)
 }
 
 // Start begins generation immediately.

@@ -33,15 +33,14 @@ func TestCBRRate(t *testing.T) {
 func TestStartStopSchedule(t *testing.T) {
 	eng, m := newMesh(t)
 	s := NewCBR(m, 1, 82240, 1028)
-	s.StartAt(2 * sim.Second)
-	s.StopAt(4 * sim.Second)
+	s.ApplySchedule([]Segment{{Start: 2 * sim.Second, Stop: 4 * sim.Second}})
 	eng.Run(10 * sim.Second)
 	// Active for 2 s at 10 pkt/s.
 	if s.Generated < 19 || s.Generated > 22 {
 		t.Fatalf("generated %d packets, want ~20", s.Generated)
 	}
 	if s.active {
-		t.Fatal("source still active after StopAt")
+		t.Fatal("source still active after its segment's stop")
 	}
 }
 

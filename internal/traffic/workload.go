@@ -26,11 +26,13 @@ type Segment struct {
 
 // ApplySchedule arms the source to run exactly during the given
 // segments (ascending, non-overlapping — what the generators below
-// produce). The source should be stopped when called.
+// produce), scheduling each segment's start and then its stop. It is the
+// one way to put a source's activity on the clock; a flow that runs once
+// is a one-segment schedule. The source should be stopped when called.
 func (s *Source) ApplySchedule(segs []Segment) {
 	for _, seg := range segs {
-		s.StartAt(seg.Start)
-		s.StopAt(seg.Stop)
+		s.m.Eng.ScheduleAt(seg.Start, s.Start)
+		s.m.Eng.ScheduleAt(seg.Stop, s.Stop)
 	}
 }
 

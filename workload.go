@@ -111,9 +111,9 @@ func workloadSeed(seed int64) int64 {
 // expandWorkload turns cfg.Workload into concrete flows: it allocates
 // flow ids above every configured flow, routes each through the active
 // routing strategy, installs the routes, and returns the extended spec
-// list plus each workload flow's activity schedule (applied in place of
-// the plain StartAt/StopAt arming). Called from wire after routing
-// resolution, before metering and source creation.
+// list plus each workload flow's activity schedule (an explicit flow
+// runs the one segment [Start, Stop) instead). Called from wire after
+// routing resolution, before metering and source creation.
 func expandWorkload(cfg *Config, m *mesh.Mesh, flows []FlowSpec) ([]FlowSpec, map[FlowID][]traffic.Segment, error) {
 	w := cfg.Workload
 	if err := w.Validate(); err != nil {
